@@ -42,7 +42,7 @@ for code in family:
 # The closed form behind the table: magnitude N/K at every harmonic and
 # phase -2*pi*i*m/K for code i at harmonic m.
 print("\nphase matrix 2*pi*i*m/K (degrees, negated on receive):")
-print(np.round(np.degrees(codes.phase_matrix(K).entries), 1))
+print(np.round(np.degrees(codes.phase_matrix(K)), 1))
 
 # Hardware drives the switches from a per-antenna control word: one bit
 # per slot, antenna 0 first. The identity assignment (antenna k on in

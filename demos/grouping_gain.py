@@ -29,8 +29,8 @@ base = (
 
 # Show the matrix the phase-cone selector picks for this room.
 cfg = build_config(parse_config_text(base + "select = grouped\n"))
-chan = runner._draw_channel(cfg, runner.Rng(cfg.seed, 0))
-result = inphase_select(chan.gains[:, :, runner.REFERENCE_BIN], cfg.grouping)
+gains = runner._draw_channel(cfg, runner.Rng(cfg.seed, 0))
+result = inphase_select(gains[:, :, runner.REFERENCE_BIN], cfg.grouping)
 print("selected switch matrix (rows antennas, cols virtual chains):")
 print(result.matrix.entries)
 print(f"control word: {result.matrix.to_control_word()}")

@@ -11,17 +11,10 @@ experiment runner.
 
 __version__ = "0.1.0"
 
-from .dsp import Rng, SampleStream, add_awgn, dft, fractional_delay, idft
-from .codes import (
-    PhaseMatrix,
-    SwitchCode,
-    code_spectrum,
-    generate_codes,
-    phase_matrix,
-    superpose,
-)
+from .dsp import Rng, fractional_delay
+from .codes import SwitchCode, code_spectrum, generate_codes, phase_matrix
 from .config import ConfigError, ExperimentConfig, build_config, load_config, parse_config_text
-from .despread import VirtualChainSet, freq_despread, time_despread
+from .despread import freq_despread, time_despread
 from .frontend import (
     FrontendConfig,
     SwitchMatrix,
@@ -30,7 +23,7 @@ from .frontend import (
     capture_switched,
 )
 from .grouping import GroupingConfig, GroupingError, inphase_select, random_switch_matrix
-from .channel import ChannelSet, RoomScene, ray_trace, rayleigh
+from .channel import RoomScene, ray_trace, rayleigh
 from .waveform import OfdmConfig, build_frame, recover_bits
 from .equalize import (
     apply_combiner,
@@ -44,23 +37,16 @@ from .runner import run_sweep, run_trial, sweep_combos
 
 __all__ = [
     "Rng",
-    "SampleStream",
-    "add_awgn",
-    "dft",
     "fractional_delay",
-    "idft",
-    "PhaseMatrix",
     "SwitchCode",
     "code_spectrum",
     "generate_codes",
     "phase_matrix",
-    "superpose",
     "ConfigError",
     "ExperimentConfig",
     "build_config",
     "load_config",
     "parse_config_text",
-    "VirtualChainSet",
     "freq_despread",
     "time_despread",
     "FrontendConfig",
@@ -72,7 +58,6 @@ __all__ = [
     "GroupingError",
     "inphase_select",
     "random_switch_matrix",
-    "ChannelSet",
     "RoomScene",
     "ray_trace",
     "rayleigh",

@@ -1,11 +1,12 @@
 """Ground-truth wireless channels between K users and M antennas.
 
-Three sources: i.i.d. Rayleigh draws, image-source ray tracing in a
-rectangular room, and direct construction from impulse-response taps.
-Channels are frozen per packet (every experiment uses static scenes) and
-applied per OFDM symbol in the frequency domain, so the per-subcarrier
-product the combining math assumes holds exactly, with no inter-symbol
-interference.
+A channel is a complex gain array [users, antennas, subcarriers] in fft bin
+order (upper half = negative frequencies), matching the OFDM grid it
+multiplies. Two sources: i.i.d. Rayleigh draws and image-source ray
+tracing in a rectangular room. Channels are frozen per packet (every
+experiment uses static scenes) and applied per OFDM symbol in the
+frequency domain, so the per-subcarrier product the combining math assumes
+holds exactly, with no inter-symbol interference.
 """
 
 from __future__ import annotations
@@ -14,47 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import Rng, SampleStream, signed_bins
+from .dsp import Rng, signed_bins
 
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """Per-user, per-antenna, per-subcarrier complex gains.
-
-    gains[u][m][f] uses fft bin order for f (upper half = negative
-    frequencies), matching the OFDM grid it multiplies.
-    """
-
-    gains: np.ndarray
-    carrier_hz: float = 2.4e9
-    subcarrier_spacing_hz: float = 10e6 / 64
-
-    def __post_init__(self) -> None:
-        gains = np.asarray(self.gains, dtype=np.complex128)
-        object.__setattr__(self, "gains", gains)
-        if gains.ndim != 3:
-            raise ValueError("gains must be [users][antennas][subcarriers]")
-        if gains.shape[2] < 1:
-            raise ValueError("need at least one subcarrier")
-        if not np.all(np.isfinite(gains)):
-            raise ValueError("gains must be finite")
-
-    @property
-    def num_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.gains.shape[1]
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.gains.shape[2]
-
-
-def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> ChannelSet:
+def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> np.ndarray:
     """i.i.d. unit-variance complex Gaussian per (user, antenna).
 
     num_taps = 1 gives a flat channel across subcarriers; num_taps > 1
@@ -65,11 +31,9 @@ def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> ChannelSet:
         raise ValueError("K, M, F, num_taps must be >= 1")
     if num_taps == 1:
         flat = rng.normal_complex((K, M))
-        gains = np.repeat(flat[:, :, None], F, axis=2)
-    else:
-        taps = rng.normal_complex((K, M, num_taps)) / np.sqrt(num_taps)
-        gains = np.fft.fft(taps, n=F, axis=2)
-    return ChannelSet(gains)
+        return np.repeat(flat[:, :, None], F, axis=2)
+    taps = rng.normal_complex((K, M, num_taps)) / np.sqrt(num_taps)
+    return np.fft.fft(taps, n=F, axis=2)
 
 
 def ula_offsets(M: int, spacing_m: float, axis: str = "x") -> np.ndarray:
@@ -149,7 +113,7 @@ def ray_trace(
     max_reflections: int = 1,
     carrier_hz: float = 2.4e9,
     subcarrier_spacing_hz: float = 10e6 / 64,
-) -> ChannelSet:
+) -> np.ndarray:
     """Image-source channel: per path, amplitude gamma^bounces / distance and
     phase e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier."""
     if max_reflections not in (0, 1, 2):
@@ -170,55 +134,44 @@ def ray_trace(
             d = np.linalg.norm(ants - np.array([ix, iy])[None, :], axis=1)
             phase = np.exp(-2j * np.pi * np.outer(d, freqs) / SPEED_OF_LIGHT)
             gains[u] += (amp / d)[:, None] * phase
-    return ChannelSet(gains, carrier_hz, subcarrier_spacing_hz)
+    return gains
 
 
-def from_taps(taps: np.ndarray, F: int) -> ChannelSet:
-    """ChannelSet from impulse-response taps [users][antennas][L]."""
-    taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim != 3:
-        raise ValueError("taps must be [users][antennas][taps]")
-    return ChannelSet(np.fft.fft(taps, n=F, axis=2))
-
-
-def with_user_delays(chan: ChannelSet, offsets_samples) -> ChannelSet:
+def with_user_delays(gains: np.ndarray, offsets_samples) -> np.ndarray:
     """Fold per-user fractional-sample timing offsets into the channel as
     per-subcarrier linear phase ramps (exact within the cyclic prefix)."""
     offsets = np.asarray(offsets_samples, float)
-    if offsets.shape != (chan.num_users,):
+    if offsets.shape != (gains.shape[0],):
         raise ValueError("one offset per user required")
-    F = chan.num_subcarriers
+    F = gains.shape[2]
     ramp = np.exp(-2j * np.pi * np.outer(offsets, signed_bins(F)) / F)
-    return ChannelSet(chan.gains * ramp[:, None, :], chan.carrier_hz, chan.subcarrier_spacing_hz)
+    return gains * ramp[:, None, :]
 
 
-def apply(chan: ChannelSet, tx: list, cp_len: int) -> list:
-    """Pass per-user streams through the channel; returns per-antenna streams.
+def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
+    """Pass transmit signals [users, samples] through the channel; returns
+    the received signals [antennas, samples].
 
-    Streams must be whole OFDM symbols of (F + cp_len) samples at a common
-    rate. Each symbol is filtered per subcarrier and its cyclic prefix is
-    rebuilt from the filtered tail, which realizes exact circular
-    convolution per symbol.
+    Signals must be whole OFDM symbols of (F + cp_len) samples. Each symbol
+    is filtered per subcarrier and its cyclic prefix is rebuilt from the
+    filtered tail, which realizes exact circular convolution per symbol.
     """
-    if len(tx) != chan.num_users:
+    tx = np.asarray(tx)
+    if gains.ndim != 3:
+        raise ValueError("gains must be [users][antennas][subcarriers]")
+    if tx.ndim != 2 or tx.shape[0] != gains.shape[0]:
         raise ValueError("one stream per user required")
-    rates = {s.rate_hz for s in tx}
-    lengths = {len(s) for s in tx}
-    if len(rates) != 1 or len(lengths) != 1:
-        raise ValueError("user streams must share rate and length")
-    F = chan.num_subcarriers
+    num_users, total = tx.shape
+    F = gains.shape[2]
     sym_len = F + cp_len
-    total = lengths.pop()
     if cp_len < 0 or total % sym_len != 0:
         raise ValueError("stream length must be a whole number of symbols")
-    rate = rates.pop()
-    num_sym = total // sym_len
-    bodies = np.stack([s.samples.reshape(num_sym, sym_len)[:, cp_len:] for s in tx])
+    bodies = tx.reshape(num_users, total // sym_len, sym_len)[:, :, cp_len:]
     spectra = np.fft.fft(bodies, axis=2)
-    out_spectra = np.einsum("umf,usf->msf", chan.gains, spectra)
+    out_spectra = np.einsum("umf,usf->msf", gains, spectra)
     out_bodies = np.fft.ifft(out_spectra, axis=2)
     if cp_len:
         symbols = np.concatenate([out_bodies[:, :, -cp_len:], out_bodies], axis=2)
     else:
         symbols = out_bodies
-    return [SampleStream(symbols[m].reshape(-1), rate) for m in range(chan.num_antennas)]
+    return symbols.reshape(gains.shape[1], -1)

@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto library calls: `simulate` runs a single
 config, `sweep` expands its grid keys, `codes` and `power` print the
 closed-form tables, and `validate` runs the self-check suite.  Exit codes:
-0 success, 1 bad config or missing file, 2 validation failure.
+0 success, 1 bad config or --workers value or missing file, 2 validation
+failure.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _cmd_codes(args) -> int:
     print("harmonic phases (degrees), rows = code, cols = harmonic m*B")
     header = "".join(f"{f'm={m}':>10}" for m in range(K))
     print("  " + header)
-    deg = np.degrees(codes_mod.phase_matrix(K).entries) % 360
+    deg = np.degrees(codes_mod.phase_matrix(K)) % 360
     for i in range(K):
         row = "".join(f"{-d + 0.0:>10.1f}" for d in deg[i])
         print("  " + row)

@@ -36,22 +36,6 @@ class SwitchCode:
             raise ValueError("bits must be one-hot at phase_index")
 
 
-@dataclass(frozen=True)
-class PhaseMatrix:
-    """entries[i][j] = 2*pi*i*j/K; e^{-j*entries} is an unnormalized DFT matrix."""
-
-    order: int
-    entries: np.ndarray
-
-    def forward(self) -> np.ndarray:
-        """e^{-j*entries}: mixes slot signals into harmonic zones."""
-        return np.exp(-1j * self.entries)
-
-    def inverse(self) -> np.ndarray:
-        """e^{+j*entries}; (1/K) * inverse() is the exact inverse of forward()."""
-        return np.exp(1j * self.entries)
-
-
 def generate_codes(K: int) -> list[SwitchCode]:
     """The K orthogonal on-off codes; code i is on in slot i."""
     if K < 1:
@@ -76,26 +60,13 @@ def code_spectrum(code: SwitchCode, num_samples: int) -> np.ndarray:
     return np.fft.fft(np.tile(code.bits, reps).astype(np.complex128))
 
 
-def phase_matrix(K: int) -> PhaseMatrix:
-    """Phase matrix P with P[i][j] = 2*pi*i*j/K (not reduced mod 2*pi)."""
+def phase_matrix(K: int) -> np.ndarray:
+    """Phase matrix P with P[i][j] = 2*pi*i*j/K (not reduced mod 2*pi).
+
+    e^{-jP} is an unnormalized DFT matrix that mixes the K slot signals
+    into harmonic zones; (1/K) e^{+jP} is its exact inverse.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     idx = np.arange(K)
-    return PhaseMatrix(K, 2.0 * np.pi * np.outer(idx, idx) / K)
-
-
-def superpose(codes: list[SwitchCode]) -> np.ndarray:
-    """Slot sequence of an antenna driven by several codes at once.
-
-    Orthogonality keeps the elementwise sum binary; duplicate phase
-    indices would not, and are rejected.
-    """
-    if not codes:
-        raise ValueError("need at least one code")
-    K = codes[0].num_slots
-    if any(c.num_slots != K for c in codes):
-        raise ValueError("codes must share num_slots")
-    phases = [c.phase_index for c in codes]
-    if len(set(phases)) != len(phases):
-        raise ValueError("duplicate phase_index")
-    return np.sum([c.bits for c in codes], axis=0).astype(np.int64)
+    return 2.0 * np.pi * np.outer(idx, idx) / K

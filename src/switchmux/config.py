@@ -172,7 +172,21 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _resolve_chains(arch: str, users: int, antennas: int, chains: int) -> int:
+def _check_combo(
+    arch: str, users: int, antennas: int, chains: int, combiner: str, user_positions
+) -> int:
+    """Cross-field checks every runnable combo must pass; returns the chain
+    count resolved for the architecture (chains = 0 picks its default).
+
+    build_config runs them on the file's own values and with_overrides on
+    every sweep combo, so a bad combo fails before any trial starts.
+    """
+    if users < 1 or antennas < 1:
+        raise ConfigError("users and antennas must be >= 1")
+    if arch != "fdma" and antennas < users:
+        raise ConfigError("need at least one antenna per user")
+    if user_positions is not None and len(user_positions) != users:
+        raise ConfigError("scene.userN_x_m/y_m must cover users 0..users-1 exactly")
     if arch == "switched":
         resolved = chains or users
         if resolved != users:
@@ -191,6 +205,8 @@ def _resolve_chains(arch: str, users: int, antennas: int, chains: int) -> int:
         resolved = chains or 1
         if resolved != 1:
             raise ConfigError("fdma uses exactly one chain")
+    if combiner == "nullspace" and resolved != users:
+        raise ConfigError("nullspace combining needs chains == users")
     return resolved
 
 
@@ -210,14 +226,8 @@ def build_config(raw: dict) -> ExperimentConfig:
     for key, (_, default) in SCHEMA.items():
         values.setdefault(key, default)
 
-    users = values["users"]
-    antennas = values["antennas"]
-    if users < 1 or values["trials"] < 1 or values["payload_symbols"] < 1:
-        raise ConfigError("users, trials and payload_symbols must be >= 1")
-    if antennas < 1:
-        raise ConfigError("antennas must be >= 1")
-    if values["arch"] != "fdma" and antennas < users:
-        raise ConfigError("need at least one antenna per user")
+    if values["trials"] < 1 or values["payload_symbols"] < 1:
+        raise ConfigError("trials and payload_symbols must be >= 1")
     if not 0 <= values["seed"] < 2**64:
         raise ConfigError("seed must fit in 64 bits")
     if values["ofdm.lts_repeats"] < 1:
@@ -235,23 +245,25 @@ def build_config(raw: dict) -> ExperimentConfig:
     if values["sync.max_offset_samples"] < 0:
         raise ConfigError("sync.max_offset_samples must be >= 0")
 
-    chains = _resolve_chains(values["arch"], users, antennas, values["chains"])
-    if values["combiner"] == "nullspace" and chains != users:
-        raise ConfigError("nullspace combining needs chains == users")
-
     user_positions = None
     if positions:
         indices = sorted({i for (i, _) in positions})
-        if indices != list(range(users)):
-            raise ConfigError(
-                "scene.userN_x_m/y_m must cover users 0..users-1 exactly"
-            )
+        if indices != list(range(len(indices))):
+            raise ConfigError("scene.userN_x_m/y_m must cover users 0..users-1 exactly")
         for i in indices:
             if (i, "x") not in positions or (i, "y") not in positions:
                 raise ConfigError(f"user {i} needs both x and y coordinates")
         user_positions = tuple(
             (positions[(i, "x")], positions[(i, "y")]) for i in indices
         )
+    chains = _check_combo(
+        values["arch"],
+        values["users"],
+        values["antennas"],
+        values["chains"],
+        values["combiner"],
+        user_positions,
+    )
 
     try:
         grouping = GroupingConfig(
@@ -268,8 +280,8 @@ def build_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         arch=values["arch"],
-        users=users,
-        antennas=antennas,
+        users=values["users"],
+        antennas=values["antennas"],
         chains=chains,
         snr_db=values["snr_db"],
         trials=values["trials"],
@@ -304,12 +316,19 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def with_overrides(cfg: ExperimentConfig, **updates) -> ExperimentConfig:
-    """Copy with field replacements, re-running architecture consistency."""
+    """Copy with field replacements, re-running the cross-field checks."""
     merged = replace(cfg, **updates)
     chains = merged.chains
     if "chains" not in updates and ("arch" in updates or "users" in updates or "antennas" in updates):
         chains = 0
-    resolved = _resolve_chains(merged.arch, merged.users, merged.antennas, chains)
+    resolved = _check_combo(
+        merged.arch,
+        merged.users,
+        merged.antennas,
+        chains,
+        merged.combiner,
+        merged.user_positions,
+    )
     return replace(merged, chains=resolved)
 
 

@@ -1,98 +1,58 @@
-"""Extract the K virtual B-rate chains from one K*B-rate stream.
+"""Extract the K virtual B-rate chains from one K*B-rate capture.
 
-Two equivalent paths. The time path slices samples Kn+k into chain k and
-removes the k/K-sample sampling advance with an exact fractional delay; it
-is the canonical path used in experiments. The frequency path partitions
-the spectrum into K zones centered on the code harmonics and inverts the
-harmonic phase matrix; it exists to validate the zone algebra and must
-agree with the time path to numerical precision for any input.
+The capture is a 1-D array of K*samples; the chains come back as one
+[K, samples] array, chain k fed by slot k. Two equivalent paths. The time
+path slices samples Kn+k into chain k and removes the k/K-sample sampling
+advance with an exact fractional delay; it is the canonical path used in
+experiments. The frequency path partitions the spectrum into K zones
+centered on the code harmonics and inverts the harmonic phase matrix; it
+exists to validate the zone algebra and must agree with the time path to
+numerical precision for any input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codes import phase_matrix
-from .dsp import SampleStream, fractional_delay, signed_bins
+from .dsp import fractional_delay, signed_bins
 
 
-@dataclass(frozen=True)
-class VirtualChainSet:
-    """K B-rate streams recovered from one K*B-rate capture."""
-
-    chains: list
-    slot_of_chain: list
-
-    def __post_init__(self) -> None:
-        if len(self.chains) != len(self.slot_of_chain):
-            raise ValueError("one slot label per chain")
-        if len({len(c) for c in self.chains}) > 1:
-            raise ValueError("chains must share length")
-
-    @property
-    def num_chains(self) -> int:
-        return len(self.chains)
-
-
-def _split(y: SampleStream, K: int) -> int:
+def _split(y: np.ndarray, K: int) -> int:
     if K < 1:
         raise ValueError("K must be >= 1")
-    if len(y) % K != 0:
-        raise ValueError("stream length must divide by K")
-    return len(y) // K
+    if y.ndim != 1 or y.size % K != 0:
+        raise ValueError("capture must be 1-D with a length that divides by K")
+    return y.size // K
 
 
-def time_despread(y: SampleStream, K: int, compensate: bool = True) -> VirtualChainSet:
+def time_despread(y: np.ndarray, K: int, compensate: bool = True) -> np.ndarray:
     """Chain k = y[Kn+k], co-phased to chain 0.
 
     Slot k samples the underlying band-limited signal k/K of a B-sample
     early relative to slot 0, so co-phasing delays chain k by +k/K.
     """
-    _split(y, K)
-    rate = y.rate_hz / K
-    chains = []
+    chains = np.empty((K, _split(y, K)), dtype=np.complex128)
     for k in range(K):
-        chain = SampleStream(y.samples[k::K], rate)
-        if compensate and k:
-            chain = fractional_delay(chain, k / K)
-        chains.append(chain)
-    return VirtualChainSet(chains, list(range(K)))
+        chains[k] = fractional_delay(y[k::K], k / K) if compensate else y[k::K]
+    return chains
 
 
-def reinterleave(chains: VirtualChainSet, rate_hz: float | None = None) -> SampleStream:
-    """Inverse of time_despread(compensate=False): weave chains back into
-    one K*B-rate stream."""
-    K = chains.num_chains
-    n = len(chains.chains[0])
-    out = np.zeros(n * K, dtype=np.complex128)
-    for k, chain in enumerate(chains.chains):
-        out[k::K] = chain.samples
-    return SampleStream(out, rate_hz or chains.chains[0].rate_hz * K)
-
-
-def spectrum_zones(y: SampleStream, K: int) -> np.ndarray:
+def spectrum_zones(y: np.ndarray, K: int) -> np.ndarray:
     """K x N zone matrix: row m holds the spectrum around code harmonic
     m*B (offsets -B/2..B/2, stored in length-N fft bin order)."""
     n = _split(y, K)
-    Y = np.fft.fft(y.samples)
+    Y = np.fft.fft(y)
     g = signed_bins(n)
     return np.stack([Y[(m * n + g) % (n * K)] for m in range(K)])
 
 
-def freq_despread(y: SampleStream, K: int) -> VirtualChainSet:
+def freq_despread(y: np.ndarray, K: int) -> np.ndarray:
     """Recover the chains by inverting the harmonic mixing.
 
     Each zone is a phase-matrix mix of the K slot signals; multiplying the
     zone stack by e^{+jP} unmixes them, and 1/K rescales the K*B-rate
     spectrum to a B-rate one.
     """
-    _split(y, K)
-    zones = spectrum_zones(y, K)
-    unmixed = phase_matrix(K).inverse() @ zones
-    chains = np.fft.ifft(unmixed / K, axis=1)
-    rate = y.rate_hz / K
-    return VirtualChainSet(
-        [SampleStream(chains[k], rate) for k in range(K)], list(range(K))
-    )
+    unmixed = np.exp(1j * phase_matrix(K)) @ spectrum_zones(y, K)
+    return np.fft.ifft(unmixed / K, axis=1)

@@ -1,8 +1,9 @@
 """Deterministic signal utilities shared by every other module.
 
-DFT conventions, exact fractional delay, band-limited resampling, complex
-AWGN and a counter-based seeded RNG. Everything here is pure: same inputs,
-same outputs, on any platform.
+Signals are plain complex ndarrays of baseband samples. This module holds
+the signed-bin DFT convention, exact fractional delay, band-limited
+resampling and a counter-based seeded RNG. Everything here is pure: same
+inputs, same outputs, on any platform.
 """
 
 from __future__ import annotations
@@ -75,44 +76,6 @@ class Rng:
         return self.generator.integers(0, 2, n).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class SampleStream:
-    """Complex baseband samples at a fixed sample rate."""
-
-    samples: np.ndarray
-    rate_hz: float
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ValueError("samples must be a non-empty 1-D vector")
-        if not self.rate_hz > 0:
-            raise ValueError("rate_hz must be positive")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-def dft(x: np.ndarray) -> np.ndarray:
-    """Forward DFT, no normalization. Bin k is frequency k*rate/N with the
-    upper half read as negative frequencies (numpy fft layout)."""
-    x = np.asarray(x)
-    if x.size < 1:
-        raise ValueError("dft of empty vector")
-    return np.fft.fft(x)
-
-
-def idft(x: np.ndarray) -> np.ndarray:
-    """Inverse DFT with 1/N normalization (inverse of dft)."""
-    x = np.asarray(x)
-    if x.size < 1:
-        raise ValueError("idft of empty vector")
-    return np.fft.ifft(x)
-
-
 def signed_bins(n: int) -> np.ndarray:
     """Signed bin indices in fft order: [0, 1, .., n/2-1, -n/2, .., -1].
 
@@ -123,8 +86,8 @@ def signed_bins(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
 
 
-def fractional_delay(x: SampleStream, delay_samples: float) -> SampleStream:
-    """Delay a stream by a (possibly fractional) number of samples.
+def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
+    """Delay a 1-D signal by a (possibly fractional) number of samples.
 
     Circular: multiplies DFT bin f by e^{-j2*pi*f*delay/N} with signed f, so
     the output content is x[n - delay] under periodic extension.
@@ -137,12 +100,11 @@ def fractional_delay(x: SampleStream, delay_samples: float) -> SampleStream:
     if delay_samples == 0:
         return x
     f = signed_bins(n)
-    shifted = np.fft.ifft(np.fft.fft(x.samples) * np.exp(-2j * np.pi * f * delay_samples / n))
-    return SampleStream(shifted, x.rate_hz)
+    return np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * delay_samples / n))
 
 
-def upsample(x: SampleStream, factor: int) -> SampleStream:
-    """Exact band-limited upsampling by an integer factor.
+def upsample(x: np.ndarray, factor: int) -> np.ndarray:
+    """Exact band-limited upsampling of a 1-D signal by an integer factor.
 
     Frequency-domain zero insertion: the N input bins land on the central
     zone of the N*factor grid (bin N/2 goes to -N/2), everything else is
@@ -153,18 +115,6 @@ def upsample(x: SampleStream, factor: int) -> SampleStream:
     if factor == 1:
         return x
     n = len(x)
-    spec = np.fft.fft(x.samples)
     out = np.zeros(n * factor, dtype=np.complex128)
-    out[signed_bins(n)] = spec
-    return SampleStream(np.fft.ifft(out) * factor, x.rate_hz * factor)
-
-
-def add_awgn(x: SampleStream, noise_power: float, rng: Rng) -> SampleStream:
-    """Add circularly-symmetric complex Gaussian noise of per-sample
-    variance noise_power; noise_power = 0 returns the input unchanged."""
-    if noise_power < 0:
-        raise ValueError("noise_power must be >= 0")
-    if noise_power == 0:
-        return x
-    noise = rng.normal_complex(len(x)) * np.sqrt(noise_power)
-    return SampleStream(x.samples + noise, x.rate_hz)
+    out[signed_bins(n)] = np.fft.fft(x)
+    return np.fft.ifft(out) * factor

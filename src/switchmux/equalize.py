@@ -2,10 +2,13 @@
 
 Each user sends known training symbols in its own time slot, so every
 chain-user pair gets a clean per-subcarrier estimate of the effective
-channel (physical channel times switch matrix).  The digital combiner then
-inverts that matrix bin by bin: zero-forcing uses the pseudo-inverse,
-null-space combining projects each user onto the directions the others
-cannot reach.  Both null interference exactly on full-rank bins.
+channel (physical channel times switch matrix).  Effective channels are
+heff arrays [chains, users, used bins] on the physical scale (transmit
+power normalization undone), one column per entry of USED_BINS.  The
+digital combiner then inverts that matrix bin by bin: zero-forcing uses
+the pseudo-inverse, null-space combining projects each user onto the
+directions the others cannot reach.  Both null interference exactly on
+full-rank bins.
 """
 
 from __future__ import annotations
@@ -14,40 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet
-from .despread import VirtualChainSet
 from .waveform import DATA_BINS, LTS_FREQ, USED_BINS, OfdmFrame, symbol_spectra
-
-
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Per-bin channel seen by the combiner: heff[chain][user][used bin].
-
-    Values are on the physical scale (transmit power normalization undone),
-    sampled at the used subcarriers listed in ``bins`` (fft order indices).
-    """
-
-    heff: np.ndarray = field(repr=False)
-    bins: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        heff = np.asarray(self.heff, dtype=np.complex128)
-        object.__setattr__(self, "heff", heff)
-        object.__setattr__(self, "bins", np.asarray(self.bins, dtype=np.int64))
-        if heff.ndim != 3:
-            raise ValueError("heff must be [chains][users][bins]")
-        if heff.shape[2] != self.bins.size:
-            raise ValueError("one bin label per frequency column")
-        if not np.all(np.isfinite(heff)):
-            raise ValueError("heff must be finite")
-
-    @property
-    def num_chains(self) -> int:
-        return self.heff.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.heff.shape[1]
 
 
 @dataclass(frozen=True)
@@ -72,8 +42,8 @@ class CombinerMatrix:
 
 
 def true_effective_channel(
-    chan: ChannelSet, mixing: np.ndarray, loss_amp: float = 1.0
-) -> EffectiveChannel:
+    gains: np.ndarray, mixing: np.ndarray, loss_amp: float = 1.0
+) -> np.ndarray:
     """Ground-truth effective channel for a linear antenna front end.
 
     ``mixing`` is the M x C antenna-to-chain matrix (binary switch columns,
@@ -81,21 +51,22 @@ def true_effective_channel(
     heff[c, u, f] = loss_amp * sum_m mixing[m, c] * H[u, m, f].
     """
     mixing = np.asarray(mixing, dtype=np.complex128)
-    if mixing.ndim != 2 or mixing.shape[0] != chan.num_antennas:
+    if mixing.ndim != 2 or mixing.shape[0] != gains.shape[1]:
         raise ValueError("mixing must be antennas x chains")
-    picked = chan.gains[:, :, USED_BINS]
-    heff = loss_amp * np.einsum("mc,umf->cuf", mixing, picked)
-    return EffectiveChannel(heff=heff, bins=USED_BINS.copy())
+    picked = gains[:, :, USED_BINS]
+    return loss_amp * np.einsum("mc,umf->cuf", mixing, picked)
 
 
-def _chain_spectra(chains: VirtualChainSet, frame: OfdmFrame) -> np.ndarray:
-    spectra = np.stack([symbol_spectra(c, frame.cfg) for c in chains.chains])
+def _chain_spectra(chains: np.ndarray, frame: OfdmFrame) -> np.ndarray:
+    if chains.ndim != 2:
+        raise ValueError("chains must be [chains, samples]")
+    spectra = symbol_spectra(chains, frame.cfg)
     if spectra.shape[1] < frame.total_symbols:
         raise ValueError("capture shorter than the frame: missing training slots")
     return spectra
 
 
-def estimate_channel(chains: VirtualChainSet, frame: OfdmFrame) -> EffectiveChannel:
+def estimate_channel(chains: np.ndarray, frame: OfdmFrame) -> np.ndarray:
     """Estimate heff[chain][user][used bin] from the staggered training slots.
 
     Each user's slot holds only that user's training symbol, so division by
@@ -104,27 +75,25 @@ def estimate_channel(chains: VirtualChainSet, frame: OfdmFrame) -> EffectiveChan
     """
     spectra = _chain_spectra(chains, frame)
     ref = frame.cfg.tx_scale * LTS_FREQ[USED_BINS]
-    heff = np.empty(
-        (chains.num_chains, frame.num_users, USED_BINS.size), dtype=np.complex128
-    )
+    heff = np.empty((chains.shape[0], frame.num_users, USED_BINS.size), dtype=np.complex128)
     for u in range(frame.num_users):
         idx = frame.user_lts_symbol_indices(u)
         heff[:, u, :] = spectra[:, idx][:, :, USED_BINS].mean(axis=1) / ref
-    return EffectiveChannel(heff=heff, bins=USED_BINS.copy())
+    return heff
 
 
-def zf_weights(est: EffectiveChannel, rank_tolerance: float = 1e-9) -> CombinerMatrix:
+def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
     """Per-bin pseudo-inverse of the effective channel.
 
     A bin is erased when the effective matrix has rank below the user count
     at the given singular-value cutoff; its weights are still the truncated
     pseudo-inverse, but downstream symbols are not trusted.
     """
-    chains, users, bins = est.heff.shape
+    chains, users, bins = heff.shape
     weights = np.empty((users, chains, bins), dtype=np.complex128)
     erased = np.zeros(bins, dtype=bool)
     for f in range(bins):
-        a = est.heff[:, :, f]
+        a = heff[:, :, f]
         weights[:, :, f] = np.linalg.pinv(a, rcond=rank_tolerance)
         sing = np.linalg.svd(a, compute_uv=False)
         rank = int(np.sum(sing > rank_tolerance * sing[0])) if sing[0] > 0 else 0
@@ -132,9 +101,7 @@ def zf_weights(est: EffectiveChannel, rank_tolerance: float = 1e-9) -> CombinerM
     return CombinerMatrix(weights=weights, method="zf", erased=erased)
 
 
-def nullspace_weights(
-    est: EffectiveChannel, rank_tolerance: float = 1e-9
-) -> CombinerMatrix:
+def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
     """Per-bin interference-nulling projections.
 
     For user u the weight row is the null vector of the other users'
@@ -142,11 +109,11 @@ def nullspace_weights(
     Bins where that null space is degenerate (not one-dimensional, or
     orthogonal to the user's own column) are erased.
     """
-    chains, users, bins = est.heff.shape
+    chains, users, bins = heff.shape
     weights = np.zeros((users, chains, bins), dtype=np.complex128)
     erased = np.zeros(bins, dtype=bool)
     for f in range(bins):
-        a = est.heff[:, :, f]
+        a = heff[:, :, f]
         for u in range(users):
             own = a[:, u]
             others = np.delete(a, u, axis=1)
@@ -172,9 +139,7 @@ def nullspace_weights(
     return CombinerMatrix(weights=weights, method="nullspace", erased=erased)
 
 
-def apply_combiner(
-    chains: VirtualChainSet, frame: OfdmFrame, comb: CombinerMatrix
-) -> np.ndarray:
+def apply_combiner(chains: np.ndarray, frame: OfdmFrame, comb: CombinerMatrix) -> np.ndarray:
     """Equalize the payload: [users][payload symbols][data bins] QAM grids.
 
     Output is on the unit constellation scale; erased bins are zeroed and
@@ -188,23 +153,3 @@ def apply_combiner(
     out = grids[:, :, data_cols]
     out[:, :, comb.erased[data_cols]] = 0.0
     return out
-
-
-def zf_combine(
-    chains: VirtualChainSet,
-    frame: OfdmFrame,
-    est: EffectiveChannel,
-    rank_tolerance: float = 1e-9,
-) -> np.ndarray:
-    """Zero-forcing equalization of the payload (grids as apply_combiner)."""
-    return apply_combiner(chains, frame, zf_weights(est, rank_tolerance))
-
-
-def nullspace_combine(
-    chains: VirtualChainSet,
-    frame: OfdmFrame,
-    est: EffectiveChannel,
-    rank_tolerance: float = 1e-9,
-) -> np.ndarray:
-    """Null-space equalization of the payload (grids as apply_combiner)."""
-    return apply_combiner(chains, frame, nullspace_weights(est, rank_tolerance))

@@ -4,7 +4,9 @@ capture_switched models the system under study: M antennas gated at K times
 the per-user bandwidth by one-hot slot codes, passively combined, and
 sampled by a single chain at K*B. capture_physical (one chain per antenna)
 and capture_hybrid (per-antenna phase shifters into fewer chains) are the
-comparison front ends.
+comparison front ends. Every front end takes the received B-rate signals
+[antennas, samples]; the switched one returns its K*B capture
+[K*samples], the others their chains [chains, samples].
 
 Noise convention: snr_db sets the per-sample noise variance of a B-rate
 chain against the received power per user, averaged over the whole frame
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Rng, SampleStream, upsample
+from .dsp import Rng, upsample
 
 
 @dataclass(frozen=True)
@@ -87,51 +89,38 @@ class SwitchMatrix:
 class FrontendConfig:
     """Capture settings shared by all front ends.
 
-    snr_db = None means noiseless. signal_power, when given, is the mean
-    per-user per-antenna received power used to calibrate the noise
-    variance; otherwise it is measured from the captured streams and
-    num_users. quantizer_bits enables the uniform ADC quantizer (off by
-    default; bit width otherwise only feeds the power model).
+    snr_db = None means noiseless; otherwise the noise variance is
+    calibrated against the received power measured from the antenna
+    signals and num_users. quantizer_bits enables the uniform ADC quantizer
+    (off by default; bit width otherwise only feeds the power model).
     """
 
     insertion_loss_db: float = 0.5
     snr_db: float | None = None
     quantizer_bits: int | None = None
-    oversample_factor: int | None = None
     num_users: int = 1
-    signal_power: float | None = None
 
     def __post_init__(self) -> None:
         if self.insertion_loss_db < 0:
             raise ValueError("insertion_loss_db must be >= 0")
-        if self.oversample_factor is not None and self.oversample_factor < 1:
-            raise ValueError("oversample_factor must be >= 1")
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
         if self.quantizer_bits is not None and self.quantizer_bits < 1:
             raise ValueError("quantizer_bits must be >= 1")
 
 
-def _check_streams(antenna_streams) -> tuple:
-    if not antenna_streams:
-        raise ValueError("need at least one antenna stream")
-    rates = {s.rate_hz for s in antenna_streams}
-    lengths = {len(s) for s in antenna_streams}
-    if len(rates) != 1 or len(lengths) != 1:
-        raise ValueError("antenna streams must share rate and length")
-    return rates.pop(), lengths.pop()
+def _check_received(rx: np.ndarray) -> None:
+    if rx.ndim != 2 or rx.shape[0] < 1:
+        raise ValueError("received signals must be [antennas, samples]")
 
 
-def noise_power_for(cfg: FrontendConfig, antenna_streams) -> float:
-    """Per-sample noise variance for a B-rate chain at cfg.snr_db."""
+def noise_power_for(cfg: FrontendConfig, rx: np.ndarray) -> float:
+    """Per-sample noise variance for a B-rate chain at cfg.snr_db, referred
+    to the mean per-antenna received power of rx [antennas, samples] per
+    user."""
     if cfg.snr_db is None:
         return 0.0
-    if cfg.signal_power is not None:
-        p_ref = cfg.signal_power
-    else:
-        p_ref = float(
-            np.mean([np.mean(np.abs(s.samples) ** 2) for s in antenna_streams])
-        ) / cfg.num_users
+    p_ref = float(np.mean(np.mean(np.abs(rx) ** 2, axis=1))) / cfg.num_users
     return p_ref / 10 ** (cfg.snr_db / 10)
 
 
@@ -149,28 +138,26 @@ def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
 
 
 def capture_switched(
-    antenna_streams: list, S: SwitchMatrix, cfg: FrontendConfig, rng: Rng
-) -> SampleStream:
-    """Gate, combine and sample M B-rate antenna streams on one K*B chain.
+    rx: np.ndarray, S: SwitchMatrix, cfg: FrontendConfig, rng: Rng
+) -> np.ndarray:
+    """Gate, combine and sample M B-rate antenna signals on one K*B chain.
 
-    Each stream is band-limited interpolated to K*B, multiplied
-    sample-by-sample with its antenna's slot sequence, attenuated by the
-    switch insertion loss, and summed. AWGN (and optionally a uniform
-    quantizer) is applied to the combined stream.
+    Each antenna's signal is band-limited interpolated to K*B, multiplied
+    sample-by-sample with its slot sequence, attenuated by the switch
+    insertion loss, and summed antenna by antenna. AWGN (and optionally a
+    uniform quantizer) is applied to the combined capture [K*samples].
     """
-    rate, length = _check_streams(antenna_streams)
-    if len(antenna_streams) != S.num_antennas:
+    _check_received(rx)
+    if rx.shape[0] != S.num_antennas:
         raise ValueError("one stream per switch-matrix row required")
     K = S.num_slots
-    if cfg.oversample_factor is not None and cfg.oversample_factor != K:
-        raise ValueError("oversample_factor disagrees with switch matrix slots")
-    sigma2 = noise_power_for(cfg, antenna_streams)
+    sigma2 = noise_power_for(cfg, rx)
     loss_amp = 10 ** (-cfg.insertion_loss_db / 20)
-    total = np.zeros(length * K, dtype=np.complex128)
-    reps = length  # one period of K slot samples per input sample
-    for m, stream in enumerate(antenna_streams):
+    reps = rx.shape[1]  # one period of K slot samples per input sample
+    total = np.zeros(reps * K, dtype=np.complex128)
+    for m, signal in enumerate(rx):
         gate = np.tile(S.entries[m], reps)
-        total += upsample(stream, K).samples * gate
+        total += upsample(signal, K) * gate
     total *= loss_amp
     if sigma2 > 0:
         # a slot that joins n antennas pays an n-way passive split before
@@ -180,26 +167,23 @@ def capture_switched(
         total = total + rng.normal_complex(total.size) * np.sqrt(sigma2 * occupancy)
     if cfg.quantizer_bits is not None:
         total = quantize(total, cfg.quantizer_bits)
-    return SampleStream(total, rate * K)
+    return total
 
 
 def capture_physical(
-    antenna_streams: list, num_chains: int, cfg: FrontendConfig, rng: Rng
-) -> list:
+    rx: np.ndarray, num_chains: int, cfg: FrontendConfig, rng: Rng
+) -> np.ndarray:
     """One dedicated B-rate chain per antenna (first num_chains antennas),
     independent AWGN per chain, no switches and no insertion loss."""
-    _check_streams(antenna_streams)
-    if num_chains < 1 or num_chains > len(antenna_streams):
+    _check_received(rx)
+    if num_chains < 1 or num_chains > rx.shape[0]:
         raise ValueError("num_chains must be in [1, M]")
-    sigma2 = noise_power_for(cfg, antenna_streams)
-    out = []
-    for k in range(num_chains):
-        s = antenna_streams[k]
-        if sigma2 > 0:
-            noisy = s.samples + rng.normal_complex(len(s)) * np.sqrt(sigma2)
-            s = SampleStream(noisy, s.rate_hz)
-        out.append(s)
-    return out
+    sigma2 = noise_power_for(cfg, rx)
+    chains = rx[:num_chains].copy()
+    if sigma2 > 0:
+        for chain in chains:
+            chain += rng.normal_complex(chain.size) * np.sqrt(sigma2)
+    return chains
 
 
 def hybrid_weights(H_ref: np.ndarray, num_chains: int, mode: str) -> np.ndarray:
@@ -230,12 +214,12 @@ def _block_mask(M: int, K: int) -> np.ndarray:
 
 
 def capture_hybrid(
-    antenna_streams: list,
+    rx: np.ndarray,
     weights: np.ndarray,
     mode: str,
     cfg: FrontendConfig,
     rng: Rng,
-) -> list:
+) -> np.ndarray:
     """Phase-shifter front end: chain k = sum_m weights[m][k] * antenna_m.
 
     Noise enters per antenna (ahead of the combining network) and is
@@ -243,8 +227,8 @@ def capture_hybrid(
     weights must be unit modulus; partially-connected mode zeroes weights
     outside contiguous M/K antenna blocks.
     """
-    rate, length = _check_streams(antenna_streams)
-    M = len(antenna_streams)
+    _check_received(rx)
+    M = rx.shape[0]
     weights = np.asarray(weights, dtype=np.complex128)
     if weights.ndim != 2 or weights.shape[0] != M:
         raise ValueError("weights must be M x K")
@@ -255,9 +239,7 @@ def capture_hybrid(
     nz = np.abs(weights[weights != 0])
     if nz.size and np.max(np.abs(nz - 1.0)) > 1e-9:
         raise ValueError("nonzero weights must be unit modulus")
-    sigma2 = noise_power_for(cfg, antenna_streams)
-    stack = np.stack([s.samples for s in antenna_streams])
+    sigma2 = noise_power_for(cfg, rx)
     if sigma2 > 0:
-        stack = stack + rng.normal_complex(stack.shape) * np.sqrt(sigma2)
-    chains = weights.T @ stack
-    return [SampleStream(chains[k], rate) for k in range(weights.shape[1])]
+        rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
+    return weights.T @ rx

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equalize import CombinerMatrix, EffectiveChannel
+from .equalize import CombinerMatrix
 from .waveform import DATA_BINS, USED_BINS
 
 SINR_CAP_DB = 80.0
@@ -30,26 +30,12 @@ POWER_ARCHS = ("switched", "dbf", "hbf", "fdma")
 
 
 @dataclass(frozen=True)
-class TrialMetrics:
-    """Everything measured from one Monte-Carlo trial."""
-
-    sinr_db: np.ndarray
-    mean_sinr_db: float
-    evm_pct: float
-    ber: float
-    goodput_bps: float
-    capacity_bps: float
-    se_bps_per_hz: float
-
-
-@dataclass(frozen=True)
 class PowerReport:
-    """Receiver power split; bits_per_joule is filled once goodput is known."""
+    """Receiver power split into RF front end, switches and ADCs."""
 
     rfe_mw: float
     switch_mw: float
     adc_mw: float
-    bits_per_joule: float = 0.0
 
     def __post_init__(self) -> None:
         if min(self.rfe_mw, self.switch_mw, self.adc_mw) < 0:
@@ -66,11 +52,12 @@ def _cap_linear(lin: np.ndarray) -> np.ndarray:
 
 def sinr(
     comb: CombinerMatrix,
-    truth: EffectiveChannel,
+    heff: np.ndarray,
     noise_power: float = 0.0,
     noise_cov: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-user post-combining SINR in dB against the true channel.
+    """Per-user post-combining SINR in dB against the true channel heff
+    [chains, users, used bins].
 
     P[u, j, f] = sum_c V[u, c, f] * Heff[c, j, f]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
@@ -84,7 +71,7 @@ def sinr(
         raise ValueError("noise_power must be non-negative")
     data_cols = np.searchsorted(USED_BINS, DATA_BINS)
     v = comb.weights[:, :, data_cols]
-    h = truth.heff[:, :, data_cols]
+    h = heff[:, :, data_cols]
     p = np.einsum("ucf,cjf->ujf", v, h)
     power = np.abs(p) ** 2
     num_users = power.shape[0]

@@ -13,12 +13,13 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import channel, metrics
-from .config import ExperimentConfig, SWEEP_KEY_ORDER, config_digest, with_overrides
-from .despread import VirtualChainSet, time_despread
+from .config import ConfigError, ExperimentConfig, SWEEP_KEY_ORDER, config_digest, with_overrides
+from .despread import time_despread
 from .dsp import Rng
 from .equalize import (
     apply_combiner,
@@ -37,7 +38,7 @@ from .frontend import (
     noise_power_for,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
-from .waveform import OfdmConfig, build_frame, recover_bits
+from .waveform import OfdmConfig, OfdmFrame, build_frame, recover_bits
 
 # used subcarrier closest to DC (fft bin +1); the antenna selector and the
 # hybrid steering weights see the channel at this single reference bin
@@ -100,13 +101,12 @@ def _draw_positions(cfg: ExperimentConfig, rng: Rng) -> list:
     return [tuple(p) for p in placed]
 
 
-def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> channel.ChannelSet:
-    spacing = cfg.bandwidth_hz / 64.0
+def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
+    """The trial's channel gains [users, antennas, 64]."""
     if cfg.scenario == "rayleigh":
-        chan = channel.rayleigh(
+        gains = channel.rayleigh(
             cfg.users, cfg.antennas, 64, trial_rng.derive(_P_CHANNEL), cfg.rayleigh_taps
         )
-        chan = channel.ChannelSet(chan.gains, CARRIER_HZ, spacing)
     else:
         if cfg.user_positions is not None:
             positions = [tuple(p) for p in cfg.user_positions]
@@ -121,25 +121,23 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> channel.ChannelSet:
             antenna_offsets_m=channel.ula_offsets(cfg.antennas, wavelength / 2.0),
             wall_gammas=(cfg.scene_gamma,) * 4,
         )
-        chan = channel.ray_trace(
+        gains = channel.ray_trace(
             scene,
             64,
             max_reflections=cfg.max_reflections,
             carrier_hz=CARRIER_HZ,
-            subcarrier_spacing_hz=spacing,
+            subcarrier_spacing_hz=cfg.bandwidth_hz / 64.0,
         )
         # uplink power control: every user arrives at the configured SNR,
         # so path loss does not fold into the per-user noise reference
-        gains = chan.gains.copy()
         level = np.sqrt(np.mean(np.abs(gains) ** 2, axis=(1, 2)))
         gains /= level[:, None, None]
-        chan = channel.ChannelSet(gains, chan.carrier_hz, chan.subcarrier_spacing_hz)
     if cfg.sync_mode == "offset" and cfg.sync_max_offset_samples > 0:
         offs = trial_rng.derive(_P_SYNC).uniform(
             -cfg.sync_max_offset_samples, cfg.sync_max_offset_samples, cfg.users
         )
-        chan = channel.with_user_delays(chan, offs)
-    return chan
+        gains = channel.with_user_delays(gains, offs)
+    return gains
 
 
 def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> SwitchMatrix:
@@ -150,11 +148,11 @@ def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> 
     return SwitchMatrix(np.eye(cfg.antennas, cfg.users, dtype=np.int64))
 
 
-def _combiner_weights(cfg: ExperimentConfig, est):
+def _combiner_weights(cfg: ExperimentConfig, heff: np.ndarray):
     tol = cfg.grouping.rank_tolerance
     if cfg.combiner == "nullspace":
-        return nullspace_weights(est, tol)
-    return zf_weights(est, tol)
+        return nullspace_weights(heff, tol)
+    return zf_weights(heff, tol)
 
 
 def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, report):
@@ -196,105 +194,87 @@ def _failed_row(cfg: ExperimentConfig, trial_id: int) -> dict:
     )
 
 
-def _run_fdma_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
-    """Users in disjoint bands on one antenna: no spatial interference."""
-    trial_rng = Rng(cfg.seed, trial_id)
-    ofdm = _ofdm(cfg)
-    bits = _payload_bits(cfg, ofdm, trial_rng)
-    chan = _draw_channel(cfg, trial_rng)
-    sinr_db = np.zeros(cfg.users)
-    evms = np.zeros(cfg.users)
-    recovered, sent = [], []
-    airtime = None
-    for u in range(cfg.users):
-        frame = build_frame(ofdm, [bits[u]])
-        airtime = frame.payload_airtime_s
-        sub = channel.ChannelSet(
-            chan.gains[u : u + 1, :1, :], chan.carrier_hz, chan.subcarrier_spacing_hz
-        )
-        rx = channel.apply(sub, frame.tx_streams, ofdm.cp_len)
-        fcfg = FrontendConfig(
-            insertion_loss_db=0.0, snr_db=cfg.snr_db, num_users=1
-        )
-        sigma2 = noise_power_for(fcfg, rx)
-        streams = capture_physical(rx, 1, fcfg, trial_rng.derive(_P_NOISE).derive(u))
-        chains = VirtualChainSet(streams, [0])
-        est = estimate_channel(chains, frame)
-        comb = _combiner_weights(cfg, est)
-        grids = apply_combiner(chains, frame, comb)
-        recovered.extend(recover_bits(frame, grids))
-        sent.append(bits[u])
-        truth = true_effective_channel(sub, np.ones((1, 1)))
-        sinr_db[u] = metrics.sinr(comb, truth, noise_power=sigma2)[0]
-        evms[u] = metrics.evm(grids, frame.tx_grids)
-    goodput, ber = metrics.goodput_and_ber(recovered, sent, airtime)
-    cap = metrics.capacity(sinr_db, cfg.bandwidth_hz)
-    return _assemble_row(
-        cfg, trial_id, sinr_db, np.mean(evms), ber, goodput, cap, _power_report(cfg)
-    )
+def _run_link(
+    cfg: ExperimentConfig, frame: OfdmFrame, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
+) -> tuple:
+    """Carry one frame through the channel and the configured front end,
+    then estimate, combine and decode it.
 
-
-def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
-    """One deterministic end-to-end trial; returns the CSV row mapping."""
-    if cfg.arch == "fdma":
-        return _run_fdma_trial(cfg, trial_id)
-    trial_rng = Rng(cfg.seed, trial_id)
-    ofdm = _ofdm(cfg)
-    bits = _payload_bits(cfg, ofdm, trial_rng)
-    chan = _draw_channel(cfg, trial_rng)
-    frame = build_frame(ofdm, bits)
-    rx = channel.apply(chan, frame.tx_streams, ofdm.cp_len)
-    h_ref = chan.gains[:, :, REFERENCE_BIN]
-    rng_noise = trial_rng.derive(_P_NOISE)
+    Returns the recovered payloads, the per-user SINR (dB) and the EVM (%).
+    Raises GroupingError when the switched selector finds no usable matrix.
+    """
+    rx = channel.apply(gains, frame.tx_streams, frame.cfg.cp_len)
+    h_ref = gains[:, :, REFERENCE_BIN]
+    fcfg = FrontendConfig(insertion_loss_db=0.0, snr_db=cfg.snr_db, num_users=frame.num_users)
+    sigma2 = noise_power_for(fcfg, rx)
     noise_cov = None
 
     if cfg.arch == "switched":
-        try:
-            s = _select_matrix(cfg, h_ref, trial_rng)
-        except GroupingError:
-            return _failed_row(cfg, trial_id)
-        fcfg = FrontendConfig(
+        s = _select_matrix(cfg, h_ref, trial_rng)
+        fcfg = replace(
+            fcfg,
             insertion_loss_db=cfg.insertion_loss_db,
-            snr_db=cfg.snr_db,
             quantizer_bits=cfg.quantizer_bits or None,
-            num_users=cfg.users,
         )
-        sigma2 = noise_power_for(fcfg, rx)
-        capture = capture_switched(rx, s, fcfg, rng_noise)
-        chains = time_despread(capture, cfg.chains)
+        chains = time_despread(capture_switched(rx, s, fcfg, noise_rng), cfg.chains)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
-        truth = true_effective_channel(chan, s.entries, loss_amp)
+        truth = true_effective_channel(gains, s.entries, loss_amp)
         # chain k inherits the n-way split noise of its slot
         noise_cov = sigma2 * np.diag(s.entries.sum(axis=0).astype(np.float64))
-    elif cfg.arch == "dbf":
-        fcfg = FrontendConfig(insertion_loss_db=0.0, snr_db=cfg.snr_db, num_users=cfg.users)
-        sigma2 = noise_power_for(fcfg, rx)
-        streams = capture_physical(rx, cfg.chains, fcfg, rng_noise)
-        chains = VirtualChainSet(streams, list(range(cfg.chains)))
-        truth = true_effective_channel(chan, np.eye(cfg.antennas)[:, : cfg.chains])
-    else:  # hbf_full | hbf_partial
+    elif cfg.arch in ("hbf_full", "hbf_partial"):
         mode = "fully" if cfg.arch == "hbf_full" else "partially"
         weights = hybrid_weights(h_ref, cfg.chains, mode)
-        fcfg = FrontendConfig(insertion_loss_db=0.0, snr_db=cfg.snr_db, num_users=cfg.users)
-        sigma2 = noise_power_for(fcfg, rx)
-        streams = capture_hybrid(rx, weights, mode, fcfg, rng_noise)
-        chains = VirtualChainSet(streams, list(range(cfg.chains)))
-        truth = true_effective_channel(chan, weights)
+        chains = capture_hybrid(rx, weights, mode, fcfg, noise_rng)
+        truth = true_effective_channel(gains, weights)
         noise_cov = sigma2 * (weights.T @ weights.conj())
+    else:  # dbf, and each fdma user's single-antenna link
+        chains = capture_physical(rx, cfg.chains, fcfg, noise_rng)
+        truth = true_effective_channel(gains, np.eye(rx.shape[0], cfg.chains))
 
     est = estimate_channel(chains, frame)
     comb = _combiner_weights(cfg, est)
     grids = apply_combiner(chains, frame, comb)
     recovered = recover_bits(frame, grids)
-
     sinr_db = metrics.sinr(comb, truth, noise_power=sigma2, noise_cov=noise_cov)
-    evm_pct = metrics.evm(grids, frame.tx_grids)
-    goodput, ber = metrics.goodput_and_ber(
-        recovered, frame.payload_bits, frame.payload_airtime_s
-    )
+    return recovered, sinr_db, metrics.evm(grids, frame.tx_grids)
+
+
+def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
+    """One deterministic end-to-end trial; returns the CSV row mapping.
+
+    FDMA users sit in disjoint bands on one antenna, so there is no spatial
+    interference: each user is its own single-antenna, single-chain link.
+    Every other architecture carries all users on one link.
+    """
+    trial_rng = Rng(cfg.seed, trial_id)
+    ofdm = _ofdm(cfg)
+    bits = _payload_bits(cfg, ofdm, trial_rng)
+    gains = _draw_channel(cfg, trial_rng)
+    noise_rng = trial_rng.derive(_P_NOISE)
+    if cfg.arch == "fdma":
+        links = [
+            ([bits[u]], gains[u : u + 1, :1], noise_rng.derive(u)) for u in range(cfg.users)
+        ]
+    else:
+        links = [(bits, gains, noise_rng)]
+
+    recovered, sent, sinrs, evms = [], [], [], []
+    for link_bits, link_gains, link_rng in links:
+        frame = build_frame(ofdm, link_bits)
+        try:
+            got, sinr_db, evm_pct = _run_link(cfg, frame, link_gains, link_rng, trial_rng)
+        except GroupingError:
+            return _failed_row(cfg, trial_id)
+        recovered += got
+        sent += frame.payload_bits
+        sinrs.append(sinr_db)
+        evms.append(evm_pct)
+
+    sinr_db = np.concatenate(sinrs)
+    goodput, ber = metrics.goodput_and_ber(recovered, sent, frame.payload_airtime_s)
     cap = metrics.capacity(sinr_db, cfg.bandwidth_hz)
     return _assemble_row(
-        cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, _power_report(cfg)
+        cfg, trial_id, sinr_db, np.mean(evms), ber, goodput, cap, _power_report(cfg)
     )
 
 
@@ -380,8 +360,12 @@ def run_sweep(
     """Run the grid, write the CSV and its manifest; returns the row count.
 
     Rows appear in (combo, trial_id) order no matter how many workers run;
-    identical configs therefore reproduce byte-identical files.
+    identical configs therefore reproduce byte-identical files.  workers
+    must be >= 1 and is capped at the machine's CPU count.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     combos = sweep_combos(cfg, use_sweep)
     tasks = [(combo, t) for combo in combos for t in range(combo.trials)]
     if workers > 1:

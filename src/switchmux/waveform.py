@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import SampleStream
-
 # Long training symbol, fft bin order (DC first, upper half = negative bins).
 LTS_FREQ = np.array(
     [0, 1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, -1, 1, 1, -1, -1, 1, -1, 1,
@@ -81,18 +79,6 @@ class OfdmConfig:
     def payload_bits_for_symbols(self, num_symbols: int) -> int:
         """Largest zero-tail-terminated payload that fills num_symbols."""
         return self.info_bits_per_symbol * num_symbols - _TAIL
-
-
-def rate_bound(cfg: OfdmConfig, num_users: int = 1) -> float:
-    """Raw delivered-bit ceiling: B * (48/64) * bits * rate * (64/80)."""
-    per_user = (
-        cfg.user_bandwidth_hz
-        * (cfg.data_subcarriers / cfg.fft_size)
-        * cfg.bits_per_symbol
-        * cfg.code_rate
-        * (cfg.fft_size / cfg.symbol_len)
-    )
-    return per_user * num_users
 
 
 def _parity_table() -> np.ndarray:
@@ -226,14 +212,18 @@ def deinterleave(bits, n_cbps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OfdmFrame:
-    """K-user frame: staggered per-user LTS preamble, then joint payload."""
+    """K-user frame: staggered per-user LTS preamble, then joint payload.
+
+    tx_streams holds the transmitted samples [users, samples];
+    tx_grids the payload QAM symbols [users, payload symbols, data bins].
+    """
 
     cfg: OfdmConfig
     payload_bits: list
     payload_lens: list
     num_payload_symbols: int
     lts_slots: list
-    tx_streams: list
+    tx_streams: np.ndarray = field(repr=False)
     tx_grids: np.ndarray = field(repr=False)
 
     @property
@@ -280,12 +270,12 @@ def build_frame(cfg: OfdmConfig, payload_bits: list) -> OfdmFrame:
     preamble = K * cfg.lts_repeats
     total = preamble + num_payload_symbols
     grids = np.zeros((K, num_payload_symbols, len(DATA_BINS)), dtype=np.complex128)
-    streams = []
+    streams = np.zeros((K, total, cfg.symbol_len), dtype=np.complex128)
     for u in range(K):
         padded = np.concatenate(
             [coded[u], np.zeros(num_payload_symbols * cbps - coded[u].size, dtype=np.int64)]
         )
-        sym_time = np.zeros((total, cfg.symbol_len), dtype=np.complex128)
+        sym_time = streams[u]
         lts_grid = np.zeros(cfg.fft_size, dtype=np.complex128)
         lts_grid[:] = LTS_FREQ
         for r in range(cfg.lts_repeats):
@@ -298,14 +288,13 @@ def build_frame(cfg: OfdmConfig, payload_bits: list) -> OfdmFrame:
             grid_f[DATA_BINS] = qam
             grid_f[PILOT_BINS] = PILOT_VALUES
             sym_time[preamble + s] = _symbol_time(cfg, grid_f)
-        streams.append(SampleStream(sym_time.reshape(-1), cfg.user_bandwidth_hz))
     return OfdmFrame(
         cfg=cfg,
         payload_bits=[np.asarray(b, dtype=np.int64) for b in payload_bits],
         payload_lens=[len(b) for b in payload_bits],
         num_payload_symbols=num_payload_symbols,
         lts_slots=[u * cfg.lts_repeats for u in range(K)],
-        tx_streams=streams,
+        tx_streams=streams.reshape(K, -1),
         tx_grids=grids,
     )
 
@@ -330,10 +319,10 @@ def recover_bits(frame: OfdmFrame, equalized_grids: np.ndarray) -> list:
     return out
 
 
-def symbol_spectra(stream: SampleStream, cfg: OfdmConfig) -> np.ndarray:
-    """Split a stream into symbols, strip CPs, FFT: [symbols][fft bins]."""
-    n = len(stream)
-    if n % cfg.symbol_len != 0:
+def symbol_spectra(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+    """Split signals [..., samples] into symbols, strip CPs, FFT:
+    [..., symbols, fft bins]."""
+    if x.shape[-1] % cfg.symbol_len != 0:
         raise ValueError("stream is not a whole number of symbols")
-    sym = stream.samples.reshape(-1, cfg.symbol_len)[:, cfg.cp_len :]
-    return np.fft.fft(sym, axis=1)
+    sym = x.reshape(*x.shape[:-1], -1, cfg.symbol_len)[..., cfg.cp_len :]
+    return np.fft.fft(sym, axis=-1)

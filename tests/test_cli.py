@@ -93,3 +93,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "code 1: 01" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("combiner = nullspace\nsweep.arch = switched, dbf\n", "nullspace"),
+        ("users = 4\nsweep.antennas = 2, 8\n", "antenna per user"),
+    ],
+    ids=["nullspace_with_dbf", "fewer_antennas_than_users"],
+)
+def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, message):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("payload_symbols = 1\ntrials = 1\n" + grid, encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_nonpositive_workers_exit_1(tmp_path, config_file, capsys, workers):
+    out = tmp_path / "rows.csv"
+    rc = main(["simulate", "--config", str(config_file), "--out", str(out), "--workers", workers])
+    assert rc == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchmux.codes import SwitchCode, code_spectrum, generate_codes, phase_matrix, superpose
+from switchmux.codes import SwitchCode, code_spectrum, generate_codes, phase_matrix
 
 
 def closed_form_spectrum(K, phase_index, num_samples):
@@ -85,54 +85,33 @@ class TestCodeSpectrum:
 
 class TestPhaseMatrix:
     def test_k2(self):
-        assert np.allclose(phase_matrix(2).entries, [[0, 0], [0, np.pi]])
+        assert np.allclose(phase_matrix(2), [[0, 0], [0, np.pi]])
 
     def test_k1(self):
-        assert np.allclose(phase_matrix(1).entries, [[0.0]])
+        assert np.allclose(phase_matrix(1), [[0.0]])
 
     def test_k4_row2_col3(self):
-        e = phase_matrix(4).entries[2, 3]
+        e = phase_matrix(4)[2, 3]
         assert abs(e - 3 * np.pi) < 1e-12
         assert abs(e % (2 * np.pi) - np.pi) < 1e-12
 
     @pytest.mark.parametrize("K", [1, 2, 4, 8])
     def test_forward_unitary(self, K):
-        E = phase_matrix(K).forward()
+        E = np.exp(-1j * phase_matrix(K))
         assert np.max(np.abs(E @ E.conj().T / K - np.eye(K))) < 1e-12
 
     @pytest.mark.parametrize("K", [2, 4, 8])
     def test_rows_orthogonal(self, K):
-        E = phase_matrix(K).forward()
+        E = np.exp(-1j * phase_matrix(K))
         for i in range(K):
             for j in range(K):
                 if i != j:
                     assert abs(E[i] @ E[j].conj()) < 1e-12
 
     def test_inverse_undoes_forward(self):
-        pm = phase_matrix(8)
-        assert np.max(np.abs(pm.inverse() @ pm.forward() / 8 - np.eye(8))) < 1e-12
-
-
-class TestSuperpose:
-    def test_pair(self):
-        c = generate_codes(4)
-        assert np.array_equal(superpose([c[0], c[2]]), [1, 0, 1, 0])
-
-    def test_single(self):
-        c = generate_codes(4)
-        assert np.array_equal(superpose([c[0]]), c[0].bits)
-
-    def test_all_codes_give_ones(self):
-        assert np.array_equal(superpose(generate_codes(4)), np.ones(4, dtype=int))
-
-    def test_duplicate_rejected(self):
-        c = generate_codes(4)
-        with pytest.raises(ValueError):
-            superpose([c[1], c[1]])
-
-    def test_mixed_k_rejected(self):
-        with pytest.raises(ValueError):
-            superpose([generate_codes(4)[0], generate_codes(2)[0]])
+        # e^{-jP} mixes slots into harmonic zones; (1/K) e^{+jP} unmixes them
+        P = phase_matrix(8)
+        assert np.max(np.abs(np.exp(1j * P) @ np.exp(-1j * P) / 8 - np.eye(8))) < 1e-12
 
 
 @given(st.sampled_from([1, 2, 3, 4, 5, 8, 16]), st.integers(1, 8))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchmux.config import (
+    SCHEMA,
     ConfigError,
     build_config,
     canonical_text,
@@ -149,6 +150,65 @@ class TestSweepKeys:
             cfg_from("sweep.arch = switched, analog")
 
 
+class TestSweepComboValidation:
+    def test_nullspace_rejects_a_non_square_combo(self):
+        cfg = cfg_from("combiner = nullspace\nsweep.arch = switched, dbf\n")
+        assert with_overrides(cfg, arch="switched").chains == 4
+        with pytest.raises(ConfigError, match="nullspace"):
+            with_overrides(cfg, arch="dbf")
+
+    def test_too_few_antennas_rejected(self):
+        cfg = cfg_from("users = 4\nsweep.antennas = 2, 8\n")
+        assert with_overrides(cfg, antennas=8).antennas == 8
+        with pytest.raises(ConfigError, match="antenna per user"):
+            with_overrides(cfg, antennas=2)
+
+    def test_pinned_positions_must_match_user_count(self):
+        cfg = cfg_from(
+            "users = 1\nscene.user0_x_m = 3.0\nscene.user0_y_m = 2.0\nsweep.users = 1, 2\n"
+        )
+        with pytest.raises(ConfigError, match="cover users"):
+            with_overrides(cfg, users=2)
+
+
+# one valid non-default value per schema key
+DIGEST_VALUES = {
+    "arch": "dbf",
+    "users": 2,
+    "antennas": 6,
+    "chains": 6,
+    "snr_db": 10.0,
+    "trials": 5,
+    "seed": 2,
+    "payload_symbols": 2,
+    "combiner": "nullspace",
+    "select": "random",
+    "scenario": "raytrace",
+    "sync_mode": "offset",
+    "sync.max_offset_samples": 0.25,
+    "rayleigh.taps": 3,
+    "grouping.phi_rad": 0.5,
+    "grouping.rank_tolerance": 1e-6,
+    "grouping.max_fallbacks": 8,
+    "ofdm.lts_repeats": 3,
+    "ofdm.bandwidth_hz": 20e6,
+    "frontend.insertion_loss_db": 1.0,
+    "frontend.quantizer_bits": 8,
+    "scene.room_x_m": 10.0,
+    "scene.room_y_m": 6.0,
+    "scene.ap_x_m": 5.0,
+    "scene.ap_y_m": 1.0,
+    "scene.gamma": 0.5,
+    "scene.max_reflections": 2,
+    "sweep.arch": "switched, dbf",
+    "sweep.antennas": "4, 8",
+    "sweep.chains": "4",
+    "sweep.users": "2, 4",
+    "sweep.snr_db": "5, 15",
+    "sweep.select": "grouped, random",
+}
+
+
 class TestOverridesAndDigest:
     def test_with_overrides_reresolves_chains(self):
         cfg = cfg_from("arch = switched\nusers = 4\nantennas = 8")
@@ -167,6 +227,19 @@ class TestOverridesAndDigest:
         b = cfg_from("seed = 2")
         assert config_digest(a) != config_digest(b)
         assert config_digest(a) == config_digest(cfg_from("seed = 1"))
+
+    @pytest.mark.parametrize("key", sorted(set(SCHEMA) - {"out"}))
+    def test_digest_tracks_every_key(self, key):
+        # the switched default only admits chains == users, so chains is
+        # varied on a dbf config
+        base = "arch = dbf\n" if key == "chains" else ""
+        default = cfg_from(base)
+        changed = cfg_from(base + f"{key} = {DIGEST_VALUES[key]}\n")
+        assert config_digest(changed) != config_digest(default)
+        assert config_digest(default) == config_digest(cfg_from(base))
+
+    def test_digest_values_cover_the_schema(self):
+        assert set(DIGEST_VALUES) == set(SCHEMA) - {"out"}
 
     def test_canonical_text_parses_back(self):
         cfg = cfg_from("users = 3\nantennas = 9\nsweep.snr_db = 1,2\n")

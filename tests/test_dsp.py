@@ -3,64 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchmux.dsp import (
-    Rng,
-    SampleStream,
-    add_awgn,
-    dft,
-    fractional_delay,
-    idft,
-    signed_bins,
-    upsample,
-)
+from switchmux.dsp import Rng, fractional_delay, signed_bins, upsample
 
 
-def random_stream(n, seed, rate=1e6):
+def random_stream(n, seed):
     g = np.random.Generator(np.random.Philox(key=seed))
-    return SampleStream(g.standard_normal(n) + 1j * g.standard_normal(n), rate)
-
-
-class TestSampleStream:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SampleStream(np.array([]), 1.0)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            SampleStream(np.ones(4), 0.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            SampleStream(np.array([1.0, np.nan]), 1.0)
-
-    def test_len(self):
-        assert len(SampleStream(np.ones(5), 1.0)) == 5
-
-
-class TestDft:
-    def test_impulse(self):
-        assert np.allclose(dft([1, 0, 0, 0]), [1, 1, 1, 1])
-
-    def test_dc(self):
-        assert np.allclose(dft([1, 1, 1, 1]), [4, 0, 0, 0])
-
-    def test_round_trip_len_64(self):
-        x = random_stream(64, 1).samples
-        assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            dft(np.array([]))
-        with pytest.raises(ValueError):
-            idft(np.array([]))
-
-    @given(st.integers(2, 200), st.integers(0, 2**32))
-    @settings(max_examples=50, deadline=None)
-    def test_parseval(self, n, seed):
-        x = random_stream(n, seed).samples
-        lhs = np.sum(np.abs(x) ** 2)
-        rhs = np.sum(np.abs(dft(x)) ** 2) / n
-        assert abs(lhs - rhs) < 1e-9 * max(lhs, 1.0)
+    return g.standard_normal(n) + 1j * g.standard_normal(n)
 
 
 class TestSignedBins:
@@ -74,27 +22,27 @@ class TestSignedBins:
 class TestFractionalDelay:
     def test_zero_delay_identity(self):
         x = random_stream(32, 2)
-        assert np.array_equal(fractional_delay(x, 0.0).samples, x.samples)
+        assert np.array_equal(fractional_delay(x, 0.0), x)
 
     def test_tone_phase(self):
         # delaying a tone multiplies it by e^{-j 2 pi f0 d / N}
         n, f0, d = 64, 5, 0.37
-        tone = SampleStream(np.exp(2j * np.pi * f0 * np.arange(n) / n), 1e6)
-        got = fractional_delay(tone, d).samples
-        want = tone.samples * np.exp(-2j * np.pi * f0 * d / n)
+        tone = np.exp(2j * np.pi * f0 * np.arange(n) / n)
+        got = fractional_delay(tone, d)
+        want = tone * np.exp(-2j * np.pi * f0 * d / n)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_negative_frequency_tone_phase(self):
         n, f0, d = 64, -9, 1.25
-        tone = SampleStream(np.exp(2j * np.pi * f0 * np.arange(n) / n), 1e6)
-        got = fractional_delay(tone, d).samples
-        want = tone.samples * np.exp(-2j * np.pi * f0 * d / n)
+        tone = np.exp(2j * np.pi * f0 * np.arange(n) / n)
+        got = fractional_delay(tone, d)
+        want = tone * np.exp(-2j * np.pi * f0 * d / n)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_integer_delay_is_circular_shift(self):
         x = random_stream(48, 3)
-        got = fractional_delay(x, 1.0).samples
-        assert np.max(np.abs(got - np.roll(x.samples, 1))) < 1e-9
+        got = fractional_delay(x, 1.0)
+        assert np.max(np.abs(got - np.roll(x, 1))) < 1e-9
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -109,26 +57,26 @@ class TestFractionalDelay:
     def test_round_trip(self, n, frac, seed):
         d = frac * n
         x = random_stream(n, seed)
-        back = fractional_delay(fractional_delay(x, d), -d).samples
-        assert np.max(np.abs(back - x.samples)) < 1e-9
+        back = fractional_delay(fractional_delay(x, d), -d)
+        assert np.max(np.abs(back - x)) < 1e-9
 
 
 class TestUpsample:
     def test_factor_one_identity(self):
         x = random_stream(16, 6)
-        assert np.array_equal(upsample(x, 1).samples, x.samples)
+        assert np.array_equal(upsample(x, 1), x)
 
     def test_keeps_original_samples(self):
         # output sample K*n equals input sample n, including the Nyquist bin
         x = random_stream(32, 7)
         for k in (2, 4, 8):
             up = upsample(x, k)
-            assert up.rate_hz == x.rate_hz * k
-            assert np.max(np.abs(up.samples[::k] - x.samples)) < 1e-12
+            assert up.size == x.size * k
+            assert np.max(np.abs(up[::k] - x)) < 1e-12
 
     def test_band_limited(self):
         x = random_stream(32, 8)
-        spec = np.fft.fft(upsample(x, 4).samples)
+        spec = np.fft.fft(upsample(x, 4))
         occupied = signed_bins(128)
         outside = np.abs(occupied) > 16
         assert np.max(np.abs(spec[outside])) < 1e-9
@@ -136,30 +84,6 @@ class TestUpsample:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             upsample(random_stream(8, 9), 0)
-
-
-class TestAddAwgn:
-    def test_zero_power_identity(self):
-        x = random_stream(64, 10)
-        out = add_awgn(x, 0.0, Rng(1, 2))
-        assert np.array_equal(out.samples, x.samples)
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            add_awgn(random_stream(8, 11), -1.0, Rng(1))
-
-    def test_empirical_variance(self):
-        x = SampleStream(np.zeros(10**6, dtype=complex) + 1.0, 1.0)
-        p = 0.7
-        out = add_awgn(x, p, Rng(12, 0))
-        var = np.mean(np.abs(out.samples - x.samples) ** 2)
-        assert abs(var - p) < 0.02 * p
-
-    def test_same_stream_id_same_noise(self):
-        x = random_stream(256, 13)
-        a = add_awgn(x, 1.0, Rng(5, 77))
-        b = add_awgn(x, 1.0, Rng(5, 77))
-        assert np.array_equal(a.samples, b.samples)
 
 
 class TestRng:

@@ -9,17 +9,13 @@ import numpy as np
 import pytest
 
 from switchmux import channel
-from switchmux.despread import VirtualChainSet
-from switchmux.dsp import Rng, SampleStream, add_awgn
+from switchmux.dsp import Rng
 from switchmux.equalize import (
     CombinerMatrix,
-    EffectiveChannel,
     apply_combiner,
     estimate_channel,
-    nullspace_combine,
     nullspace_weights,
     true_effective_channel,
-    zf_combine,
     zf_weights,
 )
 from switchmux.waveform import DATA_BINS, USED_BINS, OfdmConfig, OfdmFrame, build_frame, recover_bits
@@ -33,13 +29,11 @@ def make_frame(num_users, seed, bits_per_user=180):
 
 
 def inject(frame, heff_full):
-    """Push the frame through heff[chain][user][fft bin] -> VirtualChainSet."""
+    """Push the frame through heff[chain][user][fft bin] -> chains [chain, sample]."""
     heff_full = np.asarray(heff_full, dtype=np.complex128)
-    chains, users, fft_size = heff_full.shape
+    _, users, fft_size = heff_full.shape
     assert users == frame.num_users and fft_size == CFG.fft_size
-    chan = channel.ChannelSet(np.transpose(heff_full, (1, 0, 2)))
-    streams = channel.apply(chan, frame.tx_streams, CFG.cp_len)
-    return VirtualChainSet(streams, list(range(chains)))
+    return channel.apply(np.transpose(heff_full, (1, 0, 2)), frame.tx_streams, CFG.cp_len)
 
 
 def random_heff(chains, users, seed, per_bin=True):
@@ -55,14 +49,14 @@ class TestEstimateChannel:
         frame = make_frame(2, seed=1)
         heff = random_heff(2, 2, seed=2)
         est = estimate_channel(inject(frame, heff), frame)
-        assert np.max(np.abs(est.heff - heff[:, :, USED_BINS])) < 1e-9
+        assert np.max(np.abs(est - heff[:, :, USED_BINS])) < 1e-9
 
     def test_single_user_flat_gain_on_every_bin(self):
         frame = make_frame(1, seed=3)
         gain = 0.5 - 1.2j
         heff = np.full((1, 1, CFG.fft_size), gain)
         est = estimate_channel(inject(frame, heff), frame)
-        assert np.max(np.abs(est.heff - gain)) < 1e-9
+        assert np.max(np.abs(est - gain)) < 1e-9
 
     def test_two_repetitions_halve_estimate_variance(self):
         noise_power = 0.05
@@ -70,11 +64,11 @@ class TestEstimateChannel:
         for reps in (1, 2):
             cfg = OfdmConfig(lts_repeats=reps)
             frame = build_frame(cfg, [Rng(40).bits(90)])
-            clean = frame.tx_streams[0]
+            clean = frame.tx_streams
             for trial in range(200):
-                noisy = add_awgn(clean, noise_power, Rng(41, trial + 1000 * reps))
-                est = estimate_channel(VirtualChainSet([noisy], [0]), frame)
-                errors[reps].append(est.heff[0, 0] - 1.0)
+                noise = Rng(41, trial + 1000 * reps).normal_complex(clean.shape)
+                est = estimate_channel(clean + noise * np.sqrt(noise_power), frame)
+                errors[reps].append(est[0, 0] - 1.0)
         ratio = np.var(np.concatenate(errors[1])) / np.var(np.concatenate(errors[2]))
         assert abs(ratio - 2.0) < 0.2
 
@@ -82,9 +76,8 @@ class TestEstimateChannel:
         frame = make_frame(2, seed=5)
         heff = random_heff(2, 2, seed=6)
         chains = inject(frame, heff)
-        cut = [SampleStream(c.samples[: CFG.symbol_len], c.rate_hz) for c in chains.chains]
         with pytest.raises(ValueError):
-            estimate_channel(VirtualChainSet(cut, [0, 1]), frame)
+            estimate_channel(chains[:, : CFG.symbol_len], frame)
 
 
 class TestTrueEffectiveChannel:
@@ -96,9 +89,9 @@ class TestTrueEffectiveChannel:
         for c in range(3):
             for u in range(3):
                 want = 0.9 * np.sum(
-                    mixing[:, c][:, None] * chan.gains[u, :, USED_BINS].T, axis=0
+                    mixing[:, c][:, None] * chan[u, :, USED_BINS].T, axis=0
                 )
-                assert np.allclose(est.heff[c, u], want)
+                assert np.allclose(est[c, u], want)
 
     def test_rejects_wrong_mixing_shape(self):
         chan = channel.rayleigh(2, 4, 64, Rng(9))
@@ -111,7 +104,7 @@ class TestZeroForcing:
         frame = make_frame(2, seed=10)
         heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], CFG.fft_size, axis=2)
         chains = inject(frame, heff)
-        grids = zf_combine(chains, frame, estimate_channel(chains, frame))
+        grids = apply_combiner(chains, frame, zf_weights(estimate_channel(chains, frame)))
         assert np.max(np.abs(grids - frame.tx_grids)) < 1e-9
 
     def test_worked_two_user_inversion(self):
@@ -123,7 +116,7 @@ class TestZeroForcing:
         heff = np.repeat(a[:, :, None], CFG.fft_size, axis=2)
         chains = inject(frame, heff)
         est = estimate_channel(chains, frame)
-        grids = zf_combine(chains, frame, est)
+        grids = apply_combiner(chains, frame, zf_weights(est))
         assert np.max(np.abs(grids - frame.tx_grids)) < 1e-9
         v = np.linalg.pinv(a)
         assert np.allclose(np.sum(np.abs(v) ** 2, axis=1), [0.5, 0.5])
@@ -140,14 +133,9 @@ class TestZeroForcing:
         comb = zf_weights(est)
         sigma2 = 0.3
         n = 80 * 400
-        noise = [
-            SampleStream(
-                np.sqrt(sigma2) * Rng(13, c).normal_complex(n), CFG.user_bandwidth_hz
-            )
-            for c in range(2)
-        ]
+        noise = np.stack([np.sqrt(sigma2) * Rng(13, c).normal_complex(n) for c in range(2)])
         silent = build_frame(CFG, [np.zeros(2000, dtype=int)] * 2)
-        out = apply_combiner(VirtualChainSet(noise, [0, 1]), silent, comb)
+        out = apply_combiner(noise, silent, comb)
         # per data bin: var = ||V_u||^2 * fft_size * sigma2 / tx_scale^2
         measured = np.var(out) * CFG.tx_scale**2 / CFG.fft_size
         assert abs(measured / (0.5 * sigma2) - 1.0) < 0.1
@@ -163,14 +151,13 @@ class TestZeroForcing:
             for u in range(4):
                 cross = np.sum(np.abs(np.delete(p[u], u)) ** 2)
                 assert cross < 1e-6 * np.abs(p[u, u]) ** 2
-        bits = recover_bits(frame, zf_combine(chains, frame, est))
+        bits = recover_bits(frame, apply_combiner(chains, frame, zf_weights(est)))
         for u in range(4):
             assert np.array_equal(bits[u], frame.payload_bits[u])
 
     def test_weights_times_channel_is_identity(self):
         heff = random_heff(4, 4, seed=16)[:, :, USED_BINS]
-        est = EffectiveChannel(heff=heff.copy(), bins=USED_BINS.copy())
-        comb = zf_weights(est)
+        comb = zf_weights(heff.copy())
         for f in range(USED_BINS.size):
             prod = comb.weights[:, :, f] @ heff[:, :, f]
             assert np.max(np.abs(prod - np.eye(4))) < 1e-9
@@ -193,11 +180,9 @@ class TestZeroForcing:
 
     def test_bin_permutation_permutes_weights(self):
         heff = random_heff(3, 3, seed=19)[:, :, USED_BINS]
-        est = EffectiveChannel(heff=heff, bins=USED_BINS.copy())
         perm = Rng(20).generator.permutation(USED_BINS.size)
-        est_p = EffectiveChannel(heff=heff[:, :, perm], bins=USED_BINS.copy())
-        w = zf_weights(est).weights
-        w_p = zf_weights(est_p).weights
+        w = zf_weights(heff).weights
+        w_p = zf_weights(heff[:, :, perm]).weights
         assert np.allclose(w[:, :, perm], w_p)
 
 
@@ -209,8 +194,8 @@ class TestNullspace:
         heff = a[:, :, None] * scale[None, None, :]
         chains = inject(frame, heff)
         est = estimate_channel(chains, frame)
-        zf = zf_combine(chains, frame, est)
-        ns = nullspace_combine(chains, frame, est)
+        zf = apply_combiner(chains, frame, zf_weights(est))
+        ns = apply_combiner(chains, frame, nullspace_weights(est))
         assert np.max(np.abs(zf - ns)) < 1e-9
 
     def test_single_user_matches_zero_forcing(self):
@@ -218,9 +203,9 @@ class TestNullspace:
         heff = random_heff(3, 1, seed=23)
         chains = inject(frame, heff)
         est = estimate_channel(chains, frame)
-        assert np.max(
-            np.abs(zf_combine(chains, frame, est) - nullspace_combine(chains, frame, est))
-        ) < 1e-9
+        zf = apply_combiner(chains, frame, zf_weights(est))
+        ns = apply_combiner(chains, frame, nullspace_weights(est))
+        assert np.max(np.abs(zf - ns)) < 1e-9
 
     def test_noiseless_leakage_below_minus_60dbc(self):
         frame = make_frame(3, seed=24)
@@ -234,15 +219,14 @@ class TestNullspace:
             off = p - np.diag(np.diag(p))
             assert np.max(np.abs(off)) ** 2 < 1e-6
             assert np.allclose(np.diag(p), 1.0)
-        bits = recover_bits(frame, nullspace_combine(chains, frame, est))
+        bits = recover_bits(frame, apply_combiner(chains, frame, nullspace_weights(est)))
         for u in range(3):
             assert np.array_equal(bits[u], frame.payload_bits[u])
 
     def test_degenerate_null_space_erases_bin(self):
         heff = random_heff(3, 3, seed=26)[:, :, USED_BINS]
         heff[:, :, 4] = 0.0  # whole bin dead: no usable projection
-        est = EffectiveChannel(heff=heff, bins=USED_BINS.copy())
-        comb = nullspace_weights(est)
+        comb = nullspace_weights(heff)
         assert comb.erased[4]
 
 

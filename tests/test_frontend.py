@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from switchmux.despread import time_despread
-from switchmux.dsp import Rng, SampleStream, upsample
+from switchmux.dsp import Rng, upsample
 from switchmux.frontend import (
     FrontendConfig,
     SwitchMatrix,
@@ -17,12 +17,9 @@ from switchmux.frontend import (
 NOISELESS = FrontendConfig(insertion_loss_db=0.0)
 
 
-def random_streams(m, n, seed, rate=10e6):
+def random_streams(m, n, seed):
     g = np.random.Generator(np.random.Philox(key=seed))
-    return [
-        SampleStream(g.standard_normal(n) + 1j * g.standard_normal(n), rate)
-        for _ in range(m)
-    ]
+    return np.stack([g.standard_normal(n) + 1j * g.standard_normal(n) for _ in range(m)])
 
 
 class TestSwitchMatrix:
@@ -68,33 +65,33 @@ class TestSwitchMatrix:
 
 class TestCaptureSwitched:
     def test_single_antenna_single_slot_identity(self):
-        (x,) = random_streams(1, 64, 2)
-        y = capture_switched([x], SwitchMatrix(np.array([[1]])), NOISELESS, Rng(1))
-        assert y.rate_hz == x.rate_hz
-        assert np.max(np.abs(y.samples - x.samples)) < 1e-12
+        x = random_streams(1, 64, 2)
+        y = capture_switched(x, SwitchMatrix(np.array([[1]])), NOISELESS, Rng(1))
+        assert y.shape == (64,)
+        assert np.max(np.abs(y - x[0])) < 1e-12
 
     def test_identity_matrix_interleaves_interpolated_antennas(self):
         streams = random_streams(4, 32, 3)
         y = capture_switched(streams, SwitchMatrix.identity(4), NOISELESS, Rng(1))
-        assert y.rate_hz == streams[0].rate_hz * 4
+        assert y.shape == (4 * 32,)
         for k in range(4):
-            up = upsample(streams[k], 4).samples
-            assert np.max(np.abs(y.samples[k::4] - up[k::4])) < 1e-12
+            up = upsample(streams[k], 4)
+            assert np.max(np.abs(y[k::4] - up[k::4])) < 1e-12
 
     def test_shared_slot_sums_antennas(self):
         streams = random_streams(2, 32, 4)
         S = SwitchMatrix(np.array([[1, 0], [1, 1]]))
         y = capture_switched(streams, S, NOISELESS, Rng(1))
-        a = upsample(streams[0], 2).samples
-        b = upsample(streams[1], 2).samples
-        assert np.max(np.abs(y.samples[0::2] - (a + b)[0::2])) < 1e-12
-        assert np.max(np.abs(y.samples[1::2] - b[1::2])) < 1e-12
+        a = upsample(streams[0], 2)
+        b = upsample(streams[1], 2)
+        assert np.max(np.abs(y[0::2] - (a + b)[0::2])) < 1e-12
+        assert np.max(np.abs(y[1::2] - b[1::2])) < 1e-12
 
     def test_insertion_loss_scales_amplitude(self):
         streams = random_streams(1, 32, 5)
         cfg = FrontendConfig(insertion_loss_db=6.0)
         y = capture_switched(streams, SwitchMatrix(np.array([[1]])), cfg, Rng(1))
-        assert np.max(np.abs(y.samples - streams[0].samples * 10 ** (-0.3))) < 1e-12
+        assert np.max(np.abs(y - streams[0] * 10 ** (-0.3))) < 1e-12
 
     def test_partition_completeness(self):
         # columns partition the antennas: every output sample is the sum
@@ -102,19 +99,17 @@ class TestCaptureSwitched:
         streams = random_streams(4, 32, 6)
         S = SwitchMatrix(np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))
         y = capture_switched(streams, S, NOISELESS, Rng(1))
-        ups = [upsample(s, 2).samples for s in streams]
-        assert np.max(np.abs(y.samples[0::2] - (ups[0] + ups[1])[0::2])) < 1e-12
-        assert np.max(np.abs(y.samples[1::2] - (ups[2] + ups[3])[1::2])) < 1e-12
+        ups = [upsample(s, 2) for s in streams]
+        assert np.max(np.abs(y[0::2] - (ups[0] + ups[1])[0::2])) < 1e-12
+        assert np.max(np.abs(y[1::2] - (ups[2] + ups[3])[1::2])) < 1e-12
 
     def test_linearity_in_antenna_streams(self):
         s1 = random_streams(2, 32, 7)
         s2 = random_streams(2, 32, 8)
         S = SwitchMatrix(np.array([[1, 0], [0, 1]]))
-        mixed = [SampleStream(a.samples + b.samples, a.rate_hz) for a, b in zip(s1, s2)]
-        got = capture_switched(mixed, S, NOISELESS, Rng(1)).samples
-        want = (
-            capture_switched(s1, S, NOISELESS, Rng(1)).samples
-            + capture_switched(s2, S, NOISELESS, Rng(1)).samples
+        got = capture_switched(s1 + s2, S, NOISELESS, Rng(1))
+        want = capture_switched(s1, S, NOISELESS, Rng(1)) + capture_switched(
+            s2, S, NOISELESS, Rng(1)
         )
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -125,9 +120,7 @@ class TestCaptureSwitched:
         y = capture_switched(streams, SwitchMatrix.identity(4), NOISELESS, Rng(1))
         chains = time_despread(y, 4)
         phys = capture_physical(streams, 4, NOISELESS, Rng(1))
-        for k in range(4):
-            err = np.max(np.abs(chains.chains[k].samples - phys[k].samples))
-            assert err < 1e-6
+        assert np.max(np.abs(chains - phys)) < 1e-6
 
     def test_noise_calibration_after_despread(self):
         # a despreaded chain must see the configured per-user SNR
@@ -136,10 +129,8 @@ class TestCaptureSwitched:
         cfg = FrontendConfig(insertion_loss_db=0.0, snr_db=snr_db, num_users=1)
         y = capture_switched(streams, SwitchMatrix.identity(K), cfg, Rng(2, 5))
         chains = time_despread(y, K)
-        p_sig = np.mean([np.mean(np.abs(s.samples) ** 2) for s in streams])
-        noise = np.concatenate(
-            [chains.chains[k].samples - streams[k].samples for k in range(K)]
-        )
+        p_sig = np.mean(np.abs(streams) ** 2)
+        noise = chains - streams
         snr_hat = 10 * np.log10(p_sig / np.mean(np.abs(noise) ** 2))
         assert abs(snr_hat - snr_db) < 0.3
 
@@ -147,34 +138,28 @@ class TestCaptureSwitched:
         streams = random_streams(1, 64, 11)
         cfg = FrontendConfig(insertion_loss_db=0.0, quantizer_bits=4)
         y = capture_switched(streams, SwitchMatrix(np.array([[1]])), cfg, Rng(1))
-        assert len(set(np.round(y.samples.real, 12))) <= 16
+        assert len(set(np.round(y.real, 12))) <= 16
 
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
             capture_switched(random_streams(3, 32, 12), SwitchMatrix.identity(4), NOISELESS, Rng(1))
-
-    def test_rejects_oversample_mismatch(self):
-        cfg = FrontendConfig(oversample_factor=2)
-        with pytest.raises(ValueError):
-            capture_switched(random_streams(4, 32, 13), SwitchMatrix.identity(4), cfg, Rng(1))
 
 
 class TestCapturePhysical:
     def test_noiseless_chains_equal_antennas(self):
         streams = random_streams(3, 32, 14)
         out = capture_physical(streams, 3, NOISELESS, Rng(1))
-        for k in range(3):
-            assert np.array_equal(out[k].samples, streams[k].samples)
+        assert np.array_equal(out, streams)
 
     def test_chain_count(self):
         streams = random_streams(8, 16, 15)
-        assert len(capture_physical(streams, 8, NOISELESS, Rng(1))) == 8
+        assert capture_physical(streams, 8, NOISELESS, Rng(1)).shape == (8, 16)
 
     def test_noise_independent_across_chains(self):
-        streams = [SampleStream(np.zeros(10**5, complex), 1e6) for _ in range(2)]
-        cfg = FrontendConfig(snr_db=0.0, signal_power=1.0)
-        a, b = capture_physical(streams, 2, cfg, Rng(3, 1))
-        rho = np.corrcoef(np.abs(a.samples), np.abs(b.samples))[0, 1]
+        streams = np.ones((2, 10**5), complex)
+        cfg = FrontendConfig(snr_db=0.0)
+        a, b = capture_physical(streams, 2, cfg, Rng(3, 1)) - streams
+        rho = np.corrcoef(np.abs(a), np.abs(b))[0, 1]
         assert abs(rho) < 0.01
 
     def test_rejects_too_many_chains(self):
@@ -190,8 +175,7 @@ class TestCaptureHybrid:
         w[1, 1] = 1.0
         got = capture_hybrid(streams, w, "fully", NOISELESS, Rng(1))
         want = capture_physical(streams, 2, NOISELESS, Rng(1))
-        for k in range(2):
-            assert np.max(np.abs(got[k].samples - want[k].samples)) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_conjugate_combining_gain(self):
         # M-antenna coherent combining buys 10*log10(M) of SNR
@@ -199,12 +183,12 @@ class TestCaptureHybrid:
         g = np.random.Generator(np.random.Philox(key=18))
         h = np.exp(2j * np.pi * g.uniform(0, 1, M))
         x = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
-        streams = [SampleStream(h[m] * x, 1e6) for m in range(M)]
+        streams = h[:, None] * x[None, :]
         w = np.exp(-1j * np.angle(h))[:, None]
-        cfg = FrontendConfig(snr_db=snr_db, signal_power=1.0)
+        cfg = FrontendConfig(snr_db=snr_db)
         (chain,) = capture_hybrid(streams, w, "fully", cfg, Rng(4, 2))
         clean = M * x
-        noise = chain.samples - clean
+        noise = chain - clean
         snr_out = 10 * np.log10(np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2))
         assert abs(snr_out - (snr_db + 10 * np.log10(M))) < 0.3
 
@@ -214,8 +198,8 @@ class TestCaptureHybrid:
         w = np.ones((M, K), dtype=complex)
         out = capture_hybrid(streams, w, "partially", NOISELESS, Rng(1))
         for k in range(K):
-            want = np.sum([s.samples for s in streams[k * 8 : (k + 1) * 8]], axis=0)
-            assert np.max(np.abs(out[k].samples - want)) < 1e-12
+            want = np.sum(streams[k * 8 : (k + 1) * 8], axis=0)
+            assert np.max(np.abs(out[k] - want)) < 1e-12
 
     def test_rejects_non_unit_modulus(self):
         streams = random_streams(2, 16, 20)
@@ -236,11 +220,13 @@ class TestCaptureHybrid:
 
 class TestNoiseAndQuantizer:
     def test_noise_power_uses_explicit_reference(self):
-        cfg = FrontendConfig(snr_db=10.0, signal_power=2.0)
-        assert noise_power_for(cfg, []) == pytest.approx(0.2)
+        # the reference is the mean per-antenna received power: 2 here
+        rx = np.sqrt([[1.0], [3.0]]) * np.ones((2, 100), complex)
+        cfg = FrontendConfig(snr_db=10.0)
+        assert noise_power_for(cfg, rx) == pytest.approx(0.2)
 
     def test_noise_power_measured_fallback(self):
-        streams = [SampleStream(2 * np.ones(100, complex), 1e6)]
+        streams = 2 * np.ones((1, 100), complex)
         cfg = FrontendConfig(snr_db=0.0, num_users=2)
         assert noise_power_for(cfg, streams) == pytest.approx(2.0)
 

@@ -1,0 +1,36 @@
+"""Byte-identical sweeps of the benchmark workloads.
+
+Each workload config (taken from ``bench/run.py`` so it is defined once) is
+swept at seed 1 and its CSV must equal ``bench/reference/<workload>.csv``
+byte for byte; grid_parallel runs at 1 and at 2 workers.  Any change that
+moves a single digit of a row is a behaviour change and fails here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from switchmux import config, runner
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH_DIR))
+
+import run as bench_run  # noqa: E402
+
+CASES = [
+    ("decode_heavy", 1),
+    ("large_room", 1),
+    ("grid_parallel", 1),
+    ("grid_parallel", 2),
+]
+
+
+@pytest.mark.parametrize("workload, workers", CASES)
+def test_sweep_matches_reference_bytes(tmp_path, workload, workers):
+    cfg_path = tmp_path / f"{workload}.cfg"
+    cfg_path.write_text(bench_run.config_text(workload, 1), encoding="utf-8")
+    out = tmp_path / f"{workload}.csv"
+    runner.run_sweep(config.load_config(str(cfg_path)), str(out), workers=workers)
+    reference = BENCH_DIR / "reference" / f"{workload}.csv"
+    assert out.read_bytes() == reference.read_bytes()

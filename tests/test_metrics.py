@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from switchmux.equalize import CombinerMatrix, EffectiveChannel
+from switchmux.equalize import CombinerMatrix
 from switchmux.metrics import (
     DEFAULT_ADC_FOM,
     PowerReport,
@@ -20,8 +20,7 @@ from switchmux.waveform import USED_BINS
 
 def flat_effective(matrix):
     matrix = np.asarray(matrix, dtype=complex)
-    heff = np.repeat(matrix[:, :, None], USED_BINS.size, axis=2)
-    return EffectiveChannel(heff=heff, bins=USED_BINS.copy())
+    return np.repeat(matrix[:, :, None], USED_BINS.size, axis=2)
 
 
 def identity_combiner(n):

@@ -184,6 +184,40 @@ class TestRunSweep:
         runner.run_sweep(cfg, str(parallel), workers=2)
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers(self, tmp_path, workers):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match="workers"):
+            runner.run_sweep(cfg_from(SMALL), str(out), workers=workers)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, pool_sizes):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        cfg = cfg_from(SMALL)
+        capped = tmp_path / "capped.csv"
+        serial = tmp_path / "serial.csv"
+        runner.run_sweep(cfg, str(capped), workers=1000)
+        runner.run_sweep(cfg, str(serial), workers=1)
+        assert seen == pool_sizes
+        assert capped.read_bytes() == serial.read_bytes()
+
     def test_mixed_user_counts_pad_short_rows(self, tmp_path):
         cfg = cfg_from(
             "antennas = 4\npayload_symbols = 2\ntrials = 1\nseed = 3\n"

@@ -16,7 +16,6 @@ from switchmux.waveform import (
     interleave,
     qam16_demap,
     qam16_map,
-    rate_bound,
     recover_bits,
     symbol_spectra,
     viterbi_decode,
@@ -191,7 +190,7 @@ class TestFraming:
                 assert not slots[u] & slots[v]
         # each user is silent during every other user's training slots
         for u in range(4):
-            sym = frame.tx_streams[u].samples.reshape(frame.total_symbols, cfg.symbol_len)
+            sym = frame.tx_streams[u].reshape(frame.total_symbols, cfg.symbol_len)
             for v in range(4):
                 energy = np.sum(np.abs(sym[list(slots[v])]) ** 2)
                 if v == u:
@@ -213,7 +212,7 @@ class TestFraming:
         cfg = OfdmConfig()
         payloads = [Rng(11, 0).bits(cfg.payload_bits_for_symbols(50))]
         frame = build_frame(cfg, payloads)
-        sym = frame.tx_streams[0].samples[frame.preamble_symbols * cfg.symbol_len :]
+        sym = frame.tx_streams[0, frame.preamble_symbols * cfg.symbol_len :]
         assert abs(np.mean(np.abs(sym) ** 2) - 1.0) < 0.05
 
     def test_rejects_empty(self):
@@ -221,16 +220,21 @@ class TestFraming:
             build_frame(OfdmConfig(), [])
 
 
+def per_user_rate(cfg):
+    """Raw delivered-bit ceiling: info bits per symbol over the symbol period."""
+    return cfg.info_bits_per_symbol / cfg.symbol_duration_s
+
+
 class TestRateArithmetic:
     def test_per_user_bound_is_12_mbps(self):
-        assert rate_bound(OfdmConfig()) == pytest.approx(12e6, abs=1e-6)
+        assert per_user_rate(OfdmConfig()) == pytest.approx(12e6, abs=1e-6)
 
     def test_four_users_aggregate_48_mbps(self):
-        assert rate_bound(OfdmConfig(), num_users=4) == pytest.approx(48e6, abs=1e-6)
+        assert 4 * per_user_rate(OfdmConfig()) == pytest.approx(48e6, abs=1e-6)
 
     def test_spectral_efficiency_1p2(self):
         cfg = OfdmConfig()
-        assert rate_bound(cfg) / cfg.user_bandwidth_hz == pytest.approx(1.2, abs=1e-12)
+        assert per_user_rate(cfg) / cfg.user_bandwidth_hz == pytest.approx(1.2, abs=1e-12)
 
     def test_symbol_duration(self):
         assert OfdmConfig().symbol_duration_s == pytest.approx(8e-6, abs=1e-12)
