@@ -91,13 +91,14 @@ class FrontendConfig:
 
     snr_db = None means noiseless; otherwise the noise variance is
     calibrated against the received power measured from the antenna
-    signals and num_users. quantizer_bits enables the uniform ADC quantizer
-    (off by default; bit width otherwise only feeds the power model).
+    signals and num_users. quantizer_bits > 0 enables the uniform ADC
+    quantizer (0, the default, is off; bit width otherwise only feeds the
+    power model).
     """
 
     insertion_loss_db: float = 0.5
     snr_db: float | None = None
-    quantizer_bits: int | None = None
+    quantizer_bits: int = 0
     num_users: int = 1
 
     def __post_init__(self) -> None:
@@ -105,8 +106,8 @@ class FrontendConfig:
             raise ValueError("insertion_loss_db must be >= 0")
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
-        if self.quantizer_bits is not None and self.quantizer_bits < 1:
-            raise ValueError("quantizer_bits must be >= 1")
+        if self.quantizer_bits < 0:
+            raise ValueError("quantizer_bits must be >= 0")
 
 
 def _check_received(rx: np.ndarray) -> None:
@@ -165,7 +166,7 @@ def capture_switched(
         # its samples carry n times the single-branch noise power
         occupancy = np.tile(S.entries.sum(axis=0), reps).astype(np.float64)
         total = total + rng.normal_complex(total.size) * np.sqrt(sigma2 * occupancy)
-    if cfg.quantizer_bits is not None:
+    if cfg.quantizer_bits:
         total = quantize(total, cfg.quantizer_bits)
     return total
 

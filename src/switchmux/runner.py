@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import channel, metrics
-from .config import ConfigError, ExperimentConfig, SWEEP_KEY_ORDER, config_digest, with_overrides
+from .config import ConfigError, ExperimentConfig, config_digest, with_overrides
 from .despread import time_despread
 from .dsp import Rng
 from .equalize import (
@@ -149,10 +149,9 @@ def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> 
 
 
 def _combiner_weights(cfg: ExperimentConfig, heff: np.ndarray):
-    tol = cfg.grouping.rank_tolerance
     if cfg.combiner == "nullspace":
-        return nullspace_weights(heff, tol)
-    return zf_weights(heff, tol)
+        return nullspace_weights(heff, cfg.rank_tolerance)
+    return zf_weights(heff, cfg.rank_tolerance)
 
 
 def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, report):
@@ -214,7 +213,7 @@ def _run_link(
         fcfg = replace(
             fcfg,
             insertion_loss_db=cfg.insertion_loss_db,
-            quantizer_bits=cfg.quantizer_bits or None,
+            quantizer_bits=cfg.quantizer_bits,
         )
         chains = time_despread(capture_switched(rx, s, fcfg, noise_rng), cfg.chains)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
@@ -283,29 +282,14 @@ def _trial_task(args) -> dict:
     return run_trial(cfg, trial_id)
 
 
-_SWEEP_FIELD = {
-    "sweep.arch": "arch",
-    "sweep.antennas": "antennas",
-    "sweep.chains": "chains",
-    "sweep.users": "users",
-    "sweep.snr_db": "snr_db",
-    "sweep.select": "select",
-}
-
-
 def sweep_combos(cfg: ExperimentConfig, use_sweep: bool = True) -> list:
-    """Resolved per-combo configs in deterministic grid order."""
-    active = list(cfg.sweep) if use_sweep else []
-    if not active:
+    """Resolved per-combo configs in deterministic grid order, the first
+    sweep key outermost."""
+    if not (use_sweep and cfg.sweep):
         return [cfg]
-    values_by_key = dict(active)
-    keys = sorted(values_by_key, key=SWEEP_KEY_ORDER.index)
-    grids = [values_by_key[k] for k in keys]
-    combos = []
-    for values in itertools.product(*grids):
-        updates = {_SWEEP_FIELD[k]: v for k, v in zip(keys, values)}
-        combos.append(with_overrides(cfg, **updates))
-    return combos
+    names = [name for name, _ in cfg.sweep]
+    grid = itertools.product(*(values for _, values in cfg.sweep))
+    return [with_overrides(cfg, **dict(zip(names, values))) for values in grid]
 
 
 def csv_header(num_users: int) -> list:

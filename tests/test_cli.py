@@ -120,3 +120,12 @@ def test_nonpositive_workers_exit_1(tmp_path, config_file, capsys, workers):
     assert rc == 1
     assert "workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_1(tmp_path, config_file, capsys, seed):
+    out = tmp_path / "rows.csv"
+    rc = main(["simulate", "--config", str(config_file), "--out", str(out), "--seed", seed])
+    assert rc == 1
+    assert "error: seed must fit in 64 bits" in capsys.readouterr().err
+    assert not out.exists()

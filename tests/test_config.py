@@ -1,11 +1,18 @@
 """Config parsing, schema validation and resolution tests."""
 
+import re
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from switchmux import runner
 from switchmux.config import (
-    SCHEMA,
+    CONFIG_KEYS,
     ConfigError,
+    ExperimentConfig,
     build_config,
     canonical_text,
     config_digest,
@@ -13,6 +20,11 @@ from switchmux.config import (
     parse_config_text,
     with_overrides,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import run as bench_run  # noqa: E402
 
 
 def cfg_from(text):
@@ -142,8 +154,8 @@ class TestCrossValidation:
 class TestSweepKeys:
     def test_lists_parse(self):
         cfg = cfg_from("sweep.antennas = 4, 6, 8\nsweep.snr_db = 0,10\n")
-        assert dict(cfg.sweep)["sweep.antennas"] == (4, 6, 8)
-        assert dict(cfg.sweep)["sweep.snr_db"] == (0.0, 10.0)
+        assert dict(cfg.sweep)["antennas"] == (4, 6, 8)
+        assert dict(cfg.sweep)["snr_db"] == (0.0, 10.0)
 
     def test_sweep_choice_validated(self):
         with pytest.raises(ConfigError):
@@ -169,6 +181,45 @@ class TestSweepComboValidation:
         )
         with pytest.raises(ConfigError, match="cover users"):
             with_overrides(cfg, users=2)
+
+    @pytest.mark.parametrize(
+        "text, chains",
+        [
+            ("arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n", [4, 4]),
+            ("chains = 4\nsweep.arch = switched, dbf, hbf_full\n", [4, 4, 4]),
+            ("arch = dbf\nsweep.antennas = 8, 16\n", [8, 16]),
+            ("arch = dbf\nchains = 0\nsweep.antennas = 8, 16\n", [8, 16]),
+            ("arch = dbf\nchains = 4\nsweep.chains = 4, 6\n", [4, 6]),
+        ],
+        ids=["set_across_antennas", "set_across_arch", "unset", "zero_is_unset", "swept"],
+    )
+    def test_combo_chains(self, text, chains):
+        # a chains value set in the file holds for every combo unless
+        # sweep.chains overrides it; unset or 0, it resolves per combo
+        assert [c.chains for c in runner.sweep_combos(cfg_from(text))] == chains
+
+    def test_explicit_chains_invalid_for_a_combo_rejected(self):
+        cfg = cfg_from("users = 4\nchains = 4\nsweep.users = 2, 4\n")
+        with pytest.raises(ConfigError, match="chains == users"):
+            runner.sweep_combos(cfg)
+
+    @pytest.mark.parametrize(
+        "updates, message",
+        [
+            ({"seed": -1}, "seed must fit in 64 bits"),
+            ({"seed": 2**64}, "seed must fit in 64 bits"),
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"users": 0}, "users must be >= 1"),
+            ({"insertion_loss_db": -1.0}, "frontend.insertion_loss_db must be >= 0"),
+            ({"phi_rad": 3.2}, "phi_rad"),
+        ],
+        ids=[
+            "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi"
+        ],
+    )
+    def test_overrides_run_the_per_key_checks(self, updates, message):
+        with pytest.raises(ConfigError, match=message):
+            with_overrides(cfg_from(""), **updates)
 
 
 # one valid non-default value per schema key
@@ -228,7 +279,7 @@ class TestOverridesAndDigest:
         assert config_digest(a) != config_digest(b)
         assert config_digest(a) == config_digest(cfg_from("seed = 1"))
 
-    @pytest.mark.parametrize("key", sorted(set(SCHEMA) - {"out"}))
+    @pytest.mark.parametrize("key", sorted(set(CONFIG_KEYS) - {"out"}))
     def test_digest_tracks_every_key(self, key):
         # the switched default only admits chains == users, so chains is
         # varied on a dbf config
@@ -239,9 +290,58 @@ class TestOverridesAndDigest:
         assert config_digest(default) == config_digest(cfg_from(base))
 
     def test_digest_values_cover_the_schema(self):
-        assert set(DIGEST_VALUES) == set(SCHEMA) - {"out"}
+        assert set(DIGEST_VALUES) == set(CONFIG_KEYS) - {"out"}
 
     def test_canonical_text_parses_back(self):
         cfg = cfg_from("users = 3\nantennas = 9\nsweep.snr_db = 1,2\n")
         again = build_config(parse_config_text(canonical_text(cfg)))
         assert config_digest(again) == config_digest(cfg)
+
+        cfg = cfg_from(EVERY_KEY)
+        for f in fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+        again = build_config(parse_config_text(canonical_text(cfg)))
+        assert again == replace(cfg, out=None)
+
+    def test_sweep_lines_in_grid_order(self):
+        cfg = cfg_from("sweep.users = 1, 2\nsweep.chains = 0\nsweep.antennas = 4, 8\n")
+        lines = canonical_text(cfg).splitlines()[-3:]
+        assert lines == ["sweep.antennas = 4,8", "sweep.chains = 0", "sweep.users = 1,2"]
+
+    @pytest.mark.parametrize(
+        "workload, digest",
+        [
+            ("decode_heavy", "85172f24fde762af6af105f1ff3c3a16cfb913ef8517ed4fef7fb9a455cc290e"),
+            ("large_room", "97a69f205433af6e00ace42d86728e714792fbe0c76a23c848c1b68e529532d8"),
+            ("grid_parallel", "da2dad8e903734ec25c7b8354eadc493f564bac0f596a8dbddca1fc1f8a81f05"),
+            (None, "7cede4e7c3d9d98a9183e07998c1a05de9c1a73813c49cdd5cdc20cd96ae55c5"),
+        ],
+        ids=["decode_heavy", "large_room", "grid_parallel", "empty"],
+    )
+    def test_digest_pinned(self, workload, digest):
+        text = bench_run.config_text(workload, 1) if workload else ""
+        assert config_digest(cfg_from(text)) == digest
+
+
+# every key at a non-default value, two pinned users and three sweep keys
+EVERY_KEY = (
+    "arch = dbf\nusers = 2\nantennas = 6\nchains = 2\nsnr_db = 10\ntrials = 5\n"
+    "seed = 2\npayload_symbols = 2\ncombiner = nullspace\nselect = random\n"
+    "scenario = raytrace\nsync_mode = offset\nsync.max_offset_samples = 0.25\n"
+    "rayleigh.taps = 3\ngrouping.phi_rad = 0.5\ngrouping.rank_tolerance = 1e-6\n"
+    "grouping.max_fallbacks = 8\nofdm.lts_repeats = 3\nofdm.bandwidth_hz = 20e6\n"
+    "frontend.insertion_loss_db = 1.0\nfrontend.quantizer_bits = 8\n"
+    "scene.room_x_m = 10\nscene.room_y_m = 6\nscene.ap_x_m = 5\nscene.ap_y_m = 1\n"
+    "scene.gamma = 0.5\nscene.max_reflections = 2\nout = rows.csv\n"
+    "scene.user0_x_m = 2.5\nscene.user0_y_m = 3\n"
+    "scene.user1_x_m = 7\nscene.user1_y_m = 4.25\n"
+    "sweep.antennas = 4, 8\nsweep.snr_db = 5, 15\nsweep.select = grouped, random\n"
+)
+
+def test_readme_names_every_config_key():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Configuration keys", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])}
+    expected = set(CONFIG_KEYS) | {"scene.userN_x_m", "scene.userN_y_m"}
+    assert named == expected

@@ -140,6 +140,15 @@ class TestCaptureSwitched:
         y = capture_switched(streams, SwitchMatrix(np.array([[1]])), cfg, Rng(1))
         assert len(set(np.round(y.real, 12))) <= 16
 
+    def test_zero_quantizer_bits_is_off(self):
+        streams = random_streams(1, 64, 11)
+        plain = FrontendConfig(insertion_loss_db=0.0)
+        assert plain.quantizer_bits == 0
+        y = capture_switched(streams, SwitchMatrix(np.array([[1]])), plain, Rng(1))
+        np.testing.assert_array_equal(y, streams[0])
+        with pytest.raises(ValueError, match="quantizer_bits"):
+            FrontendConfig(quantizer_bits=-1)
+
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
             capture_switched(random_streams(3, 32, 12), SwitchMatrix.identity(4), NOISELESS, Rng(1))

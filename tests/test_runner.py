@@ -124,6 +124,17 @@ class TestSweepGrid:
         seen = [(c.antennas, c.snr_db) for c in combos]
         assert seen == [(4, 0.0), (4, 10.0), (6, 0.0), (6, 10.0)]
 
+    def test_users_nest_inside_antennas_and_chains(self):
+        cfg = cfg_from(
+            "arch = dbf\nusers = 1\nantennas = 4\n"
+            "sweep.users = 1, 2\nsweep.chains = 2, 4\nsweep.antennas = 4, 8\n"
+        )
+        seen = [(c.antennas, c.chains, c.users) for c in runner.sweep_combos(cfg)]
+        assert seen == [
+            (4, 2, 1), (4, 2, 2), (4, 4, 1), (4, 4, 2),
+            (8, 2, 1), (8, 2, 2), (8, 4, 1), (8, 4, 2),
+        ]
+
     def test_arch_sweep_reresolves_chains(self):
         cfg = cfg_from(SMALL + "sweep.arch = switched, dbf, fdma\n")
         chains = [c.chains for c in runner.sweep_combos(cfg)]
