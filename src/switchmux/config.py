@@ -59,12 +59,11 @@ def _at_least(low):
     return (lambda v: v >= low), f"must be >= {low}"
 
 
-def _key(name, parse, default, check=None, sweep=None, digest=True):
+def _key(name, parse, default, check=None, sweep=None):
     """One config-file key.  check is (predicate, message) on the parsed
     value; sweep is the key's place in the grid nesting order (outermost
-    first), or None when it cannot be swept; digest=False keeps the key out
-    of canonical_text."""
-    meta = {"key": name, "parse": parse, "check": check, "sweep": sweep, "digest": digest}
+    first), or None when it cannot be swept."""
+    meta = {"key": name, "parse": parse, "check": check, "sweep": sweep}
     return field(default=default, metadata=meta)
 
 
@@ -106,10 +105,9 @@ class ExperimentConfig:
     max_reflections: int = _key(
         "scene.max_reflections", _int, 1, ((lambda n: 0 <= n <= 2), "must be 0, 1 or 2")
     )
-    out: str | None = _key("out", str, None, digest=False)
+    out: str | None = _key("out", str, None)
     user_positions: tuple | None = None  # from scene.userN_x_m / scene.userN_y_m
     sweep: tuple = ()  # ((field name, values), ...), outermost grid key first
-    chains_set: bool = False  # chains came from the file or an override
 
     @property
     def grouping(self) -> GroupingConfig:
@@ -195,7 +193,7 @@ def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.grouping
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(cfg, chains=_resolve_chains(cfg), chains_set=cfg.chains != 0)
+    return replace(cfg, chains=_resolve_chains(cfg))
 
 
 def build_config(raw: dict) -> ExperimentConfig:
@@ -232,20 +230,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def with_overrides(cfg: ExperimentConfig, **updates) -> ExperimentConfig:
-    """Copy with field replacements, re-running every check.  A chains count
-    set in the file or in updates is kept; an unset one resolves anew for
-    the combo's architecture, users and antennas."""
-    declared = cfg if cfg.chains_set else replace(cfg, chains=0)
-    return _validated(replace(declared, **updates))
+    """Copy with field replacements, re-running every check.  Unless updates
+    set chains, a change of arch, users or antennas resolves chains anew."""
+    if "chains" not in updates and updates.keys() & {"arch", "users", "antennas"}:
+        updates["chains"] = 0
+    return _validated(replace(cfg, **updates))
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Stable one-line-per-key rendering used for hashing and manifests:
     the table's keys in order (out left out), then pinned user positions,
     then the sweep grid."""
-    lines = [
-        f"{f.metadata['key']} = {getattr(cfg, f.name)}" for f in _KEYS if f.metadata["digest"]
-    ]
+    lines = [f"{f.metadata['key']} = {getattr(cfg, f.name)}" for f in _KEYS if f.name != "out"]
     for i, (x, y) in enumerate(cfg.user_positions or ()):
         lines += [f"scene.user{i}_x_m = {x}", f"scene.user{i}_y_m = {y}"]
     for name, values in cfg.sweep:

@@ -185,21 +185,27 @@ class TestSweepComboValidation:
     @pytest.mark.parametrize(
         "text, chains",
         [
-            ("arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n", [4, 4]),
-            ("chains = 4\nsweep.arch = switched, dbf, hbf_full\n", [4, 4, 4]),
+            ("arch = dbf\nsweep.chains = 4\nsweep.antennas = 8, 16\n", [4, 4]),
+            ("sweep.chains = 4\nsweep.arch = switched, dbf, hbf_full\n", [4, 4, 4]),
             ("arch = dbf\nsweep.antennas = 8, 16\n", [8, 16]),
             ("arch = dbf\nchains = 0\nsweep.antennas = 8, 16\n", [8, 16]),
+            ("arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n", [8, 16]),
             ("arch = dbf\nchains = 4\nsweep.chains = 4, 6\n", [4, 6]),
         ],
-        ids=["set_across_antennas", "set_across_arch", "unset", "zero_is_unset", "swept"],
+        ids=[
+            "pinned_across_antennas", "pinned_across_arch", "unset", "zero_is_unset",
+            "set_resolves_per_combo", "swept",
+        ],
     )
     def test_combo_chains(self, text, chains):
-        # a chains value set in the file holds for every combo unless
-        # sweep.chains overrides it; unset or 0, it resolves per combo
+        # a one-value sweep.chains holds for every combo; otherwise chains
+        # resolves anew for each combo that changes arch, users or antennas,
+        # even when the file sets it (the canonical text cannot yet tell a
+        # set chains from a resolved one)
         assert [c.chains for c in runner.sweep_combos(cfg_from(text))] == chains
 
-    def test_explicit_chains_invalid_for_a_combo_rejected(self):
-        cfg = cfg_from("users = 4\nchains = 4\nsweep.users = 2, 4\n")
+    def test_pinned_chains_invalid_for_a_combo_rejected(self):
+        cfg = cfg_from("users = 4\nsweep.chains = 4\nsweep.users = 2, 4\n")
         with pytest.raises(ConfigError, match="chains == users"):
             runner.sweep_combos(cfg)
 
@@ -302,6 +308,26 @@ class TestOverridesAndDigest:
             assert getattr(cfg, f.name) != f.default, f.name
         again = build_config(parse_config_text(canonical_text(cfg)))
         assert again == replace(cfg, out=None)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            bench_run.config_text("decode_heavy", 1),
+            bench_run.config_text("large_room", 1),
+            bench_run.config_text("grid_parallel", 1),
+            "users = 2\nantennas = 4\npayload_symbols = 2\nsweep.arch = switched, dbf, fdma\n",
+            "arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n",
+            "arch = dbf\nsweep.chains = 4\nsweep.antennas = 8, 16\n",
+        ],
+        ids=[
+            "decode_heavy", "large_room", "grid_parallel", "arch_sweep", "set_chains",
+            "pinned_chains",
+        ],
+    )
+    def test_canonical_text_runs_the_same_combos(self, text):
+        cfg = cfg_from(text)
+        again = build_config(parse_config_text(canonical_text(cfg)))
+        assert runner.sweep_combos(again) == runner.sweep_combos(cfg)
 
     def test_sweep_lines_in_grid_order(self):
         cfg = cfg_from("sweep.users = 1, 2\nsweep.chains = 0\nsweep.antennas = 4, 8\n")
