@@ -30,7 +30,12 @@ base = (
 # Show the matrix the phase-cone selector picks for this room.
 cfg = build_config(parse_config_text(base + "select = grouped\n"))
 gains = runner._draw_channel(cfg, runner.Rng(cfg.seed, 0))
-result = inphase_select(gains[:, :, runner.REFERENCE_BIN], cfg.grouping)
+result = inphase_select(
+    gains[:, :, runner.REFERENCE_BIN],
+    phi_rad=cfg.phi_rad,
+    rank_tolerance=cfg.rank_tolerance,
+    max_fallbacks=cfg.max_fallbacks,
+)
 print("selected switch matrix (rows antennas, cols virtual chains):")
 print(result.matrix.entries)
 print(f"control word: {result.matrix.to_control_word()}")

@@ -15,14 +15,8 @@ from .dsp import Rng, fractional_delay
 from .codes import SwitchCode, code_spectrum, generate_codes, phase_matrix
 from .config import ConfigError, ExperimentConfig, build_config, load_config, parse_config_text
 from .despread import freq_despread, time_despread
-from .frontend import (
-    FrontendConfig,
-    SwitchMatrix,
-    capture_hybrid,
-    capture_physical,
-    capture_switched,
-)
-from .grouping import GroupingConfig, GroupingError, inphase_select, random_switch_matrix
+from .frontend import SwitchMatrix, capture_hybrid, capture_physical, capture_switched
+from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .channel import RoomScene, ray_trace, rayleigh
 from .waveform import OfdmConfig, build_frame, recover_bits
 from .equalize import (
@@ -49,12 +43,10 @@ __all__ = [
     "parse_config_text",
     "freq_despread",
     "time_despread",
-    "FrontendConfig",
     "SwitchMatrix",
     "capture_hybrid",
     "capture_physical",
     "capture_switched",
-    "GroupingConfig",
     "GroupingError",
     "inphase_select",
     "random_switch_matrix",

@@ -24,7 +24,7 @@ from .config import build_config, parse_config_text
 from .despread import freq_despread, time_despread
 from .dsp import Rng
 from .equalize import apply_combiner, estimate_channel, true_effective_channel, zf_weights
-from .frontend import FrontendConfig, capture_switched
+from .frontend import capture_switched
 from .grouping import GroupingError, random_switch_matrix
 from .waveform import OfdmConfig, build_frame, recover_bits
 from . import channel
@@ -142,8 +142,7 @@ def check_interference_floor() -> CheckResult:
         gains = channel.rayleigh(users, ants, 64, rng.derive(1), 3)
         rx = channel.apply(gains, frame.tx_streams, ofdm.cp_len)
         s = random_switch_matrix(ants, users, rng.derive(2))
-        fcfg = FrontendConfig(insertion_loss_db=0.0, snr_db=None, num_users=users)
-        cap = capture_switched(rx, s, fcfg, rng.derive(3))
+        cap = capture_switched(rx, s, 0.0, rng.derive(3))
         chains = time_despread(cap, users)
         est = estimate_channel(chains, frame)
         comb = zf_weights(est)

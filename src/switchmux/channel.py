@@ -18,6 +18,9 @@ import numpy as np
 from .dsp import Rng, signed_bins
 
 SPEED_OF_LIGHT = 299_792_458.0
+CARRIER_HZ = 2.4e9
+# ray-traced arrays are uniform lines with half-wavelength spacing
+ARRAY_SPACING_M = SPEED_OF_LIGHT / CARRIER_HZ / 2.0
 
 
 def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> np.ndarray:
@@ -111,7 +114,7 @@ def ray_trace(
     scene: RoomScene,
     F: int,
     max_reflections: int = 1,
-    carrier_hz: float = 2.4e9,
+    carrier_hz: float = CARRIER_HZ,
     subcarrier_spacing_hz: float = 10e6 / 64,
 ) -> np.ndarray:
     """Image-source channel: per path, amplitude gamma^bounces / distance and

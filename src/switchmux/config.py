@@ -19,13 +19,16 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grouping import GroupingConfig
+from .channel import ARRAY_SPACING_M, ula_offsets
 
 ARCH_CHOICES = ("switched", "dbf", "hbf_full", "hbf_partial", "fdma")
 SELECT_CHOICES = ("grouped", "random", "identity")
 COMBINER_CHOICES = ("zf", "nullspace")
 SCENARIO_CHOICES = ("rayleigh", "raytrace")
 SYNC_CHOICES = ("aligned", "offset")
+
+# drawn raytrace users keep this distance from every wall
+DROP_MARGIN_M = 1.0
 
 
 class ConfigError(ValueError):
@@ -59,6 +62,9 @@ def _at_least(low):
     return (lambda v: v >= low), f"must be >= {low}"
 
 
+_POSITIVE = ((lambda v: v > 0), "must be positive")
+
+
 def _key(name, parse, default, check=None, sweep=None):
     """One config-file key.  check is (predicate, message) on the parsed
     value; sweep is the key's place in the grid nesting order (outermost
@@ -86,13 +92,16 @@ class ExperimentConfig:
     sync_mode: str = _key("sync_mode", _choice(SYNC_CHOICES), "aligned")
     sync_max_offset_samples: float = _key("sync.max_offset_samples", _float, 0.5, _at_least(0))
     rayleigh_taps: int = _key("rayleigh.taps", _int, 1, _at_least(1))
-    phi_rad: float = _key("grouping.phi_rad", _float, float(np.pi / 3))
-    rank_tolerance: float = _key("grouping.rank_tolerance", _float, 1e-9)
-    max_fallbacks: int = _key("grouping.max_fallbacks", _int, 64)
-    lts_repeats: int = _key("ofdm.lts_repeats", _int, 2, _at_least(1))
-    bandwidth_hz: float = _key(
-        "ofdm.bandwidth_hz", _float, 10e6, ((lambda b: b > 0), "must be positive")
+    phi_rad: float = _key(
+        "grouping.phi_rad",
+        _float,
+        float(np.pi / 3),
+        ((lambda p: 0 < p <= np.pi / 2), "must lie in (0, pi/2]"),
     )
+    rank_tolerance: float = _key("grouping.rank_tolerance", _float, 1e-9, _POSITIVE)
+    max_fallbacks: int = _key("grouping.max_fallbacks", _int, 64, _at_least(0))
+    lts_repeats: int = _key("ofdm.lts_repeats", _int, 2, _at_least(1))
+    bandwidth_hz: float = _key("ofdm.bandwidth_hz", _float, 10e6, _POSITIVE)
     insertion_loss_db: float = _key("frontend.insertion_loss_db", _float, 0.5, _at_least(0))
     quantizer_bits: int = _key("frontend.quantizer_bits", _int, 0, _at_least(0))  # 0 is off
     room_x_m: float = _key("scene.room_x_m", _float, 12.0)
@@ -108,11 +117,6 @@ class ExperimentConfig:
     out: str | None = _key("out", str, None)
     user_positions: tuple | None = None  # from scene.userN_x_m / scene.userN_y_m
     sweep: tuple = ()  # ((field name, values), ...), outermost grid key first
-
-    @property
-    def grouping(self) -> GroupingConfig:
-        """The grouped selector's settings; GroupingConfig checks their ranges."""
-        return GroupingConfig(self.phi_rad, self.rank_tolerance, self.max_fallbacks)
 
 
 _KEYS = [f for f in fields(ExperimentConfig) if "key" in f.metadata]
@@ -177,22 +181,45 @@ def _resolve_chains(cfg: ExperimentConfig) -> int:
     return resolved
 
 
+def _check_room(cfg: ExperimentConfig) -> None:
+    """Raytrace geometry every trial's scene must fit: drawn users need
+    DROP_MARGIN_M of floor inside each wall, and the AP, pinned users and
+    the whole array must lie strictly inside the room."""
+    if cfg.user_positions is None:
+        for key, side in (("scene.room_x_m", cfg.room_x_m), ("scene.room_y_m", cfg.room_y_m)):
+            if side < 2 * DROP_MARGIN_M:
+                raise ConfigError(
+                    f"{key} must be >= {2 * DROP_MARGIN_M:g}: users are drawn "
+                    f"{DROP_MARGIN_M:g} m from each wall"
+                )
+
+    def inside(x, y):
+        return 0 < x < cfg.room_x_m and 0 < y < cfg.room_y_m
+
+    if not inside(cfg.ap_x_m, cfg.ap_y_m):
+        raise ConfigError("scene.ap_x_m/ap_y_m must lie strictly inside the room")
+    for i, (x, y) in enumerate(cfg.user_positions or ()):
+        if not inside(x, y):
+            raise ConfigError(f"scene.user{i}_x_m/y_m must lie strictly inside the room")
+    array = ula_offsets(cfg.antennas, ARRAY_SPACING_M) + (cfg.ap_x_m, cfg.ap_y_m)
+    if not all(inside(x, y) for x, y in array):
+        raise ConfigError(f"an array of {cfg.antennas} antennas at the AP must fit in the room")
+
+
 def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Run every per-key, grouping and cross-field check on cfg, whose chains
+    """Run every per-key, room and cross-field check on cfg, whose chains
     is the declared count (0 when unset); returns cfg with chains resolved.
 
     build_config runs it on the file's own values and with_overrides on
     every sweep combo and command-line override, so a bad value fails
-    before any trial starts.
+    before any trial starts.  Rayleigh configs ignore the scene.* keys.
     """
     for f in _KEYS:
         check = f.metadata["check"]
         if check is not None and not check[0](getattr(cfg, f.name)):
             raise ConfigError(f"{f.metadata['key']} {check[1]}")
-    try:
-        cfg.grouping
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.scenario == "raytrace":
+        _check_room(cfg)
     return replace(cfg, chains=_resolve_chains(cfg))
 
 
@@ -210,6 +237,8 @@ def build_config(raw: dict) -> ExperimentConfig:
             f = _GRID_OF[key]
             parse = f.metadata["parse"]
             grids[f.name] = tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+            if not grids[f.name]:
+                raise ConfigError(f"{key} needs at least one value")
         else:
             raise ConfigError(f"unknown key {key!r}")
 

@@ -26,7 +26,7 @@ def _split(y: np.ndarray, K: int) -> int:
     return y.size // K
 
 
-def time_despread(y: np.ndarray, K: int, compensate: bool = True) -> np.ndarray:
+def time_despread(y: np.ndarray, K: int) -> np.ndarray:
     """Chain k = y[Kn+k], co-phased to chain 0.
 
     Slot k samples the underlying band-limited signal k/K of a B-sample
@@ -34,7 +34,7 @@ def time_despread(y: np.ndarray, K: int, compensate: bool = True) -> np.ndarray:
     """
     chains = np.empty((K, _split(y, K)), dtype=np.complex128)
     for k in range(K):
-        chains[k] = fractional_delay(y[k::K], k / K) if compensate else y[k::K]
+        chains[k] = fractional_delay(y[k::K], k / K)
     return chains
 
 

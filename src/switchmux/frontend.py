@@ -8,19 +8,21 @@ comparison front ends. Every front end takes the received B-rate signals
 [antennas, samples]; the switched one returns its K*B capture
 [K*samples], the others their chains [chains, samples].
 
-Noise convention: snr_db sets the per-sample noise variance of a B-rate
-chain against the received power per user, averaged over the whole frame
-(noise_power_for). Training slots carry one user each, so in a multi-user
-frame the payload SNR sits above snr_db. The switched path injects noise
-after combining, at K*B, scaled per slot by its occupancy: a slot that
-gates n antennas carries n times the single-branch variance, since each
-joined antenna brings its own front-end noise through the n-way passive
-split. A slot that gates one antenna therefore despreads to exactly the
-B-rate variance, so an identity-switched virtual chain and a physical
-chain are noise-equivalent by construction. The hybrid front end injects
-noise per antenna (each antenna has its own LNA ahead of the
-phase-shifter network), which is what gives coherent combining its
-10*log10(M) SNR gain.
+Noise convention: noise_power turns snr_db into sigma2, the per-sample
+noise variance of a B-rate chain, against the received power per user
+averaged over the whole frame. The runner computes it once per link and
+passes the same sigma2 to whichever front end captures, so every
+architecture shares one noise reference. Training slots carry one user
+each, so in a multi-user frame the payload SNR sits above snr_db. The
+switched path injects noise after combining, at K*B, scaled per slot by
+its occupancy: a slot that gates n antennas carries n times the
+single-branch variance, since each joined antenna brings its own front-end
+noise through the n-way passive split. A slot that gates one antenna
+therefore despreads to exactly the B-rate variance, so an
+identity-switched virtual chain and a physical chain are noise-equivalent
+by construction. The hybrid front end injects noise per antenna (each
+antenna has its own LNA ahead of the phase-shifter network), which is what
+gives coherent combining its 10*log10(M) SNR gain.
 """
 
 from __future__ import annotations
@@ -85,44 +87,19 @@ class SwitchMatrix:
         return cls(entries)
 
 
-@dataclass(frozen=True)
-class FrontendConfig:
-    """Capture settings shared by all front ends.
-
-    snr_db = None means noiseless; otherwise the noise variance is
-    calibrated against the received power measured from the antenna
-    signals and num_users. quantizer_bits > 0 enables the uniform ADC
-    quantizer (0, the default, is off; bit width otherwise only feeds the
-    power model).
-    """
-
-    insertion_loss_db: float = 0.5
-    snr_db: float | None = None
-    quantizer_bits: int = 0
-    num_users: int = 1
-
-    def __post_init__(self) -> None:
-        if self.insertion_loss_db < 0:
-            raise ValueError("insertion_loss_db must be >= 0")
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if self.quantizer_bits < 0:
-            raise ValueError("quantizer_bits must be >= 0")
-
-
 def _check_received(rx: np.ndarray) -> None:
     if rx.ndim != 2 or rx.shape[0] < 1:
         raise ValueError("received signals must be [antennas, samples]")
 
 
-def noise_power_for(cfg: FrontendConfig, rx: np.ndarray) -> float:
-    """Per-sample noise variance for a B-rate chain at cfg.snr_db, referred
-    to the mean per-antenna received power of rx [antennas, samples] per
-    user."""
-    if cfg.snr_db is None:
+def noise_power(rx: np.ndarray, snr_db: float | None, num_users: int) -> float:
+    """Per-sample noise variance for a B-rate chain at snr_db, referred to
+    the mean per-antenna received power of rx [antennas, samples] per user;
+    snr_db = None is noiseless."""
+    if snr_db is None:
         return 0.0
-    p_ref = float(np.mean(np.mean(np.abs(rx) ** 2, axis=1))) / cfg.num_users
-    return p_ref / 10 ** (cfg.snr_db / 10)
+    p_ref = float(np.mean(np.mean(np.abs(rx) ** 2, axis=1))) / num_users
+    return p_ref / 10 ** (snr_db / 10)
 
 
 def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
@@ -139,21 +116,26 @@ def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
 
 
 def capture_switched(
-    rx: np.ndarray, S: SwitchMatrix, cfg: FrontendConfig, rng: Rng
+    rx: np.ndarray,
+    S: SwitchMatrix,
+    sigma2: float,
+    rng: Rng,
+    *,
+    loss_amp: float = 1.0,
+    quantizer_bits: int = 0,
 ) -> np.ndarray:
     """Gate, combine and sample M B-rate antenna signals on one K*B chain.
 
     Each antenna's signal is band-limited interpolated to K*B, multiplied
-    sample-by-sample with its slot sequence, attenuated by the switch
-    insertion loss, and summed antenna by antenna. AWGN (and optionally a
-    uniform quantizer) is applied to the combined capture [K*samples].
+    sample-by-sample with its slot sequence, scaled by the switch loss
+    amplitude loss_amp, and summed antenna by antenna. AWGN of B-rate
+    variance sigma2 per gated antenna and, for quantizer_bits > 0, a
+    uniform quantizer are applied to the combined capture [K*samples].
     """
     _check_received(rx)
     if rx.shape[0] != S.num_antennas:
         raise ValueError("one stream per switch-matrix row required")
     K = S.num_slots
-    sigma2 = noise_power_for(cfg, rx)
-    loss_amp = 10 ** (-cfg.insertion_loss_db / 20)
     reps = rx.shape[1]  # one period of K slot samples per input sample
     total = np.zeros(reps * K, dtype=np.complex128)
     for m, signal in enumerate(rx):
@@ -166,20 +148,18 @@ def capture_switched(
         # its samples carry n times the single-branch noise power
         occupancy = np.tile(S.entries.sum(axis=0), reps).astype(np.float64)
         total = total + rng.normal_complex(total.size) * np.sqrt(sigma2 * occupancy)
-    if cfg.quantizer_bits:
-        total = quantize(total, cfg.quantizer_bits)
+    if quantizer_bits:
+        total = quantize(total, quantizer_bits)
     return total
 
 
-def capture_physical(
-    rx: np.ndarray, num_chains: int, cfg: FrontendConfig, rng: Rng
-) -> np.ndarray:
+def capture_physical(rx: np.ndarray, num_chains: int, sigma2: float, rng: Rng) -> np.ndarray:
     """One dedicated B-rate chain per antenna (first num_chains antennas),
-    independent AWGN per chain, no switches and no insertion loss."""
+    independent AWGN of variance sigma2 per chain, no switches and no
+    insertion loss."""
     _check_received(rx)
     if num_chains < 1 or num_chains > rx.shape[0]:
         raise ValueError("num_chains must be in [1, M]")
-    sigma2 = noise_power_for(cfg, rx)
     chains = rx[:num_chains].copy()
     if sigma2 > 0:
         for chain in chains:
@@ -191,56 +171,36 @@ def hybrid_weights(H_ref: np.ndarray, num_chains: int, mode: str) -> np.ndarray:
     """Unit-modulus phase-shifter weights steering chain k at user k.
 
     H_ref is [users][antennas]; mode "partially" keeps only a contiguous
-    block of M/num_chains antennas per chain.
+    block of M/num_chains antennas per chain (zero weight = not connected).
     """
     K, M = H_ref.shape
     if num_chains != K:
         raise ValueError("one chain per user required for steering weights")
     w = np.exp(-1j * np.angle(H_ref)).T.copy()  # [antennas][chains]
     if mode == "partially":
-        w *= _block_mask(M, num_chains)
+        if M % K != 0:
+            raise ValueError("partially-connected mode needs K to divide M")
+        w *= np.kron(np.eye(K), np.ones((M // K, 1)))
     elif mode != "fully":
         raise ValueError("mode must be 'fully' or 'partially'")
     return w
 
 
-def _block_mask(M: int, K: int) -> np.ndarray:
-    if M % K != 0:
-        raise ValueError("partially-connected mode needs K to divide M")
-    mask = np.zeros((M, K))
-    size = M // K
-    for k in range(K):
-        mask[k * size : (k + 1) * size, k] = 1.0
-    return mask
-
-
-def capture_hybrid(
-    rx: np.ndarray,
-    weights: np.ndarray,
-    mode: str,
-    cfg: FrontendConfig,
-    rng: Rng,
-) -> np.ndarray:
+def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng) -> np.ndarray:
     """Phase-shifter front end: chain k = sum_m weights[m][k] * antenna_m.
 
-    Noise enters per antenna (ahead of the combining network) and is
-    therefore correlated across chains through the weights. Nonzero
-    weights must be unit modulus; partially-connected mode zeroes weights
-    outside contiguous M/K antenna blocks.
+    Noise of variance sigma2 enters per antenna (ahead of the combining
+    network) and is therefore correlated across chains through the
+    weights. A zero weight leaves its antenna unconnected; nonzero weights
+    must be unit modulus.
     """
     _check_received(rx)
-    M = rx.shape[0]
     weights = np.asarray(weights, dtype=np.complex128)
-    if weights.ndim != 2 or weights.shape[0] != M:
+    if weights.ndim != 2 or weights.shape[0] != rx.shape[0]:
         raise ValueError("weights must be M x K")
-    if mode == "partially":
-        weights = weights * _block_mask(M, weights.shape[1])
-    elif mode != "fully":
-        raise ValueError("mode must be 'fully' or 'partially'")
     nz = np.abs(weights[weights != 0])
     if nz.size and np.max(np.abs(nz - 1.0)) > 1e-9:
         raise ValueError("nonzero weights must be unit modulus")
-    sigma2 = noise_power_for(cfg, rx)
     if sigma2 > 0:
         rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
     return weights.T @ rx

@@ -4,7 +4,9 @@ Chooses the M x K binary matrix that maps antennas to time slots.  The
 grouped selector turns on, per user, the largest set of antennas whose
 channel phases sit within an acute cone, so the gated sum adds nearly
 coherently.  A ranked fallback swaps in next-best antenna sets until the
-effective channel seen by the digital combiner is full rank.
+effective channel seen by the digital combiner is full rank.  The cone
+half-angle, rank tolerance and fallback budget are plain arguments; their
+defaults and range checks live with the grouping.* config keys.
 """
 
 from __future__ import annotations
@@ -19,28 +21,6 @@ from .frontend import SwitchMatrix
 
 class GroupingError(RuntimeError):
     """No full-rank switch matrix was found within the fallback budget."""
-
-
-@dataclass(frozen=True)
-class GroupingConfig:
-    """Tuning knobs for grouped selection.
-
-    phi_rad: half-angle of the acceptance cone around each pivot antenna.
-    rank_tolerance: singular-value ratio below which H*S counts as deficient.
-    max_fallbacks: how many next-best substitutions to try before giving up.
-    """
-
-    phi_rad: float = np.pi / 3
-    rank_tolerance: float = 1e-9
-    max_fallbacks: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.phi_rad <= np.pi / 2:
-            raise ValueError("phi_rad must lie in (0, pi/2]")
-        if self.rank_tolerance <= 0.0:
-            raise ValueError("rank_tolerance must be positive")
-        if self.max_fallbacks < 0:
-            raise ValueError("max_fallbacks must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,7 +58,7 @@ def _full_rank(h: np.ndarray, columns: np.ndarray, tolerance: float) -> bool:
 
 
 def inphase_select(
-    h_ref: np.ndarray, cfg: GroupingConfig | None = None
+    h_ref: np.ndarray, *, phi_rad: float, rank_tolerance: float, max_fallbacks: int
 ) -> GroupingResult:
     """Pick antenna groups whose phases align per user, enforcing full rank.
 
@@ -89,28 +69,28 @@ def inphase_select(
     resulting effective channel ``h_ref @ S`` is rank-deficient, the user whose
     step to the next-ranked pivot costs the least score is demoted, lowest
     user index first on ties, until the matrix passes the rank test or the
-    fallback budget runs out.
+    fallback budget runs out.  rank_tolerance is the singular-value ratio
+    below which ``h_ref @ S`` counts as deficient, and max_fallbacks the
+    number of demotions tried (the config checks the three ranges).
 
     Raises GroupingError when no full-rank matrix exists within the budget.
     """
-    if cfg is None:
-        cfg = GroupingConfig()
     h = _validate_reference(h_ref)
     num_users, num_antennas = h.shape
 
     # relative[u, m, j]: phase of antenna j as seen from pivot m for user u
     relative = np.angle(h[:, None, :] * np.conj(h[:, :, None]))
-    members = np.abs(relative) < cfg.phi_rad
+    members = np.abs(relative) < phi_rad
     scores = members.sum(axis=2).astype(np.int64)
 
     # per-user pivot ranking: descending score, stable so ties keep low index
     order = np.argsort(-scores, axis=1, kind="stable")
     position = np.zeros(num_users, dtype=np.int64)
 
-    for level in range(cfg.max_fallbacks + 1):
+    for level in range(max_fallbacks + 1):
         pivots = order[np.arange(num_users), position]
         columns = members[np.arange(num_users), pivots].T.astype(np.int64)
-        if _full_rank(h, columns, cfg.rank_tolerance):
+        if _full_rank(h, columns, rank_tolerance):
             return GroupingResult(
                 matrix=SwitchMatrix(columns),
                 scores=scores,
@@ -127,7 +107,7 @@ def inphase_select(
         position[int(np.argmin(loss))] += 1
 
     raise GroupingError(
-        f"no full-rank switch matrix within {cfg.max_fallbacks} fallbacks"
+        f"no full-rank switch matrix within {max_fallbacks} fallbacks"
     )
 
 

@@ -50,25 +50,18 @@ def _cap_linear(lin: np.ndarray) -> np.ndarray:
     return np.minimum(lin, 10.0 ** (SINR_CAP_DB / 10.0))
 
 
-def sinr(
-    comb: CombinerMatrix,
-    heff: np.ndarray,
-    noise_power: float = 0.0,
-    noise_cov: np.ndarray | None = None,
-) -> np.ndarray:
+def sinr(comb: CombinerMatrix, heff: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     """Per-user post-combining SINR in dB against the true channel heff
-    [chains, users, used bins].
+    [chains, users, used bins] and the chains x chains noise covariance.
 
     P[u, j, f] = sum_c V[u, c, f] * Heff[c, j, f]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
-    the combined per-chain noise ||V_u||^2 * noise_power.  Front ends whose
-    chain noise is correlated (phase-shifter combining) pass the chains x
-    chains covariance instead; the scalar form equals noise_power * I.
-    Bins average in the linear domain over data subcarriers; values cap at
-    +80 dB.
+    the quadratic form V_u C V_u^H of the combiner row with noise_cov.
+    Independent chains of variance sigma2 pass sigma2 * I; front ends whose
+    chain noise is correlated (phase-shifter combining) or uneven (shared
+    switch slots) pass their own C.  Bins average in the linear domain over
+    data subcarriers; values cap at +80 dB.
     """
-    if noise_power < 0:
-        raise ValueError("noise_power must be non-negative")
     data_cols = np.searchsorted(USED_BINS, DATA_BINS)
     v = comb.weights[:, :, data_cols]
     h = heff[:, :, data_cols]
@@ -78,14 +71,13 @@ def sinr(
     idx = np.arange(num_users)
     wanted = power[idx, idx]
     interference = power.sum(axis=1) - wanted
-    if noise_cov is None:
-        noise = np.sum(np.abs(v) ** 2, axis=1) * noise_power
-    else:
-        noise_cov = np.asarray(noise_cov, dtype=np.complex128)
-        if noise_cov.shape != (v.shape[1], v.shape[1]):
-            raise ValueError("noise_cov must be chains x chains")
-        noise = np.real(np.einsum("ucf,cd,udf->uf", v, noise_cov, v.conj()))
-        noise = np.maximum(noise, 0.0)
+    noise_cov = np.asarray(noise_cov, dtype=np.complex128)
+    if noise_cov.shape != (v.shape[1], v.shape[1]):
+        raise ValueError("noise_cov must be chains x chains")
+    # einsum's own loop, not a BLAS product: OpenBLAS threads large products
+    # and its spinning helper thread takes the core a second sweep worker needs
+    noise = np.real(np.einsum("ucf,cd,udf->uf", v, noise_cov, v.conj()))
+    noise = np.maximum(noise, 0.0)
     denom = interference + noise
     with np.errstate(divide="ignore", invalid="ignore"):
         lin = np.where(denom > 0, wanted / np.maximum(denom, 1e-300), np.inf)

@@ -13,12 +13,11 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
 from . import channel, metrics
-from .config import ConfigError, ExperimentConfig, config_digest, with_overrides
+from .config import DROP_MARGIN_M, ConfigError, ExperimentConfig, config_digest, with_overrides
 from .despread import time_despread
 from .dsp import Rng
 from .equalize import (
@@ -29,13 +28,12 @@ from .equalize import (
     zf_weights,
 )
 from .frontend import (
-    FrontendConfig,
     SwitchMatrix,
     capture_hybrid,
     capture_physical,
     capture_switched,
     hybrid_weights,
-    noise_power_for,
+    noise_power,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .waveform import OfdmConfig, OfdmFrame, build_frame, recover_bits
@@ -43,8 +41,6 @@ from .waveform import OfdmConfig, OfdmFrame, build_frame, recover_bits
 # used subcarrier closest to DC (fft bin +1); the antenna selector and the
 # hybrid steering weights see the channel at this single reference bin
 REFERENCE_BIN = 1
-
-CARRIER_HZ = 2.4e9
 
 # derived random-stream purposes; one per independent randomness source
 _P_PAYLOAD, _P_CHANNEL, _P_NOISE, _P_SELECT, _P_PLACE, _P_SYNC = range(1, 7)
@@ -69,10 +65,10 @@ def _payload_bits(cfg: ExperimentConfig, ofdm: OfdmConfig, trial_rng: Rng) -> li
 
 
 def _draw_positions(cfg: ExperimentConfig, rng: Rng) -> list:
-    """Uniform user drops with 1 m wall margin, 0.5 m user spacing and 1 m
-    standoff from the array center; falls back to the bare margin draw when
-    the spacing rejection cannot be met."""
-    margin = 1.0
+    """Uniform user drops with DROP_MARGIN_M wall margin, 0.5 m user spacing
+    and 1 m standoff from the array center; falls back to the bare margin
+    draw when the spacing rejection cannot be met."""
+    margin = DROP_MARGIN_M
     ap = np.array([cfg.ap_x_m, cfg.ap_y_m])
     placed: list = []
     for _ in range(cfg.users):
@@ -112,20 +108,19 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
             positions = [tuple(p) for p in cfg.user_positions]
         else:
             positions = _draw_positions(cfg, trial_rng.derive(_P_PLACE))
-        wavelength = channel.SPEED_OF_LIGHT / CARRIER_HZ
         scene = channel.RoomScene(
             room_x_m=cfg.room_x_m,
             room_y_m=cfg.room_y_m,
             ap_xy_m=(cfg.ap_x_m, cfg.ap_y_m),
             user_xy_m=positions,
-            antenna_offsets_m=channel.ula_offsets(cfg.antennas, wavelength / 2.0),
+            antenna_offsets_m=channel.ula_offsets(cfg.antennas, channel.ARRAY_SPACING_M),
             wall_gammas=(cfg.scene_gamma,) * 4,
         )
         gains = channel.ray_trace(
             scene,
             64,
             max_reflections=cfg.max_reflections,
-            carrier_hz=CARRIER_HZ,
+            carrier_hz=channel.CARRIER_HZ,
             subcarrier_spacing_hz=cfg.bandwidth_hz / 64.0,
         )
         # uplink power control: every user arrives at the configured SNR,
@@ -142,7 +137,12 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
 
 def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> SwitchMatrix:
     if cfg.select == "grouped":
-        return inphase_select(h_ref, cfg.grouping).matrix
+        return inphase_select(
+            h_ref,
+            phi_rad=cfg.phi_rad,
+            rank_tolerance=cfg.rank_tolerance,
+            max_fallbacks=cfg.max_fallbacks,
+        ).matrix
     if cfg.select == "random":
         return random_switch_matrix(cfg.antennas, cfg.users, trial_rng.derive(_P_SELECT))
     return SwitchMatrix(np.eye(cfg.antennas, cfg.users, dtype=np.int64))
@@ -204,37 +204,34 @@ def _run_link(
     """
     rx = channel.apply(gains, frame.tx_streams, frame.cfg.cp_len)
     h_ref = gains[:, :, REFERENCE_BIN]
-    fcfg = FrontendConfig(insertion_loss_db=0.0, snr_db=cfg.snr_db, num_users=frame.num_users)
-    sigma2 = noise_power_for(fcfg, rx)
-    noise_cov = None
+    sigma2 = noise_power(rx, cfg.snr_db, frame.num_users)
 
     if cfg.arch == "switched":
         s = _select_matrix(cfg, h_ref, trial_rng)
-        fcfg = replace(
-            fcfg,
-            insertion_loss_db=cfg.insertion_loss_db,
-            quantizer_bits=cfg.quantizer_bits,
-        )
-        chains = time_despread(capture_switched(rx, s, fcfg, noise_rng), cfg.chains)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
+        capture = capture_switched(
+            rx, s, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
+        )
+        chains = time_despread(capture, cfg.chains)
         truth = true_effective_channel(gains, s.entries, loss_amp)
         # chain k inherits the n-way split noise of its slot
         noise_cov = sigma2 * np.diag(s.entries.sum(axis=0).astype(np.float64))
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         mode = "fully" if cfg.arch == "hbf_full" else "partially"
         weights = hybrid_weights(h_ref, cfg.chains, mode)
-        chains = capture_hybrid(rx, weights, mode, fcfg, noise_rng)
+        chains = capture_hybrid(rx, weights, sigma2, noise_rng)
         truth = true_effective_channel(gains, weights)
         noise_cov = sigma2 * (weights.T @ weights.conj())
     else:  # dbf, and each fdma user's single-antenna link
-        chains = capture_physical(rx, cfg.chains, fcfg, noise_rng)
+        chains = capture_physical(rx, cfg.chains, sigma2, noise_rng)
         truth = true_effective_channel(gains, np.eye(rx.shape[0], cfg.chains))
+        noise_cov = sigma2 * np.eye(cfg.chains)
 
     est = estimate_channel(chains, frame)
     comb = _combiner_weights(cfg, est)
     grids = apply_combiner(chains, frame, comb)
     recovered = recover_bits(frame, grids)
-    sinr_db = metrics.sinr(comb, truth, noise_power=sigma2, noise_cov=noise_cov)
+    sinr_db = metrics.sinr(comb, truth, noise_cov)
     return recovered, sinr_db, metrics.evm(grids, frame.tx_grids)
 
 
@@ -292,46 +289,46 @@ def sweep_combos(cfg: ExperimentConfig, use_sweep: bool = True) -> list:
     return [with_overrides(cfg, **dict(zip(names, values))) for values in grid]
 
 
-def csv_header(num_users: int) -> list:
-    head = ["trial_id", "arch", "M", "K", "users", "snr_db", "seed"]
-    head += [f"sinr_db_u{u}" for u in range(num_users)]
-    head += [
-        "mean_sinr_db",
-        "ber",
-        "goodput_bps",
-        "capacity_bps",
-        "se",
-        "total_mw",
-        "bits_per_joule",
-    ]
-    return head
-
-
 def _fmt(value) -> str:
     return format(float(value), ".10g")
 
 
+# CSV columns in order, as (row key, cell format); "sinr_db" expands to one
+# sinr_db_u<k> column per user
+_CSV_COLUMNS = (
+    ("trial_id", str),
+    ("arch", str),
+    ("M", str),
+    ("K", str),
+    ("users", str),
+    ("snr_db", _fmt),
+    ("seed", str),
+    ("sinr_db", _fmt),
+    ("mean_sinr_db", _fmt),
+    ("ber", _fmt),
+    ("goodput_bps", _fmt),
+    ("capacity_bps", _fmt),
+    ("se", _fmt),
+    ("total_mw", _fmt),
+    ("bits_per_joule", _fmt),
+)
+
+
+def csv_header(num_users: int) -> list:
+    head = []
+    for key, _ in _CSV_COLUMNS:
+        head += [f"sinr_db_u{u}" for u in range(num_users)] if key == "sinr_db" else [key]
+    return head
+
+
 def format_row(row: dict, num_users: int) -> str:
-    cells = [
-        str(row["trial_id"]),
-        row["arch"],
-        str(row["M"]),
-        str(row["K"]),
-        str(row["users"]),
-        _fmt(row["snr_db"]),
-        str(row["seed"]),
-    ]
-    sinr = row["sinr_db"]
-    cells += [_fmt(sinr[u]) if u < len(sinr) else "" for u in range(num_users)]
-    cells += [
-        _fmt(row["mean_sinr_db"]),
-        _fmt(row["ber"]),
-        _fmt(row["goodput_bps"]),
-        _fmt(row["capacity_bps"]),
-        _fmt(row["se"]),
-        _fmt(row["total_mw"]),
-        _fmt(row["bits_per_joule"]),
-    ]
+    cells = []
+    for key, fmt in _CSV_COLUMNS:
+        if key == "sinr_db":
+            sinr = row[key]
+            cells += [fmt(sinr[u]) if u < len(sinr) else "" for u in range(num_users)]
+        else:
+            cells.append(fmt(row[key]))
     return ",".join(cells)
 
 

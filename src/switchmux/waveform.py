@@ -37,19 +37,21 @@ _TAIL = CONV_K - 1
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    fft_size: int = 64
-    cp_len: int = 16
-    data_subcarriers: int = 48
-    pilot_subcarriers: int = 4
-    null_subcarriers: int = 12
-    bits_per_symbol: int = 4
-    code_rate: float = 0.5
+    """Per-user modem settings: the bandwidth B and the training symbols
+    per user.  The 802.11a numerology the modem implements (64-point FFT,
+    16-sample prefix, 48 data bins of QAM-16, rate-1/2 code) is fixed and
+    read from class constants."""
+
     user_bandwidth_hz: float = 10e6
     lts_repeats: int = 2
 
+    fft_size = 64
+    cp_len = 16
+    data_subcarriers = len(DATA_BINS)
+    bits_per_symbol = 4
+    code_rate = 0.5
+
     def __post_init__(self) -> None:
-        if self.data_subcarriers + self.pilot_subcarriers + self.null_subcarriers != self.fft_size:
-            raise ValueError("data + pilot + null must equal fft_size")
         if self.lts_repeats < 1:
             raise ValueError("lts_repeats must be >= 1")
         if self.user_bandwidth_hz <= 0:
@@ -249,7 +251,7 @@ class OfdmFrame:
 
 def _symbol_time(cfg: OfdmConfig, grid_f: np.ndarray) -> np.ndarray:
     body = np.fft.ifft(grid_f) * cfg.tx_scale
-    return np.concatenate([body[-cfg.cp_len :], body]) if cfg.cp_len else body
+    return np.concatenate([body[-cfg.cp_len :], body])
 
 
 def build_frame(cfg: OfdmConfig, payload_bits: list) -> OfdmFrame:

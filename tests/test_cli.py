@@ -100,8 +100,15 @@ def test_module_entry_point():
     [
         ("combiner = nullspace\nsweep.arch = switched, dbf\n", "nullspace"),
         ("users = 4\nsweep.antennas = 2, 8\n", "antenna per user"),
+        ("scenario = raytrace\nscene.room_x_m = 1.5\n", "scene.room_x_m must be >= 2"),
+        ("scenario = raytrace\nscene.ap_y_m = 9\n", "scene.ap_x_m/ap_y_m must lie"),
+        ("scenario = raytrace\nsweep.antennas = 8, 400\n", "array of 400 antennas"),
+        ("sweep.antennas = ,\n", "sweep.antennas needs at least one value"),
     ],
-    ids=["nullspace_with_dbf", "fewer_antennas_than_users"],
+    ids=[
+        "nullspace_with_dbf", "fewer_antennas_than_users", "narrow_room", "ap_outside_room",
+        "array_outside_room", "empty_sweep_list",
+    ],
 )
 def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, message):
     cfg = tmp_path / "grid.cfg"

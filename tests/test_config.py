@@ -39,7 +39,7 @@ class TestParsing:
         assert cfg.antennas == 8
         assert cfg.chains == 4  # resolved to users
         assert cfg.snr_db == 15.0
-        assert cfg.grouping.phi_rad == pytest.approx(np.pi / 3)
+        assert cfg.phi_rad == pytest.approx(np.pi / 3)
         assert cfg.sweep == ()
 
     def test_comments_and_blank_lines_ignored(self):
@@ -113,9 +113,9 @@ class TestUserPositions:
         cfg = cfg_from(
             "users = 2\nscenario = raytrace\n"
             "scene.user0_x_m = 3.0\nscene.user0_y_m = 4.0\n"
-            "scene.user1_x_m = 8.0\nscene.user1_y_m = 9.0\n"
+            "scene.user1_x_m = 8.0\nscene.user1_y_m = 4.5\n"
         )
-        assert cfg.user_positions == ((3.0, 4.0), (8.0, 9.0))
+        assert cfg.user_positions == ((3.0, 4.0), (8.0, 4.5))
 
     def test_partial_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -150,6 +150,33 @@ class TestCrossValidation:
         with pytest.raises(ConfigError):
             cfg_from("grouping.phi_rad = 3.2")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scene.room_x_m = 1.5\n", "scene.room_x_m must be >= 2"),
+            ("scene.room_y_m = 1.9\n", "scene.room_y_m must be >= 2"),
+            ("scene.ap_y_m = 9\n", "scene.ap_x_m/ap_y_m must lie strictly inside"),
+            (
+                "users = 1\nscene.user0_x_m = 13\nscene.user0_y_m = 2\n",
+                "scene.user0_x_m/y_m must lie strictly inside",
+            ),
+            ("antennas = 400\n", "array of 400 antennas"),
+        ],
+        ids=["narrow_room", "shallow_room", "ap_outside", "user_outside", "array_too_long"],
+    )
+    def test_raytrace_room_checked(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg_from("scenario = raytrace\n" + text)
+        cfg_from(text)  # the Rayleigh scenario has no room
+
+    def test_pinned_users_need_no_drop_margin(self):
+        cfg = cfg_from(
+            "scenario = raytrace\nusers = 1\nantennas = 1\ntrials = 1\npayload_symbols = 1\n"
+            "scene.room_x_m = 1.5\nscene.room_y_m = 1.5\nscene.ap_x_m = 0.75\n"
+            "scene.ap_y_m = 0.2\nscene.user0_x_m = 0.75\nscene.user0_y_m = 1.2\n"
+        )
+        assert np.isfinite(runner.run_trial(cfg, 0)["mean_sinr_db"])
+
 
 class TestSweepKeys:
     def test_lists_parse(self):
@@ -160,6 +187,10 @@ class TestSweepKeys:
     def test_sweep_choice_validated(self):
         with pytest.raises(ConfigError):
             cfg_from("sweep.arch = switched, analog")
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigError, match="sweep.antennas needs at least one value"):
+            cfg_from("sweep.antennas = ,")
 
 
 class TestSweepComboValidation:
@@ -218,9 +249,14 @@ class TestSweepComboValidation:
             ({"users": 0}, "users must be >= 1"),
             ({"insertion_loss_db": -1.0}, "frontend.insertion_loss_db must be >= 0"),
             ({"phi_rad": 3.2}, "phi_rad"),
+            ({"phi_rad": 0.0}, r"grouping.phi_rad must lie in \(0, pi/2\]"),
+            ({"rank_tolerance": 0.0}, "grouping.rank_tolerance must be positive"),
+            ({"max_fallbacks": -1}, "grouping.max_fallbacks must be >= 0"),
+            ({"quantizer_bits": -1}, "frontend.quantizer_bits must be >= 0"),
         ],
         ids=[
-            "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi"
+            "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi",
+            "zero_phi", "zero_rank_tolerance", "negative_fallbacks", "negative_quantizer_bits",
         ],
     )
     def test_overrides_run_the_per_key_checks(self, updates, message):

@@ -37,11 +37,6 @@ class TestTimeDespread:
             dphi = np.angle(chains[k] / chains[0])
             assert np.max(np.abs(dphi)) < 1e-9
 
-    def test_round_trip_uncompensated(self):
-        y = random_stream(96, 3)
-        back = time_despread(y, 4, compensate=False).T.reshape(-1)
-        assert np.max(np.abs(back - y)) < 1e-12
-
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             time_despread(random_stream(65, 4), 4)

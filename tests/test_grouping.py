@@ -4,16 +4,16 @@ The two-user hand trace was worked on paper: relative phases inside a 60
 degree cone around each pivot, best pivot per user, then the rank check.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from switchmux.dsp import Rng
-from switchmux.grouping import (
-    GroupingConfig,
-    GroupingError,
-    inphase_select,
-    random_switch_matrix,
-)
+from switchmux.grouping import GroupingError, inphase_select, random_switch_matrix
+
+# the config defaults: a 60 degree cone
+select = partial(inphase_select, phi_rad=np.pi / 3, rank_tolerance=1e-9, max_fallbacks=64)
 
 
 def unit_phases(degrees):
@@ -25,7 +25,7 @@ class TestInphaseSelect:
         # user 1: antennas at 0/100/10/190 deg; only 0 and 10 share a cone
         # user 2: antennas at 0/5/120/10 deg; 0, 5 and 10 share a cone
         h = np.vstack([unit_phases([0, 100, 10, 190]), unit_phases([0, 5, 120, 10])])
-        result = inphase_select(h)
+        result = select(h)
         want = np.array([[1, 1], [0, 1], [1, 0], [0, 1]])
         assert np.array_equal(result.matrix.entries, want)
         assert result.fallback_level == 0
@@ -34,7 +34,7 @@ class TestInphaseSelect:
 
     def test_single_user_equal_phases_turns_all_on(self):
         h = 0.7 * unit_phases([40, 40, 40, 40])[None, :]
-        result = inphase_select(h)
+        result = select(h)
         assert np.array_equal(result.matrix.entries, np.ones((4, 1), dtype=int))
         assert result.scores[0].tolist() == [4, 4, 4, 4]
 
@@ -42,13 +42,13 @@ class TestInphaseSelect:
         row = unit_phases([0, 30, 60, 90])
         h = np.vstack([row, row])
         with pytest.raises(GroupingError):
-            inphase_select(h)
+            select(h)
 
     def test_fallback_restores_rank(self):
         # both users' best pivots pick the same {a0, a1} column; only after
         # demotions does one user move to the lone 90-degree antenna
         h = np.vstack([unit_phases([0, 1, 90]), unit_phases([0, 2, 91])])
-        result = inphase_select(h)
+        result = select(h)
         assert result.fallback_level >= 1
         cols = result.matrix.entries
         assert not np.array_equal(cols[:, 0], cols[:, 1])
@@ -59,24 +59,24 @@ class TestInphaseSelect:
     def test_unit_phase_rotation_keeps_selection(self):
         rng = Rng(101)
         h = rng.normal_complex((3, 8))
-        base = inphase_select(h).matrix.entries
+        base = select(h).matrix.entries
         rotated = h.copy()
         rotated[1] *= np.exp(1j * 2.1)
-        assert np.array_equal(inphase_select(rotated).matrix.entries, base)
+        assert np.array_equal(select(rotated).matrix.entries, base)
 
     def test_positive_scaling_keeps_selection(self):
         rng = Rng(102)
         h = rng.normal_complex((4, 8))
-        base = inphase_select(h).matrix.entries
+        base = select(h).matrix.entries
         scaled = h * np.array([0.1, 3.0, 7.5, 0.4])[:, None]
-        assert np.array_equal(inphase_select(scaled).matrix.entries, base)
+        assert np.array_equal(select(scaled).matrix.entries, base)
 
     def test_deterministic_tie_breaks(self):
         # both users tie across several pivots and collide on the same
         # initial column, forcing tie-broken fallbacks; repeat runs agree
         h = np.vstack([unit_phases([0, 0, 100, 200]), unit_phases([90, 90, 0, 300])])
-        first = inphase_select(h)
-        second = inphase_select(h)
+        first = select(h)
+        second = select(h)
         assert first.fallback_level >= 1
         assert np.array_equal(first.matrix.entries, second.matrix.entries)
         assert first.fallback_level == second.fallback_level
@@ -87,7 +87,7 @@ class TestInphaseSelect:
         diag_power, cross_power = [], []
         for trial in range(1000):
             h = Rng(7, trial).normal_complex((4, 8))
-            effective = h @ inphase_select(h).matrix.entries
+            effective = h @ select(h).matrix.entries
             power = np.abs(effective) ** 2
             eye = np.eye(4, dtype=bool)
             diag_power.append(power[eye].mean())
@@ -96,18 +96,14 @@ class TestInphaseSelect:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            inphase_select(np.ones((3, 2), dtype=complex))
+            select(np.ones((3, 2), dtype=complex))
         with pytest.raises(ValueError):
-            inphase_select(np.zeros((2, 4), dtype=complex))
-        with pytest.raises(ValueError):
-            GroupingConfig(phi_rad=0.0)
-        with pytest.raises(ValueError):
-            GroupingConfig(phi_rad=np.pi)
+            select(np.zeros((2, 4), dtype=complex))
 
     def test_wider_cone_never_shrinks_groups(self):
         h = Rng(103).normal_complex((2, 6))
-        narrow = inphase_select(h, GroupingConfig(phi_rad=np.pi / 6))
-        wide = inphase_select(h, GroupingConfig(phi_rad=np.pi / 2))
+        narrow = select(h, phi_rad=np.pi / 6)
+        wide = select(h, phi_rad=np.pi / 2)
         assert np.all(wide.scores >= narrow.scores)
 
 
