@@ -147,7 +147,7 @@ def check_interference_floor() -> CheckResult:
         est = estimate_channel(chains, frame)
         comb = zf_weights(est)
         grids = apply_combiner(chains, frame, comb)
-        recovered = recover_bits(frame, grids)
+        recovered = recover_bits(grids, frame.payload_lens)
         if any(np.any(r != b) for r, b in zip(recovered, bits)):
             return CheckResult(
                 "interference_floor", False, f"bit errors at users={users} M={ants}"

@@ -8,7 +8,8 @@ power normalization undone), one column per entry of USED_BINS.  The
 digital combiner then inverts that matrix bin by bin: zero-forcing uses
 the pseudo-inverse, null-space combining projects each user onto the
 directions the others cannot reach.  Both null interference exactly on
-full-rank bins.
+full-rank bins.  Zero-forcing works on all bins in one stacked pinv and
+one stacked SVD over heff moved to [bins, chains, users].
 """
 
 from __future__ import annotations
@@ -83,22 +84,19 @@ def estimate_channel(chains: np.ndarray, frame: OfdmFrame) -> np.ndarray:
 
 
 def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
-    """Per-bin pseudo-inverse of the effective channel.
+    """Per-bin pseudo-inverse of the effective channel, all bins stacked.
 
     A bin is erased when the effective matrix has rank below the user count
     at the given singular-value cutoff; its weights are still the truncated
     pseudo-inverse, but downstream symbols are not trusted.
     """
-    chains, users, bins = heff.shape
-    weights = np.empty((users, chains, bins), dtype=np.complex128)
-    erased = np.zeros(bins, dtype=bool)
-    for f in range(bins):
-        a = heff[:, :, f]
-        weights[:, :, f] = np.linalg.pinv(a, rcond=rank_tolerance)
-        sing = np.linalg.svd(a, compute_uv=False)
-        rank = int(np.sum(sing > rank_tolerance * sing[0])) if sing[0] > 0 else 0
-        erased[f] = rank < users
-    return CombinerMatrix(weights=weights, method="zf", erased=erased)
+    users = heff.shape[1]
+    stack = np.moveaxis(heff, 2, 0)  # [bins, chains, users]
+    pinv = np.linalg.pinv(stack, rcond=rank_tolerance)  # [bins, users, chains]
+    weights = np.ascontiguousarray(np.moveaxis(pinv, 0, 2))
+    sing = np.linalg.svd(stack, compute_uv=False)  # [bins, min(chains, users)], descending
+    rank = np.sum(sing > rank_tolerance * sing[:, :1], axis=1)
+    return CombinerMatrix(weights=weights, method="zf", erased=rank < users)
 
 
 def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:

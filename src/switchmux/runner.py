@@ -197,9 +197,10 @@ def _run_link(
     cfg: ExperimentConfig, frame: OfdmFrame, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
 ) -> tuple:
     """Carry one frame through the channel and the configured front end,
-    then estimate, combine and decode it.
+    then estimate and combine it.
 
-    Returns the recovered payloads, the per-user SINR (dB) and the EVM (%).
+    Returns the equalized grids [users, payload symbols, data bins], the
+    per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
     rx = channel.apply(gains, frame.tx_streams, frame.cfg.cp_len)
@@ -230,9 +231,8 @@ def _run_link(
     est = estimate_channel(chains, frame)
     comb = _combiner_weights(cfg, est)
     grids = apply_combiner(chains, frame, comb)
-    recovered = recover_bits(frame, grids)
     sinr_db = metrics.sinr(comb, truth, noise_cov)
-    return recovered, sinr_db, metrics.evm(grids, frame.tx_grids)
+    return grids, sinr_db, metrics.evm(grids, frame.tx_grids)
 
 
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
@@ -240,7 +240,8 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
 
     FDMA users sit in disjoint bands on one antenna, so there is no spatial
     interference: each user is its own single-antenna, single-chain link.
-    Every other architecture carries all users on one link.
+    Every other architecture carries all users on one link.  The links'
+    equalized grids are decoded together in one recover_bits call.
     """
     trial_rng = Rng(cfg.seed, trial_id)
     ofdm = _ofdm(cfg)
@@ -254,18 +255,20 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
     else:
         links = [(bits, gains, noise_rng)]
 
-    recovered, sent, sinrs, evms = [], [], [], []
+    grids, sent, lens, sinrs, evms = [], [], [], [], []
     for link_bits, link_gains, link_rng in links:
         frame = build_frame(ofdm, link_bits)
         try:
             got, sinr_db, evm_pct = _run_link(cfg, frame, link_gains, link_rng, trial_rng)
         except GroupingError:
             return _failed_row(cfg, trial_id)
-        recovered += got
+        grids.append(got)
         sent += frame.payload_bits
+        lens += frame.payload_lens
         sinrs.append(sinr_db)
         evms.append(evm_pct)
 
+    recovered = recover_bits(np.concatenate(grids), lens)
     sinr_db = np.concatenate(sinrs)
     goodput, ber = metrics.goodput_and_ber(recovered, sent, frame.payload_airtime_s)
     cap = metrics.capacity(sinr_db, cfg.bandwidth_hz)

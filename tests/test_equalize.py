@@ -36,6 +36,20 @@ def inject(frame, heff_full):
     return channel.apply(np.transpose(heff_full, (1, 0, 2)), frame.tx_streams, CFG.cp_len)
 
 
+def loop_zf(heff, rank_tolerance=1e-9):
+    """Oracle: zero-forcing weights and erasure flags one bin at a time."""
+    chains, users, bins = heff.shape
+    weights = np.empty((users, chains, bins), dtype=np.complex128)
+    erased = np.zeros(bins, dtype=bool)
+    for f in range(bins):
+        a = heff[:, :, f]
+        weights[:, :, f] = np.linalg.pinv(a, rcond=rank_tolerance)
+        sing = np.linalg.svd(a, compute_uv=False)
+        rank = int(np.sum(sing > rank_tolerance * sing[0])) if sing[0] > 0 else 0
+        erased[f] = rank < users
+    return weights, erased
+
+
 def random_heff(chains, users, seed, per_bin=True):
     rng = Rng(seed, 77)
     if per_bin:
@@ -151,7 +165,8 @@ class TestZeroForcing:
             for u in range(4):
                 cross = np.sum(np.abs(np.delete(p[u], u)) ** 2)
                 assert cross < 1e-6 * np.abs(p[u, u]) ** 2
-        bits = recover_bits(frame, apply_combiner(chains, frame, zf_weights(est)))
+        grids = apply_combiner(chains, frame, zf_weights(est))
+        bits = recover_bits(grids, frame.payload_lens)
         for u in range(4):
             assert np.array_equal(bits[u], frame.payload_bits[u])
 
@@ -177,6 +192,29 @@ class TestZeroForcing:
         grids = apply_combiner(chains, frame, comb)
         data_pos = int(np.searchsorted(DATA_BINS, bad))
         assert np.all(grids[:, :, data_pos] == 0)
+
+    @pytest.mark.parametrize(
+        "chains,users,dead",
+        [
+            (4, 4, None),
+            (8, 4, "rank"),
+            (3, 2, "zero"),
+            (2, 3, None),
+            (64, 8, "rank"),  # dbf's shape
+            (64, 8, "zero"),
+        ],
+    )
+    def test_stacked_matches_per_bin_oracle(self, chains, users, dead):
+        heff = random_heff(chains, users, seed=chains + users)[:, :, USED_BINS]
+        if dead == "rank":
+            heff[:, 1, 9] = 2.0 * heff[:, 0, 9]
+        elif dead == "zero":
+            heff[:, :, 9] = 0.0  # sing[0] == 0
+        comb = zf_weights(heff)
+        weights, erased = loop_zf(heff)
+        assert np.array_equal(comb.weights, weights)
+        assert np.array_equal(comb.erased, erased)
+        assert erased[9] == (dead is not None or chains < users)
 
     def test_bin_permutation_permutes_weights(self):
         heff = random_heff(3, 3, seed=19)[:, :, USED_BINS]
@@ -219,7 +257,8 @@ class TestNullspace:
             off = p - np.diag(np.diag(p))
             assert np.max(np.abs(off)) ** 2 < 1e-6
             assert np.allclose(np.diag(p), 1.0)
-        bits = recover_bits(frame, apply_combiner(chains, frame, nullspace_weights(est)))
+        grids = apply_combiner(chains, frame, nullspace_weights(est))
+        bits = recover_bits(grids, frame.payload_lens)
         for u in range(3):
             assert np.array_equal(bits[u], frame.payload_bits[u])
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from switchmux import runner
+from switchmux import runner, waveform
 from switchmux.config import build_config, parse_config_text, with_overrides
 
 
@@ -106,6 +106,24 @@ class TestRunTrial:
             for t in range(3)
         ]
         assert np.median(diffs) < 1.0
+
+    @pytest.mark.parametrize("arch,chains", [("switched", 4), ("fdma", 1)])
+    def test_one_decode_call_per_trial(self, monkeypatch, arch, chains):
+        # fdma's four one-user links are decoded together, not link by link
+        calls = []
+        decode = waveform.viterbi_decode
+
+        def counted(coded):
+            calls.append(np.shape(coded))
+            return decode(coded)
+
+        monkeypatch.setattr(waveform, "viterbi_decode", counted)
+        cfg = cfg_from(f"users = 4\nantennas = 4\npayload_symbols = 2\narch = {arch}\n"
+                       f"chains = {chains}\n")
+        row = runner.run_trial(cfg, 0)
+        assert math.isfinite(row["ber"])
+        assert len(calls) == 1
+        assert calls[0][0] == 4
 
     def test_nullspace_combiner_runs(self):
         cfg = cfg_from(SMALL + "combiner = nullspace\nsnr_db = 30\n")

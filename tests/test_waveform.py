@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from switchmux.dsp import Rng
 from switchmux.waveform import (
+    CONV_G0,
+    CONV_G1,
     DATA_BINS,
     LTS_FREQ,
     PILOT_BINS,
@@ -31,6 +33,65 @@ def brute_force_decode(coded, n_info):
         if best_d is None or d < best_d:
             best, best_d = bits, d
     return best
+
+
+def _oracle_trellis():
+    """next_state[s, b], branch output out_sym[s, b] and the two
+    predecessors (prev_state, prev_bit)[s, choice] of the 133/171 code,
+    built one transition at a time."""
+    next_state = np.zeros((64, 2), dtype=np.int64)
+    out_sym = np.zeros((64, 2), dtype=np.int64)
+    prev_state = np.zeros((64, 2), dtype=np.int64)
+    prev_bit = np.zeros((64, 2), dtype=np.int64)
+    fill = np.zeros(64, dtype=np.int64)
+    for s in range(64):
+        for b in (0, 1):
+            reg = (b << 6) | s
+            ns = reg >> 1
+            next_state[s, b] = ns
+            out_sym[s, b] = 2 * (bin(reg & CONV_G0).count("1") & 1) + (
+                bin(reg & CONV_G1).count("1") & 1
+            )
+            prev_state[ns, fill[ns]] = s
+            prev_bit[ns, fill[ns]] = b
+            fill[ns] += 1
+    return next_state, out_sym, prev_state, prev_bit
+
+
+NEXT_STATE, OUT_SYM, PREV_STATE, PREV_BIT = _oracle_trellis()
+
+
+def loop_encode(bits):
+    """Oracle: the encoder stepped one input bit at a time."""
+    out = []
+    state = 0
+    for b in list(bits) + [0] * 6:
+        sym = OUT_SYM[state, b]
+        out += [sym >> 1, sym & 1]
+        state = NEXT_STATE[state, b]
+    return np.array(out, dtype=np.int64)
+
+
+def loop_decode(coded):
+    """Oracle: one codeword, one argmin/min per trellis step, then a
+    state-by-state traceback."""
+    steps = len(coded) // 2
+    metrics = np.full(64, 10**9, dtype=np.int64)
+    metrics[0] = 0
+    back = np.zeros((steps, 64), dtype=np.int8)
+    pairs = 2 * coded[0::2] + coded[1::2]
+    ham = np.array([[bin(a ^ b).count("1") for b in range(4)] for a in range(4)])
+    for t in range(steps):
+        cand = metrics[PREV_STATE] + ham[pairs[t]][OUT_SYM[PREV_STATE, PREV_BIT]]
+        back[t] = np.argmin(cand, axis=1)
+        metrics = np.min(cand, axis=1)
+    state = 0
+    bits = np.zeros(steps, dtype=np.int64)
+    for t in range(steps - 1, -1, -1):
+        choice = back[t, state]
+        bits[t] = PREV_BIT[state, choice]
+        state = PREV_STATE[state, choice]
+    return bits[: steps - 6]
 
 
 class TestSubcarrierMaps:
@@ -96,6 +157,47 @@ class TestConvCode:
         with pytest.raises(ValueError):
             conv_encode(np.array([0, 2, 1]))
 
+    @pytest.mark.parametrize(
+        "coded",
+        [np.array([-1, 0] * 20), np.array([2, 0] * 20), np.zeros((2, 2, 20), dtype=int)],
+        ids=["negative", "two", "3-d batch"],
+    )
+    def test_decoder_rejects_non_binary_and_bad_shape(self, coded):
+        with pytest.raises(ValueError):
+            viterbi_decode(coded)
+
+    def test_batch_of_one_keeps_its_rows(self):
+        coded = conv_encode(Rng(3, 1).bits(40))
+        assert viterbi_decode(coded).shape == (40,)
+        assert np.array_equal(viterbi_decode(coded[None, :]), viterbi_decode(coded)[None, :])
+
+    @given(st.integers(0, 200), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_encoder_matches_loop_oracle(self, n, seed):
+        bits = Rng(seed, 4).bits(n)
+        assert np.array_equal(conv_encode(bits), loop_encode(bits))
+
+    @given(
+        st.integers(1, 8),
+        st.integers(7, 120),
+        st.sampled_from(["noisy", "random"]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_decoder_matches_loop_oracle(self, n, steps, kind, seed):
+        # uniformly random bits are far from every codeword, so many
+        # add-compare-select steps tie and the tie rule is exercised
+        rng = Rng(seed, 5)
+        if kind == "random":
+            coded = rng.bits(n * 2 * steps).reshape(n, 2 * steps)
+        else:
+            coded = np.stack([conv_encode(rng.bits(steps - 6)) for _ in range(n)])
+            coded ^= rng.generator.random(coded.shape) < 0.1
+        got = viterbi_decode(coded)
+        assert got.shape == (n, steps - 6)
+        for row, codeword in zip(got, coded):
+            assert np.array_equal(row, loop_decode(codeword))
+
     @given(st.integers(1, 120), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, n, seed):
@@ -160,7 +262,7 @@ class TestFraming:
         cfg = OfdmConfig()
         payloads = [Rng(6, u).bits(cfg.payload_bits_for_symbols(4)) for u in range(4)]
         frame = build_frame(cfg, payloads)
-        got = recover_bits(frame, frame.tx_grids)
+        got = recover_bits(frame.tx_grids, frame.payload_lens)
         for u in range(4):
             assert np.array_equal(got[u], payloads[u])
 
@@ -169,7 +271,7 @@ class TestFraming:
         cfg = OfdmConfig()
         payloads = [Rng(7, u).bits(cfg.payload_bits_for_symbols(2)) for u in range(K)]
         frame = build_frame(cfg, payloads)
-        got = recover_bits(frame, frame.tx_grids)
+        got = recover_bits(frame.tx_grids, frame.payload_lens)
         assert all(np.array_equal(g, p) for g, p in zip(got, payloads))
 
     def test_padding_recorded_and_recovered(self):
@@ -177,8 +279,22 @@ class TestFraming:
         payloads = [Rng(8, 0).bits(101)]  # does not fill whole symbols
         frame = build_frame(cfg, payloads)
         assert frame.payload_lens == [101]
-        got = recover_bits(frame, frame.tx_grids)
+        got = recover_bits(frame.tx_grids, frame.payload_lens)
         assert np.array_equal(got[0], payloads[0])
+
+    def test_mixed_payload_lengths_in_one_call(self):
+        cfg = OfdmConfig()
+        payloads = [Rng(8, u).bits(n) for u, n in enumerate((101, 180, 101, 37))]
+        frame = build_frame(cfg, payloads)
+        got = recover_bits(frame.tx_grids, frame.payload_lens)
+        assert all(np.array_equal(g, p) for g, p in zip(got, payloads))
+
+    @pytest.mark.parametrize("lens", [[180], [180, 180, 180], [10**4, 180]])
+    def test_recover_rejects_lengths_that_do_not_match_the_grids(self, lens):
+        cfg = OfdmConfig()
+        frame = build_frame(cfg, [Rng(8, u).bits(180) for u in range(2)])
+        with pytest.raises(ValueError):
+            recover_bits(frame.tx_grids, lens)
 
     def test_lts_slots_disjoint_and_exclusive(self):
         cfg = OfdmConfig(lts_repeats=2)
