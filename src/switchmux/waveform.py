@@ -150,8 +150,8 @@ def viterbi_decode(coded) -> np.ndarray:
         raise ValueError("too short to contain a terminated codeword")
     pairs = 2 * batch[:, 0::2] + batch[:, 1::2]
     branch = _BRANCH_METRICS[pairs.T]  # [steps, codewords, choice, b, j]
-    # int32 cannot overflow: only the first _TAIL steps carry the 10**9
-    # start penalty, and a path gains at most 2 per step
+    # int32 holds any codeword under 5e8 steps: only the first _TAIL steps
+    # carry the 10**9 start penalty, and a path gains at most 2 per step
     metrics = np.full((n, 64), 10**9, dtype=np.int32)
     metrics[:, 0] = 0
     back = np.empty((steps, n, 2, 32), dtype=bool)
