@@ -93,8 +93,10 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
     users = heff.shape[1]
     stack = np.moveaxis(heff, 2, 0)  # [bins, chains, users]
     pinv = np.linalg.pinv(stack, rcond=rank_tolerance)  # [bins, users, chains]
+    # C-ordered [users, chains, bins], the layout apply_combiner and sinr read
     weights = np.ascontiguousarray(np.moveaxis(pinv, 0, 2))
     sing = np.linalg.svd(stack, compute_uv=False)  # [bins, min(chains, users)], descending
+    # an all-zero bin has no singular value above 0, so its rank is 0
     rank = np.sum(sing > rank_tolerance * sing[:, :1], axis=1)
     return CombinerMatrix(weights=weights, method="zf", erased=rank < users)
 
