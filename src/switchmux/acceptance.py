@@ -5,9 +5,11 @@ and returns a CheckResult with the measured numbers in ``detail``, so a
 failure message states how far off the run landed.  run_all() executes
 the full battery; run_all(quick=True) keeps only the sub-second checks.
 
-The Monte-Carlo checks pin their seeds.  They are regression gates, not
-statistical tests: a code change that shifts the measured medians past
-the documented tolerances is a behavior change and should fail here.
+Each Monte-Carlo check is a config text, holding its seed, trials and
+sweep.* keys, and a verdict over each grid combo's rows.  The rows come
+from runner.run_grid, so ``switchmux sweep`` on the same text writes them.
+The seeds are pinned: the checks are regression gates, not statistical
+tests, and a change that moves a median past its tolerance should fail.
 """
 
 from __future__ import annotations
@@ -41,9 +43,15 @@ def _config(text: str):
     return build_config(parse_config_text(text))
 
 
-def _median_mean_sinr(cfg, trials: int) -> float:
-    vals = [runner.run_trial(cfg, t)["mean_sinr_db"] for t in range(trials)]
-    return float(np.nanmedian(vals))
+def _sweep(text: str) -> list:
+    """(combo, rows) for each grid combo of the config text, in grid order."""
+    combos, rows = runner.run_grid(_config(text))
+    n = combos[0].trials  # trials is not a sweep key
+    return [(combo, rows[i * n : (i + 1) * n]) for i, combo in enumerate(combos)]
+
+
+def _median_sinr(rows) -> float:
+    return float(np.nanmedian([r["mean_sinr_db"] for r in rows]))
 
 
 # --- 1: switching-code arithmetic ------------------------------------------
@@ -87,12 +95,12 @@ def check_code_math() -> CheckResult:
 
 # --- 2: despreading equivalence ---------------------------------------------
 
-def check_despread_equivalence(draws: int = 100) -> CheckResult:
+def check_despread_equivalence() -> CheckResult:
     """Slot slicing and harmonic-shift despreading agree on random input."""
     rng = Rng(1234, 0)
     worst = 0.0
     for K in (1, 2, 4, 8):
-        for d in range(draws):
+        for _ in range(100):
             y = rng.normal_complex(K * 96)
             diff = time_despread(y, K) - freq_despread(y, K)
             worst = max(worst, float(np.max(np.abs(diff))))
@@ -103,29 +111,29 @@ def check_despread_equivalence(draws: int = 100) -> CheckResult:
 
 # --- 3: virtual chains match physical chains --------------------------------
 
-def check_virtual_equals_physical(trials_per_snr: int = 75) -> CheckResult:
+def check_virtual_equals_physical() -> CheckResult:
     """Identity-switched capture+despread tracks per-antenna chains.
 
     The switch insertion-loss constant is zeroed so the comparison
-    isolates the gate-combine-despread path itself.
+    isolates the gate-combine-despread path itself.  select only acts on
+    the switched arm.
     """
-    base = (
+    combos = _sweep(
         "users = 4\nantennas = 4\nscenario = rayleigh\npayload_symbols = 2\n"
-        "seed = 11\nfrontend.insertion_loss_db = 0.0\n"
+        "seed = 11\nfrontend.insertion_loss_db = 0.0\nselect = identity\ntrials = 75\n"
+        "sweep.arch = switched, dbf\nsweep.snr_db = 17, 18, 19, 20\n"
     )
-    diffs = []
-    for snr in (17, 18, 19, 20):
-        sw = _config(base + f"snr_db = {snr}\narch = switched\nselect = identity\n")
-        db = _config(base + f"snr_db = {snr}\narch = dbf\n")
-        a = [runner.run_trial(sw, t)["mean_sinr_db"] for t in range(trials_per_snr)]
-        b = [runner.run_trial(db, t)["mean_sinr_db"] for t in range(trials_per_snr)]
-        diffs.append(float(np.median(a) - np.median(b)))
+    # arch is the outer grid key: the switched SNR points, then the dbf ones
+    medians = [np.median([r["mean_sinr_db"] for r in rows]) for _, rows in combos]
+    half = len(medians) // 2
+    diffs = [float(a - b) for a, b in zip(medians[:half], medians[half:])]
     worst = max(abs(d) for d in diffs)
+    per_arm = sum(len(rows) for _, rows in combos[half:])
     return CheckResult(
         "virtual_equals_physical",
         worst <= 0.5,
         f"median gap per SNR {[round(d, 3) for d in diffs]} dB (|worst| "
-        f"{worst:.3f}, tol 0.5, {4 * trials_per_snr} trials per arm)",
+        f"{worst:.3f}, tol 0.5, {per_arm} trials per arm)",
     )
 
 
@@ -171,18 +179,17 @@ def check_interference_floor() -> CheckResult:
 _FIXED_USERS = ((2.0, 2.5), (4.5, 4.0), (7.5, 4.0), (10.0, 2.5))
 
 
-def check_grouped_vs_random(trials: int = 100) -> CheckResult:
+def check_grouped_vs_random() -> CheckResult:
     """Phase-aligned grouping vs random full-rank matrices, one fixed room."""
     pin = "".join(
         f"scene.user{i}_x_m = {x}\nscene.user{i}_y_m = {y}\n"
         for i, (x, y) in enumerate(_FIXED_USERS)
     )
-    base = (
+    text = (
         "users = 4\nantennas = 8\nsnr_db = 15\nscenario = raytrace\n"
-        "payload_symbols = 2\nseed = 5\n" + pin
+        "payload_symbols = 2\nseed = 5\ntrials = 100\nsweep.select = grouped, random\n" + pin
     )
-    grouped = _median_mean_sinr(_config(base + "select = grouped\n"), trials)
-    random_s = _median_mean_sinr(_config(base + "select = random\n"), trials)
+    grouped, random_s = (_median_sinr(rows) for _, rows in _sweep(text))
     gap = grouped - random_s
     return CheckResult(
         "grouped_vs_random",
@@ -194,7 +201,7 @@ def check_grouped_vs_random(trials: int = 100) -> CheckResult:
 
 # --- 6: more antennas harden the same user load -----------------------------
 
-def check_antenna_hardening(trials: int = 100) -> CheckResult:
+def check_antenna_hardening() -> CheckResult:
     """Both the median SINR and the share of rooms in which every user
     clears 10 dB must rise strictly over M = 4, 6, 8.
 
@@ -204,20 +211,19 @@ def check_antenna_hardening(trials: int = 100) -> CheckResult:
     seed even an exhaustive search over the selector's candidate sets
     reaches only about 83%.
     """
-    base = (
-        "users = 4\nsnr_db = 15\nscenario = raytrace\npayload_symbols = 2\nseed = 2\n"
-    )
     medians, shares = {}, {}
-    for m in (4, 6, 8):
-        cfg = _config(base + f"antennas = {m}\n")
-        rows = [runner.run_trial(cfg, t) for t in range(trials)]
-        medians[m] = float(np.nanmedian([r["mean_sinr_db"] for r in rows]))
+    for cfg, rows in _sweep(
+        "users = 4\nsnr_db = 15\nscenario = raytrace\npayload_symbols = 2\nseed = 2\n"
+        "trials = 100\nsweep.antennas = 4, 6, 8\n"
+    ):
+        m = cfg.antennas
+        medians[m] = _median_sinr(rows)
         ok = sum(
             1
             for r in rows
             if np.all(np.isfinite(r["sinr_db"])) and min(r["sinr_db"]) > 10.0
         )
-        shares[m] = 100.0 * ok / trials
+        shares[m] = 100.0 * ok / len(rows)
     medians_rise = medians[4] < medians[6] < medians[8]
     shares_rise = shares[4] < shares[6] < shares[8]
     return CheckResult(
@@ -245,7 +251,7 @@ def _best_arc_gain(h: np.ndarray) -> float:
     return float(np.max(np.abs(sums) ** 2 / length))
 
 
-def _single_user_gains_db(cfg, trials: int) -> dict:
+def _single_user_gains_db(cfg) -> dict:
     """Median single-user array gains (dB) at the reference bin.
 
     Gains are over one antenna at the runner's power-controlled unit level,
@@ -255,7 +261,7 @@ def _single_user_gains_db(cfg, trials: int) -> dict:
     selection fails contribute no selected-group gain.
     """
     gains = {"mrc": [], "arc": [], "selected": []}
-    for t in range(trials):
+    for t in range(cfg.trials):
         trial_rng = Rng(cfg.seed, t)
         h_ref = runner._draw_channel(cfg, trial_rng)[:, :, runner.REFERENCE_BIN]
         gains["mrc"] += list(np.sum(np.abs(h_ref) ** 2, axis=1))
@@ -270,7 +276,7 @@ def _single_user_gains_db(cfg, trials: int) -> dict:
     return {k: float(10 * np.log10(np.nanmedian(v))) for k, v in gains.items()}
 
 
-def check_large_array_ordering(trials: int = 50) -> CheckResult:
+def check_large_array_ordering() -> CheckResult:
     """Partially-connected HBF < switched <= fully-connected HBF ~= DBF,
     with the switched array within 5 +/- 2 dB of the 64-chain DBF median.
 
@@ -280,23 +286,20 @@ def check_large_array_ordering(trials: int = 50) -> CheckResult:
     loss, and a remainder attributed to the combiner, chiefly the extra
     noise enhancement of the square K x K zero-forcing inverse.
     """
-    base = (
+    combos = _sweep(
         "users = 8\nantennas = 64\nsnr_db = 15\nscenario = raytrace\n"
-        "payload_symbols = 2\nseed = 1\n"
+        "payload_symbols = 2\nseed = 1\ntrials = 50\n"
+        "sweep.arch = switched, dbf, hbf_full, hbf_partial\n"
     )
-    cfgs = {
-        arch: _config(base + f"arch = {arch}\n")
-        for arch in ("switched", "dbf", "hbf_full", "hbf_partial")
-    }
-    med = {arch: _median_mean_sinr(cfg, trials) for arch, cfg in cfgs.items()}
+    med = {cfg.arch: _median_sinr(rows) for cfg, rows in combos}
     gap = med["dbf"] - med["switched"]
     ordering = (
         med["hbf_partial"] < med["switched"] <= med["hbf_full"]
         and abs(med["hbf_full"] - med["dbf"]) <= 2.0
     )
     passed = ordering and 3.0 <= gap <= 7.0
-    sw = cfgs["switched"]
-    g = _single_user_gains_db(sw, trials)
+    sw = combos[0][0]
+    g = _single_user_gains_db(sw)
     loss = sw.insertion_loss_db
     remainder = gap - (g["mrc"] - g["selected"]) - loss
     return CheckResult(
@@ -357,10 +360,10 @@ def check_rate_and_capacity() -> CheckResult:
     two = build_frame(ofdm, [np.zeros(ofdm.payload_bits_for_symbols(2), dtype=np.int64)])
     symbol_s = two.payload_airtime_s - one.payload_airtime_s
     nominal = 4 * per_symbol / symbol_s
-    cfg = _config(
+    [(_, [row])] = _sweep(
         "users = 4\nantennas = 4\narch = fdma\nsnr_db = 40\npayload_symbols = 4\nseed = 3\n"
+        "trials = 1\n"
     )
-    row = runner.run_trial(cfg, 0)
     rate_ok = row["ber"] == 0.0 and abs(nominal - 48e6) < 1e-6
     cap = metrics.capacity(np.full(4, 15.0), 1e7)
     cap_ok = 195e6 <= cap <= 205e6
@@ -375,13 +378,17 @@ def check_rate_and_capacity() -> CheckResult:
 
 # --- 10: tolerance to unsynchronized users ----------------------------------
 
-def check_sync_insensitivity(trials: int = 50) -> CheckResult:
+def check_sync_insensitivity() -> CheckResult:
     base = (
         "users = 4\nantennas = 8\nsnr_db = 20\nscenario = rayleigh\n"
-        "payload_symbols = 2\nseed = 9\n"
+        "payload_symbols = 2\nseed = 9\ntrials = 50\n"
     )
-    aligned = _median_mean_sinr(_config(base + "sync_mode = aligned\n"), trials)
-    offset = _median_mean_sinr(_config(base + "sync_mode = offset\n"), trials)
+    # sync_mode is not a sweep key, so each mode is its own text
+    aligned, offset = (
+        _median_sinr(rows)
+        for mode in ("aligned", "offset")
+        for _, rows in _sweep(base + f"sync_mode = {mode}\n")
+    )
     diff = abs(aligned - offset)
     return CheckResult(
         "sync_insensitivity",
@@ -411,30 +418,22 @@ def check_sweep_determinism() -> CheckResult:
     )
 
 
-_QUICK = (
-    check_code_math,
-    check_despread_equivalence,
-    check_interference_floor,
-    check_power_arithmetic,
-    check_rate_and_capacity,
-    check_sweep_determinism,
-)
-
-_FULL = (
-    check_code_math,
-    check_despread_equivalence,
-    check_virtual_equals_physical,
-    check_interference_floor,
-    check_grouped_vs_random,
-    check_antenna_hardening,
-    check_large_array_ordering,
-    check_power_arithmetic,
-    check_rate_and_capacity,
-    check_sync_insensitivity,
-    check_sweep_determinism,
+# the battery in order, each check with whether the quick battery keeps it
+_BATTERY = (
+    (check_code_math, True),
+    (check_despread_equivalence, True),
+    (check_virtual_equals_physical, False),
+    (check_interference_floor, True),
+    (check_grouped_vs_random, False),
+    (check_antenna_hardening, False),
+    (check_large_array_ordering, False),
+    (check_power_arithmetic, True),
+    (check_rate_and_capacity, True),
+    (check_sync_insensitivity, False),
+    (check_sweep_determinism, True),
 )
 
 
 def run_all(quick: bool = False) -> list:
     """Run the battery in order; quick keeps only the sub-second checks."""
-    return [check() for check in (_QUICK if quick else _FULL)]
+    return [check() for check, fast in _BATTERY if fast or not quick]

@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto library calls: `simulate` runs a single
 config, `sweep` expands its grid keys, `codes` and `power` print the
 closed-form tables, and `validate` runs the self-check suite.  Exit codes:
-0 success, 1 bad config or --workers value or missing file, 2 validation
+0 success, 1 bad config, bad option value or missing file, 2 validation
 failure.
 """
 
@@ -50,6 +50,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_codes(args) -> int:
     K = args.slots
+    if K < 1:
+        raise ConfigError(f"--slots must be >= 1, got {K}")
     all_codes = codes_mod.generate_codes(K)
     print(f"switching codes, {K} slots per period")
     for code in all_codes:
@@ -69,6 +71,8 @@ def _cmd_codes(args) -> int:
 
 def _cmd_power(args) -> int:
     bw = args.bandwidth_hz
+    if min(args.antennas, args.users) < 1 or not bw > 0:
+        raise ConfigError("--antennas and --users must be >= 1, --bandwidth-hz positive")
     rows = [
         ("switched", args.antennas, args.users, bw),
         ("dbf", args.antennas, args.antennas, bw),

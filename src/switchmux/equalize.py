@@ -30,12 +30,9 @@ class CombinerMatrix:
     """
 
     weights: np.ndarray = field(repr=False)
-    method: str
     erased: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.method not in ("zf", "nullspace"):
-            raise ValueError("method must be zf or nullspace")
         if self.weights.ndim != 3:
             raise ValueError("weights must be [users][chains][bins]")
         if self.erased.shape != (self.weights.shape[2],):
@@ -98,7 +95,7 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
     sing = np.linalg.svd(stack, compute_uv=False)  # [bins, min(chains, users)], descending
     # an all-zero bin has no singular value above 0, so its rank is 0
     rank = np.sum(sing > rank_tolerance * sing[:, :1], axis=1)
-    return CombinerMatrix(weights=weights, method="zf", erased=rank < users)
+    return CombinerMatrix(weights=weights, erased=rank < users)
 
 
 def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
@@ -136,7 +133,7 @@ def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> Combine
                 erased[f] = True
                 continue
             weights[u, :, f] = null_vec / gain
-    return CombinerMatrix(weights=weights, method="nullspace", erased=erased)
+    return CombinerMatrix(weights=weights, erased=erased)
 
 
 def apply_combiner(chains: np.ndarray, frame: OfdmFrame, comb: CombinerMatrix) -> np.ndarray:

@@ -73,31 +73,15 @@ class SwitchMatrix:
         """Concatenated per-antenna hex rows, antenna 0 first."""
         return "".join(self.row_hex(m) for m in range(self.num_antennas))
 
-    @classmethod
-    def from_control_word(cls, word: str, num_antennas: int, num_slots: int) -> "SwitchMatrix":
-        digits = max(1, math.ceil(num_slots / 4))
-        if len(word) != num_antennas * digits:
-            raise ValueError("control word length does not match M and K")
-        entries = np.zeros((num_antennas, num_slots), dtype=np.int64)
-        for m in range(num_antennas):
-            value = int(word[m * digits : (m + 1) * digits], 16)
-            if value >> num_slots:
-                raise ValueError("control word sets bits beyond K slots")
-            entries[m] = (value >> np.arange(num_slots)) & 1
-        return cls(entries)
-
 
 def _check_received(rx: np.ndarray) -> None:
     if rx.ndim != 2 or rx.shape[0] < 1:
         raise ValueError("received signals must be [antennas, samples]")
 
 
-def noise_power(rx: np.ndarray, snr_db: float | None, num_users: int) -> float:
+def noise_power(rx: np.ndarray, snr_db: float, num_users: int) -> float:
     """Per-sample noise variance for a B-rate chain at snr_db, referred to
-    the mean per-antenna received power of rx [antennas, samples] per user;
-    snr_db = None is noiseless."""
-    if snr_db is None:
-        return 0.0
+    the mean per-antenna received power of rx [antennas, samples] per user."""
     p_ref = float(np.mean(np.mean(np.abs(rx) ** 2, axis=1))) / num_users
     return p_ref / 10 ** (snr_db / 10)
 

@@ -335,18 +335,10 @@ def format_row(row: dict, num_users: int) -> str:
     return ",".join(cells)
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    out_path: str,
-    workers: int = 1,
-    use_sweep: bool = True,
-) -> int:
-    """Run the grid, write the CSV and its manifest; returns the row count.
-
-    Rows appear in (combo, trial_id) order no matter how many workers run;
-    identical configs therefore reproduce byte-identical files.  workers
-    must be >= 1 and is capped at the machine's CPU count.
-    """
+def run_grid(cfg: ExperimentConfig, workers: int = 1, use_sweep: bool = True) -> tuple:
+    """Run every trial of the grid; returns its combos and their rows in
+    (combo, trial_id) order on any worker count.  workers must be >= 1 and
+    is capped at the machine's CPU count."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -358,7 +350,18 @@ def run_sweep(
             rows = list(pool.map(_trial_task, tasks, chunksize=chunk))
     else:
         rows = [_trial_task(task) for task in tasks]
+    return combos, rows
 
+
+def run_sweep(
+    cfg: ExperimentConfig,
+    out_path: str,
+    workers: int = 1,
+    use_sweep: bool = True,
+) -> int:
+    """Write run_grid's rows as CSV with a manifest; returns the row count.
+    Identical configs reproduce byte-identical files on any worker count."""
+    combos, rows = run_grid(cfg, workers, use_sweep)
     num_users = max(combo.users for combo in combos)
     lines = [",".join(csv_header(num_users))]
     lines += [format_row(row, num_users) for row in rows]

@@ -1,10 +1,13 @@
 """Command line front end: subcommand wiring, output files, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import switchmux
 from switchmux.cli import main
 
 SMALL = "users = 2\nantennas = 4\npayload_symbols = 2\ntrials = 2\nseed = 7\n"
@@ -86,10 +89,14 @@ def test_validate_quick_passes(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = str(Path(switchmux.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "switchmux.cli", "codes", "--slots", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "code 1: 01" in proc.stdout
@@ -136,3 +143,20 @@ def test_out_of_range_seed_exits_1(tmp_path, config_file, capsys, seed):
     assert rc == 1
     assert "error: seed must fit in 64 bits" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["codes", "--slots", "0"], "--slots must be >= 1"),
+        (["power", "--antennas", "0"], "--antennas and --users must be >= 1"),
+        (["power", "--users", "0"], "--antennas and --users must be >= 1"),
+        (["power", "--bandwidth-hz", "-1"], "--bandwidth-hz positive"),
+    ],
+    ids=["zero_slots", "zero_antennas", "zero_users", "negative_bandwidth"],
+)
+def test_bad_table_arguments_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -270,18 +270,9 @@ class TestNullspace:
 
 
 class TestCombinerMatrixValidation:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            CombinerMatrix(
-                weights=np.zeros((1, 1, 2), dtype=complex),
-                method="mmse",
-                erased=np.zeros(2, dtype=bool),
-            )
-
     def test_rejects_mismatched_erasure_length(self):
         with pytest.raises(ValueError):
             CombinerMatrix(
                 weights=np.zeros((1, 1, 2), dtype=complex),
-                method="zf",
                 erased=np.zeros(3, dtype=bool),
             )

@@ -48,18 +48,10 @@ class TestSwitchMatrix:
         assert s.row_hex(0) == "81"
         assert s.to_control_word() == "817E"
 
-    def test_control_word_round_trip(self):
-        g = np.random.Generator(np.random.Philox(key=1))
-        for K in (1, 2, 4, 8, 12):
-            entries = g.integers(0, 2, (6, K))
-            entries[0] = 1  # keep all columns populated
-            s = SwitchMatrix(entries)
-            back = SwitchMatrix.from_control_word(s.to_control_word(), 6, K)
-            assert np.array_equal(back.entries, s.entries)
-
-    def test_from_control_word_rejects_extra_bits(self):
-        with pytest.raises(ValueError):
-            SwitchMatrix.from_control_word("F", 1, 2)
+    def test_twelve_slot_rows_use_three_digits(self):
+        s = SwitchMatrix(np.array([[1] + [0] * 10 + [1], [0] + [1] * 11]))
+        assert s.row_hex(0) == "801"
+        assert s.to_control_word() == "801FFE"
 
 
 class TestCaptureSwitched:
@@ -232,7 +224,6 @@ class TestNoiseAndQuantizer:
         # the reference is the mean per-antenna received power: 2 here
         rx = np.sqrt([[1.0], [3.0]]) * np.ones((2, 100), complex)
         assert noise_power(rx, 10.0, 1) == pytest.approx(0.2)
-        assert noise_power(rx, None, 1) == 0.0
 
     def test_noise_power_measured_fallback(self):
         streams = 2 * np.ones((1, 100), complex)

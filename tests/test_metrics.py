@@ -25,7 +25,7 @@ def flat_effective(matrix):
 
 def identity_combiner(n):
     w = np.repeat(np.eye(n, dtype=complex)[:, :, None], USED_BINS.size, axis=2)
-    return CombinerMatrix(weights=w, method="zf", erased=np.zeros(USED_BINS.size, bool))
+    return CombinerMatrix(weights=w, erased=np.zeros(USED_BINS.size, bool))
 
 
 class TestSinr:
@@ -42,7 +42,7 @@ class TestSinr:
     def test_noise_term_uses_combiner_norm(self):
         truth = flat_effective(np.eye(1))
         w = np.full((1, 1, USED_BINS.size), 2.0, dtype=complex)
-        comb = CombinerMatrix(weights=w, method="zf", erased=np.zeros(USED_BINS.size, bool))
+        comb = CombinerMatrix(weights=w, erased=np.zeros(USED_BINS.size, bool))
         # signal |2|^2, noise |2|^2 * 0.1 -> SINR = 1/0.1
         got = sinr(comb, truth, 0.1 * np.eye(1))
         assert np.allclose(got, 10.0, atol=1e-9)
@@ -58,7 +58,7 @@ class TestSinr:
     def test_correlated_noise_follows_quadratic_form(self):
         truth = flat_effective([[1.0], [1.0]])
         w = np.ones((1, 2, USED_BINS.size), dtype=complex)
-        comb = CombinerMatrix(weights=w, method="zf", erased=np.zeros(USED_BINS.size, bool))
+        comb = CombinerMatrix(weights=w, erased=np.zeros(USED_BINS.size, bool))
         # fully correlated chains: noise |1+1|^2 * 0.1, signal |2|^2
         got = sinr(comb, truth, noise_cov=0.1 * np.ones((2, 2)))
         assert np.allclose(got, 10.0 * np.log10(4.0 / 0.4))

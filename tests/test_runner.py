@@ -212,6 +212,10 @@ class TestRunSweep:
         runner.run_sweep(cfg, str(serial), workers=1)
         runner.run_sweep(cfg, str(parallel), workers=2)
         assert serial.read_bytes() == parallel.read_bytes()
+        combos = runner.sweep_combos(cfg)
+        expected = [runner.run_trial(c, t) for c in combos for t in range(c.trials)]
+        for workers in (1, 2):
+            assert runner.run_grid(cfg, workers) == (combos, expected)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_nonpositive_workers(self, tmp_path, workers):
