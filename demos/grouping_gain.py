@@ -13,6 +13,7 @@ import numpy as np
 
 from switchmux import runner
 from switchmux.config import build_config, parse_config_text
+from switchmux.frontend import control_word
 from switchmux.grouping import inphase_select
 
 TRIALS = 60
@@ -37,9 +38,9 @@ result = inphase_select(
     max_fallbacks=cfg.max_fallbacks,
 )
 print("selected switch matrix (rows antennas, cols virtual chains):")
-print(result.matrix.entries)
-print(f"control word: {result.matrix.to_control_word()}")
-print(f"antennas per chain: {result.matrix.entries.sum(axis=0)}")
+print(result.matrix)
+print(f"control word: {control_word(result.matrix)}")
+print(f"antennas per chain: {result.matrix.sum(axis=0)}")
 
 print(f"\nmedian mean-SINR over {TRIALS} noise draws, same room:")
 for select in ("grouped", "random", "identity"):

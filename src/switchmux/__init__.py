@@ -12,12 +12,12 @@ experiment runner.
 __version__ = "0.1.0"
 
 from .dsp import Rng, fractional_delay
-from .codes import SwitchCode, code_spectrum, generate_codes, phase_matrix
+from .codes import code_spectrum, generate_codes, phase_matrix
 from .config import ConfigError, ExperimentConfig, build_config, load_config, parse_config_text
 from .despread import freq_despread, time_despread
-from .frontend import SwitchMatrix, capture_hybrid, capture_physical, capture_switched
+from .frontend import capture_hybrid, capture_physical, capture_switched, control_word
 from .grouping import GroupingError, inphase_select, random_switch_matrix
-from .channel import RoomScene, ray_trace, rayleigh
+from .channel import ray_trace, rayleigh, ula_positions
 from .waveform import OfdmConfig, build_frame, recover_bits
 from .equalize import (
     apply_combiner,
@@ -32,7 +32,6 @@ from .runner import run_sweep, run_trial, sweep_combos
 __all__ = [
     "Rng",
     "fractional_delay",
-    "SwitchCode",
     "code_spectrum",
     "generate_codes",
     "phase_matrix",
@@ -43,16 +42,16 @@ __all__ = [
     "parse_config_text",
     "freq_despread",
     "time_despread",
-    "SwitchMatrix",
     "capture_hybrid",
     "capture_physical",
     "capture_switched",
+    "control_word",
     "GroupingError",
     "inphase_select",
     "random_switch_matrix",
-    "RoomScene",
     "ray_trace",
     "rayleigh",
+    "ula_positions",
     "OfdmConfig",
     "build_frame",
     "recover_bits",

@@ -61,20 +61,17 @@ def check_code_math() -> CheckResult:
     tol = 1e-9
     worst = 0.0
     for K in (1, 2, 4, 8):
-        family = codes.generate_codes(K)
-        stack = np.array([c.bits for c in family])
+        stack = codes.generate_codes(K)
         if not np.array_equal(stack @ stack.T, np.eye(K, dtype=np.int64)):
             return CheckResult("code_math", False, f"K={K} codes not orthonormal")
         if not np.array_equal(stack.sum(axis=0), np.ones(K, dtype=np.int64)):
             return CheckResult("code_math", False, f"K={K} codes not complete")
         N = 64
-        for code in family:
+        for i, code in enumerate(stack):
             spec = codes.code_spectrum(code, N)
             expected = np.zeros(N, dtype=np.complex128)
             for m in range(K):
-                expected[m * (N // K)] = (N / K) * np.exp(
-                    -2j * np.pi * code.phase_index * m / K
-                )
+                expected[m * (N // K)] = (N / K) * np.exp(-2j * np.pi * i * m / K)
             worst = max(worst, float(np.max(np.abs(spec - expected))))
     if worst >= tol:
         return CheckResult("code_math", False, f"spectrum error {worst:.3e} >= {tol}")
@@ -160,7 +157,7 @@ def check_interference_floor() -> CheckResult:
             return CheckResult(
                 "interference_floor", False, f"bit errors at users={users} M={ants}"
             )
-        truth = true_effective_channel(gains, s.entries)
+        truth = true_effective_channel(gains, s)
         for f in range(truth.shape[2]):
             g = comb.weights[:, :, f] @ truth[:, :, f]
             diag = np.abs(np.diag(g)) ** 2
@@ -267,7 +264,7 @@ def _single_user_gains_db(cfg) -> dict:
         gains["mrc"] += list(np.sum(np.abs(h_ref) ** 2, axis=1))
         gains["arc"] += [_best_arc_gain(h) for h in h_ref]
         try:
-            cols = runner._select_matrix(cfg, h_ref, trial_rng).entries
+            cols = runner._select_matrix(cfg, h_ref, trial_rng)
         except GroupingError:
             gains["selected"] += [np.nan] * cfg.users
             continue

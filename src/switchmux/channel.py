@@ -11,8 +11,6 @@ holds exactly, with no inter-symbol interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .dsp import Rng, signed_bins
@@ -21,6 +19,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 CARRIER_HZ = 2.4e9
 # ray-traced arrays are uniform lines with half-wavelength spacing
 ARRAY_SPACING_M = SPEED_OF_LIGHT / CARRIER_HZ / 2.0
+# a ray-traced user must stand at least this far from every antenna
+MIN_CLEARANCE_M = 1e-6
 
 
 def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> np.ndarray:
@@ -39,99 +39,76 @@ def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> np.ndarray:
     return np.fft.fft(taps, n=F, axis=2)
 
 
-def ula_offsets(M: int, spacing_m: float, axis: str = "x") -> np.ndarray:
-    """Uniform linear array offsets centered on the AP position."""
-    line = (np.arange(M) - (M - 1) / 2.0) * spacing_m
+def ula_positions(M: int, ap_xy) -> np.ndarray:
+    """Antenna positions [M, 2] of the ray-traced array: a uniform line
+    along x with ARRAY_SPACING_M spacing, centered on the AP at ap_xy."""
     out = np.zeros((M, 2))
-    out[:, 0 if axis == "x" else 1] = line
-    return out
+    out[:, 0] = (np.arange(M) - (M - 1) / 2.0) * ARRAY_SPACING_M
+    return out + np.asarray(ap_xy, float)
 
 
-@dataclass(frozen=True)
-class RoomScene:
-    """Rectangular floor plan [0, room_x] x [0, room_y] with reflective walls.
-
-    wall_gammas are the reflection coefficients of the walls at
-    x=0, x=room_x, y=0, y=room_y in that order.
-    """
-
-    room_x_m: float
-    room_y_m: float
-    ap_xy_m: tuple
-    user_xy_m: list
-    antenna_offsets_m: np.ndarray = field(default_factory=lambda: np.zeros((1, 2)))
-    wall_gammas: tuple = (0.6, 0.6, 0.6, 0.6)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "antenna_offsets_m", np.asarray(self.antenna_offsets_m, float))
-        if self.room_x_m <= 0 or self.room_y_m <= 0:
-            raise ValueError("room dimensions must be positive")
-        if len(self.wall_gammas) != 4:
-            raise ValueError("wall_gammas must list 4 walls")
-        for p in [self.ap_xy_m, *self.user_xy_m]:
-            if not (0 < p[0] < self.room_x_m and 0 < p[1] < self.room_y_m):
-                raise ValueError("AP and users must be strictly inside the room")
-        for pos in self.antenna_positions():
-            if not (0 < pos[0] < self.room_x_m and 0 < pos[1] < self.room_y_m):
-                raise ValueError("antenna positions must stay inside the room")
-
-    def antenna_positions(self) -> np.ndarray:
-        return np.asarray(self.ap_xy_m, float)[None, :] + self.antenna_offsets_m
-
-
-def _image_sources(scene: RoomScene, user_xy, max_reflections: int):
-    """Image positions and amplitude coefficients up to two bounces.
+def _image_sources(room_m, user_xy, max_reflections: int):
+    """Image positions and bounce counts up to two bounces in the room
+    [0, room_x] x [0, room_y].
 
     For a rectangle the image lattice is exact: 1 direct image, 4 single
     bounce, 8 double bounce (2 per parallel wall pair + 4 corners).
     """
     sx, sy = float(user_xy[0]), float(user_xy[1])
-    lx, ly = scene.room_x_m, scene.room_y_m
-    gx0, gx1, gy0, gy1 = scene.wall_gammas
-    images = [((sx, sy), 1.0)]
+    lx, ly = float(room_m[0]), float(room_m[1])
+    images = [((sx, sy), 0)]
     if max_reflections >= 1:
         images += [
-            ((-sx, sy), gx0),
-            ((2 * lx - sx, sy), gx1),
-            ((sx, -sy), gy0),
-            ((sx, 2 * ly - sy), gy1),
+            ((-sx, sy), 1),
+            ((2 * lx - sx, sy), 1),
+            ((sx, -sy), 1),
+            ((sx, 2 * ly - sy), 1),
         ]
     if max_reflections >= 2:
         images += [
-            ((sx - 2 * lx, sy), gx1 * gx0),
-            ((sx + 2 * lx, sy), gx0 * gx1),
-            ((sx, sy - 2 * ly), gy1 * gy0),
-            ((sx, sy + 2 * ly), gy0 * gy1),
-            ((-sx, -sy), gx0 * gy0),
-            ((-sx, 2 * ly - sy), gx0 * gy1),
-            ((2 * lx - sx, -sy), gx1 * gy0),
-            ((2 * lx - sx, 2 * ly - sy), gx1 * gy1),
+            ((sx - 2 * lx, sy), 2),
+            ((sx + 2 * lx, sy), 2),
+            ((sx, sy - 2 * ly), 2),
+            ((sx, sy + 2 * ly), 2),
+            ((-sx, -sy), 2),
+            ((-sx, 2 * ly - sy), 2),
+            ((2 * lx - sx, -sy), 2),
+            ((2 * lx - sx, 2 * ly - sy), 2),
         ]
     return images
 
 
 def ray_trace(
-    scene: RoomScene,
+    room_m,
+    antennas_m: np.ndarray,
+    users_m,
     F: int,
-    max_reflections: int = 1,
+    *,
+    gamma: float,
+    max_reflections: int,
     carrier_hz: float = CARRIER_HZ,
     subcarrier_spacing_hz: float = 10e6 / 64,
 ) -> np.ndarray:
-    """Image-source channel: per path, amplitude gamma^bounces / distance and
-    phase e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier."""
+    """Image-source channel [users, antennas, F] for antennas_m [M, 2] and
+    users_m [K, 2] inside the room [0, room_m[0]] x [0, room_m[1]], whose
+    walls all reflect with gamma (the config checks the geometry).  Per
+    path, amplitude gamma^bounces / distance and phase
+    e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier."""
     if max_reflections not in (0, 1, 2):
         raise ValueError("max_reflections must be 0, 1 or 2")
     if F < 1:
         raise ValueError("F must be >= 1")
-    ants = scene.antenna_positions()
-    K, M = len(scene.user_xy_m), len(ants)
+    ants = np.asarray(antennas_m, float)
+    users = np.asarray(users_m, float)
+    amps = (1.0, gamma, gamma * gamma)
     freqs = carrier_hz + signed_bins(F) * subcarrier_spacing_hz
-    gains = np.zeros((K, M, F), dtype=np.complex128)
-    for u, user in enumerate(scene.user_xy_m):
-        direct = np.linalg.norm(ants - np.asarray(user, float)[None, :], axis=1)
-        if np.min(direct) < 1e-6:
+    gains = np.zeros((len(users), len(ants), F), dtype=np.complex128)
+    for u, user in enumerate(users):
+        direct = np.linalg.norm(ants - user[None, :], axis=1)
+        if np.min(direct) < MIN_CLEARANCE_M:
             raise ValueError("user coincides with an antenna position")
-        for (ix, iy), amp in _image_sources(scene, user, max_reflections):
+        for (ix, iy), bounces in _image_sources(room_m, user, max_reflections):
+            amp = amps[bounces]
             if amp == 0.0:
                 continue
             d = np.linalg.norm(ants - np.array([ix, iy])[None, :], axis=1)

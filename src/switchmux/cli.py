@@ -17,7 +17,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import metrics, runner
 from .config import ConfigError, load_config, with_overrides
-from .frontend import SwitchMatrix
+from .frontend import control_word
 
 
 def _load(args) -> "ExperimentConfig":
@@ -54,11 +54,10 @@ def _cmd_codes(args) -> int:
         raise ConfigError(f"--slots must be >= 1, got {K}")
     all_codes = codes_mod.generate_codes(K)
     print(f"switching codes, {K} slots per period")
-    for code in all_codes:
-        pattern = "".join(str(b) for b in code.bits)
-        print(f"  code {code.phase_index}: {pattern}")
-    word = SwitchMatrix.identity(K).to_control_word()
-    print(f"identity control word: {word}")
+    for i, code in enumerate(all_codes):
+        pattern = "".join(str(b) for b in code)
+        print(f"  code {i}: {pattern}")
+    print(f"identity control word: {control_word(all_codes)}")
     print("harmonic phases (degrees), rows = code, cols = harmonic m*B")
     header = "".join(f"{f'm={m}':>10}" for m in range(K))
     print("  " + header)

@@ -8,56 +8,31 @@ one stream sampled at K*B and still be separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SwitchCode:
-    """One period of an on-off switching code: on in exactly one of K slots."""
-
-    num_slots: int
-    phase_index: int
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.int64)
-        object.__setattr__(self, "bits", bits)
-        if self.num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
-        if not 0 <= self.phase_index < self.num_slots:
-            raise ValueError("phase_index out of range")
-        if bits.shape != (self.num_slots,):
-            raise ValueError("bits must have length num_slots")
-        expected = np.zeros(self.num_slots, dtype=np.int64)
-        expected[self.phase_index] = 1
-        if not np.array_equal(bits, expected):
-            raise ValueError("bits must be one-hot at phase_index")
-
-
-def generate_codes(K: int) -> list[SwitchCode]:
-    """The K orthogonal on-off codes; code i is on in slot i."""
+def generate_codes(K: int) -> np.ndarray:
+    """The K orthogonal on-off codes as a K x K int64 identity: row i is
+    code i, on in slot i."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    out = []
-    for i in range(K):
-        bits = np.zeros(K, dtype=np.int64)
-        bits[i] = 1
-        out.append(SwitchCode(K, i, bits))
-    return out
+    return np.eye(K, dtype=np.int64)
 
 
-def code_spectrum(code: SwitchCode, num_samples: int) -> np.ndarray:
-    """DFT of the code repeated to num_samples.
+def code_spectrum(code: np.ndarray, num_samples: int) -> np.ndarray:
+    """DFT of one code period (a row of generate_codes) repeated to
+    num_samples.
 
-    Nonzero only at bins m*(num_samples/K) for m = 0..K-1, each with
-    magnitude num_samples/K and phase -2*pi*phase_index*m/K.
+    For code i of K it is nonzero only at bins m*(num_samples/K) for
+    m = 0..K-1, each with magnitude num_samples/K and phase -2*pi*i*m/K.
     """
-    if num_samples < 1 or num_samples % code.num_slots != 0:
+    code = np.asarray(code)
+    if code.ndim != 1 or code.size < 1:
+        raise ValueError("code must be one period of K slots")
+    K = code.size
+    if num_samples < 1 or num_samples % K != 0:
         raise ValueError("num_samples must be a positive multiple of K")
-    reps = num_samples // code.num_slots
-    return np.fft.fft(np.tile(code.bits, reps).astype(np.complex128))
+    return np.fft.fft(np.tile(code, num_samples // K).astype(np.complex128))
 
 
 def phase_matrix(K: int) -> np.ndarray:

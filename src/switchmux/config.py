@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import ARRAY_SPACING_M, ula_offsets
+from .channel import MIN_CLEARANCE_M, ula_positions
 
 ARCH_CHOICES = ("switched", "dbf", "hbf_full", "hbf_partial", "fdma")
 SELECT_CHOICES = ("grouped", "random", "identity")
@@ -44,9 +44,12 @@ def _int(s: str) -> int:
 
 def _float(s: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {s!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _choice(options):
@@ -182,9 +185,10 @@ def _resolve_chains(cfg: ExperimentConfig) -> int:
 
 
 def _check_room(cfg: ExperimentConfig) -> None:
-    """Raytrace geometry every trial's scene must fit: drawn users need
-    DROP_MARGIN_M of floor inside each wall, and the AP, pinned users and
-    the whole array must lie strictly inside the room."""
+    """Raytrace geometry every trial's scene must fit, checked here only:
+    drawn users need DROP_MARGIN_M of floor inside each wall, the AP,
+    pinned users and the whole array must lie strictly inside the room,
+    and pinned users must keep MIN_CLEARANCE_M from every antenna."""
     if cfg.user_positions is None:
         for key, side in (("scene.room_x_m", cfg.room_x_m), ("scene.room_y_m", cfg.room_y_m)):
             if side < 2 * DROP_MARGIN_M:
@@ -198,10 +202,14 @@ def _check_room(cfg: ExperimentConfig) -> None:
 
     if not inside(cfg.ap_x_m, cfg.ap_y_m):
         raise ConfigError("scene.ap_x_m/ap_y_m must lie strictly inside the room")
+    array = ula_positions(cfg.antennas, (cfg.ap_x_m, cfg.ap_y_m))
     for i, (x, y) in enumerate(cfg.user_positions or ()):
         if not inside(x, y):
             raise ConfigError(f"scene.user{i}_x_m/y_m must lie strictly inside the room")
-    array = ula_offsets(cfg.antennas, ARRAY_SPACING_M) + (cfg.ap_x_m, cfg.ap_y_m)
+        if np.min(np.linalg.norm(array - (x, y), axis=1)) < MIN_CLEARANCE_M:
+            raise ConfigError(
+                f"scene.user{i}_x_m/y_m must keep {MIN_CLEARANCE_M:g} m from every antenna"
+            )
     if not all(inside(x, y) for x, y in array):
         raise ConfigError(f"an array of {cfg.antennas} antennas at the AP must fit in the room")
 

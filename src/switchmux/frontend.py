@@ -28,50 +28,19 @@ gives coherent combining its 10*log10(M) SNR gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import Rng, upsample
 
 
-@dataclass(frozen=True)
-class SwitchMatrix:
-    """M x K binary antenna-to-slot assignment; rows are antennas."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.int64)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2:
-            raise ValueError("entries must be an M x K matrix")
-        if not np.isin(entries, (0, 1)).all():
-            raise ValueError("entries must be binary")
-        if np.any(entries.sum(axis=0) == 0):
-            raise ValueError("every slot column needs at least one antenna")
-
-    @property
-    def num_antennas(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_slots(self) -> int:
-        return self.entries.shape[1]
-
-    @classmethod
-    def identity(cls, K: int) -> "SwitchMatrix":
-        return cls(np.eye(K, dtype=np.int64))
-
-    def row_hex(self, antenna: int) -> str:
-        """Row as a control nibble string, slot 0 at the LSB."""
-        digits = max(1, math.ceil(self.num_slots / 4))
-        value = int(np.sum(self.entries[antenna] << np.arange(self.num_slots)))
-        return format(value, f"0{digits}X")
-
-    def to_control_word(self) -> str:
-        """Concatenated per-antenna hex rows, antenna 0 first."""
-        return "".join(self.row_hex(m) for m in range(self.num_antennas))
+def control_word(S: np.ndarray) -> str:
+    """Switch control word of an M x K 0/1 matrix: one hex row per antenna,
+    antenna 0 first, slot 0 at each row's least significant bit."""
+    S = np.asarray(S, dtype=np.int64)
+    digits = max(1, math.ceil(S.shape[1] / 4))
+    values = S @ (1 << np.arange(S.shape[1]))
+    return "".join(format(int(v), f"0{digits}X") for v in values)
 
 
 def _check_received(rx: np.ndarray) -> None:
@@ -101,7 +70,7 @@ def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
 
 def capture_switched(
     rx: np.ndarray,
-    S: SwitchMatrix,
+    S: np.ndarray,
     sigma2: float,
     rng: Rng,
     *,
@@ -115,22 +84,29 @@ def capture_switched(
     amplitude loss_amp, and summed antenna by antenna. AWGN of B-rate
     variance sigma2 per gated antenna and, for quantizer_bits > 0, a
     uniform quantizer are applied to the combined capture [K*samples].
+    S is the M x K 0/1 switch matrix, rows antennas, columns slots; every
+    slot must gate at least one antenna.
     """
     _check_received(rx)
-    if rx.shape[0] != S.num_antennas:
-        raise ValueError("one stream per switch-matrix row required")
-    K = S.num_slots
+    S = np.asarray(S)
+    if S.ndim != 2 or S.shape[0] != rx.shape[0]:
+        raise ValueError("switch matrix must be M x K with one row per stream")
+    if not np.isin(S, (0, 1)).all():
+        raise ValueError("switch matrix entries must be 0 or 1")
+    if np.any(S.sum(axis=0) == 0):
+        raise ValueError("every slot column needs at least one antenna")
+    K = S.shape[1]
     reps = rx.shape[1]  # one period of K slot samples per input sample
     total = np.zeros(reps * K, dtype=np.complex128)
     for m, signal in enumerate(rx):
-        gate = np.tile(S.entries[m], reps)
+        gate = np.tile(S[m], reps)
         total += upsample(signal, K) * gate
     total *= loss_amp
     if sigma2 > 0:
         # a slot that joins n antennas pays an n-way passive split before
         # the shared LNA, so referred to the unit combiner gain used above
         # its samples carry n times the single-branch noise power
-        occupancy = np.tile(S.entries.sum(axis=0), reps).astype(np.float64)
+        occupancy = np.tile(S.sum(axis=0), reps).astype(np.float64)
         total = total + rng.normal_complex(total.size) * np.sqrt(sigma2 * occupancy)
     if quantizer_bits:
         total = quantize(total, quantizer_bits)

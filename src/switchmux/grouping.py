@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import Rng
-from .frontend import SwitchMatrix
 
 
 class GroupingError(RuntimeError):
@@ -27,12 +26,12 @@ class GroupingError(RuntimeError):
 class GroupingResult:
     """Outcome of a grouped selection.
 
-    matrix: the chosen switch matrix (full rank against the reference channel).
+    matrix: the chosen M x K 0/1 int64 switch matrix, full rank against h_ref.
     scores: [user][pivot] sizes of the in-cone antenna sets.
     fallback_level: number of next-best substitutions that were needed.
     """
 
-    matrix: SwitchMatrix
+    matrix: np.ndarray
     scores: np.ndarray = field(repr=False)
     fallback_level: int = 0
 
@@ -91,11 +90,7 @@ def inphase_select(
         pivots = order[np.arange(num_users), position]
         columns = members[np.arange(num_users), pivots].T.astype(np.int64)
         if _full_rank(h, columns, rank_tolerance):
-            return GroupingResult(
-                matrix=SwitchMatrix(columns),
-                scores=scores,
-                fallback_level=level,
-            )
+            return GroupingResult(matrix=columns, scores=scores, fallback_level=level)
 
         movable = position + 1 < num_antennas
         if not np.any(movable):
@@ -113,8 +108,8 @@ def inphase_select(
 
 def random_switch_matrix(
     num_antennas: int, num_slots: int, rng: Rng, max_draws: int = 10000
-) -> SwitchMatrix:
-    """Draw a uniform binary switch matrix, rejecting degenerate ones.
+) -> np.ndarray:
+    """Draw a uniform M x K 0/1 int64 switch matrix, rejecting degenerate ones.
 
     Resamples until every slot column is nonempty and the matrix has full
     column rank, so the draw is always usable by the digital combiner.
@@ -127,5 +122,5 @@ def random_switch_matrix(
         if np.any(entries.sum(axis=0) == 0):
             continue
         if np.linalg.matrix_rank(entries) == num_slots:
-            return SwitchMatrix(entries)
+            return entries
     raise RuntimeError(f"no full-rank binary matrix in {max_draws} draws")

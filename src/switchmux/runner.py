@@ -28,7 +28,6 @@ from .equalize import (
     zf_weights,
 )
 from .frontend import (
-    SwitchMatrix,
     capture_hybrid,
     capture_physical,
     capture_switched,
@@ -105,22 +104,16 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
         )
     else:
         if cfg.user_positions is not None:
-            positions = [tuple(p) for p in cfg.user_positions]
+            positions = cfg.user_positions
         else:
             positions = _draw_positions(cfg, trial_rng.derive(_P_PLACE))
-        scene = channel.RoomScene(
-            room_x_m=cfg.room_x_m,
-            room_y_m=cfg.room_y_m,
-            ap_xy_m=(cfg.ap_x_m, cfg.ap_y_m),
-            user_xy_m=positions,
-            antenna_offsets_m=channel.ula_offsets(cfg.antennas, channel.ARRAY_SPACING_M),
-            wall_gammas=(cfg.scene_gamma,) * 4,
-        )
         gains = channel.ray_trace(
-            scene,
+            (cfg.room_x_m, cfg.room_y_m),
+            channel.ula_positions(cfg.antennas, (cfg.ap_x_m, cfg.ap_y_m)),
+            positions,
             64,
+            gamma=cfg.scene_gamma,
             max_reflections=cfg.max_reflections,
-            carrier_hz=channel.CARRIER_HZ,
             subcarrier_spacing_hz=cfg.bandwidth_hz / 64.0,
         )
         # uplink power control: every user arrives at the configured SNR,
@@ -135,7 +128,8 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
     return gains
 
 
-def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> SwitchMatrix:
+def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> np.ndarray:
+    """The trial's M x K 0/1 int64 switch matrix."""
     if cfg.select == "grouped":
         return inphase_select(
             h_ref,
@@ -145,7 +139,7 @@ def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> 
         ).matrix
     if cfg.select == "random":
         return random_switch_matrix(cfg.antennas, cfg.users, trial_rng.derive(_P_SELECT))
-    return SwitchMatrix(np.eye(cfg.antennas, cfg.users, dtype=np.int64))
+    return np.eye(cfg.antennas, cfg.users, dtype=np.int64)
 
 
 def _combiner_weights(cfg: ExperimentConfig, heff: np.ndarray):
@@ -214,9 +208,9 @@ def _run_link(
             rx, s, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
         )
         chains = time_despread(capture, cfg.chains)
-        truth = true_effective_channel(gains, s.entries, loss_amp)
+        truth = true_effective_channel(gains, s, loss_amp)
         # chain k inherits the n-way split noise of its slot
-        noise_cov = sigma2 * np.diag(s.entries.sum(axis=0).astype(np.float64))
+        noise_cov = sigma2 * np.diag(s.sum(axis=0).astype(np.float64))
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         mode = "fully" if cfg.arch == "hbf_full" else "partially"
         weights = hybrid_weights(h_ref, cfg.chains, mode)

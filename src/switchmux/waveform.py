@@ -227,7 +227,6 @@ class OfdmFrame:
     payload_bits: list
     payload_lens: list
     num_payload_symbols: int
-    lts_slots: list
     tx_streams: np.ndarray = field(repr=False)
     tx_grids: np.ndarray = field(repr=False)
 
@@ -248,7 +247,8 @@ class OfdmFrame:
         return self.num_payload_symbols * self.cfg.symbol_duration_s
 
     def user_lts_symbol_indices(self, user: int) -> np.ndarray:
-        start = self.lts_slots[user]
+        # the preamble holds one block of lts_repeats symbols per user
+        start = user * self.cfg.lts_repeats
         return np.arange(start, start + self.cfg.lts_repeats)
 
 
@@ -298,7 +298,6 @@ def build_frame(cfg: OfdmConfig, payload_bits: list) -> OfdmFrame:
         payload_bits=[np.asarray(b, dtype=np.int64) for b in payload_bits],
         payload_lens=[len(b) for b in payload_bits],
         num_payload_symbols=num_payload_symbols,
-        lts_slots=[u * cfg.lts_repeats for u in range(K)],
         tx_streams=streams.reshape(K, -1),
         tx_grids=grids,
     )

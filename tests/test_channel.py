@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from switchmux.channel import (
+    ARRAY_SPACING_M,
+    MIN_CLEARANCE_M,
     SPEED_OF_LIGHT,
-    RoomScene,
     apply,
     rayleigh,
     ray_trace,
-    ula_offsets,
+    ula_positions,
     with_user_delays,
 )
 from switchmux.dsp import Rng
@@ -50,81 +51,87 @@ class TestRayleigh:
             rayleigh(0, 1, 1, Rng(1))
 
 
-class TestRoomScene:
-    def test_rejects_outside_user(self):
-        with pytest.raises(ValueError):
-            RoomScene(12.0, 5.0, (6.0, 2.5), [(13.0, 1.0)])
-
-    def test_rejects_antenna_leaving_room(self):
-        with pytest.raises(ValueError):
-            RoomScene(12.0, 5.0, (0.05, 2.5), [(6.0, 2.0)], ula_offsets(8, 0.0625))
-
+class TestUlaPositions:
     def test_antenna_positions(self):
-        scene = RoomScene(12.0, 5.0, (6.0, 2.5), [(3.0, 1.0)], ula_offsets(2, 0.5))
-        pos = scene.antenna_positions()
-        assert np.allclose(pos, [[5.75, 2.5], [6.25, 2.5]])
+        # half-wavelength line along x, centered on the AP
+        pos = ula_positions(3, (6.0, 2.5))
+        s = ARRAY_SPACING_M
+        assert np.allclose(pos, [[6.0 - s, 2.5], [6.0, 2.5], [6.0 + s, 2.5]])
+        assert np.allclose(ula_positions(1, (6.0, 2.5)), [[6.0, 2.5]])
+
+
+ROOM = (12.0, 5.0)
+
+
+def trace(room, ants, users, F, max_reflections, gamma=0.6, **kwargs):
+    return ray_trace(room, ants, users, F, gamma=gamma, max_reflections=max_reflections, **kwargs)
 
 
 class TestRayTrace:
     def test_los_only_magnitude_and_phase(self):
         d = 4.0
-        scene = RoomScene(12.0, 5.0, (2.0, 2.0), [(6.0, 2.0)])
-        chan = ray_trace(scene, 1, max_reflections=0, carrier_hz=2.4e9)
+        chan = trace(ROOM, [(2.0, 2.0)], [(6.0, 2.0)], 1, 0, carrier_hz=2.4e9)
         h = chan[0, 0, 0]
         assert abs(abs(h) - 1 / d) < 1e-12
         want = -2 * np.pi * 2.4e9 * d / SPEED_OF_LIGHT
         assert abs(np.angle(h) - ((want + np.pi) % (2 * np.pi) - np.pi)) < 1e-9
 
     def test_colocated_antennas_identical(self):
-        scene = RoomScene(12.0, 5.0, (2.0, 2.0), [(6.0, 3.0)], np.zeros((3, 2)))
-        chan = ray_trace(scene, 4, max_reflections=2)
+        chan = trace(ROOM, [(2.0, 2.0)] * 3, [(6.0, 3.0)], 4, 2)
         assert np.allclose(chan[:, 0, :], chan[:, 1, :])
         assert np.allclose(chan[:, 0, :], chan[:, 2, :])
 
-    def test_single_wall_two_paths(self):
-        # only the y=0 wall reflects; oracle is the explicit 2-path sum
+    def test_one_gamma_five_paths(self):
+        # every wall reflects with one gamma; the oracle is the explicit sum
+        # of the direct path and the four single-bounce mirror images
         gam = 0.6
         ap, user = np.array([2.0, 2.0]), np.array([7.0, 1.0])
-        scene = RoomScene(12.0, 5.0, tuple(ap), [tuple(user)], wall_gammas=(0, 0, gam, 0))
-        chan = ray_trace(scene, 8, max_reflections=1, carrier_hz=2.4e9)
-        d_los = np.linalg.norm(user - ap)
-        d_ref = np.linalg.norm(np.array([user[0], -user[1]]) - ap)
+        chan = trace(ROOM, [ap], [user], 8, 1, gamma=gam, carrier_hz=2.4e9)
         freqs = 2.4e9 + np.fft.fftfreq(8, 1 / 8) * 10e6 / 64
-        want = np.exp(-2j * np.pi * freqs * d_los / SPEED_OF_LIGHT) / d_los
-        want = want + gam * np.exp(-2j * np.pi * freqs * d_ref / SPEED_OF_LIGHT) / d_ref
+        images = [
+            (user, 1.0),
+            ((-user[0], user[1]), gam),
+            ((2 * 12.0 - user[0], user[1]), gam),
+            ((user[0], -user[1]), gam),
+            ((user[0], 2 * 5.0 - user[1]), gam),
+        ]
+        want = np.zeros(8, dtype=complex)
+        for pos, amp in images:
+            d = np.linalg.norm(np.asarray(pos) - ap)
+            want += amp * np.exp(-2j * np.pi * freqs * d / SPEED_OF_LIGHT) / d
         assert np.max(np.abs(chan[0, 0] - want)) < 1e-9
+        # gamma = 0 leaves the direct path alone
+        los = trace(ROOM, [ap], [user], 8, 1, gamma=0.0, carrier_hz=2.4e9)
+        d_los = np.linalg.norm(user - ap)
+        direct = np.exp(-2j * np.pi * freqs * d_los / SPEED_OF_LIGHT) / d_los
+        assert np.max(np.abs(los[0, 0] - direct)) < 1e-12
 
     def test_far_broadside_user_in_phase(self):
         # half-wavelength pair, user far away broadside: < 1 degree apart
-        lam = SPEED_OF_LIGHT / 2.4e9
-        scene = RoomScene(
-            200.0, 200.0, (100.0, 1.0), [(100.0, 180.0)], ula_offsets(2, lam / 2)
-        )
-        chan = ray_trace(scene, 1, max_reflections=0)
+        chan = trace((200.0, 200.0), ula_positions(2, (100.0, 1.0)), [(100.0, 180.0)], 1, 0)
         dphi = np.angle(chan[0, 0, 0] / chan[0, 1, 0])
         assert abs(dphi) < np.deg2rad(1.0)
 
     def test_reciprocity_of_path_lengths(self):
         a, b = (3.0, 2.0), (9.0, 4.0)
-        fwd = ray_trace(RoomScene(12.0, 5.0, a, [b]), 1, max_reflections=2)
-        rev = ray_trace(RoomScene(12.0, 5.0, b, [a]), 1, max_reflections=2)
+        fwd = trace(ROOM, [a], [b], 1, 2)
+        rev = trace(ROOM, [b], [a], 1, 2)
         assert abs(abs(fwd[0, 0, 0]) - abs(rev[0, 0, 0])) < 1e-12
 
     def test_los_magnitude_decreases_with_distance(self):
-        scene = RoomScene(30.0, 5.0, (1.0, 2.5), [(x, 2.5) for x in (5.0, 10.0, 20.0)])
-        chan = ray_trace(scene, 1, max_reflections=0)
+        chan = trace((30.0, 5.0), [(1.0, 2.5)], [(x, 2.5) for x in (5.0, 10.0, 20.0)], 1, 0)
         mags = np.abs(chan[:, 0, 0])
         assert mags[0] > mags[1] > mags[2]
 
     def test_user_at_antenna_errors(self):
-        scene = RoomScene(12.0, 5.0, (2.0, 2.0), [(2.0, 2.0)])
-        with pytest.raises(ValueError):
-            ray_trace(scene, 1, max_reflections=0)
+        with pytest.raises(ValueError, match="coincides"):
+            trace(ROOM, [(2.0, 2.0)], [(2.0, 2.0)], 1, 0)
+        with pytest.raises(ValueError, match="coincides"):
+            trace(ROOM, [(2.0, 2.0)], [(2.0 + MIN_CLEARANCE_M / 2, 2.0)], 1, 0)
 
     def test_rejects_deep_reflections(self):
-        scene = RoomScene(12.0, 5.0, (2.0, 2.0), [(6.0, 2.0)])
         with pytest.raises(ValueError):
-            ray_trace(scene, 1, max_reflections=3)
+            trace(ROOM, [(2.0, 2.0)], [(6.0, 2.0)], 1, 3)
 
 
 class TestApply:

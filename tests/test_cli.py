@@ -111,10 +111,15 @@ def test_module_entry_point():
         ("scenario = raytrace\nscene.ap_y_m = 9\n", "scene.ap_x_m/ap_y_m must lie"),
         ("scenario = raytrace\nsweep.antennas = 8, 400\n", "array of 400 antennas"),
         ("sweep.antennas = ,\n", "sweep.antennas needs at least one value"),
+        (
+            "scenario = raytrace\nusers = 1\nscene.user0_x_m = 6.0\nscene.user0_y_m = 0.5\n"
+            "sweep.antennas = 2, 1\n",
+            "scene.user0_x_m/y_m must keep",
+        ),
     ],
     ids=[
         "nullspace_with_dbf", "fewer_antennas_than_users", "narrow_room", "ap_outside_room",
-        "array_outside_room", "empty_sweep_list",
+        "array_outside_room", "empty_sweep_list", "user_on_an_antenna",
     ],
 )
 def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, message):

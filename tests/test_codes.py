@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchmux.codes import SwitchCode, code_spectrum, generate_codes, phase_matrix
+from switchmux.codes import code_spectrum, generate_codes, phase_matrix
 
 
 def closed_form_spectrum(K, phase_index, num_samples):
@@ -19,19 +19,17 @@ def closed_form_spectrum(K, phase_index, num_samples):
 
 class TestGenerateCodes:
     def test_k4_bits(self):
-        want = np.eye(4, dtype=int)
+        # row i is code i, on in slot i only
         got = generate_codes(4)
-        for i in range(4):
-            assert got[i].phase_index == i
-            assert np.array_equal(got[i].bits, want[i])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.eye(4, dtype=int))
 
     def test_k1_all_on(self):
         (code,) = generate_codes(1)
-        assert np.array_equal(code.bits, [1])
+        assert np.array_equal(code, [1])
 
     def test_k8_orthogonal_and_complete(self):
-        codes = generate_codes(8)
-        stack = np.array([c.bits for c in codes])
+        stack = generate_codes(8)
         assert np.array_equal(stack @ stack.T, np.eye(8, dtype=int))
         assert np.array_equal(stack.sum(axis=0), np.ones(8, dtype=int))
 
@@ -39,20 +37,14 @@ class TestGenerateCodes:
         with pytest.raises(ValueError):
             generate_codes(0)
 
-    def test_switchcode_validation(self):
-        with pytest.raises(ValueError):
-            SwitchCode(4, 1, np.array([1, 1, 0, 0]))
-        with pytest.raises(ValueError):
-            SwitchCode(4, 5, np.array([0, 0, 0, 1]))
-
 
 class TestCodeSpectrum:
     @pytest.mark.parametrize("K", [1, 2, 4, 8])
     def test_matches_closed_form(self, K):
         n = 64
-        for code in generate_codes(K):
+        for i, code in enumerate(generate_codes(K)):
             got = code_spectrum(code, n)
-            want = closed_form_spectrum(K, code.phase_index, n)
+            want = closed_form_spectrum(K, i, n)
             assert np.max(np.abs(got - want)) < 1e-9
 
     def test_k4_code1_peaks(self):
@@ -81,6 +73,8 @@ class TestCodeSpectrum:
     def test_rejects_nondivisible_length(self):
         with pytest.raises(ValueError):
             code_spectrum(generate_codes(4)[0], 62)
+        with pytest.raises(ValueError, match="one period"):
+            code_spectrum(generate_codes(4), 64)  # the whole family, not one row
 
 
 class TestPhaseMatrix:
@@ -118,7 +112,7 @@ class TestPhaseMatrix:
 @settings(max_examples=40, deadline=None)
 def test_spectrum_closed_form_property(K, reps):
     n = K * reps
-    for code in generate_codes(K):
+    for i, code in enumerate(generate_codes(K)):
         got = code_spectrum(code, n)
-        want = closed_form_spectrum(K, code.phase_index, n)
+        want = closed_form_spectrum(K, i, n)
         assert np.max(np.abs(got - want)) < 1e-9

@@ -19,6 +19,7 @@ from switchmux.config import (
     load_config,
     parse_config_text,
     with_overrides,
+    _float,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -161,8 +162,15 @@ class TestCrossValidation:
                 "scene.user0_x_m/y_m must lie strictly inside",
             ),
             ("antennas = 400\n", "array of 400 antennas"),
+            (
+                "users = 1\nantennas = 1\nscene.user0_x_m = 6.0\nscene.user0_y_m = 0.5\n",
+                "scene.user0_x_m/y_m must keep 1e-06 m from every antenna",
+            ),
         ],
-        ids=["narrow_room", "shallow_room", "ap_outside", "user_outside", "array_too_long"],
+        ids=[
+            "narrow_room", "shallow_room", "ap_outside", "user_outside", "array_too_long",
+            "user_on_antenna",
+        ],
     )
     def test_raytrace_room_checked(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -176,6 +184,23 @@ class TestCrossValidation:
             "scene.ap_y_m = 0.2\nscene.user0_x_m = 0.75\nscene.user0_y_m = 1.2\n"
         )
         assert np.isfinite(runner.run_trial(cfg, 0)["mean_sinr_db"])
+
+
+# every key the table parses as a float, its sweep key if it has one, and a
+# pinned user coordinate
+_FLOATS = [f.metadata for f in fields(ExperimentConfig) if f.metadata.get("parse") is _float]
+FLOAT_KEYS = [m["key"] for m in _FLOATS] + ["scene.user0_x_m"]
+FLOAT_KEYS += ["sweep." + m["key"] for m in _FLOATS if m["sweep"] is not None]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_rejected(key, value):
+    text = f"{key} = {value}\n"
+    if key.startswith("sweep."):
+        text = f"{key} = 10, {value}\n"
+    with pytest.raises(ConfigError, match="expected a finite number"):
+        cfg_from(text)
 
 
 class TestSweepKeys:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from switchmux.codes import generate_codes
 from switchmux.despread import time_despread
 from switchmux.dsp import Rng, upsample
 from switchmux.frontend import (
-    SwitchMatrix,
     capture_hybrid,
     capture_physical,
     capture_switched,
+    control_word,
     hybrid_weights,
     noise_power,
     quantize,
@@ -21,49 +22,38 @@ def random_streams(m, n, seed):
     return np.stack([g.standard_normal(n) + 1j * g.standard_normal(n) for _ in range(m)])
 
 
-class TestSwitchMatrix:
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            SwitchMatrix(np.array([[2, 0], [0, 1]]))
-
-    def test_rejects_silent_column(self):
-        with pytest.raises(ValueError):
-            SwitchMatrix(np.array([[1, 0], [1, 0]]))
-
-    def test_identity(self):
-        s = SwitchMatrix.identity(4)
-        assert np.array_equal(s.entries, np.eye(4, dtype=int))
+class TestControlWord:
+    def test_identity_codes(self):
+        # the K codes are the identity switch matrix: antenna k on in slot k
+        assert control_word(generate_codes(4)) == "1248"
 
     def test_row_hex_lsb_is_slot_zero(self):
-        s = SwitchMatrix(np.array([[1, 0, 1, 0], [0, 1, 1, 1]]))
-        assert s.row_hex(0) == "5"
-        assert s.row_hex(1) == "E"
-        assert s.to_control_word() == "5E"
+        S = np.array([[1, 0, 1, 0], [0, 1, 1, 1]])
+        assert control_word(S[:1]) == "5"
+        assert control_word(S[1:]) == "E"
+        assert control_word(S) == "5E"
 
     def test_wide_rows_use_two_digits(self):
-        rows = np.array(
-            [[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 1, 1, 1, 1, 0]], dtype=int
-        )
-        s = SwitchMatrix(rows)
-        assert s.row_hex(0) == "81"
-        assert s.to_control_word() == "817E"
+        S = np.array([[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 1, 1, 1, 1, 0]], dtype=int)
+        assert control_word(S[:1]) == "81"
+        assert control_word(S) == "817E"
 
     def test_twelve_slot_rows_use_three_digits(self):
-        s = SwitchMatrix(np.array([[1] + [0] * 10 + [1], [0] + [1] * 11]))
-        assert s.row_hex(0) == "801"
-        assert s.to_control_word() == "801FFE"
+        S = np.array([[1] + [0] * 10 + [1], [0] + [1] * 11])
+        assert control_word(S[:1]) == "801"
+        assert control_word(S) == "801FFE"
 
 
 class TestCaptureSwitched:
     def test_single_antenna_single_slot_identity(self):
         x = random_streams(1, 64, 2)
-        y = capture_switched(x, SwitchMatrix(np.array([[1]])), NOISELESS, Rng(1))
+        y = capture_switched(x, np.array([[1]]), NOISELESS, Rng(1))
         assert y.shape == (64,)
         assert np.max(np.abs(y - x[0])) < 1e-12
 
     def test_identity_matrix_interleaves_interpolated_antennas(self):
         streams = random_streams(4, 32, 3)
-        y = capture_switched(streams, SwitchMatrix.identity(4), NOISELESS, Rng(1))
+        y = capture_switched(streams, np.eye(4, dtype=int), NOISELESS, Rng(1))
         assert y.shape == (4 * 32,)
         for k in range(4):
             up = upsample(streams[k], 4)
@@ -71,7 +61,7 @@ class TestCaptureSwitched:
 
     def test_shared_slot_sums_antennas(self):
         streams = random_streams(2, 32, 4)
-        S = SwitchMatrix(np.array([[1, 0], [1, 1]]))
+        S = np.array([[1, 0], [1, 1]])
         y = capture_switched(streams, S, NOISELESS, Rng(1))
         a = upsample(streams[0], 2)
         b = upsample(streams[1], 2)
@@ -81,7 +71,7 @@ class TestCaptureSwitched:
     def test_insertion_loss_scales_amplitude(self):
         streams = random_streams(1, 32, 5)
         y = capture_switched(
-            streams, SwitchMatrix(np.array([[1]])), NOISELESS, Rng(1), loss_amp=10 ** (-0.3)
+            streams, np.array([[1]]), NOISELESS, Rng(1), loss_amp=10 ** (-0.3)
         )
         assert np.max(np.abs(y - streams[0] * 10 ** (-0.3))) < 1e-12
 
@@ -89,7 +79,7 @@ class TestCaptureSwitched:
         # columns partition the antennas: every output sample is the sum
         # of exactly the antennas of its slot
         streams = random_streams(4, 32, 6)
-        S = SwitchMatrix(np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))
+        S = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
         y = capture_switched(streams, S, NOISELESS, Rng(1))
         ups = [upsample(s, 2) for s in streams]
         assert np.max(np.abs(y[0::2] - (ups[0] + ups[1])[0::2])) < 1e-12
@@ -98,7 +88,7 @@ class TestCaptureSwitched:
     def test_linearity_in_antenna_streams(self):
         s1 = random_streams(2, 32, 7)
         s2 = random_streams(2, 32, 8)
-        S = SwitchMatrix(np.array([[1, 0], [0, 1]]))
+        S = np.array([[1, 0], [0, 1]])
         got = capture_switched(s1 + s2, S, NOISELESS, Rng(1))
         want = capture_switched(s1, S, NOISELESS, Rng(1)) + capture_switched(
             s2, S, NOISELESS, Rng(1)
@@ -109,7 +99,7 @@ class TestCaptureSwitched:
         # identity S, no loss, no noise: switched + despread equals the
         # dedicated-chain capture
         streams = random_streams(4, 64, 9)
-        y = capture_switched(streams, SwitchMatrix.identity(4), NOISELESS, Rng(1))
+        y = capture_switched(streams, np.eye(4, dtype=int), NOISELESS, Rng(1))
         chains = time_despread(y, 4)
         phys = capture_physical(streams, 4, NOISELESS, Rng(1))
         assert np.max(np.abs(chains - phys)) < 1e-6
@@ -119,7 +109,7 @@ class TestCaptureSwitched:
         n, K, snr_db = 30000, 4, 10.0
         streams = random_streams(K, n, 10)
         sigma2 = noise_power(streams, snr_db, 1)
-        y = capture_switched(streams, SwitchMatrix.identity(K), sigma2, Rng(2, 5))
+        y = capture_switched(streams, np.eye(K, dtype=int), sigma2, Rng(2, 5))
         chains = time_despread(y, K)
         p_sig = np.mean(np.abs(streams) ** 2)
         noise = chains - streams
@@ -129,20 +119,33 @@ class TestCaptureSwitched:
     def test_quantizer_applied(self):
         streams = random_streams(1, 64, 11)
         y = capture_switched(
-            streams, SwitchMatrix(np.array([[1]])), NOISELESS, Rng(1), quantizer_bits=4
+            streams, np.array([[1]]), NOISELESS, Rng(1), quantizer_bits=4
         )
         assert len(set(np.round(y.real, 12))) <= 16
 
     def test_zero_quantizer_bits_is_off(self):
         streams = random_streams(1, 64, 11)
-        S = SwitchMatrix(np.array([[1]]))
+        S = np.array([[1]])
         np.testing.assert_array_equal(capture_switched(streams, S, NOISELESS, Rng(1)), streams[0])
         y = capture_switched(streams, S, NOISELESS, Rng(1), quantizer_bits=0)
         np.testing.assert_array_equal(y, streams[0])
 
+    @pytest.mark.parametrize(
+        "S, message",
+        [
+            (np.ones(3, dtype=int), "one row per stream"),
+            (np.array([[2, 0], [0, 1], [1, 1]]), "0 or 1"),
+            (np.array([[1, 0], [1, 0], [1, 0]]), "at least one antenna"),
+        ],
+        ids=["one_dimensional", "non_binary", "silent_column"],
+    )
+    def test_rejects_bad_switch_matrix(self, S, message):
+        with pytest.raises(ValueError, match=message):
+            capture_switched(random_streams(3, 32, 12), S, NOISELESS, Rng(1))
+
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
-            capture_switched(random_streams(3, 32, 12), SwitchMatrix.identity(4), NOISELESS, Rng(1))
+            capture_switched(random_streams(3, 32, 12), np.eye(4, dtype=int), NOISELESS, Rng(1))
 
 
 class TestCapturePhysical:

@@ -27,7 +27,8 @@ class TestInphaseSelect:
         h = np.vstack([unit_phases([0, 100, 10, 190]), unit_phases([0, 5, 120, 10])])
         result = select(h)
         want = np.array([[1, 1], [0, 1], [1, 0], [0, 1]])
-        assert np.array_equal(result.matrix.entries, want)
+        assert result.matrix.dtype == np.int64
+        assert np.array_equal(result.matrix, want)
         assert result.fallback_level == 0
         assert result.scores[0].tolist() == [2, 1, 2, 1]
         assert result.scores[1].tolist() == [3, 3, 1, 3]
@@ -35,7 +36,7 @@ class TestInphaseSelect:
     def test_single_user_equal_phases_turns_all_on(self):
         h = 0.7 * unit_phases([40, 40, 40, 40])[None, :]
         result = select(h)
-        assert np.array_equal(result.matrix.entries, np.ones((4, 1), dtype=int))
+        assert np.array_equal(result.matrix, np.ones((4, 1), dtype=int))
         assert result.scores[0].tolist() == [4, 4, 4, 4]
 
     def test_identical_user_rows_fail_explicitly(self):
@@ -50,7 +51,7 @@ class TestInphaseSelect:
         h = np.vstack([unit_phases([0, 1, 90]), unit_phases([0, 2, 91])])
         result = select(h)
         assert result.fallback_level >= 1
-        cols = result.matrix.entries
+        cols = result.matrix
         assert not np.array_equal(cols[:, 0], cols[:, 1])
         effective = h @ cols
         sing = np.linalg.svd(effective, compute_uv=False)
@@ -59,17 +60,17 @@ class TestInphaseSelect:
     def test_unit_phase_rotation_keeps_selection(self):
         rng = Rng(101)
         h = rng.normal_complex((3, 8))
-        base = select(h).matrix.entries
+        base = select(h).matrix
         rotated = h.copy()
         rotated[1] *= np.exp(1j * 2.1)
-        assert np.array_equal(select(rotated).matrix.entries, base)
+        assert np.array_equal(select(rotated).matrix, base)
 
     def test_positive_scaling_keeps_selection(self):
         rng = Rng(102)
         h = rng.normal_complex((4, 8))
-        base = select(h).matrix.entries
+        base = select(h).matrix
         scaled = h * np.array([0.1, 3.0, 7.5, 0.4])[:, None]
-        assert np.array_equal(select(scaled).matrix.entries, base)
+        assert np.array_equal(select(scaled).matrix, base)
 
     def test_deterministic_tie_breaks(self):
         # both users tie across several pivots and collide on the same
@@ -78,7 +79,7 @@ class TestInphaseSelect:
         first = select(h)
         second = select(h)
         assert first.fallback_level >= 1
-        assert np.array_equal(first.matrix.entries, second.matrix.entries)
+        assert np.array_equal(first.matrix, second.matrix)
         assert first.fallback_level == second.fallback_level
 
     def test_grouped_beats_crosstalk_on_average(self):
@@ -87,7 +88,7 @@ class TestInphaseSelect:
         diag_power, cross_power = [], []
         for trial in range(1000):
             h = Rng(7, trial).normal_complex((4, 8))
-            effective = h @ select(h).matrix.entries
+            effective = h @ select(h).matrix
             power = np.abs(effective) ** 2
             eye = np.eye(4, dtype=bool)
             diag_power.append(power[eye].mean())
@@ -111,20 +112,20 @@ class TestRandomSwitchMatrix:
     def test_draws_are_full_rank_with_no_empty_slot(self):
         for trial in range(50):
             s = random_switch_matrix(8, 4, Rng(11, trial))
-            assert s.entries.shape == (8, 4)
-            assert np.all(s.entries.sum(axis=0) >= 1)
-            assert np.linalg.matrix_rank(s.entries) == 4
+            assert s.shape == (8, 4) and s.dtype == np.int64
+            assert np.all(s.sum(axis=0) >= 1)
+            assert np.linalg.matrix_rank(s) == 4
 
     def test_same_seed_same_matrix(self):
         a = random_switch_matrix(6, 3, Rng(12, 5))
         b = random_switch_matrix(6, 3, Rng(12, 5))
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
 
     def test_identity_reachable_for_square_case(self):
         hits = 0
         for trial in range(200):
             s = random_switch_matrix(2, 2, Rng(13, trial))
-            if np.array_equal(s.entries, np.eye(2, dtype=int)):
+            if np.array_equal(s, np.eye(2, dtype=int)):
                 hits += 1
         assert hits > 0
 

@@ -6,12 +6,19 @@ about the architectures live in the acceptance suite instead.
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchmux
 from switchmux import runner, waveform
-from switchmux.config import build_config, parse_config_text, with_overrides
+from switchmux.config import ARCH_CHOICES, build_config, parse_config_text, with_overrides
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import tracing  # noqa: E402
 
 
 def cfg_from(text):
@@ -262,3 +269,32 @@ class TestRunSweep:
         assert "sinr_db_u1" in lines[0]
         one_user = lines[1].split(",")
         assert one_user[8] == ""
+
+
+class TestBenchTrace:
+    """The benchmark's tracer wraps runner and module attributes by name and
+    reads GroupingResult.fallback_level and CombinerMatrix.erased; these
+    keep that contract from the package side."""
+
+    def test_every_traced_attribute_exists(self):
+        missing = [
+            f"{owner.__name__}.{attr}"
+            for owner, attr, _, _ in tracing.sweep_targets(switchmux)
+            if not hasattr(owner, attr)
+        ]
+        assert missing == []
+
+    @pytest.mark.parametrize("arch", ARCH_CHOICES)
+    def test_traced_trial_keeps_its_row_and_counters(self, arch):
+        cfg = cfg_from(SMALL + f"arch = {arch}\n")
+        plain = runner.run_trial(cfg, 0)
+        tracer = tracing.Tracer()
+        with tracer.installed(tracing.trial_targets(switchmux)):
+            traced = runner.run_trial(cfg, 0)
+        assert traced == plain
+        counts = tracer.counts
+        # grouped selection runs only on the switched front end
+        assert ("grouping.inphase_select.fallbacks" in counts) == (arch == "switched")
+        assert counts["grouping.inphase_select.fallbacks"] == 0
+        assert counts["equalize.zf_weights.bins"] > 0
+        assert 0 <= counts["equalize.zf_weights.erased"] <= counts["equalize.zf_weights.bins"]
