@@ -18,7 +18,7 @@ from .despread import freq_despread, time_despread
 from .frontend import capture_hybrid, capture_physical, capture_switched, control_word
 from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .channel import ray_trace, rayleigh, ula_positions
-from .waveform import OfdmConfig, build_frame, recover_bits
+from .waveform import build_frame, recover_bits
 from .equalize import (
     apply_combiner,
     estimate_channel,
@@ -52,7 +52,6 @@ __all__ = [
     "ray_trace",
     "rayleigh",
     "ula_positions",
-    "OfdmConfig",
     "build_frame",
     "recover_bits",
     "apply_combiner",

@@ -28,7 +28,7 @@ from .dsp import Rng
 from .equalize import apply_combiner, estimate_channel, true_effective_channel, zf_weights
 from .frontend import capture_switched
 from .grouping import GroupingError, random_switch_matrix
-from .waveform import OfdmConfig, build_frame, recover_bits
+from .waveform import CP_LEN, SYMBOL_LEN, build_frame, payload_bits_for_symbols, recover_bits
 from . import channel
 
 
@@ -139,20 +139,19 @@ def check_virtual_equals_physical() -> CheckResult:
 def check_interference_floor() -> CheckResult:
     """Noiseless full-rank captures must null cross-user leakage exactly."""
     rng = Rng(77, 0)
+    reps = 2  # training symbols per user
     worst_dbc = -np.inf
     for users, ants in ((2, 4), (3, 6), (4, 8), (8, 8)):
-        ofdm = OfdmConfig(user_bandwidth_hz=1e7)
-        bits = [rng.bits(ofdm.payload_bits_for_symbols(2)) for _ in range(users)]
-        frame = build_frame(ofdm, bits)
+        bits = [rng.bits(payload_bits_for_symbols(2)) for _ in range(users)]
+        tx_streams, _ = build_frame(bits, reps)
         gains = channel.rayleigh(users, ants, 64, rng.derive(1), 3)
-        rx = channel.apply(gains, frame.tx_streams, ofdm.cp_len)
+        rx = channel.apply(gains, tx_streams, CP_LEN)
         s = random_switch_matrix(ants, users, rng.derive(2))
         cap = capture_switched(rx, s, 0.0, rng.derive(3))
         chains = time_despread(cap, users)
-        est = estimate_channel(chains, frame)
-        comb = zf_weights(est)
-        grids = apply_combiner(chains, frame, comb)
-        recovered = recover_bits(grids, frame.payload_lens)
+        comb = zf_weights(estimate_channel(chains, users, reps))
+        grids = apply_combiner(chains, comb, reps)
+        recovered = recover_bits(grids, [len(b) for b in bits])
         if any(np.any(r != b) for r, b in zip(recovered, bits)):
             return CheckResult(
                 "interference_floor", False, f"bit errors at users={users} M={ants}"
@@ -351,11 +350,13 @@ def check_power_arithmetic() -> CheckResult:
 def check_rate_and_capacity() -> CheckResult:
     # nominal rate from the frame arithmetic: info bits added per extra
     # payload symbol over the symbol period, times four 10 MHz users
-    ofdm = OfdmConfig(user_bandwidth_hz=1e7)
-    per_symbol = ofdm.payload_bits_for_symbols(2) - ofdm.payload_bits_for_symbols(1)
-    one = build_frame(ofdm, [np.zeros(ofdm.payload_bits_for_symbols(1), dtype=np.int64)])
-    two = build_frame(ofdm, [np.zeros(ofdm.payload_bits_for_symbols(2), dtype=np.int64)])
-    symbol_s = two.payload_airtime_s - one.payload_airtime_s
+    def airtime_s(symbols):
+        bits = np.zeros(payload_bits_for_symbols(symbols), dtype=np.int64)
+        _, grids = build_frame([bits], 2)
+        return grids.shape[1] * (SYMBOL_LEN / 1e7)
+
+    per_symbol = payload_bits_for_symbols(2) - payload_bits_for_symbols(1)
+    symbol_s = airtime_s(2) - airtime_s(1)
     nominal = 4 * per_symbol / symbol_s
     [(_, [row])] = _sweep(
         "users = 4\nantennas = 4\narch = fdma\nsnr_db = 40\npayload_symbols = 4\nseed = 3\n"

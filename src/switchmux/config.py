@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import MIN_CLEARANCE_M, ula_positions
+from .channel import ARRAY_SPACING_M, MIN_CLEARANCE_M, ula_positions
 
 ARCH_CHOICES = ("switched", "dbf", "hbf_full", "hbf_partial", "fdma")
 SELECT_CHOICES = ("grouped", "random", "identity")
@@ -202,6 +202,12 @@ def _check_room(cfg: ExperimentConfig) -> None:
 
     if not inside(cfg.ap_x_m, cfg.ap_y_m):
         raise ConfigError("scene.ap_x_m/ap_y_m must lie strictly inside the room")
+    too_long = f"an array of {cfg.antennas} antennas at the AP must fit in the room"
+    # the end antennas sit (antennas - 1)/2 spacings either side of the AP;
+    # an int compares exactly with a float at any size, so an array far too
+    # long for the room is refused before ula_positions allocates it
+    if cfg.antennas - 1 >= 2 * min(cfg.ap_x_m, cfg.room_x_m - cfg.ap_x_m) / ARRAY_SPACING_M:
+        raise ConfigError(too_long)
     array = ula_positions(cfg.antennas, (cfg.ap_x_m, cfg.ap_y_m))
     for i, (x, y) in enumerate(cfg.user_positions or ()):
         if not inside(x, y):
@@ -211,7 +217,7 @@ def _check_room(cfg: ExperimentConfig) -> None:
                 f"scene.user{i}_x_m/y_m must keep {MIN_CLEARANCE_M:g} m from every antenna"
             )
     if not all(inside(x, y) for x, y in array):
-        raise ConfigError(f"an array of {cfg.antennas} antennas at the AP must fit in the room")
+        raise ConfigError(too_long)
 
 
 def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -231,20 +237,29 @@ def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, chains=_resolve_chains(cfg))
 
 
+def _parsed(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping against the table and resolve derived fields."""
     values, grids, positions = {}, {}, {}
     for key, text in raw.items():
         match = _USER_POS_RE.match(key)
         if match:
-            positions[(int(match.group(1)), match.group(2))] = _float(text)
+            positions[(int(match.group(1)), match.group(2))] = _parsed(key, _float, text)
         elif key in _FIELD_OF:
             f = _FIELD_OF[key]
-            values[f.name] = f.metadata["parse"](text)
+            values[f.name] = _parsed(key, f.metadata["parse"], text)
         elif key in _GRID_OF:
             f = _GRID_OF[key]
             parse = f.metadata["parse"]
-            grids[f.name] = tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+            grids[f.name] = tuple(
+                _parsed(key, parse, v.strip()) for v in text.split(",") if v.strip()
+            )
             if not grids[f.name]:
                 raise ConfigError(f"{key} needs at least one value")
         else:

@@ -62,14 +62,8 @@ class Rng:
         im = g.standard_normal(shape)
         return (re + 1j * im) / np.sqrt(2.0)
 
-    def standard_normal(self, shape) -> np.ndarray:
-        return self.generator.standard_normal(shape)
-
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
         return self.generator.uniform(low, high, shape)
-
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        return self.generator.integers(low, high, shape)
 
     def bits(self, n: int) -> np.ndarray:
         """n random payload bits as an int array of 0/1."""

@@ -10,6 +10,9 @@ the pseudo-inverse, null-space combining projects each user onto the
 directions the others cannot reach.  Both null interference exactly on
 full-rank bins.  Zero-forcing works on all bins in one stacked pinv and
 one stacked SVD over heff moved to [bins, chains, users].
+
+Captures are [chains, samples] arrays of a build_frame frame; the user
+count and the training repeats locate its training slots and payload.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import DATA_BINS, LTS_FREQ, USED_BINS, OfdmFrame, symbol_spectra
+from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE, USED_BINS, symbol_spectra
 
 
 @dataclass(frozen=True)
@@ -55,29 +58,20 @@ def true_effective_channel(
     return loss_amp * np.einsum("mc,umf->cuf", mixing, picked)
 
 
-def _chain_spectra(chains: np.ndarray, frame: OfdmFrame) -> np.ndarray:
-    if chains.ndim != 2:
-        raise ValueError("chains must be [chains, samples]")
-    spectra = symbol_spectra(chains, frame.cfg)
-    if spectra.shape[1] < frame.total_symbols:
-        raise ValueError("capture shorter than the frame: missing training slots")
-    return spectra
-
-
-def estimate_channel(chains: np.ndarray, frame: OfdmFrame) -> np.ndarray:
-    """Estimate heff[chain][user][used bin] from the staggered training slots.
+def estimate_channel(chains: np.ndarray, num_users: int, lts_repeats: int) -> np.ndarray:
+    """Estimate heff[chain][user][used bin] from the staggered training slots
+    of a capture [chains, samples] of build_frame's frame.
 
     Each user's slot holds only that user's training symbol, so division by
     the known transmitted value gives the effective channel directly;
     repetitions are averaged.
     """
-    spectra = _chain_spectra(chains, frame)
-    ref = frame.cfg.tx_scale * LTS_FREQ[USED_BINS]
-    heff = np.empty((chains.shape[0], frame.num_users, USED_BINS.size), dtype=np.complex128)
-    for u in range(frame.num_users):
-        idx = frame.user_lts_symbol_indices(u)
-        heff[:, u, :] = spectra[:, idx][:, :, USED_BINS].mean(axis=1) / ref
-    return heff
+    preamble = num_users * lts_repeats
+    spectra = symbol_spectra(chains)
+    if spectra.ndim != 3 or spectra.shape[1] < preamble:
+        raise ValueError("chains must be [chains, samples] holding every training slot")
+    slots = spectra[:, :preamble, USED_BINS].reshape(len(spectra), num_users, lts_repeats, -1)
+    return slots.mean(axis=2) / (TX_SCALE * LTS_FREQ[USED_BINS])
 
 
 def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
@@ -136,15 +130,18 @@ def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> Combine
     return CombinerMatrix(weights=weights, erased=erased)
 
 
-def apply_combiner(chains: np.ndarray, frame: OfdmFrame, comb: CombinerMatrix) -> np.ndarray:
+def apply_combiner(chains: np.ndarray, comb: CombinerMatrix, lts_repeats: int) -> np.ndarray:
     """Equalize the payload: [users][payload symbols][data bins] QAM grids.
 
-    Output is on the unit constellation scale; erased bins are zeroed and
-    therefore decode as errors.
+    Every symbol of the capture [chains, samples] after the users' training
+    slots is payload.  Output is on the unit constellation scale; erased
+    bins are zeroed and therefore decode as errors.
     """
-    spectra = _chain_spectra(chains, frame)
-    payload = spectra[:, frame.preamble_symbols : frame.total_symbols]
-    payload = payload[:, :, USED_BINS] / frame.cfg.tx_scale
+    preamble = comb.weights.shape[0] * lts_repeats
+    spectra = symbol_spectra(chains)
+    if spectra.ndim != 3 or spectra.shape[1] <= preamble:
+        raise ValueError("chains must be [chains, samples] holding a payload symbol")
+    payload = spectra[:, preamble:, USED_BINS] / TX_SCALE
     grids = np.einsum("ucf,csf->usf", comb.weights, payload)
     data_cols = np.searchsorted(USED_BINS, DATA_BINS)
     out = grids[:, :, data_cols]

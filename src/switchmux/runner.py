@@ -35,7 +35,7 @@ from .frontend import (
     noise_power,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
-from .waveform import OfdmConfig, OfdmFrame, build_frame, recover_bits
+from .waveform import CP_LEN, SYMBOL_LEN, build_frame, payload_bits_for_symbols, recover_bits
 
 # used subcarrier closest to DC (fft bin +1); the antenna selector and the
 # hybrid steering weights see the channel at this single reference bin
@@ -53,12 +53,8 @@ _POWER_ARCH = {
 }
 
 
-def _ofdm(cfg: ExperimentConfig) -> OfdmConfig:
-    return OfdmConfig(user_bandwidth_hz=cfg.bandwidth_hz, lts_repeats=cfg.lts_repeats)
-
-
-def _payload_bits(cfg: ExperimentConfig, ofdm: OfdmConfig, trial_rng: Rng) -> list:
-    n = ofdm.payload_bits_for_symbols(cfg.payload_symbols)
+def _payload_bits(cfg: ExperimentConfig, trial_rng: Rng) -> list:
+    n = payload_bits_for_symbols(cfg.payload_symbols)
     rng = trial_rng.derive(_P_PAYLOAD)
     return [rng.bits(n) for _ in range(cfg.users)]
 
@@ -188,18 +184,19 @@ def _failed_row(cfg: ExperimentConfig, trial_id: int) -> dict:
 
 
 def _run_link(
-    cfg: ExperimentConfig, frame: OfdmFrame, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
+    cfg: ExperimentConfig, bits: list, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
 ) -> tuple:
-    """Carry one frame through the channel and the configured front end,
-    then estimate and combine it.
+    """Frame the users' payload bits, carry the frame through the channel
+    and the configured front end, then estimate and combine it.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
-    rx = channel.apply(gains, frame.tx_streams, frame.cfg.cp_len)
+    tx_streams, tx_grids = build_frame(bits, cfg.lts_repeats)
+    rx = channel.apply(gains, tx_streams, CP_LEN)
     h_ref = gains[:, :, REFERENCE_BIN]
-    sigma2 = noise_power(rx, cfg.snr_db, frame.num_users)
+    sigma2 = noise_power(rx, cfg.snr_db, len(bits))
 
     if cfg.arch == "switched":
         s = _select_matrix(cfg, h_ref, trial_rng)
@@ -222,11 +219,11 @@ def _run_link(
         truth = true_effective_channel(gains, np.eye(rx.shape[0], cfg.chains))
         noise_cov = sigma2 * np.eye(cfg.chains)
 
-    est = estimate_channel(chains, frame)
+    est = estimate_channel(chains, len(bits), cfg.lts_repeats)
     comb = _combiner_weights(cfg, est)
-    grids = apply_combiner(chains, frame, comb)
+    grids = apply_combiner(chains, comb, cfg.lts_repeats)
     sinr_db = metrics.sinr(comb, truth, noise_cov)
-    return grids, sinr_db, metrics.evm(grids, frame.tx_grids)
+    return grids, sinr_db, metrics.evm(grids, tx_grids)
 
 
 def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
@@ -238,8 +235,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
     equalized grids are decoded together in one recover_bits call.
     """
     trial_rng = Rng(cfg.seed, trial_id)
-    ofdm = _ofdm(cfg)
-    bits = _payload_bits(cfg, ofdm, trial_rng)
+    bits = _payload_bits(cfg, trial_rng)
     gains = _draw_channel(cfg, trial_rng)
     noise_rng = trial_rng.derive(_P_NOISE)
     if cfg.arch == "fdma":
@@ -249,22 +245,21 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
     else:
         links = [(bits, gains, noise_rng)]
 
-    grids, sent, lens, sinrs, evms = [], [], [], [], []
+    grids, sinrs, evms = [], [], []
     for link_bits, link_gains, link_rng in links:
-        frame = build_frame(ofdm, link_bits)
         try:
-            got, sinr_db, evm_pct = _run_link(cfg, frame, link_gains, link_rng, trial_rng)
+            got, sinr_db, evm_pct = _run_link(cfg, link_bits, link_gains, link_rng, trial_rng)
         except GroupingError:
             return _failed_row(cfg, trial_id)
         grids.append(got)
-        sent += frame.payload_bits
-        lens += frame.payload_lens
         sinrs.append(sinr_db)
         evms.append(evm_pct)
 
-    recovered = recover_bits(np.concatenate(grids), lens)
+    grids = np.concatenate(grids)
+    recovered = recover_bits(grids, [len(b) for b in bits])
     sinr_db = np.concatenate(sinrs)
-    goodput, ber = metrics.goodput_and_ber(recovered, sent, frame.payload_airtime_s)
+    airtime_s = grids.shape[1] * (SYMBOL_LEN / cfg.bandwidth_hz)
+    goodput, ber = metrics.goodput_and_ber(recovered, bits, airtime_s)
     cap = metrics.capacity(sinr_db, cfg.bandwidth_hz)
     return _assemble_row(
         cfg, trial_id, sinr_db, np.mean(evms), ber, goodput, cap, _power_report(cfg)

@@ -3,15 +3,18 @@
 64 subcarriers (48 data, 4 pilots, 12 nulls), 16-sample cyclic prefix,
 Gray-coded QAM-16, rate-1/2 constraint-7 convolutional code (generators
 133/171 octal, zero-tail) with hard-decision Viterbi, and per-symbol block
-interleaving. Frames start with per-user long training symbols in
+interleaving.  The numerology is fixed and lives in module constants
+(FFT_SIZE, CP_LEN, SYMBOL_LEN, CODED_BITS_PER_SYMBOL, INFO_BITS_PER_SYMBOL,
+TX_SCALE); only the bandwidth and the training repeats vary, and both come
+from the experiment config.  A frame is two plain arrays: the transmitted
+samples [users, samples] and the payload QAM grids [users, payload symbols,
+data bins].  Frames start with per-user long training symbols in
 non-overlapping time slots so each user's channel can be estimated cleanly.
 The receiver demaps and deinterleaves a whole [users, symbols, data bins]
 grid at once and decodes all its codewords in one batched Viterbi pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,52 +40,20 @@ CONV_K = 7
 _TAIL = CONV_K - 1
 
 
-@dataclass(frozen=True)
-class OfdmConfig:
-    """Per-user modem settings: the bandwidth B and the training symbols
-    per user.  The 802.11a numerology the modem implements (64-point FFT,
-    16-sample prefix, 48 data bins of QAM-16, rate-1/2 code) is fixed and
-    read from class constants."""
+# The fixed 802.11a numerology: 64-point FFT, 16-sample prefix, 48 data
+# bins of QAM-16 (4 coded bits each) under the rate-1/2 code.
+FFT_SIZE = 64
+CP_LEN = 16
+SYMBOL_LEN = FFT_SIZE + CP_LEN
+CODED_BITS_PER_SYMBOL = 4 * len(DATA_BINS)
+INFO_BITS_PER_SYMBOL = CODED_BITS_PER_SYMBOL // 2
+# makes the mean time-domain sample power of a symbol exactly 1
+TX_SCALE = FFT_SIZE / np.sqrt(len(USED_BINS))
 
-    user_bandwidth_hz: float = 10e6
-    lts_repeats: int = 2
 
-    fft_size = 64
-    cp_len = 16
-    data_subcarriers = len(DATA_BINS)
-    bits_per_symbol = 4
-    code_rate = 0.5
-
-    def __post_init__(self) -> None:
-        if self.lts_repeats < 1:
-            raise ValueError("lts_repeats must be >= 1")
-        if self.user_bandwidth_hz <= 0:
-            raise ValueError("user_bandwidth_hz must be positive")
-
-    @property
-    def symbol_len(self) -> int:
-        return self.fft_size + self.cp_len
-
-    @property
-    def symbol_duration_s(self) -> float:
-        return self.symbol_len / self.user_bandwidth_hz
-
-    @property
-    def coded_bits_per_symbol(self) -> int:
-        return self.data_subcarriers * self.bits_per_symbol
-
-    @property
-    def info_bits_per_symbol(self) -> int:
-        return int(self.coded_bits_per_symbol * self.code_rate)
-
-    @property
-    def tx_scale(self) -> float:
-        # makes the mean time-domain sample power of a symbol exactly 1
-        return self.fft_size / np.sqrt(len(USED_BINS))
-
-    def payload_bits_for_symbols(self, num_symbols: int) -> int:
-        """Largest zero-tail-terminated payload that fills num_symbols."""
-        return self.info_bits_per_symbol * num_symbols - _TAIL
+def payload_bits_for_symbols(num_symbols: int) -> int:
+    """Largest zero-tail-terminated payload that fills num_symbols."""
+    return INFO_BITS_PER_SYMBOL * num_symbols - _TAIL
 
 
 def _parity_table() -> np.ndarray:
@@ -215,99 +186,49 @@ def deinterleave(bits, n_cbps: int) -> np.ndarray:
     return bits[..., _interleaver_perm(bits, n_cbps)]
 
 
-@dataclass(frozen=True)
-class OfdmFrame:
-    """K-user frame: staggered per-user LTS preamble, then joint payload.
-
-    tx_streams holds the transmitted samples [users, samples];
-    tx_grids the payload QAM symbols [users, payload symbols, data bins].
-    """
-
-    cfg: OfdmConfig
-    payload_bits: list
-    payload_lens: list
-    num_payload_symbols: int
-    tx_streams: np.ndarray = field(repr=False)
-    tx_grids: np.ndarray = field(repr=False)
-
-    @property
-    def num_users(self) -> int:
-        return len(self.payload_bits)
-
-    @property
-    def preamble_symbols(self) -> int:
-        return self.num_users * self.cfg.lts_repeats
-
-    @property
-    def total_symbols(self) -> int:
-        return self.preamble_symbols + self.num_payload_symbols
-
-    @property
-    def payload_airtime_s(self) -> float:
-        return self.num_payload_symbols * self.cfg.symbol_duration_s
-
-    def user_lts_symbol_indices(self, user: int) -> np.ndarray:
-        # the preamble holds one block of lts_repeats symbols per user
-        start = user * self.cfg.lts_repeats
-        return np.arange(start, start + self.cfg.lts_repeats)
+def _symbol_time(spectra: np.ndarray) -> np.ndarray:
+    """Symbols [..., fft bins] -> time samples with cyclic prefix [..., SYMBOL_LEN]."""
+    body = np.fft.ifft(spectra) * TX_SCALE
+    return np.concatenate([body[..., -CP_LEN:], body], axis=-1)
 
 
-def _symbol_time(cfg: OfdmConfig, grid_f: np.ndarray) -> np.ndarray:
-    body = np.fft.ifft(grid_f) * cfg.tx_scale
-    return np.concatenate([body[-cfg.cp_len :], body])
-
-
-def build_frame(cfg: OfdmConfig, payload_bits: list) -> OfdmFrame:
+def build_frame(payload_bits: list, lts_repeats: int) -> tuple:
     """Encode, interleave, map and frame one packet per user.
 
-    Payloads whose codeword does not fill a whole number of OFDM symbols
-    are zero-padded; the original length is recorded so recovery can strip
-    the pad. All users are framed to the longest user's symbol count.
+    Returns (tx_streams [users, samples], tx_grids [users, payload symbols,
+    data bins]).  The frame opens with lts_repeats training symbols per
+    user, user u's in symbols u*lts_repeats .. (u+1)*lts_repeats - 1 with
+    every other user silent, then all users send their payloads at once.
+    Payloads are zero-padded to the longest user's whole symbol count;
+    recover_bits strips the pad given the original lengths.
     """
     if not payload_bits:
         raise ValueError("need at least one user payload")
     K = len(payload_bits)
-    cbps = cfg.coded_bits_per_symbol
     coded = [conv_encode(b) for b in payload_bits]
-    num_payload_symbols = max(int(np.ceil(c.size / cbps)) for c in coded)
-    if num_payload_symbols == 0:
-        raise ValueError("empty payload")
-    preamble = K * cfg.lts_repeats
-    total = preamble + num_payload_symbols
-    grids = np.zeros((K, num_payload_symbols, len(DATA_BINS)), dtype=np.complex128)
-    streams = np.zeros((K, total, cfg.symbol_len), dtype=np.complex128)
+    symbols = max(-(-c.size // CODED_BITS_PER_SYMBOL) for c in coded)
+    padded = np.zeros((K, symbols * CODED_BITS_PER_SYMBOL), dtype=np.int64)
+    for u, c in enumerate(coded):
+        padded[u, : c.size] = c
+    chunks = interleave(padded.reshape(K, symbols, -1), CODED_BITS_PER_SYMBOL)
+    grids = qam16_map(chunks).reshape(K, symbols, len(DATA_BINS))
+    spectra = np.zeros((K, symbols, FFT_SIZE), dtype=np.complex128)
+    spectra[:, :, DATA_BINS] = grids
+    spectra[:, :, PILOT_BINS] = PILOT_VALUES
+    preamble = K * lts_repeats
+    streams = np.zeros((K, preamble + symbols, SYMBOL_LEN), dtype=np.complex128)
+    lts = _symbol_time(LTS_FREQ)
     for u in range(K):
-        padded = np.concatenate(
-            [coded[u], np.zeros(num_payload_symbols * cbps - coded[u].size, dtype=np.int64)]
-        )
-        sym_time = streams[u]
-        lts_grid = np.zeros(cfg.fft_size, dtype=np.complex128)
-        lts_grid[:] = LTS_FREQ
-        for r in range(cfg.lts_repeats):
-            sym_time[u * cfg.lts_repeats + r] = _symbol_time(cfg, lts_grid)
-        for s in range(num_payload_symbols):
-            chunk = interleave(padded[s * cbps : (s + 1) * cbps], cbps)
-            qam = qam16_map(chunk)
-            grids[u, s] = qam
-            grid_f = np.zeros(cfg.fft_size, dtype=np.complex128)
-            grid_f[DATA_BINS] = qam
-            grid_f[PILOT_BINS] = PILOT_VALUES
-            sym_time[preamble + s] = _symbol_time(cfg, grid_f)
-    return OfdmFrame(
-        cfg=cfg,
-        payload_bits=[np.asarray(b, dtype=np.int64) for b in payload_bits],
-        payload_lens=[len(b) for b in payload_bits],
-        num_payload_symbols=num_payload_symbols,
-        tx_streams=streams.reshape(K, -1),
-        tx_grids=grids,
-    )
+        streams[u, u * lts_repeats : (u + 1) * lts_repeats] = lts
+    streams[:, preamble:] = _symbol_time(spectra)
+    return streams.reshape(K, -1), grids
 
 
 def recover_bits(grids: np.ndarray, payload_lens) -> list:
     """Invert the TX chain on equalized data-bin grids
     [users, payload symbols, data bins] -> one payload bit vector per user.
 
-    payload_lens[u] is user u's payload length (OfdmFrame.payload_lens).
+    payload_lens[u] is the length of the payload user u sent to build_frame.
     The whole grid is demapped and deinterleaved at once, and every
     codeword of one length goes through a single viterbi_decode call.
     """
@@ -315,7 +236,7 @@ def recover_bits(grids: np.ndarray, payload_lens) -> list:
     if grids.ndim != 3 or grids.shape[2] != len(DATA_BINS):
         raise ValueError(f"expected grids [users, symbols, data bins], got {grids.shape}")
     users, symbols = grids.shape[:2]
-    cbps = OfdmConfig.bits_per_symbol * len(DATA_BINS)
+    cbps = CODED_BITS_PER_SYMBOL
     lens = [int(n) for n in payload_lens]
     if len(lens) != users:
         raise ValueError(f"{users} grids need {users} payload lengths, got {len(lens)}")
@@ -333,10 +254,10 @@ def recover_bits(grids: np.ndarray, payload_lens) -> list:
     return out
 
 
-def symbol_spectra(x: np.ndarray, cfg: OfdmConfig) -> np.ndarray:
+def symbol_spectra(x: np.ndarray) -> np.ndarray:
     """Split signals [..., samples] into symbols, strip CPs, FFT:
     [..., symbols, fft bins]."""
-    if x.shape[-1] % cfg.symbol_len != 0:
+    if x.shape[-1] % SYMBOL_LEN != 0:
         raise ValueError("stream is not a whole number of symbols")
-    sym = x.reshape(*x.shape[:-1], -1, cfg.symbol_len)[..., cfg.cp_len :]
+    sym = x.reshape(*x.shape[:-1], -1, SYMBOL_LEN)[..., CP_LEN:]
     return np.fft.fft(sym, axis=-1)

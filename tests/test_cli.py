@@ -64,6 +64,23 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "no_such_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("snr_db = nan", "snr_db: expected a finite number, got 'nan'"),
+        ("users = four", "users: expected an integer, got 'four'"),
+        ("sweep.antennas = 4, x", "sweep.antennas: expected an integer, got 'x'"),
+        ("scene.user0_x_m = q", "scene.user0_x_m: expected a number, got 'q'"),
+    ],
+    ids=["nan", "word_for_int", "sweep_list", "user_position"],
+)
+def test_bad_value_error_names_its_key(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_codes_table(capsys):
     assert main(["codes", "--slots", "4"]) == 0
     out = capsys.readouterr().out

@@ -177,6 +177,12 @@ class TestCrossValidation:
             cfg_from("scenario = raytrace\n" + text)
         cfg_from(text)  # the Rayleigh scenario has no room
 
+    @pytest.mark.parametrize("antennas", [99999999999, 10**30])
+    def test_array_far_too_long_is_refused_before_it_is_built(self, antennas):
+        # at these sizes ula_positions cannot even allocate the array
+        with pytest.raises(ConfigError, match=f"array of {antennas} antennas"):
+            cfg_from(f"scenario = raytrace\nantennas = {antennas}\n")
+
     def test_pinned_users_need_no_drop_margin(self):
         cfg = cfg_from(
             "scenario = raytrace\nusers = 1\nantennas = 1\ntrials = 1\npayload_symbols = 1\n"

@@ -92,8 +92,8 @@ class TestRng:
 
     def test_distinct_streams_uncorrelated(self):
         n = 10**5
-        a = Rng(9, 0).standard_normal(n)
-        b = Rng(9, 1).standard_normal(n)
+        a = Rng(9, 0).generator.standard_normal(n)
+        b = Rng(9, 1).generator.standard_normal(n)
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.01
 

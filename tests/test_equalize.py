@@ -18,22 +18,38 @@ from switchmux.equalize import (
     true_effective_channel,
     zf_weights,
 )
-from switchmux.waveform import DATA_BINS, USED_BINS, OfdmConfig, OfdmFrame, build_frame, recover_bits
+from switchmux.waveform import (
+    CP_LEN,
+    DATA_BINS,
+    FFT_SIZE,
+    LTS_FREQ,
+    SYMBOL_LEN,
+    TX_SCALE,
+    USED_BINS,
+    build_frame,
+    recover_bits,
+)
 
-CFG = OfdmConfig()
+REPS = 2  # training symbols per user, the config default
 
 
 def make_frame(num_users, seed, bits_per_user=180):
+    """(payloads, tx_streams, tx_grids) of a REPS-training frame."""
     payloads = [Rng(seed, u).bits(bits_per_user) for u in range(num_users)]
-    return build_frame(CFG, payloads)
+    return (payloads, *build_frame(payloads, REPS))
 
 
-def inject(frame, heff_full):
-    """Push the frame through heff[chain][user][fft bin] -> chains [chain, sample]."""
+def inject(tx, heff_full):
+    """Push streams [user, sample] through heff[chain][user][fft bin] -> chains [chain, sample]."""
     heff_full = np.asarray(heff_full, dtype=np.complex128)
     _, users, fft_size = heff_full.shape
-    assert users == frame.num_users and fft_size == CFG.fft_size
-    return channel.apply(np.transpose(heff_full, (1, 0, 2)), frame.tx_streams, CFG.cp_len)
+    assert users == len(tx) and fft_size == FFT_SIZE
+    return channel.apply(np.transpose(heff_full, (1, 0, 2)), tx, CP_LEN)
+
+
+def decoded_ok(grids, payloads):
+    bits = recover_bits(grids, [len(p) for p in payloads])
+    return all(np.array_equal(b, p) for b, p in zip(bits, payloads))
 
 
 def loop_zf(heff, rank_tolerance=1e-9):
@@ -53,51 +69,70 @@ def loop_zf(heff, rank_tolerance=1e-9):
 def random_heff(chains, users, seed, per_bin=True):
     rng = Rng(seed, 77)
     if per_bin:
-        return rng.normal_complex((chains, users, CFG.fft_size))
+        return rng.normal_complex((chains, users, FFT_SIZE))
     flat = rng.normal_complex((chains, users))
-    return np.repeat(flat[:, :, None], CFG.fft_size, axis=2)
+    return np.repeat(flat[:, :, None], FFT_SIZE, axis=2)
 
 
 class TestEstimateChannel:
     def test_noiseless_estimate_matches_truth(self):
-        frame = make_frame(2, seed=1)
+        _, tx, _ = make_frame(2, seed=1)
         heff = random_heff(2, 2, seed=2)
-        est = estimate_channel(inject(frame, heff), frame)
+        est = estimate_channel(inject(tx, heff), 2, REPS)
         assert np.max(np.abs(est - heff[:, :, USED_BINS])) < 1e-9
 
     def test_single_user_flat_gain_on_every_bin(self):
-        frame = make_frame(1, seed=3)
+        _, tx, _ = make_frame(1, seed=3)
         gain = 0.5 - 1.2j
-        heff = np.full((1, 1, CFG.fft_size), gain)
-        est = estimate_channel(inject(frame, heff), frame)
+        heff = np.full((1, 1, FFT_SIZE), gain)
+        est = estimate_channel(inject(tx, heff), 1, REPS)
         assert np.max(np.abs(est - gain)) < 1e-9
 
     def test_two_repetitions_halve_estimate_variance(self):
         noise_power = 0.05
         errors = {1: [], 2: []}
         for reps in (1, 2):
-            cfg = OfdmConfig(lts_repeats=reps)
-            frame = build_frame(cfg, [Rng(40).bits(90)])
-            clean = frame.tx_streams
+            clean, _ = build_frame([Rng(40).bits(90)], reps)
             for trial in range(200):
                 noise = Rng(41, trial + 1000 * reps).normal_complex(clean.shape)
-                est = estimate_channel(clean + noise * np.sqrt(noise_power), frame)
+                est = estimate_channel(clean + noise * np.sqrt(noise_power), 1, reps)
                 errors[reps].append(est[0, 0] - 1.0)
         ratio = np.var(np.concatenate(errors[1])) / np.var(np.concatenate(errors[2]))
         assert abs(ratio - 2.0) < 0.2
 
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    def test_matches_per_user_oracle(self, reps):
+        clean, _ = build_frame([Rng(42, u).bits(180) for u in range(3)], reps)
+        chains = inject(clean, random_heff(4, 3, seed=43))
+        chains = chains + 0.1 * Rng(44).normal_complex(chains.shape)
+        spectra = np.fft.fft(chains.reshape(4, -1, SYMBOL_LEN)[:, :, CP_LEN:], axis=-1)
+        ref = TX_SCALE * LTS_FREQ[USED_BINS]
+        want = np.stack(
+            [
+                spectra[:, u * reps : (u + 1) * reps][:, :, USED_BINS].mean(axis=1) / ref
+                for u in range(3)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(estimate_channel(chains, 3, reps), want)
+
     def test_short_capture_missing_training_fails(self):
-        frame = make_frame(2, seed=5)
-        heff = random_heff(2, 2, seed=6)
-        chains = inject(frame, heff)
+        _, tx, _ = make_frame(2, seed=5)
+        chains = inject(tx, random_heff(2, 2, seed=6))
+        estimate_channel(chains[:, : 2 * REPS * SYMBOL_LEN], 2, REPS)
         with pytest.raises(ValueError):
-            estimate_channel(chains[:, : CFG.symbol_len], frame)
+            estimate_channel(chains[:, : (2 * REPS - 1) * SYMBOL_LEN], 2, REPS)
+
+    def test_rejects_a_single_stream(self):
+        _, tx, _ = make_frame(1, seed=5)
+        with pytest.raises(ValueError):
+            estimate_channel(tx[0], 1, REPS)
 
 
 class TestTrueEffectiveChannel:
     def test_matches_manual_mixing_sum(self):
         chan = channel.rayleigh(3, 6, 64, Rng(7), num_taps=4)
-        mixing = Rng(8).integers(0, 2, (6, 3)).astype(float)
+        mixing = Rng(8).generator.integers(0, 2, (6, 3)).astype(float)
         mixing[0, :] = 1  # no empty chain
         est = true_effective_channel(chan, mixing, loss_amp=0.9)
         for c in range(3):
@@ -115,23 +150,32 @@ class TestTrueEffectiveChannel:
 
 class TestZeroForcing:
     def test_identity_channel_passes_grids_through(self):
-        frame = make_frame(2, seed=10)
-        heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], CFG.fft_size, axis=2)
-        chains = inject(frame, heff)
-        grids = apply_combiner(chains, frame, zf_weights(estimate_channel(chains, frame)))
-        assert np.max(np.abs(grids - frame.tx_grids)) < 1e-9
+        _, tx, tx_grids = make_frame(2, seed=10)
+        heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], FFT_SIZE, axis=2)
+        chains = inject(tx, heff)
+        grids = apply_combiner(chains, zf_weights(estimate_channel(chains, 2, REPS)), REPS)
+        assert np.max(np.abs(grids - tx_grids)) < 1e-9
+
+    def test_capture_without_a_payload_symbol_fails(self):
+        _, tx, _ = make_frame(2, seed=10)
+        heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], FFT_SIZE, axis=2)
+        chains = inject(tx, heff)
+        comb = zf_weights(estimate_channel(chains, 2, REPS))
+        assert apply_combiner(chains[:, : (2 * REPS + 1) * SYMBOL_LEN], comb, REPS).shape[1] == 1
+        with pytest.raises(ValueError):
+            apply_combiner(chains[:, : 2 * REPS * SYMBOL_LEN], comb, REPS)
 
     def test_worked_two_user_inversion(self):
         # Heff = [[1,-1],[1,1]]: pinv recovers exactly; the raw nulling
         # direction [1,1] carries doubled noise, the normalized pinv rows
         # carry half the per-chain noise power
-        frame = make_frame(2, seed=11)
+        _, tx, tx_grids = make_frame(2, seed=11)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
-        heff = np.repeat(a[:, :, None], CFG.fft_size, axis=2)
-        chains = inject(frame, heff)
-        est = estimate_channel(chains, frame)
-        grids = apply_combiner(chains, frame, zf_weights(est))
-        assert np.max(np.abs(grids - frame.tx_grids)) < 1e-9
+        heff = np.repeat(a[:, :, None], FFT_SIZE, axis=2)
+        chains = inject(tx, heff)
+        est = estimate_channel(chains, 2, REPS)
+        grids = apply_combiner(chains, zf_weights(est), REPS)
+        assert np.max(np.abs(grids - tx_grids)) < 1e-9
         v = np.linalg.pinv(a)
         assert np.allclose(np.sum(np.abs(v) ** 2, axis=1), [0.5, 0.5])
         raw_null = np.array([1.0, 1.0])  # nulls user 2's column [-1, 1]
@@ -140,35 +184,31 @@ class TestZeroForcing:
 
     def test_combined_noise_power_follows_weight_norm(self):
         # per-chain noise sigma^2 maps to ||V_u||^2 sigma^2 after combining
-        frame = make_frame(2, seed=12)
+        _, tx, _ = make_frame(2, seed=12)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
-        heff = np.repeat(a[:, :, None], CFG.fft_size, axis=2)
-        est = estimate_channel(inject(frame, heff), frame)
+        heff = np.repeat(a[:, :, None], FFT_SIZE, axis=2)
+        est = estimate_channel(inject(tx, heff), 2, REPS)
         comb = zf_weights(est)
         sigma2 = 0.3
-        n = 80 * 400
+        n = SYMBOL_LEN * 400
         noise = np.stack([np.sqrt(sigma2) * Rng(13, c).normal_complex(n) for c in range(2)])
-        silent = build_frame(CFG, [np.zeros(2000, dtype=int)] * 2)
-        out = apply_combiner(noise, silent, comb)
+        out = apply_combiner(noise, comb, REPS)
         # per data bin: var = ||V_u||^2 * fft_size * sigma2 / tx_scale^2
-        measured = np.var(out) * CFG.tx_scale**2 / CFG.fft_size
+        measured = np.var(out) * TX_SCALE**2 / FFT_SIZE
         assert abs(measured / (0.5 * sigma2) - 1.0) < 0.1
 
     def test_noiseless_leakage_below_minus_60dbc(self):
-        frame = make_frame(4, seed=14)
+        payloads, tx, _ = make_frame(4, seed=14)
         heff = random_heff(4, 4, seed=15)
-        chains = inject(frame, heff)
-        est = estimate_channel(chains, frame)
+        chains = inject(tx, heff)
+        est = estimate_channel(chains, 4, REPS)
         comb = zf_weights(est)
         for f in range(0, USED_BINS.size, 7):
             p = np.einsum("uc,cv->uv", comb.weights[:, :, f], heff[:, :, USED_BINS[f]])
             for u in range(4):
                 cross = np.sum(np.abs(np.delete(p[u], u)) ** 2)
                 assert cross < 1e-6 * np.abs(p[u, u]) ** 2
-        grids = apply_combiner(chains, frame, zf_weights(est))
-        bits = recover_bits(grids, frame.payload_lens)
-        for u in range(4):
-            assert np.array_equal(bits[u], frame.payload_bits[u])
+        assert decoded_ok(apply_combiner(chains, zf_weights(est), REPS), payloads)
 
     def test_weights_times_channel_is_identity(self):
         heff = random_heff(4, 4, seed=16)[:, :, USED_BINS]
@@ -179,17 +219,17 @@ class TestZeroForcing:
         assert not comb.erased.any()
 
     def test_rank_deficient_bin_is_erased_and_zeroed(self):
-        frame = make_frame(2, seed=17)
+        _, tx, _ = make_frame(2, seed=17)
         heff = random_heff(2, 2, seed=18)
         bad = DATA_BINS[5]
         heff[:, 1, bad] = heff[:, 0, bad]  # identical columns on one bin
-        chains = inject(frame, heff)
-        est = estimate_channel(chains, frame)
+        chains = inject(tx, heff)
+        est = estimate_channel(chains, 2, REPS)
         comb = zf_weights(est)
         bad_col = int(np.searchsorted(USED_BINS, bad))
         assert comb.erased[bad_col]
         assert comb.erased.sum() == 1
-        grids = apply_combiner(chains, frame, comb)
+        grids = apply_combiner(chains, comb, REPS)
         data_pos = int(np.searchsorted(DATA_BINS, bad))
         assert np.all(grids[:, :, data_pos] == 0)
 
@@ -226,30 +266,30 @@ class TestZeroForcing:
 
 class TestNullspace:
     def test_orthogonal_columns_match_zero_forcing(self):
-        frame = make_frame(2, seed=21)
+        _, tx, _ = make_frame(2, seed=21)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
-        scale = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(CFG.fft_size) / 64)
+        scale = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(FFT_SIZE) / 64)
         heff = a[:, :, None] * scale[None, None, :]
-        chains = inject(frame, heff)
-        est = estimate_channel(chains, frame)
-        zf = apply_combiner(chains, frame, zf_weights(est))
-        ns = apply_combiner(chains, frame, nullspace_weights(est))
+        chains = inject(tx, heff)
+        est = estimate_channel(chains, 2, REPS)
+        zf = apply_combiner(chains, zf_weights(est), REPS)
+        ns = apply_combiner(chains, nullspace_weights(est), REPS)
         assert np.max(np.abs(zf - ns)) < 1e-9
 
     def test_single_user_matches_zero_forcing(self):
-        frame = make_frame(1, seed=22)
+        _, tx, _ = make_frame(1, seed=22)
         heff = random_heff(3, 1, seed=23)
-        chains = inject(frame, heff)
-        est = estimate_channel(chains, frame)
-        zf = apply_combiner(chains, frame, zf_weights(est))
-        ns = apply_combiner(chains, frame, nullspace_weights(est))
+        chains = inject(tx, heff)
+        est = estimate_channel(chains, 1, REPS)
+        zf = apply_combiner(chains, zf_weights(est), REPS)
+        ns = apply_combiner(chains, nullspace_weights(est), REPS)
         assert np.max(np.abs(zf - ns)) < 1e-9
 
     def test_noiseless_leakage_below_minus_60dbc(self):
-        frame = make_frame(3, seed=24)
+        payloads, tx, _ = make_frame(3, seed=24)
         heff = random_heff(3, 3, seed=25)
-        chains = inject(frame, heff)
-        est = estimate_channel(chains, frame)
+        chains = inject(tx, heff)
+        est = estimate_channel(chains, 3, REPS)
         comb = nullspace_weights(est)
         assert not comb.erased.any()
         for f in range(0, USED_BINS.size, 5):
@@ -257,10 +297,7 @@ class TestNullspace:
             off = p - np.diag(np.diag(p))
             assert np.max(np.abs(off)) ** 2 < 1e-6
             assert np.allclose(np.diag(p), 1.0)
-        grids = apply_combiner(chains, frame, nullspace_weights(est))
-        bits = recover_bits(grids, frame.payload_lens)
-        for u in range(3):
-            assert np.array_equal(bits[u], frame.payload_bits[u])
+        assert decoded_ok(apply_combiner(chains, nullspace_weights(est), REPS), payloads)
 
     def test_degenerate_null_space_erases_bin(self):
         heff = random_heff(3, 3, seed=26)[:, :, USED_BINS]

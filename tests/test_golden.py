@@ -2,8 +2,11 @@
 
 Each workload config (taken from ``bench/run.py`` so it is defined once) is
 swept at seed 1 and its CSV must equal ``bench/reference/<workload>.csv``
-byte for byte; grid_parallel runs at 1 and at 2 workers.  Any change that
-moves a single digit of a row is a behaviour change and fails here.
+byte for byte; grid_parallel runs at 1 and at 2 workers.  The workloads
+all keep the modem keys at their defaults, so one more config sets both
+``ofdm.lts_repeats`` and ``ofdm.bandwidth_hz`` off them and must equal
+``tests/reference/modem_keys.csv``.  Any change that moves a single digit
+of a row is a behaviour change and fails here.
 """
 
 import sys
@@ -13,7 +16,8 @@ import pytest
 
 from switchmux import config, runner
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+TESTS_DIR = Path(__file__).resolve().parent
+BENCH_DIR = TESTS_DIR.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
 import run as bench_run  # noqa: E402
@@ -34,3 +38,19 @@ def test_sweep_matches_reference_bytes(tmp_path, workload, workers):
     runner.run_sweep(config.load_config(str(cfg_path)), str(out), workers=workers)
     reference = BENCH_DIR / "reference" / f"{workload}.csv"
     assert out.read_bytes() == reference.read_bytes()
+
+
+# its rows differ from the same config at ofdm.lts_repeats = 2 and at the
+# default 10 MHz, so the reference pins how both keys reach the trial
+MODEM_KEYS = (
+    "users = 2\nantennas = 4\npayload_symbols = 2\nofdm.lts_repeats = 3\n"
+    "ofdm.bandwidth_hz = 20e6\ntrials = 2\nseed = 3\nsweep.arch = switched, fdma\n"
+)
+
+
+def test_modem_keys_match_reference_bytes(tmp_path):
+    cfg_path = tmp_path / "modem_keys.cfg"
+    cfg_path.write_text(MODEM_KEYS, encoding="utf-8")
+    out = tmp_path / "modem_keys.csv"
+    runner.run_sweep(config.load_config(str(cfg_path)), str(out))
+    assert out.read_bytes() == (TESTS_DIR / "reference" / "modem_keys.csv").read_bytes()

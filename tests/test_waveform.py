@@ -5,17 +5,24 @@ from hypothesis import strategies as st
 
 from switchmux.dsp import Rng
 from switchmux.waveform import (
+    CODED_BITS_PER_SYMBOL,
     CONV_G0,
     CONV_G1,
+    CP_LEN,
     DATA_BINS,
+    FFT_SIZE,
+    INFO_BITS_PER_SYMBOL,
     LTS_FREQ,
     PILOT_BINS,
+    PILOT_VALUES,
+    SYMBOL_LEN,
+    TX_SCALE,
     USED_BINS,
-    OfdmConfig,
     build_frame,
     conv_encode,
     deinterleave,
     interleave,
+    payload_bits_for_symbols,
     qam16_demap,
     qam16_map,
     recover_bits,
@@ -257,104 +264,144 @@ class TestInterleaver:
             interleave(np.zeros(100, dtype=int), 192)
 
 
+REPS = 2  # training symbols per user, the config default
+
+
+def lengths(payloads):
+    return [len(p) for p in payloads]
+
+
+def loop_frame(payloads, reps):
+    """Oracle: build_frame one user and one symbol at a time."""
+    K = len(payloads)
+    coded = [conv_encode(p) for p in payloads]
+    symbols = max(int(np.ceil(c.size / CODED_BITS_PER_SYMBOL)) for c in coded)
+    streams = np.zeros((K, K * reps + symbols, SYMBOL_LEN), dtype=complex)
+    grids = np.zeros((K, symbols, len(DATA_BINS)), dtype=complex)
+
+    def time_symbol(spectrum):
+        body = np.fft.ifft(spectrum) * TX_SCALE
+        return np.concatenate([body[-CP_LEN:], body])
+
+    for u in range(K):
+        for r in range(reps):
+            streams[u, u * reps + r] = time_symbol(LTS_FREQ)
+        padded = np.zeros(symbols * CODED_BITS_PER_SYMBOL, dtype=np.int64)
+        padded[: coded[u].size] = coded[u]
+        for s in range(symbols):
+            chunk = padded[s * CODED_BITS_PER_SYMBOL : (s + 1) * CODED_BITS_PER_SYMBOL]
+            grids[u, s] = qam16_map(interleave(chunk, CODED_BITS_PER_SYMBOL))
+            spectrum = np.zeros(FFT_SIZE, dtype=complex)
+            spectrum[DATA_BINS] = grids[u, s]
+            spectrum[PILOT_BINS] = PILOT_VALUES
+            streams[u, K * reps + s] = time_symbol(spectrum)
+    return streams.reshape(K, -1), grids
+
+
 class TestFraming:
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    def test_matches_per_symbol_oracle(self, reps):
+        payloads = [Rng(5, u).bits(n) for u, n in enumerate((101, 378, 37))]
+        got, want = build_frame(payloads, reps), loop_frame(payloads, reps)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
     def test_loopback_identity(self):
-        cfg = OfdmConfig()
-        payloads = [Rng(6, u).bits(cfg.payload_bits_for_symbols(4)) for u in range(4)]
-        frame = build_frame(cfg, payloads)
-        got = recover_bits(frame.tx_grids, frame.payload_lens)
+        payloads = [Rng(6, u).bits(payload_bits_for_symbols(4)) for u in range(4)]
+        _, grids = build_frame(payloads, REPS)
+        got = recover_bits(grids, lengths(payloads))
         for u in range(4):
             assert np.array_equal(got[u], payloads[u])
 
     @pytest.mark.parametrize("K", [1, 2, 8])
     def test_loopback_many_user_counts(self, K):
-        cfg = OfdmConfig()
-        payloads = [Rng(7, u).bits(cfg.payload_bits_for_symbols(2)) for u in range(K)]
-        frame = build_frame(cfg, payloads)
-        got = recover_bits(frame.tx_grids, frame.payload_lens)
+        payloads = [Rng(7, u).bits(payload_bits_for_symbols(2)) for u in range(K)]
+        _, grids = build_frame(payloads, REPS)
+        got = recover_bits(grids, lengths(payloads))
         assert all(np.array_equal(g, p) for g, p in zip(got, payloads))
 
     def test_padding_recorded_and_recovered(self):
-        cfg = OfdmConfig()
         payloads = [Rng(8, 0).bits(101)]  # does not fill whole symbols
-        frame = build_frame(cfg, payloads)
-        assert frame.payload_lens == [101]
-        got = recover_bits(frame.tx_grids, frame.payload_lens)
+        streams, grids = build_frame(payloads, REPS)
+        assert grids.shape == (1, 2, len(DATA_BINS))  # 2*(101+6) = 214 coded bits
+        assert streams.shape == (1, (REPS + 2) * SYMBOL_LEN)
+        got = recover_bits(grids, [101])
         assert np.array_equal(got[0], payloads[0])
 
     def test_mixed_payload_lengths_in_one_call(self):
-        cfg = OfdmConfig()
         payloads = [Rng(8, u).bits(n) for u, n in enumerate((101, 180, 101, 37))]
-        frame = build_frame(cfg, payloads)
-        got = recover_bits(frame.tx_grids, frame.payload_lens)
+        _, grids = build_frame(payloads, REPS)
+        got = recover_bits(grids, lengths(payloads))
         assert all(np.array_equal(g, p) for g, p in zip(got, payloads))
 
     @pytest.mark.parametrize("lens", [[180], [180, 180, 180], [10**4, 180]])
     def test_recover_rejects_lengths_that_do_not_match_the_grids(self, lens):
-        cfg = OfdmConfig()
-        frame = build_frame(cfg, [Rng(8, u).bits(180) for u in range(2)])
+        _, grids = build_frame([Rng(8, u).bits(180) for u in range(2)], REPS)
         with pytest.raises(ValueError):
-            recover_bits(frame.tx_grids, lens)
+            recover_bits(grids, lens)
 
     def test_lts_slots_disjoint_and_exclusive(self):
-        cfg = OfdmConfig(lts_repeats=2)
-        payloads = [Rng(9, u).bits(cfg.payload_bits_for_symbols(2)) for u in range(4)]
-        frame = build_frame(cfg, payloads)
-        slots = [set(frame.user_lts_symbol_indices(u)) for u in range(4)]
-        for u in range(4):
-            for v in range(u + 1, 4):
-                assert not slots[u] & slots[v]
-        # each user is silent during every other user's training slots
-        for u in range(4):
-            sym = frame.tx_streams[u].reshape(frame.total_symbols, cfg.symbol_len)
-            for v in range(4):
-                energy = np.sum(np.abs(sym[list(slots[v])]) ** 2)
-                if v == u:
-                    assert energy > 0
-                else:
-                    assert energy == 0
+        payloads = [Rng(9, u).bits(payload_bits_for_symbols(2)) for u in range(4)]
+        for reps in (1, 2, 3):
+            streams, grids = build_frame(payloads, reps)
+            assert streams.shape == (4, (4 * reps + grids.shape[1]) * SYMBOL_LEN)
+            spectra = symbol_spectra(streams)
+            # user u trains in symbols u*reps .. (u+1)*reps - 1 and is
+            # silent during every other user's training slots
+            for u in range(4):
+                for v in range(4):
+                    slot = spectra[u, v * reps : (v + 1) * reps] / TX_SCALE
+                    if v == u:
+                        assert np.allclose(slot, LTS_FREQ)
+                    else:
+                        assert not slot.any()
 
     def test_null_bins_carry_no_energy(self):
-        cfg = OfdmConfig()
-        payloads = [Rng(10, 0).bits(cfg.payload_bits_for_symbols(3))]
-        frame = build_frame(cfg, payloads)
-        spectra = symbol_spectra(frame.tx_streams[0], cfg)
+        payloads = [Rng(10, 0).bits(payload_bits_for_symbols(3))]
+        streams, _ = build_frame(payloads, REPS)
+        spectra = symbol_spectra(streams[0])
         nulls = np.setdiff1d(np.arange(64), USED_BINS)
         used_power = np.sum(np.abs(spectra[:, USED_BINS]) ** 2)
         null_power = np.sum(np.abs(spectra[:, nulls]) ** 2)
         assert null_power < used_power * 1e-10  # < -100 dBc
 
     def test_unit_mean_sample_power(self):
-        cfg = OfdmConfig()
-        payloads = [Rng(11, 0).bits(cfg.payload_bits_for_symbols(50))]
-        frame = build_frame(cfg, payloads)
-        sym = frame.tx_streams[0, frame.preamble_symbols * cfg.symbol_len :]
+        payloads = [Rng(11, 0).bits(payload_bits_for_symbols(50))]
+        streams, _ = build_frame(payloads, REPS)
+        sym = streams[0, REPS * SYMBOL_LEN :]
         assert abs(np.mean(np.abs(sym) ** 2) - 1.0) < 0.05
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            build_frame(OfdmConfig(), [])
+            build_frame([], REPS)
+
+    def test_symbol_spectra_rejects_partial_symbols(self):
+        with pytest.raises(ValueError):
+            symbol_spectra(np.zeros(SYMBOL_LEN + 1, dtype=complex))
 
 
-def per_user_rate(cfg):
+def per_user_rate(bandwidth_hz):
     """Raw delivered-bit ceiling: info bits per symbol over the symbol period."""
-    return cfg.info_bits_per_symbol / cfg.symbol_duration_s
+    return INFO_BITS_PER_SYMBOL / (SYMBOL_LEN / bandwidth_hz)
 
 
 class TestRateArithmetic:
     def test_per_user_bound_is_12_mbps(self):
-        assert per_user_rate(OfdmConfig()) == pytest.approx(12e6, abs=1e-6)
+        assert per_user_rate(10e6) == pytest.approx(12e6, abs=1e-6)
 
     def test_four_users_aggregate_48_mbps(self):
-        assert 4 * per_user_rate(OfdmConfig()) == pytest.approx(48e6, abs=1e-6)
+        assert 4 * per_user_rate(10e6) == pytest.approx(48e6, abs=1e-6)
 
     def test_spectral_efficiency_1p2(self):
-        cfg = OfdmConfig()
-        assert per_user_rate(cfg) / cfg.user_bandwidth_hz == pytest.approx(1.2, abs=1e-12)
+        assert per_user_rate(10e6) / 10e6 == pytest.approx(1.2, abs=1e-12)
 
     def test_symbol_duration(self):
-        assert OfdmConfig().symbol_duration_s == pytest.approx(8e-6, abs=1e-12)
+        assert SYMBOL_LEN / 10e6 == pytest.approx(8e-6, abs=1e-12)
 
     def test_payload_bits_accounting(self):
-        cfg = OfdmConfig()
-        assert cfg.payload_bits_for_symbols(50) == 96 * 50 - 6
+        assert payload_bits_for_symbols(50) == 96 * 50 - 6
+
+    def test_numerology(self):
+        assert (FFT_SIZE, CP_LEN, SYMBOL_LEN) == (64, 16, 80)
+        assert (CODED_BITS_PER_SYMBOL, INFO_BITS_PER_SYMBOL) == (192, 96)
+        assert TX_SCALE == pytest.approx(64 / np.sqrt(52))
