@@ -11,7 +11,7 @@ one-antenna-per-chain switching.
 
 import numpy as np
 
-from switchmux import runner
+from switchmux import Rng, runner
 from switchmux.config import build_config, parse_config_text
 from switchmux.frontend import control_word
 from switchmux.grouping import inphase_select
@@ -30,7 +30,7 @@ base = (
 
 # Show the matrix the phase-cone selector picks for this room.
 cfg = build_config(parse_config_text(base + "select = grouped\n"))
-gains = runner._draw_channel(cfg, runner.Rng(cfg.seed, 0))
+gains = runner._draw_channel(cfg, Rng(cfg.seed, 0))
 result = inphase_select(
     gains[:, :, runner.REFERENCE_BIN],
     phi_rad=cfg.phi_rad,

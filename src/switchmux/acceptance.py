@@ -142,7 +142,7 @@ def check_interference_floor() -> CheckResult:
     reps = 2  # training symbols per user
     worst_dbc = -np.inf
     for users, ants in ((2, 4), (3, 6), (4, 8), (8, 8)):
-        bits = [rng.bits(payload_bits_for_symbols(2)) for _ in range(users)]
+        bits = rng.bits((users, payload_bits_for_symbols(2)))
         tx_streams, _ = build_frame(bits, reps)
         gains = channel.rayleigh(users, ants, 64, rng.derive(1), 3)
         rx = channel.apply(gains, tx_streams, CP_LEN)
@@ -151,8 +151,7 @@ def check_interference_floor() -> CheckResult:
         chains = time_despread(cap, users)
         comb = zf_weights(estimate_channel(chains, users, reps))
         grids = apply_combiner(chains, comb, reps)
-        recovered = recover_bits(grids, [len(b) for b in bits])
-        if any(np.any(r != b) for r, b in zip(recovered, bits)):
+        if np.any(recover_bits(grids) != bits):
             return CheckResult(
                 "interference_floor", False, f"bit errors at users={users} M={ants}"
             )
@@ -351,8 +350,8 @@ def check_rate_and_capacity() -> CheckResult:
     # nominal rate from the frame arithmetic: info bits added per extra
     # payload symbol over the symbol period, times four 10 MHz users
     def airtime_s(symbols):
-        bits = np.zeros(payload_bits_for_symbols(symbols), dtype=np.int64)
-        _, grids = build_frame([bits], 2)
+        bits = np.zeros((1, payload_bits_for_symbols(symbols)), dtype=np.int64)
+        _, grids = build_frame(bits, 2)
         return grids.shape[1] * (SYMBOL_LEN / 1e7)
 
     per_symbol = payload_bits_for_symbols(2) - payload_bits_for_symbols(1)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import ARRAY_SPACING_M, MIN_CLEARANCE_M, ula_positions
+from .waveform import CODED_BITS_PER_SYMBOL, FFT_SIZE, SYMBOL_LEN
 
 ARCH_CHOICES = ("switched", "dbf", "hbf_full", "hbf_partial", "fdma")
 SELECT_CHOICES = ("grouped", "random", "identity")
@@ -29,6 +30,13 @@ SYNC_CHOICES = ("aligned", "offset")
 
 # drawn raytrace users keep this distance from every wall
 DROP_MARGIN_M = 1.0
+
+# Element budget for each array a trial holds.  A trial keeps several
+# temporaries the size of its largest array, so a combo whose gains,
+# received signal or coded payload would exceed this is refused before any
+# trial runs, where it would otherwise die of a MemoryError mid-sweep; one
+# complex array of the budget is 256 MiB.
+MAX_TRIAL_ELEMENTS = 2**24
 
 
 class ConfigError(ValueError):
@@ -220,9 +228,27 @@ def _check_room(cfg: ExperimentConfig) -> None:
         raise ConfigError(too_long)
 
 
+def _check_trial_size(cfg: ExperimentConfig) -> None:
+    """Refuse a combo whose channel gains [users, antennas, 64], received
+    signal [antennas, (users * lts_repeats + payload_symbols) * 80] or coded
+    payload [users, payload_symbols * 192] exceeds MAX_TRIAL_ELEMENTS."""
+    frame = (cfg.users * cfg.lts_repeats + cfg.payload_symbols) * SYMBOL_LEN
+    for keys, elements in (
+        ("users x antennas", cfg.users * cfg.antennas * FFT_SIZE),
+        ("antennas x (users x ofdm.lts_repeats + payload_symbols)", cfg.antennas * frame),
+        ("users x payload_symbols", cfg.users * cfg.payload_symbols * CODED_BITS_PER_SYMBOL),
+    ):
+        if elements > MAX_TRIAL_ELEMENTS:
+            raise ConfigError(
+                f"{keys} is too large: a trial would hold an array of {elements:.3g} "
+                f"elements, over the budget of {MAX_TRIAL_ELEMENTS}"
+            )
+
+
 def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Run every per-key, room and cross-field check on cfg, whose chains
-    is the declared count (0 when unset); returns cfg with chains resolved.
+    """Run every per-key, room, trial-size and cross-field check on cfg,
+    whose chains is the declared count (0 when unset); returns cfg with
+    chains resolved.
 
     build_config runs it on the file's own values and with_overrides on
     every sweep combo and command-line override, so a bad value fails
@@ -234,6 +260,7 @@ def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{f.metadata['key']} {check[1]}")
     if cfg.scenario == "raytrace":
         _check_room(cfg)
+    _check_trial_size(cfg)
     return replace(cfg, chains=_resolve_chains(cfg))
 
 

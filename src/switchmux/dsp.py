@@ -62,12 +62,12 @@ class Rng:
         im = g.standard_normal(shape)
         return (re + 1j * im) / np.sqrt(2.0)
 
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
+    def uniform(self, low, high, shape=None) -> np.ndarray:
         return self.generator.uniform(low, high, shape)
 
-    def bits(self, n: int) -> np.ndarray:
-        """n random payload bits as an int array of 0/1."""
-        return self.generator.integers(0, 2, n).astype(np.int64)
+    def bits(self, shape) -> np.ndarray:
+        """Random payload bits of the given shape as an int array of 0/1."""
+        return self.generator.integers(0, 2, shape).astype(np.int64)
 
 
 def signed_bins(n: int) -> np.ndarray:

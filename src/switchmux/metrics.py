@@ -100,14 +100,12 @@ def evm(equalized: np.ndarray, reference: np.ndarray) -> float:
     return float(100.0 * np.sqrt(err_power / ref_power))
 
 
-def capacity(sinr_db: np.ndarray, bandwidth_hz) -> float:
-    """Shannon sum rate: sum_u B_u * log2(1 + SINR_u)."""
-    sinr_db = np.atleast_1d(np.asarray(sinr_db, dtype=float))
-    bandwidth = np.broadcast_to(np.asarray(bandwidth_hz, dtype=float), sinr_db.shape)
-    if np.any(bandwidth <= 0):
+def capacity(sinr_db: np.ndarray, bandwidth_hz: float) -> float:
+    """Shannon sum rate: sum_u B * log2(1 + SINR_u)."""
+    if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    lin = 10.0 ** (sinr_db / 10.0)
-    return float(np.sum(bandwidth * np.log2(1.0 + lin)))
+    lin = 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0)
+    return float(np.sum(bandwidth_hz * np.log2(1.0 + lin)))
 
 
 def adc_power(fom: float, bits: int, sample_rate_hz: float) -> float:
@@ -146,32 +144,24 @@ def power(
     return PowerReport(rfe_mw=rfe, switch_mw=switch, adc_mw=adc)
 
 
-def goodput_and_ber(recovered: list, sent: list, airtime_s: float) -> tuple:
-    """Packet-level goodput (bps) and raw post-decode BER.
+def goodput_and_ber(recovered: np.ndarray, sent: np.ndarray, airtime_s: float) -> tuple:
+    """Packet-level goodput (bps) and raw post-decode BER of payloads
+    [users, bits].
 
     A user's payload counts toward goodput only when every recovered bit is
     correct; airtime covers the payload symbols of the shared frame.
     """
-    if len(recovered) != len(sent):
-        raise ValueError("one recovered vector per sent vector")
+    recovered = np.asarray(recovered)
+    sent = np.asarray(sent)
+    if recovered.shape != sent.shape or sent.ndim != 2:
+        raise ValueError("recovered and sent must be equal [users, bits] arrays")
+    if not sent.size:
+        raise ValueError("empty payloads")
     if airtime_s <= 0:
         raise ValueError("airtime must be positive")
-    delivered = 0
-    wrong = 0
-    total = 0
-    for got, want in zip(recovered, sent):
-        got = np.asarray(got, dtype=np.int64)
-        want = np.asarray(want, dtype=np.int64)
-        if got.shape != want.shape:
-            raise ValueError("payload length mismatch")
-        mismatches = int(np.sum(got != want))
-        wrong += mismatches
-        total += want.size
-        if mismatches == 0:
-            delivered += want.size
-    if total == 0:
-        raise ValueError("empty payloads")
-    return delivered / airtime_s, wrong / total
+    wrong = np.count_nonzero(recovered != sent, axis=1)
+    delivered = sent.shape[1] * np.count_nonzero(wrong == 0)
+    return delivered / airtime_s, int(wrong.sum()) / sent.size
 
 
 def bits_per_joule(goodput_bps: float, total_mw: float) -> float:

@@ -53,43 +53,29 @@ _POWER_ARCH = {
 }
 
 
-def _payload_bits(cfg: ExperimentConfig, trial_rng: Rng) -> list:
+def _payload_bits(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
+    """The trial's payloads [users, bits], each filling the payload symbols."""
     n = payload_bits_for_symbols(cfg.payload_symbols)
-    rng = trial_rng.derive(_P_PAYLOAD)
-    return [rng.bits(n) for _ in range(cfg.users)]
+    return trial_rng.derive(_P_PAYLOAD).bits((cfg.users, n))
 
 
-def _draw_positions(cfg: ExperimentConfig, rng: Rng) -> list:
-    """Uniform user drops with DROP_MARGIN_M wall margin, 0.5 m user spacing
-    and 1 m standoff from the array center; falls back to the bare margin
-    draw when the spacing rejection cannot be met."""
-    margin = DROP_MARGIN_M
+def _draw_positions(cfg: ExperimentConfig, rng: Rng) -> np.ndarray:
+    """Uniform user drops [users, 2] with DROP_MARGIN_M wall margin, 0.5 m
+    user spacing and 1 m standoff from the array center; a user who draws
+    no clear spot in 100 tries takes the 101st draw as it falls."""
+    low = (DROP_MARGIN_M, DROP_MARGIN_M)
+    high = (cfg.room_x_m - DROP_MARGIN_M, cfg.room_y_m - DROP_MARGIN_M)
     ap = np.array([cfg.ap_x_m, cfg.ap_y_m])
-    placed: list = []
-    for _ in range(cfg.users):
-        pos = None
-        for _attempt in range(100):
-            cand = np.array(
-                [
-                    rng.uniform(margin, cfg.room_x_m - margin),
-                    rng.uniform(margin, cfg.room_y_m - margin),
-                ]
-            )
-            clear = np.linalg.norm(cand - ap) >= 1.0 and all(
-                np.linalg.norm(cand - p) >= 0.5 for p in placed
-            )
-            if clear:
-                pos = cand
+    placed = np.empty((cfg.users, 2))
+    for u in range(cfg.users):
+        for _attempt in range(101):
+            pos = rng.uniform(low, high)
+            if np.linalg.norm(pos - ap) >= 1.0 and all(
+                np.linalg.norm(pos - p) >= 0.5 for p in placed[:u]
+            ):
                 break
-        if pos is None:
-            pos = np.array(
-                [
-                    rng.uniform(margin, cfg.room_x_m - margin),
-                    rng.uniform(margin, cfg.room_y_m - margin),
-                ]
-            )
-        placed.append(pos)
-    return [tuple(p) for p in placed]
+        placed[u] = pos
+    return placed
 
 
 def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
@@ -184,10 +170,10 @@ def _failed_row(cfg: ExperimentConfig, trial_id: int) -> dict:
 
 
 def _run_link(
-    cfg: ExperimentConfig, bits: list, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
+    cfg: ExperimentConfig, bits: np.ndarray, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
 ) -> tuple:
-    """Frame the users' payload bits, carry the frame through the channel
-    and the configured front end, then estimate and combine it.
+    """Frame the users' payload bits [users, bits], carry the frame through
+    the channel and the configured front end, then estimate and combine it.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
@@ -240,7 +226,8 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
     noise_rng = trial_rng.derive(_P_NOISE)
     if cfg.arch == "fdma":
         links = [
-            ([bits[u]], gains[u : u + 1, :1], noise_rng.derive(u)) for u in range(cfg.users)
+            (bits[u : u + 1], gains[u : u + 1, :1], noise_rng.derive(u))
+            for u in range(cfg.users)
         ]
     else:
         links = [(bits, gains, noise_rng)]
@@ -256,7 +243,7 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
         evms.append(evm_pct)
 
     grids = np.concatenate(grids)
-    recovered = recover_bits(grids, [len(b) for b in bits])
+    recovered = recover_bits(grids)
     sinr_db = np.concatenate(sinrs)
     airtime_s = grids.shape[1] * (SYMBOL_LEN / cfg.bandwidth_hz)
     goodput, ber = metrics.goodput_and_ber(recovered, bits, airtime_s)

@@ -6,12 +6,14 @@ Gray-coded QAM-16, rate-1/2 constraint-7 convolutional code (generators
 interleaving.  The numerology is fixed and lives in module constants
 (FFT_SIZE, CP_LEN, SYMBOL_LEN, CODED_BITS_PER_SYMBOL, INFO_BITS_PER_SYMBOL,
 TX_SCALE); only the bandwidth and the training repeats vary, and both come
-from the experiment config.  A frame is two plain arrays: the transmitted
-samples [users, samples] and the payload QAM grids [users, payload symbols,
-data bins].  Frames start with per-user long training symbols in
-non-overlapping time slots so each user's channel can be estimated cleanly.
-The receiver demaps and deinterleaves a whole [users, symbols, data bins]
-grid at once and decodes all its codewords in one batched Viterbi pass.
+from the experiment config.  The payload is one 0/1 int array [users, bits]
+of whole symbols, bits = payload_bits_for_symbols(P) for P payload symbols.
+A frame is two plain arrays: the transmitted samples [users, samples] and
+the payload QAM grids [users, P, data bins].  Frames start with per-user
+long training symbols in non-overlapping time slots so each user's channel
+can be estimated cleanly.  The receiver demaps and deinterleaves a whole
+[users, P, data bins] grid at once and decodes all its codewords in one
+batched Viterbi pass back to [users, bits].
 """
 
 from __future__ import annotations
@@ -64,12 +66,6 @@ def _parity_table() -> np.ndarray:
 _PARITY = _parity_table()
 
 
-# convolution taps of each generator: tap j weights the input bit j steps back
-_CONV_TAPS = np.array(
-    [[(g >> (CONV_K - 1 - j)) & 1 for j in range(CONV_K)] for g in (CONV_G0, CONV_G1)]
-)
-
-
 def _branch_metrics() -> np.ndarray:
     """Hamming distance [received pair, choice, input bit, j] int8.
 
@@ -88,38 +84,41 @@ _EVEN_PREDECESSOR = (2 * (np.arange(64) & 31)).astype(np.int8)
 
 
 def conv_encode(bits) -> np.ndarray:
-    """Rate-1/2 constraint-7 encoder, zero-tail terminated."""
+    """Rate-1/2 constraint-7 encoder, zero-tail terminated: payloads
+    [codewords, bits] -> codewords [codewords, 2 * (bits + 6)]."""
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("bits must be a 1-D vector")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.ndim != 2:
+        raise ValueError("bits must be [codewords, bits]")
+    if (bits & ~1).any():
         raise ValueError("bits must be 0/1")
-    padded = np.concatenate([bits, np.zeros(_TAIL, dtype=np.int64)])
-    out = np.empty(2 * padded.size, dtype=np.int64)
-    for k, taps in enumerate(_CONV_TAPS):
-        out[k::2] = np.convolve(padded, taps)[: padded.size] % 2
-    return out
+    n = bits.shape[1]
+    steps = n + _TAIL
+    padded = np.zeros((len(bits), steps + _TAIL), dtype=np.int64)
+    padded[:, _TAIL : _TAIL + n] = bits
+    # the 7-bit encoder register at step t holds input bit t - j in bit 6 - j
+    reg = sum(padded[:, _TAIL - j : _TAIL - j + steps] << (_TAIL - j) for j in range(CONV_K))
+    out = np.stack([_PARITY[reg & CONV_G0], _PARITY[reg & CONV_G1]], axis=-1)
+    return out.reshape(len(bits), 2 * steps)
 
 
 def viterbi_decode(coded) -> np.ndarray:
     """Hard-decision Viterbi for conv_encode's code.
 
-    ``coded`` is one codeword or a batch [codewords, coded bits] of equal
-    even length; returns the payload bits (tail removed) in the same
-    layout.  All codewords share one add-compare-select pass: a survivor
-    switches to the odd predecessor only when that is strictly shorter,
-    which is argmin's first-index tie rule.
+    ``coded`` is a batch [codewords, coded bits] of equal even length;
+    returns the payload bits [codewords, bits] with the tail removed.  All
+    codewords share one add-compare-select pass: a survivor switches to the
+    odd predecessor only when that is strictly shorter, which is argmin's
+    first-index tie rule.
     """
     coded = np.asarray(coded, dtype=np.int64)
-    if coded.ndim not in (1, 2) or coded.shape[-1] % 2 != 0:
-        raise ValueError("coded bits must be [codewords,] coded bits of even length")
-    if coded.size and not np.isin(coded, (0, 1)).all():
+    if coded.ndim != 2 or coded.shape[1] % 2 != 0:
+        raise ValueError("coded bits must be [codewords, coded bits] of even length")
+    if (coded & ~1).any():
         raise ValueError("coded bits must be 0/1")
-    batch = np.atleast_2d(coded)
-    n, steps = batch.shape[0], batch.shape[1] // 2
+    n, steps = coded.shape[0], coded.shape[1] // 2
     if steps <= _TAIL:
         raise ValueError("too short to contain a terminated codeword")
-    pairs = 2 * batch[:, 0::2] + batch[:, 1::2]
+    pairs = 2 * coded[:, 0::2] + coded[:, 1::2]
     branch = _BRANCH_METRICS[pairs.T]  # [steps, codewords, choice, b, j]
     # int32 holds any codeword under 5e8 steps: only the first _TAIL steps
     # carry the 10**9 start penalty, and a path gains at most 2 per step
@@ -139,8 +138,7 @@ def viterbi_decode(coded) -> np.ndarray:
     for t in range(steps - 1, -1, -1):
         states[t] = state
         state = prev[t, rows, state]
-    out = (states[: steps - _TAIL].T >> 5).astype(np.int64)  # input bit of each state
-    return out[0] if coded.ndim == 1 else out
+    return (states[: steps - _TAIL].T >> 5).astype(np.int64)  # input bit of each state
 
 
 def qam16_map(bits) -> np.ndarray:
@@ -192,25 +190,26 @@ def _symbol_time(spectra: np.ndarray) -> np.ndarray:
     return np.concatenate([body[..., -CP_LEN:], body], axis=-1)
 
 
-def build_frame(payload_bits: list, lts_repeats: int) -> tuple:
+def build_frame(payload_bits, lts_repeats: int) -> tuple:
     """Encode, interleave, map and frame one packet per user.
 
-    Returns (tx_streams [users, samples], tx_grids [users, payload symbols,
-    data bins]).  The frame opens with lts_repeats training symbols per
-    user, user u's in symbols u*lts_repeats .. (u+1)*lts_repeats - 1 with
-    every other user silent, then all users send their payloads at once.
-    Payloads are zero-padded to the longest user's whole symbol count;
-    recover_bits strips the pad given the original lengths.
+    payload_bits is [users, payload_bits_for_symbols(P)] for some P >= 1.
+    Returns (tx_streams [users, samples], tx_grids [users, P, data bins]).
+    The frame opens with lts_repeats training symbols per user, user u's in
+    symbols u*lts_repeats .. (u+1)*lts_repeats - 1 with every other user
+    silent, then all users send their payloads at once.
     """
-    if not payload_bits:
-        raise ValueError("need at least one user payload")
-    K = len(payload_bits)
-    coded = [conv_encode(b) for b in payload_bits]
-    symbols = max(-(-c.size // CODED_BITS_PER_SYMBOL) for c in coded)
-    padded = np.zeros((K, symbols * CODED_BITS_PER_SYMBOL), dtype=np.int64)
-    for u, c in enumerate(coded):
-        padded[u, : c.size] = c
-    chunks = interleave(padded.reshape(K, symbols, -1), CODED_BITS_PER_SYMBOL)
+    payload_bits = np.asarray(payload_bits)
+    if payload_bits.ndim != 2 or not len(payload_bits):
+        raise ValueError("payload bits must be [users, bits] with at least one user")
+    K, n = payload_bits.shape
+    symbols = (n + _TAIL) // INFO_BITS_PER_SYMBOL
+    if symbols < 1 or n != payload_bits_for_symbols(symbols):
+        raise ValueError(
+            f"{n} payload bits do not fill whole symbols; send payload_bits_for_symbols(P)"
+        )
+    coded = conv_encode(payload_bits).reshape(K, symbols, CODED_BITS_PER_SYMBOL)
+    chunks = interleave(coded, CODED_BITS_PER_SYMBOL)
     grids = qam16_map(chunks).reshape(K, symbols, len(DATA_BINS))
     spectra = np.zeros((K, symbols, FFT_SIZE), dtype=np.complex128)
     spectra[:, :, DATA_BINS] = grids
@@ -224,34 +223,20 @@ def build_frame(payload_bits: list, lts_repeats: int) -> tuple:
     return streams.reshape(K, -1), grids
 
 
-def recover_bits(grids: np.ndarray, payload_lens) -> list:
+def recover_bits(grids: np.ndarray) -> np.ndarray:
     """Invert the TX chain on equalized data-bin grids
-    [users, payload symbols, data bins] -> one payload bit vector per user.
+    [users, payload symbols, data bins] -> payload bits [users, bits].
 
-    payload_lens[u] is the length of the payload user u sent to build_frame.
-    The whole grid is demapped and deinterleaved at once, and every
-    codeword of one length goes through a single viterbi_decode call.
+    The whole grid is demapped and deinterleaved at once, and every user's
+    codeword goes through one viterbi_decode call.
     """
     grids = np.asarray(grids)
     if grids.ndim != 3 or grids.shape[2] != len(DATA_BINS):
         raise ValueError(f"expected grids [users, symbols, data bins], got {grids.shape}")
     users, symbols = grids.shape[:2]
     cbps = CODED_BITS_PER_SYMBOL
-    lens = [int(n) for n in payload_lens]
-    if len(lens) != users:
-        raise ValueError(f"{users} grids need {users} payload lengths, got {len(lens)}")
-    if any(n < 0 or 2 * (n + _TAIL) > symbols * cbps for n in lens):
-        raise ValueError("payload lengths must fit the grids' codeword capacity")
     coded = deinterleave(qam16_demap(grids).reshape(users, symbols, cbps), cbps)
-    coded = coded.reshape(users, symbols * cbps)
-    out = [None] * users
-    # grouped in plain Python: the first np.unique call in a process adds
-    # about 1.3 MB of resident memory (numpy 2.4)
-    for n in sorted(set(lens)):
-        rows = [u for u, m in enumerate(lens) if m == n]
-        for u, bits in zip(rows, viterbi_decode(coded[rows, : 2 * (n + _TAIL)])):
-            out[u] = bits
-    return out
+    return viterbi_decode(coded.reshape(users, symbols * cbps))
 
 
 def symbol_spectra(x: np.ndarray) -> np.ndarray:

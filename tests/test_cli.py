@@ -81,6 +81,28 @@ def test_bad_value_error_names_its_key(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("users = 2\nantennas = 99999999999\n", "users x antennas"),
+        (
+            "payload_symbols = 99999999999\n",
+            "antennas x (users x ofdm.lts_repeats + payload_symbols)",
+        ),
+    ],
+    ids=["antennas", "payload_symbols"],
+)
+def test_trial_too_large_to_hold_exits_1(tmp_path, capsys, text, keys):
+    path = tmp_path / "big.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {keys} is too large")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_codes_table(capsys):
     assert main(["codes", "--slots", "4"]) == 0
     out = capsys.readouterr().out
@@ -133,10 +155,11 @@ def test_module_entry_point():
             "sweep.antennas = 2, 1\n",
             "scene.user0_x_m/y_m must keep",
         ),
+        ("sweep.antennas = 8, 99999999999\n", "users x antennas is too large"),
     ],
     ids=[
         "nullspace_with_dbf", "fewer_antennas_than_users", "narrow_room", "ap_outside_room",
-        "array_outside_room", "empty_sweep_list", "user_on_an_antenna",
+        "array_outside_room", "empty_sweep_list", "user_on_an_antenna", "oversized_combo",
     ],
 )
 def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, message):

@@ -147,6 +147,25 @@ class TestCrossValidation:
         with pytest.raises(ConfigError):
             cfg_from("trials = 0")
 
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            ("users = 2\nantennas = 99999999999\n", "users x antennas"),
+            (
+                "payload_symbols = 1000000\n",
+                "antennas x (users x ofdm.lts_repeats + payload_symbols)",
+            ),
+            (
+                "arch = fdma\nusers = 1000\nantennas = 1\npayload_symbols = 1000\n",
+                "users x payload_symbols",
+            ),
+        ],
+        ids=["gains", "received_signal", "fdma_coded_payload"],
+    )
+    def test_trial_arrays_bounded(self, text, keys):
+        with pytest.raises(ConfigError, match=re.escape(f"{keys} is too large")):
+            cfg_from(text)
+
     def test_phi_passed_through_to_grouping(self):
         with pytest.raises(ConfigError):
             cfg_from("grouping.phi_rad = 3.2")
@@ -236,6 +255,11 @@ class TestSweepComboValidation:
         assert with_overrides(cfg, antennas=8).antennas == 8
         with pytest.raises(ConfigError, match="antenna per user"):
             with_overrides(cfg, antennas=2)
+
+    def test_oversized_combo_rejected(self):
+        cfg = cfg_from("sweep.antennas = 8, 99999999999\n")
+        with pytest.raises(ConfigError, match="users x antennas is too large"):
+            runner.sweep_combos(cfg)
 
     def test_pinned_positions_must_match_user_count(self):
         cfg = cfg_from(

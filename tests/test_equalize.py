@@ -27,15 +27,16 @@ from switchmux.waveform import (
     TX_SCALE,
     USED_BINS,
     build_frame,
+    payload_bits_for_symbols,
     recover_bits,
 )
 
 REPS = 2  # training symbols per user, the config default
 
 
-def make_frame(num_users, seed, bits_per_user=180):
+def make_frame(num_users, seed, symbols=2):
     """(payloads, tx_streams, tx_grids) of a REPS-training frame."""
-    payloads = [Rng(seed, u).bits(bits_per_user) for u in range(num_users)]
+    payloads = Rng(seed).bits((num_users, payload_bits_for_symbols(symbols)))
     return (payloads, *build_frame(payloads, REPS))
 
 
@@ -48,8 +49,7 @@ def inject(tx, heff_full):
 
 
 def decoded_ok(grids, payloads):
-    bits = recover_bits(grids, [len(p) for p in payloads])
-    return all(np.array_equal(b, p) for b, p in zip(bits, payloads))
+    return np.array_equal(recover_bits(grids), payloads)
 
 
 def loop_zf(heff, rank_tolerance=1e-9):
@@ -92,7 +92,7 @@ class TestEstimateChannel:
         noise_power = 0.05
         errors = {1: [], 2: []}
         for reps in (1, 2):
-            clean, _ = build_frame([Rng(40).bits(90)], reps)
+            clean, _ = build_frame(Rng(40).bits((1, payload_bits_for_symbols(1))), reps)
             for trial in range(200):
                 noise = Rng(41, trial + 1000 * reps).normal_complex(clean.shape)
                 est = estimate_channel(clean + noise * np.sqrt(noise_power), 1, reps)
@@ -102,7 +102,7 @@ class TestEstimateChannel:
 
     @pytest.mark.parametrize("reps", [1, 2, 3])
     def test_matches_per_user_oracle(self, reps):
-        clean, _ = build_frame([Rng(42, u).bits(180) for u in range(3)], reps)
+        clean, _ = build_frame(Rng(42).bits((3, payload_bits_for_symbols(2))), reps)
         chains = inject(clean, random_heff(4, 3, seed=43))
         chains = chains + 0.1 * Rng(44).normal_complex(chains.shape)
         spectra = np.fft.fft(chains.reshape(4, -1, SYMBOL_LEN)[:, :, CP_LEN:], axis=-1)

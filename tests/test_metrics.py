@@ -137,19 +137,19 @@ class TestGoodput:
         bits_per_user = 96 * symbols - 6
         airtime = symbols * 8e-6
         rng = np.random.Generator(np.random.Philox(key=9))
-        sent = [rng.integers(0, 2, bits_per_user) for _ in range(users)]
+        sent = rng.integers(0, 2, (users, bits_per_user))
         return airtime, sent
 
     def test_error_free_four_users_near_48mbps(self):
         airtime, sent = self.airtime_and_payloads()
-        goodput, ber = goodput_and_ber([s.copy() for s in sent], sent, airtime)
+        goodput, ber = goodput_and_ber(sent.copy(), sent, airtime)
         assert ber == 0.0
         assert abs(goodput - 48e6) < 0.2e6
 
     def test_one_corrupted_user_drops_to_three_quarters(self):
         airtime, sent = self.airtime_and_payloads()
-        got = [s.copy() for s in sent]
-        got[2][17] ^= 1
+        got = sent.copy()
+        got[2, 17] ^= 1
         goodput, ber = goodput_and_ber(got, sent, airtime)
         assert abs(goodput - 36e6) < 0.2e6
         assert 0 < ber < 1e-4
@@ -157,14 +157,14 @@ class TestGoodput:
     def test_random_guessing_gives_half_ber(self):
         airtime, sent = self.airtime_and_payloads(symbols=100, users=1)
         rng = np.random.Generator(np.random.Philox(key=10))
-        got = [rng.integers(0, 2, sent[0].size)]
+        got = rng.integers(0, 2, sent.shape)
         goodput, ber = goodput_and_ber(got, sent, airtime)
         assert goodput == 0.0
         assert abs(ber - 0.5) < 0.02
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            goodput_and_ber([np.zeros(3, int)], [np.zeros(4, int)], 1e-3)
+            goodput_and_ber(np.zeros((1, 3), int), np.zeros((1, 4), int), 1e-3)
 
 
 class TestEnergyEfficiency:

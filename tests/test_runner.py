@@ -28,6 +28,42 @@ def cfg_from(text):
 SMALL = "users = 2\nantennas = 4\npayload_symbols = 2\ntrials = 2\nseed = 7\n"
 
 
+def loop_positions(cfg, rng):
+    """Oracle: user drops one coordinate draw at a time, with the 101st
+    draw taken after 100 rejected tries; also returns the fallback count."""
+    margin = 1.0
+    placed, fallbacks = [], 0
+    for _ in range(cfg.users):
+        for attempt in range(101):
+            x = rng.uniform(margin, cfg.room_x_m - margin)
+            y = rng.uniform(margin, cfg.room_y_m - margin)
+            clear = math.hypot(x - cfg.ap_x_m, y - cfg.ap_y_m) >= 1.0 and all(
+                math.hypot(x - px, y - py) >= 0.5 for px, py in placed
+            )
+            if clear:
+                break
+        fallbacks += not clear
+        placed.append((x, y))
+    return np.array(placed), fallbacks
+
+
+@pytest.mark.parametrize(
+    "scene, fallbacks",
+    [("", 0), ("scene.room_x_m = 2.4\nscene.room_y_m = 2.4\nscene.ap_x_m = 1.2\n", 3)],
+    ids=["default_room", "cramped_room"],
+)
+def test_drawn_positions_match_the_per_draw_oracle(scene, fallbacks):
+    # the cramped room leaves a 0.4 m square of drops, all within 1 m of
+    # the array center, so every user takes the 101st draw
+    cfg = cfg_from(f"scenario = raytrace\nusers = 3\nantennas = 4\n{scene}")
+    for t in range(3):
+        got = runner._draw_positions(cfg, switchmux.Rng(cfg.seed, t))
+        want, taken = loop_positions(cfg, switchmux.Rng(cfg.seed, t))
+        assert got.shape == (3, 2)
+        assert np.array_equal(got, want)
+        assert taken == fallbacks
+
+
 class TestRunTrial:
     def test_deterministic_repeat(self):
         cfg = cfg_from(SMALL)

@@ -32,10 +32,11 @@ from switchmux.waveform import (
 
 
 def brute_force_decode(coded, n_info):
-    """Oracle: exhaustive nearest-codeword search over all 2^n_info messages."""
+    """Oracle: exhaustive nearest-codeword search over all 2^n_info messages
+    for one codeword [1, coded bits]; returns the message [1, n_info]."""
     best, best_d = None, None
     for msg in range(2**n_info):
-        bits = np.array([(msg >> i) & 1 for i in range(n_info)])
+        bits = np.array([[(msg >> i) & 1 for i in range(n_info)]])
         d = int(np.sum(conv_encode(bits) != coded))
         if best_d is None or d < best_d:
             best, best_d = bits, d
@@ -121,68 +122,75 @@ class TestSubcarrierMaps:
 
 class TestConvCode:
     def test_all_zero_maps_to_all_zero(self):
-        assert np.all(conv_encode(np.zeros(32, dtype=int)) == 0)
+        assert np.all(conv_encode(np.zeros((2, 32), dtype=int)) == 0)
 
     def test_rate_and_tail(self):
-        assert conv_encode(np.zeros(10, dtype=int)).size == 2 * 16
+        assert conv_encode(np.zeros((3, 10), dtype=int)).shape == (3, 2 * 16)
 
     def test_round_trip_1024_bits(self):
-        bits = Rng(1, 0).bits(1024)
+        bits = Rng(1, 0).bits((1, 1024))
         assert np.array_equal(viterbi_decode(conv_encode(bits)), bits)
 
     def test_single_flip_corrected(self):
-        bits = Rng(2, 0).bits(64)
+        bits = Rng(2, 0).bits((1, 64))
         coded = conv_encode(bits)
         for pos in (0, 17, 64, coded.size - 1):
             bad = coded.copy()
-            bad[pos] ^= 1
+            bad[0, pos] ^= 1
             assert np.array_equal(viterbi_decode(bad), bits)
 
     def test_matches_exhaustive_nearest_codeword(self):
-        bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        bits = np.array([[1, 0, 1, 1, 0, 0, 1, 0]])
         coded = conv_encode(bits)
         for pos in (1, 9, 20):
             bad = coded.copy()
-            bad[pos] ^= 1
+            bad[0, pos] ^= 1
             want = brute_force_decode(bad, 8)
             assert np.array_equal(viterbi_decode(bad), want)
             assert np.array_equal(want, bits)
 
     def test_double_flip_matches_oracle(self):
         # two flips may or may not decode to the sent word; the oracle rules
-        bits = np.array([0, 1, 1, 0, 1, 0])
+        bits = np.array([[0, 1, 1, 0, 1, 0]])
         bad = conv_encode(bits).copy()
-        bad[3] ^= 1
-        bad[4] ^= 1
+        bad[0, 3] ^= 1
+        bad[0, 4] ^= 1
         assert np.array_equal(viterbi_decode(bad), brute_force_decode(bad, 6))
 
     def test_decoder_rejects_odd_length(self):
         with pytest.raises(ValueError):
-            viterbi_decode(np.zeros(13, dtype=int))
+            viterbi_decode(np.zeros((1, 13), dtype=int))
 
     def test_encoder_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            conv_encode(np.array([0, 2, 1]))
+            conv_encode(np.array([[0, 2, 1]]))
+
+    def test_encoder_rejects_a_1d_payload(self):
+        with pytest.raises(ValueError):
+            conv_encode(np.zeros(8, dtype=int))
 
     @pytest.mark.parametrize(
         "coded",
-        [np.array([-1, 0] * 20), np.array([2, 0] * 20), np.zeros((2, 2, 20), dtype=int)],
-        ids=["negative", "two", "3-d batch"],
+        [
+            np.array([[-1, 0] * 20]),
+            np.array([[2, 0] * 20]),
+            np.zeros((2, 2, 20), dtype=int),
+            np.zeros(40, dtype=int),
+        ],
+        ids=["negative", "two", "3-d batch", "1-d codeword"],
     )
     def test_decoder_rejects_non_binary_and_bad_shape(self, coded):
         with pytest.raises(ValueError):
             viterbi_decode(coded)
 
-    def test_batch_of_one_keeps_its_rows(self):
-        coded = conv_encode(Rng(3, 1).bits(40))
-        assert viterbi_decode(coded).shape == (40,)
-        assert np.array_equal(viterbi_decode(coded[None, :]), viterbi_decode(coded)[None, :])
-
-    @given(st.integers(0, 200), st.integers(0, 2**32))
+    @given(st.integers(1, 4), st.integers(0, 200), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
-    def test_encoder_matches_loop_oracle(self, n, seed):
-        bits = Rng(seed, 4).bits(n)
-        assert np.array_equal(conv_encode(bits), loop_encode(bits))
+    def test_encoder_matches_loop_oracle(self, rows, n, seed):
+        bits = Rng(seed, 4).bits((rows, n))
+        got = conv_encode(bits)
+        assert got.shape == (rows, 2 * (n + 6))
+        for row, payload in zip(got, bits):
+            assert np.array_equal(row, loop_encode(payload))
 
     @given(
         st.integers(1, 8),
@@ -198,17 +206,17 @@ class TestConvCode:
         if kind == "random":
             coded = rng.bits(n * 2 * steps).reshape(n, 2 * steps)
         else:
-            coded = np.stack([conv_encode(rng.bits(steps - 6)) for _ in range(n)])
+            coded = conv_encode(rng.bits((n, steps - 6)))
             coded ^= rng.generator.random(coded.shape) < 0.1
         got = viterbi_decode(coded)
         assert got.shape == (n, steps - 6)
         for row, codeword in zip(got, coded):
             assert np.array_equal(row, loop_decode(codeword))
 
-    @given(st.integers(1, 120), st.integers(0, 2**32))
+    @given(st.integers(1, 4), st.integers(1, 120), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, n, seed):
-        bits = Rng(seed, 3).bits(n)
+    def test_round_trip_property(self, rows, n, seed):
+        bits = Rng(seed, 3).bits((rows, n))
         assert np.array_equal(viterbi_decode(conv_encode(bits)), bits)
 
 
@@ -267,15 +275,11 @@ class TestInterleaver:
 REPS = 2  # training symbols per user, the config default
 
 
-def lengths(payloads):
-    return [len(p) for p in payloads]
-
-
 def loop_frame(payloads, reps):
     """Oracle: build_frame one user and one symbol at a time."""
     K = len(payloads)
-    coded = [conv_encode(p) for p in payloads]
-    symbols = max(int(np.ceil(c.size / CODED_BITS_PER_SYMBOL)) for c in coded)
+    coded = [loop_encode(p) for p in payloads]
+    symbols = coded[0].size // CODED_BITS_PER_SYMBOL
     streams = np.zeros((K, K * reps + symbols, SYMBOL_LEN), dtype=complex)
     grids = np.zeros((K, symbols, len(DATA_BINS)), dtype=complex)
 
@@ -286,10 +290,8 @@ def loop_frame(payloads, reps):
     for u in range(K):
         for r in range(reps):
             streams[u, u * reps + r] = time_symbol(LTS_FREQ)
-        padded = np.zeros(symbols * CODED_BITS_PER_SYMBOL, dtype=np.int64)
-        padded[: coded[u].size] = coded[u]
         for s in range(symbols):
-            chunk = padded[s * CODED_BITS_PER_SYMBOL : (s + 1) * CODED_BITS_PER_SYMBOL]
+            chunk = coded[u][s * CODED_BITS_PER_SYMBOL : (s + 1) * CODED_BITS_PER_SYMBOL]
             grids[u, s] = qam16_map(interleave(chunk, CODED_BITS_PER_SYMBOL))
             spectrum = np.zeros(FFT_SIZE, dtype=complex)
             spectrum[DATA_BINS] = grids[u, s]
@@ -301,47 +303,27 @@ def loop_frame(payloads, reps):
 class TestFraming:
     @pytest.mark.parametrize("reps", [1, 2, 3])
     def test_matches_per_symbol_oracle(self, reps):
-        payloads = [Rng(5, u).bits(n) for u, n in enumerate((101, 378, 37))]
+        payloads = Rng(5, 0).bits((3, payload_bits_for_symbols(3)))
         got, want = build_frame(payloads, reps), loop_frame(payloads, reps)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
     def test_loopback_identity(self):
-        payloads = [Rng(6, u).bits(payload_bits_for_symbols(4)) for u in range(4)]
+        payloads = Rng(6, 0).bits((4, payload_bits_for_symbols(4)))
         _, grids = build_frame(payloads, REPS)
-        got = recover_bits(grids, lengths(payloads))
-        for u in range(4):
-            assert np.array_equal(got[u], payloads[u])
+        assert np.array_equal(recover_bits(grids), payloads)
 
     @pytest.mark.parametrize("K", [1, 2, 8])
     def test_loopback_many_user_counts(self, K):
-        payloads = [Rng(7, u).bits(payload_bits_for_symbols(2)) for u in range(K)]
-        _, grids = build_frame(payloads, REPS)
-        got = recover_bits(grids, lengths(payloads))
-        assert all(np.array_equal(g, p) for g, p in zip(got, payloads))
-
-    def test_padding_recorded_and_recovered(self):
-        payloads = [Rng(8, 0).bits(101)]  # does not fill whole symbols
-        streams, grids = build_frame(payloads, REPS)
-        assert grids.shape == (1, 2, len(DATA_BINS))  # 2*(101+6) = 214 coded bits
-        assert streams.shape == (1, (REPS + 2) * SYMBOL_LEN)
-        got = recover_bits(grids, [101])
-        assert np.array_equal(got[0], payloads[0])
-
-    def test_mixed_payload_lengths_in_one_call(self):
-        payloads = [Rng(8, u).bits(n) for u, n in enumerate((101, 180, 101, 37))]
-        _, grids = build_frame(payloads, REPS)
-        got = recover_bits(grids, lengths(payloads))
-        assert all(np.array_equal(g, p) for g, p in zip(got, payloads))
-
-    @pytest.mark.parametrize("lens", [[180], [180, 180, 180], [10**4, 180]])
-    def test_recover_rejects_lengths_that_do_not_match_the_grids(self, lens):
-        _, grids = build_frame([Rng(8, u).bits(180) for u in range(2)], REPS)
-        with pytest.raises(ValueError):
-            recover_bits(grids, lens)
+        for P in (1, 2, 5):
+            payloads = Rng(7, P).bits((K, payload_bits_for_symbols(P)))
+            streams, grids = build_frame(payloads, REPS)
+            assert streams.shape == (K, (K * REPS + P) * SYMBOL_LEN)
+            assert grids.shape == (K, P, len(DATA_BINS))
+            assert np.array_equal(recover_bits(grids), payloads)
 
     def test_lts_slots_disjoint_and_exclusive(self):
-        payloads = [Rng(9, u).bits(payload_bits_for_symbols(2)) for u in range(4)]
+        payloads = Rng(9, 0).bits((4, payload_bits_for_symbols(2)))
         for reps in (1, 2, 3):
             streams, grids = build_frame(payloads, reps)
             assert streams.shape == (4, (4 * reps + grids.shape[1]) * SYMBOL_LEN)
@@ -357,7 +339,7 @@ class TestFraming:
                         assert not slot.any()
 
     def test_null_bins_carry_no_energy(self):
-        payloads = [Rng(10, 0).bits(payload_bits_for_symbols(3))]
+        payloads = Rng(10, 0).bits((1, payload_bits_for_symbols(3)))
         streams, _ = build_frame(payloads, REPS)
         spectra = symbol_spectra(streams[0])
         nulls = np.setdiff1d(np.arange(64), USED_BINS)
@@ -366,7 +348,7 @@ class TestFraming:
         assert null_power < used_power * 1e-10  # < -100 dBc
 
     def test_unit_mean_sample_power(self):
-        payloads = [Rng(11, 0).bits(payload_bits_for_symbols(50))]
+        payloads = Rng(11, 0).bits((1, payload_bits_for_symbols(50)))
         streams, _ = build_frame(payloads, REPS)
         sym = streams[0, REPS * SYMBOL_LEN :]
         assert abs(np.mean(np.abs(sym) ** 2) - 1.0) < 0.05
@@ -374,6 +356,20 @@ class TestFraming:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_frame([], REPS)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 180), "do not fill whole symbols"),
+            ((2, payload_bits_for_symbols(2) + 1), "do not fill whole symbols"),
+            ((2, 0), "do not fill whole symbols"),
+            ((payload_bits_for_symbols(2),), r"\[users, bits\]"),
+        ],
+        ids=["180 bits", "one bit over", "no symbols", "1-d payload"],
+    )
+    def test_rejects_payload_that_is_not_whole_symbols_per_user(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            build_frame(np.zeros(shape, dtype=np.int64), REPS)
 
     def test_symbol_spectra_rejects_partial_symbols(self):
         with pytest.raises(ValueError):
