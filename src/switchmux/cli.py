@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library calls: `simulate` runs a single
 config, `sweep` expands its grid keys, `codes` and `power` print the
 closed-form tables, and `validate` runs the self-check suite.  Exit codes:
-0 success, 1 bad config, bad option value or missing file, 2 validation
-failure.
+0 success, 1 bad config, bad option value or a file that cannot be read or
+written, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import metrics, runner
-from .config import ConfigError, load_config, with_overrides
+from .config import MAX_TRIAL_ELEMENTS, ConfigError, load_config, with_overrides
 from .frontend import control_word
 
 
@@ -50,8 +50,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_codes(args) -> int:
     K = args.slots
-    if K < 1:
-        raise ConfigError(f"--slots must be >= 1, got {K}")
+    # the code and phase tables hold K x K entries; bound them like a trial's arrays
+    if K < 1 or K * K > MAX_TRIAL_ELEMENTS:
+        raise ConfigError(f"--slots must be >= 1 with a square <= {MAX_TRIAL_ELEMENTS}, got {K}")
     all_codes = codes_mod.generate_codes(K)
     print(f"switching codes, {K} slots per period")
     for i, code in enumerate(all_codes):
@@ -70,8 +71,10 @@ def _cmd_codes(args) -> int:
 
 def _cmd_power(args) -> int:
     bw = args.bandwidth_hz
-    if min(args.antennas, args.users) < 1 or not bw > 0:
-        raise ConfigError("--antennas and --users must be >= 1, --bandwidth-hz positive")
+    if min(args.antennas, args.users) < 1 or not 0 < bw < np.inf:
+        raise ConfigError(
+            "--antennas and --users must be >= 1, --bandwidth-hz positive and finite"
+        )
     rows = [
         ("switched", args.antennas, args.users, bw),
         ("dbf", args.antennas, args.antennas, bw),
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -305,7 +305,11 @@ def build_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_config(parse_config_text(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return build_config(parse_config_text(text))
 
 
 def with_overrides(cfg: ExperimentConfig, **updates) -> ExperimentConfig:

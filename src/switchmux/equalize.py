@@ -6,10 +6,12 @@ channel (physical channel times switch matrix).  Effective channels are
 heff arrays [chains, users, used bins] on the physical scale (transmit
 power normalization undone), one column per entry of USED_BINS.  The
 digital combiner then inverts that matrix bin by bin: zero-forcing uses
-the pseudo-inverse, null-space combining projects each user onto the
-directions the others cannot reach.  Both null interference exactly on
-full-rank bins.  Zero-forcing works on all bins in one stacked pinv and
-one stacked SVD over heff moved to [bins, chains, users].
+the pseudo-inverse, in one stacked pinv and one stacked SVD over heff
+moved to [bins, chains, users].  Null-space combining projects each user
+onto the directions the others cannot reach; it is defined only on square
+channels (chains == users, or one user), where that projection is the
+user's row of the inverse, so it is computed as zero-forcing.  Both null
+interference exactly on full-rank bins.
 
 Captures are [chains, samples] arrays of a build_frame frame; the user
 count and the training repeats locate its training slots and payload.
@@ -93,41 +95,17 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
 
 
 def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
-    """Per-bin interference-nulling projections.
+    """Per-bin interference-nulling projections, computed as zf_weights.
 
-    For user u the weight row is the null vector of the other users'
-    chain-domain columns, scaled so the user's own channel maps to unity.
-    Bins where that null space is degenerate (not one-dimensional, or
-    orthogonal to the user's own column) are erased.
+    User u's row is the vector orthogonal to every other user's column that
+    maps u's own column to one.  It is unique only when chains == users or
+    users == 1, and there it is row u of the (pseudo-)inverse, so other
+    shapes raise ValueError.
     """
-    chains, users, bins = heff.shape
-    weights = np.zeros((users, chains, bins), dtype=np.complex128)
-    erased = np.zeros(bins, dtype=bool)
-    for f in range(bins):
-        a = heff[:, :, f]
-        for u in range(users):
-            own = a[:, u]
-            others = np.delete(a, u, axis=1)
-            if others.shape[1] == 0:
-                denom = np.vdot(own, own)
-                if np.abs(denom) <= rank_tolerance:
-                    erased[f] = True
-                    continue
-                weights[u, :, f] = own.conj() / denom
-                continue
-            # right-singular vectors of others^T span the left null space
-            _, sing, vh = np.linalg.svd(others.T)
-            null_dim = chains - int(np.sum(sing > rank_tolerance * max(sing[0], 1e-300)))
-            if null_dim != 1:
-                erased[f] = True
-                continue
-            null_vec = vh[-1].conj()
-            gain = null_vec @ own
-            if np.abs(gain) <= rank_tolerance * np.linalg.norm(own):
-                erased[f] = True
-                continue
-            weights[u, :, f] = null_vec / gain
-    return CombinerMatrix(weights=weights, erased=erased)
+    chains, users, _ = heff.shape
+    if chains != users and users != 1:
+        raise ValueError(f"null-space combining needs chains == users, got {chains} x {users}")
+    return zf_weights(heff, rank_tolerance)
 
 
 def apply_combiner(chains: np.ndarray, comb: CombinerMatrix, lts_repeats: int) -> np.ndarray:

@@ -336,15 +336,15 @@ def run_sweep(
     use_sweep: bool = True,
 ) -> int:
     """Write run_grid's rows as CSV with a manifest; returns the row count.
-    Identical configs reproduce byte-identical files on any worker count."""
+    Identical configs reproduce byte-identical files on any worker count.
+    The output directory is made first, so a path that cannot hold the file
+    fails before any trial runs."""
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     combos, rows = run_grid(cfg, workers, use_sweep)
     num_users = max(combo.users for combo in combos)
     lines = [",".join(csv_header(num_users))]
     lines += [format_row(row, num_users) for row in rows]
     text = "\n".join(lines) + "\n"
-
-    directory = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(directory, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     _write_manifest(cfg, out_path, len(rows), len(combos))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import switchmux
+from switchmux import runner
 from switchmux.cli import main
 
 SMALL = "users = 2\nantennas = 4\npayload_symbols = 2\ntrials = 2\nseed = 7\n"
@@ -54,6 +55,30 @@ def test_missing_config_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_directory_exits_1(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(SMALL.encode("utf-8") + b"# caf\xe9\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_exits_1_before_any_trial(tmp_path, config_file, capsys, monkeypatch):
+    calls = []
+    trial = runner.run_trial
+    monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a) or trial(*a))
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("", encoding="utf-8")
+    rc = main(["simulate", "--config", str(config_file), "--out", str(blocker / "rows.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_bad_config_exits_1(tmp_path, capsys):
@@ -197,8 +222,13 @@ def test_out_of_range_seed_exits_1(tmp_path, config_file, capsys, seed):
         (["power", "--antennas", "0"], "--antennas and --users must be >= 1"),
         (["power", "--users", "0"], "--antennas and --users must be >= 1"),
         (["power", "--bandwidth-hz", "-1"], "--bandwidth-hz positive"),
+        (["codes", "--slots", "10000000"], "--slots must be >= 1 with a square <="),
+        (["power", "--bandwidth-hz", "inf"], "--bandwidth-hz positive and finite"),
     ],
-    ids=["zero_slots", "zero_antennas", "zero_users", "negative_bandwidth"],
+    ids=[
+        "zero_slots", "zero_antennas", "zero_users", "negative_bandwidth", "huge_slots",
+        "infinite_bandwidth",
+    ],
 )
 def test_bad_table_arguments_exit_1(capsys, argv, message):
     assert main(argv) == 1

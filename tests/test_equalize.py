@@ -305,6 +305,12 @@ class TestNullspace:
         comb = nullspace_weights(heff)
         assert comb.erased[4]
 
+    def test_non_square_channel_is_refused(self):
+        # with more chains than users the null vector is not unique
+        heff = random_heff(4, 2, seed=27)[:, :, USED_BINS]
+        with pytest.raises(ValueError, match="chains == users"):
+            nullspace_weights(heff)
+
 
 class TestCombinerMatrixValidation:
     def test_rejects_mismatched_erasure_length(self):

@@ -173,6 +173,25 @@ class TestRunTrial:
         row = runner.run_trial(cfg, 0)
         assert row["ber"] == 0.0
 
+    @pytest.mark.parametrize("arch", ["switched", "dbf", "hbf_full", "hbf_partial"])
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            "scenario = rayleigh\n",
+            "scenario = raytrace\n",
+            "scenario = raytrace\nsync_mode = offset\nfrontend.quantizer_bits = 8\n",
+        ],
+        ids=["rayleigh", "raytrace", "raytrace_offset_quantized"],
+    )
+    def test_nullspace_rows_equal_zero_forcing_rows(self, arch, scene):
+        # config takes nullspace only on square channels, where each user's
+        # null-space row is its row of the inverse
+        zf = cfg_from(SMALL + scene + f"arch = {arch}\nchains = 2\n")
+        ns = with_overrides(zf, combiner="nullspace")
+        for t in range(3):
+            got = runner.format_row(runner.run_trial(ns, t), ns.users)
+            assert got == runner.format_row(runner.run_trial(zf, t), zf.users)
+
 
 class TestSweepGrid:
     def test_no_sweep_keys_single_combo(self):
@@ -320,9 +339,13 @@ class TestBenchTrace:
         ]
         assert missing == []
 
-    @pytest.mark.parametrize("arch", ARCH_CHOICES)
-    def test_traced_trial_keeps_its_row_and_counters(self, arch):
-        cfg = cfg_from(SMALL + f"arch = {arch}\n")
+    @pytest.mark.parametrize(
+        "arch, combiner",
+        [pytest.param(arch, "zf", id=arch) for arch in ARCH_CHOICES]
+        + [pytest.param("switched", "nullspace", id="switched_nullspace")],
+    )
+    def test_traced_trial_keeps_its_row_and_counters(self, arch, combiner):
+        cfg = cfg_from(SMALL + f"arch = {arch}\ncombiner = {combiner}\n")
         plain = runner.run_trial(cfg, 0)
         tracer = tracing.Tracer()
         with tracer.installed(tracing.trial_targets(switchmux)):
@@ -332,5 +355,6 @@ class TestBenchTrace:
         # grouped selection runs only on the switched front end
         assert ("grouping.inphase_select.fallbacks" in counts) == (arch == "switched")
         assert counts["grouping.inphase_select.fallbacks"] == 0
-        assert counts["equalize.zf_weights.bins"] > 0
-        assert 0 <= counts["equalize.zf_weights.erased"] <= counts["equalize.zf_weights.bins"]
+        bins = counts[f"equalize.{combiner}_weights.bins"]
+        assert bins > 0
+        assert 0 <= counts[f"equalize.{combiner}_weights.erased"] <= bins
