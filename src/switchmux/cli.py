@@ -71,9 +71,13 @@ def _cmd_codes(args) -> int:
 
 def _cmd_power(args) -> int:
     bw = args.bandwidth_hz
-    if min(args.antennas, args.users) < 1 or not 0 < bw < np.inf:
+    # bound the counts like a trial's arrays; fdma samples users x bandwidth,
+    # which is computed only once both are known to be in range
+    counts_ok = all(1 <= n <= MAX_TRIAL_ELEMENTS for n in (args.antennas, args.users))
+    if not (counts_ok and 0 < bw < np.inf and args.users * bw < np.inf):
         raise ConfigError(
-            "--antennas and --users must be >= 1, --bandwidth-hz positive and finite"
+            f"--antennas and --users must be >= 1 and <= {MAX_TRIAL_ELEMENTS}, "
+            "--bandwidth-hz positive and finite, and --users x --bandwidth-hz finite"
         )
     rows = [
         ("switched", args.antennas, args.users, bw),

@@ -1,10 +1,11 @@
 """Experiment configuration: flat ``key = value`` text with a strict schema.
 
 ``ExperimentConfig`` is the one table of keys: each field declares its file
-key, parser, default and range check once, and a sweepable field also its
-place in the grid, which makes ``sweep.<key>`` a comma list of the same
-values.  Parsing, defaults, validation, sweep keys, overrides and the digest
-are loops over that table, so adding a key means adding one field.
+key, the trial stage that first reads it, parser, default and range check
+once, and a sweepable field also its place in the grid, which makes
+``sweep.<key>`` a comma list of the same values.  Parsing, defaults,
+validation, sweep keys, overrides, the digest and the runner's draw key are
+loops over that table, so adding a key means adding one field.
 
 Unknown keys are errors so a config file cannot silently misspell a knob.
 Dotted prefixes group related keys but the file stays flat, one assignment
@@ -76,11 +77,18 @@ def _at_least(low):
 _POSITIVE = ((lambda v: v > 0), "must be positive")
 
 
-def _key(name, parse, default, check=None, sweep=None):
-    """One config-file key.  check is (predicate, message) on the parsed
-    value; sweep is the key's place in the grid nesting order (outermost
-    first), or None when it cannot be swept."""
-    meta = {"key": name, "parse": parse, "check": check, "sweep": sweep}
+# The first stage of a trial that reads a field (see the runner module):
+# "draw" fields make trial t's bits, channel and received signal, which
+# combos with equal draw keys share; "link" fields pick the front end,
+# selection, noise and combiner; "grid" fields are read by no trial.
+STAGES = ("draw", "link", "grid")
+
+
+def _key(name, stage, parse, default, check=None, sweep=None):
+    """One config-file key read first by stage.  check is (predicate,
+    message) on the parsed value; sweep is the key's place in the grid
+    nesting order (outermost first), or None when it cannot be swept."""
+    meta = {"key": name, "stage": stage, "parse": parse, "check": check, "sweep": sweep}
     return field(default=default, metadata=meta)
 
 
@@ -89,45 +97,58 @@ class ExperimentConfig:
     """One experiment description.  After build_config or with_overrides,
     chains holds the count resolved for the architecture."""
 
-    arch: str = _key("arch", _choice(ARCH_CHOICES), "switched", sweep=0)
-    users: int = _key("users", _int, 4, _at_least(1), sweep=3)
-    antennas: int = _key("antennas", _int, 8, _at_least(1), sweep=1)
-    chains: int = _key("chains", _int, 0, _at_least(0), sweep=2)  # 0 resolves per arch
-    snr_db: float = _key("snr_db", _float, 15.0, sweep=4)
-    trials: int = _key("trials", _int, 100, _at_least(1))
-    seed: int = _key("seed", _int, 1, ((lambda s: 0 <= s < 2**64), "must fit in 64 bits"))
-    payload_symbols: int = _key("payload_symbols", _int, 4, _at_least(1))
-    combiner: str = _key("combiner", _choice(COMBINER_CHOICES), "zf")
-    select: str = _key("select", _choice(SELECT_CHOICES), "grouped", sweep=5)
-    scenario: str = _key("scenario", _choice(SCENARIO_CHOICES), "rayleigh")
-    sync_mode: str = _key("sync_mode", _choice(SYNC_CHOICES), "aligned")
-    sync_max_offset_samples: float = _key("sync.max_offset_samples", _float, 0.5, _at_least(0))
-    rayleigh_taps: int = _key("rayleigh.taps", _int, 1, _at_least(1))
+    arch: str = _key("arch", "link", _choice(ARCH_CHOICES), "switched", sweep=0)
+    users: int = _key("users", "draw", _int, 4, _at_least(1), sweep=3)
+    antennas: int = _key("antennas", "draw", _int, 8, _at_least(1), sweep=1)
+    chains: int = _key(  # 0 resolves per arch
+        "chains", "link", _int, 0, _at_least(0), sweep=2
+    )
+    snr_db: float = _key("snr_db", "link", _float, 15.0, sweep=4)
+    trials: int = _key("trials", "grid", _int, 100, _at_least(1))
+    seed: int = _key(
+        "seed", "draw", _int, 1, ((lambda s: 0 <= s < 2**64), "must fit in 64 bits")
+    )
+    payload_symbols: int = _key("payload_symbols", "draw", _int, 4, _at_least(1))
+    combiner: str = _key("combiner", "link", _choice(COMBINER_CHOICES), "zf")
+    select: str = _key("select", "link", _choice(SELECT_CHOICES), "grouped", sweep=5)
+    scenario: str = _key("scenario", "draw", _choice(SCENARIO_CHOICES), "rayleigh")
+    sync_mode: str = _key("sync_mode", "draw", _choice(SYNC_CHOICES), "aligned")
+    sync_max_offset_samples: float = _key(
+        "sync.max_offset_samples", "draw", _float, 0.5, _at_least(0)
+    )
+    rayleigh_taps: int = _key("rayleigh.taps", "draw", _int, 1, _at_least(1))
     phi_rad: float = _key(
         "grouping.phi_rad",
+        "link",
         _float,
         float(np.pi / 3),
         ((lambda p: 0 < p <= np.pi / 2), "must lie in (0, pi/2]"),
     )
-    rank_tolerance: float = _key("grouping.rank_tolerance", _float, 1e-9, _POSITIVE)
-    max_fallbacks: int = _key("grouping.max_fallbacks", _int, 64, _at_least(0))
-    lts_repeats: int = _key("ofdm.lts_repeats", _int, 2, _at_least(1))
-    bandwidth_hz: float = _key("ofdm.bandwidth_hz", _float, 10e6, _POSITIVE)
-    insertion_loss_db: float = _key("frontend.insertion_loss_db", _float, 0.5, _at_least(0))
-    quantizer_bits: int = _key("frontend.quantizer_bits", _int, 0, _at_least(0))  # 0 is off
-    room_x_m: float = _key("scene.room_x_m", _float, 12.0)
-    room_y_m: float = _key("scene.room_y_m", _float, 5.0)
-    ap_x_m: float = _key("scene.ap_x_m", _float, 6.0)
-    ap_y_m: float = _key("scene.ap_y_m", _float, 0.5)
+    rank_tolerance: float = _key("grouping.rank_tolerance", "link", _float, 1e-9, _POSITIVE)
+    max_fallbacks: int = _key("grouping.max_fallbacks", "link", _int, 64, _at_least(0))
+    lts_repeats: int = _key("ofdm.lts_repeats", "draw", _int, 2, _at_least(1))
+    bandwidth_hz: float = _key("ofdm.bandwidth_hz", "draw", _float, 10e6, _POSITIVE)
+    insertion_loss_db: float = _key(
+        "frontend.insertion_loss_db", "link", _float, 0.5, _at_least(0)
+    )
+    quantizer_bits: int = _key(  # 0 is off
+        "frontend.quantizer_bits", "link", _int, 0, _at_least(0)
+    )
+    room_x_m: float = _key("scene.room_x_m", "draw", _float, 12.0)
+    room_y_m: float = _key("scene.room_y_m", "draw", _float, 5.0)
+    ap_x_m: float = _key("scene.ap_x_m", "draw", _float, 6.0)
+    ap_y_m: float = _key("scene.ap_y_m", "draw", _float, 0.5)
     scene_gamma: float = _key(
-        "scene.gamma", _float, 0.6, ((lambda g: 0 <= g < 1), "must lie in [0, 1)")
+        "scene.gamma", "draw", _float, 0.6, ((lambda g: 0 <= g < 1), "must lie in [0, 1)")
     )
     max_reflections: int = _key(
-        "scene.max_reflections", _int, 1, ((lambda n: 0 <= n <= 2), "must be 0, 1 or 2")
+        "scene.max_reflections", "draw", _int, 1, ((lambda n: 0 <= n <= 2), "must be 0, 1 or 2")
     )
-    out: str | None = _key("out", str, None)
-    user_positions: tuple | None = None  # from scene.userN_x_m / scene.userN_y_m
-    sweep: tuple = ()  # ((field name, values), ...), outermost grid key first
+    out: str | None = _key("out", "grid", str, None)
+    # from scene.userN_x_m / scene.userN_y_m
+    user_positions: tuple | None = field(default=None, metadata={"stage": "draw"})
+    # ((field name, values), ...), outermost grid key first
+    sweep: tuple = field(default=(), metadata={"stage": "grid"})
 
 
 _KEYS = [f for f in fields(ExperimentConfig) if "key" in f.metadata]

@@ -163,4 +163,6 @@ def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng)
         raise ValueError("nonzero weights must be unit modulus")
     if sigma2 > 0:
         rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
-    return weights.T @ rx
+    # einsum's own loop, not a BLAS product: OpenBLAS threads a product this
+    # large and its spinning helper thread takes a second sweep worker's core
+    return np.einsum("mk,ms->ks", weights, rx)

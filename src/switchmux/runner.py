@@ -2,17 +2,36 @@
 
 One trial is a fully deterministic function of (config, trial_id): payload
 bits, channel draw, noise, antenna selection and user placement each pull
-from their own derived random stream.  Sweeps cross-multiply the grid
-keys, run trials (optionally across processes) and write one CSV row per
-trial in a fixed order, so identical configs reproduce identical bytes.
+from their own derived random stream.  A trial runs in three stages, and
+each config field is tagged with the first stage that reads it (the
+``stage`` metadata of the config table):
+
+* draw (``draw_trial``): payload bits, user drop, channel, frame and the
+  received signal, from the draw fields (users, antennas, seed,
+  payload_symbols, scenario, sync_*, rayleigh.taps, ofdm.*, scene.*) and
+  from whether arch is fdma, whose users are one single-antenna link each;
+* link (``_run_link``): selection, front end, noise, estimation and
+  combining, adding the link fields (arch, chains, snr_db, select,
+  combiner, grouping.*, frontend.*);
+* score: one decode of every link's grids and the metrics of the row.
+
+Combos with equal ``draw_key`` draw identical arrays for trial t, so a
+sweep draws it once per task and its combos share it; the shared arrays are
+read-only, so a stage that writes into them fails loudly.  Sweeps
+cross-multiply the grid keys, run the trials (optionally across processes)
+and write one CSV row per trial in (combo, trial_id) order, so identical
+configs reproduce identical bytes whatever the worker count or the split
+of tasks.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -169,18 +188,52 @@ def _failed_row(cfg: ExperimentConfig, trial_id: int) -> dict:
     )
 
 
-def _run_link(
-    cfg: ExperimentConfig, bits: np.ndarray, gains: np.ndarray, noise_rng: Rng, trial_rng: Rng
-) -> tuple:
-    """Frame the users' payload bits [users, bits], carry the frame through
-    the channel and the configured front end, then estimate and combine it.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the fields the draw stage reads; arch enters the draw key only as fdma or not
+_DRAW_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.metadata["stage"] == "draw")
+
+
+def draw_key(cfg: ExperimentConfig) -> tuple:
+    """Configs with equal draw keys draw identical arrays for every trial."""
+    return (cfg.arch == "fdma",) + tuple(getattr(cfg, name) for name in _DRAW_FIELDS)
+
+
+def draw_trial(cfg: ExperimentConfig, trial_id: int) -> tuple:
+    """The draw stage: the trial's payload bits [users, bits] and its links,
+    each (bits, gains, tx_grids, rx), every array read-only.
+
+    FDMA users sit in disjoint bands on one antenna, so there is no spatial
+    interference: each user is its own single-antenna, single-chain link.
+    Every other architecture carries all users on one link.
+    """
+    trial_rng = Rng(cfg.seed, trial_id)
+    bits = _frozen(_payload_bits(cfg, trial_rng))
+    gains = _frozen(_draw_channel(cfg, trial_rng))
+    if cfg.arch == "fdma":
+        split = [(bits[u : u + 1], gains[u : u + 1, :1]) for u in range(cfg.users)]
+    else:
+        split = [(bits, gains)]
+    links = []
+    for link_bits, link_gains in split:
+        tx_streams, tx_grids = build_frame(link_bits, cfg.lts_repeats)
+        rx = channel.apply(link_gains, tx_streams, CP_LEN)
+        links.append((link_bits, link_gains, _frozen(tx_grids), _frozen(rx)))
+    return bits, links
+
+
+def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng) -> tuple:
+    """Capture one drawn link (bits, gains, tx_grids, rx) with the configured
+    front end, then estimate and combine it.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
-    tx_streams, tx_grids = build_frame(bits, cfg.lts_repeats)
-    rx = channel.apply(gains, tx_streams, CP_LEN)
+    bits, gains, tx_grids, rx = link
     h_ref = gains[:, :, REFERENCE_BIN]
     sigma2 = noise_power(rx, cfg.snr_db, len(bits))
 
@@ -212,36 +265,9 @@ def _run_link(
     return grids, sinr_db, metrics.evm(grids, tx_grids)
 
 
-def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
-    """One deterministic end-to-end trial; returns the CSV row mapping.
-
-    FDMA users sit in disjoint bands on one antenna, so there is no spatial
-    interference: each user is its own single-antenna, single-chain link.
-    Every other architecture carries all users on one link.  The links'
-    equalized grids are decoded together in one recover_bits call.
-    """
-    trial_rng = Rng(cfg.seed, trial_id)
-    bits = _payload_bits(cfg, trial_rng)
-    gains = _draw_channel(cfg, trial_rng)
-    noise_rng = trial_rng.derive(_P_NOISE)
-    if cfg.arch == "fdma":
-        links = [
-            (bits[u : u + 1], gains[u : u + 1, :1], noise_rng.derive(u))
-            for u in range(cfg.users)
-        ]
-    else:
-        links = [(bits, gains, noise_rng)]
-
-    grids, sinrs, evms = [], [], []
-    for link_bits, link_gains, link_rng in links:
-        try:
-            got, sinr_db, evm_pct = _run_link(cfg, link_bits, link_gains, link_rng, trial_rng)
-        except GroupingError:
-            return _failed_row(cfg, trial_id)
-        grids.append(got)
-        sinrs.append(sinr_db)
-        evms.append(evm_pct)
-
+def _score(cfg, trial_id, bits, grids, sinrs, evms) -> dict:
+    """The score stage: decode the links' equalized grids together in one
+    recover_bits call and turn them into the CSV row mapping."""
     grids = np.concatenate(grids)
     recovered = recover_bits(grids)
     sinr_db = np.concatenate(sinrs)
@@ -253,9 +279,44 @@ def run_trial(cfg: ExperimentConfig, trial_id: int) -> dict:
     )
 
 
-def _trial_task(args) -> dict:
-    cfg, trial_id = args
-    return run_trial(cfg, trial_id)
+def run_trial(cfg: ExperimentConfig, trial_id: int, draws: dict | None = None) -> dict:
+    """One deterministic end-to-end trial, its draw, each link, then its
+    score; returns the CSV row mapping.
+
+    draws, when given, holds draws across calls: the trial's draw is taken
+    from it by (draw_key(cfg), trial_id), or made and put there, so calls
+    whose configs share a draw key draw trial_id once.
+    """
+    if draws is None:
+        draws = {}
+    key = (draw_key(cfg), trial_id)
+    if key not in draws:
+        draws[key] = draw_trial(cfg, trial_id)
+    bits, links = draws[key]
+    trial_rng = Rng(cfg.seed, trial_id)
+    noise_rng = trial_rng.derive(_P_NOISE)
+    if cfg.arch == "fdma":
+        link_rngs = [noise_rng.derive(u) for u in range(len(links))]
+    else:
+        link_rngs = [noise_rng]
+
+    grids, sinrs, evms = [], [], []
+    for link, link_rng in zip(links, link_rngs):
+        try:
+            got, sinr_db, evm_pct = _run_link(cfg, link, link_rng, trial_rng)
+        except GroupingError:
+            return _failed_row(cfg, trial_id)
+        grids.append(got)
+        sinrs.append(sinr_db)
+        evms.append(evm_pct)
+    return _score(cfg, trial_id, bits, grids, sinrs, evms)
+
+
+def _grid_task(args) -> list:
+    """Rows of one trial for combos that share its draw key."""
+    combos, trial_id = args
+    draws: dict = {}
+    return [run_trial(combo, trial_id, draws) for combo in combos]
 
 
 def sweep_combos(cfg: ExperimentConfig, use_sweep: bool = True) -> list:
@@ -314,18 +375,36 @@ def format_row(row: dict, num_users: int) -> str:
 def run_grid(cfg: ExperimentConfig, workers: int = 1, use_sweep: bool = True) -> tuple:
     """Run every trial of the grid; returns its combos and their rows in
     (combo, trial_id) order on any worker count.  workers must be >= 1 and
-    is capped at the machine's CPU count."""
+    is capped at the machine's CPU count.
+
+    Combos with equal draw keys form a group, dealt round-robin into
+    min(len(group), workers) slices, and one task runs one trial of one
+    slice: the slice's combos share that trial's draw, and a task holds one
+    draw at a time.
+    """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     combos = sweep_combos(cfg, use_sweep)
-    tasks = [(combo, t) for combo in combos for t in range(combo.trials)]
+    groups: dict = {}
+    for index, combo in enumerate(combos):
+        groups.setdefault(draw_key(combo), []).append(index)
+    slices = []
+    for group in groups.values():
+        n = min(len(group), workers)
+        slices += [group[s::n] for s in range(n)]
+    tasks = [(part, t) for t in range(cfg.trials) for part in slices]
+    args = [([combos[i] for i in part], t) for part, t in tasks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 4))
-            rows = list(pool.map(_trial_task, tasks, chunksize=chunk))
+            chunk = max(1, len(args) // (workers * 4))
+            done = list(pool.map(_grid_task, args, chunksize=chunk))
     else:
-        rows = [_trial_task(task) for task in tasks]
+        done = [_grid_task(a) for a in args]
+    rows = [None] * (len(combos) * cfg.trials)
+    for (part, t), got in zip(tasks, done):
+        for index, row in zip(part, got):
+            rows[index * cfg.trials + t] = row
     return combos, rows
 
 
@@ -337,9 +416,12 @@ def run_sweep(
 ) -> int:
     """Write run_grid's rows as CSV with a manifest; returns the row count.
     Identical configs reproduce byte-identical files on any worker count.
-    The output directory is made first, so a path that cannot hold the file
-    fails before any trial runs."""
+    The output directory is made first and out_path must not be a
+    directory, so a path that cannot hold the file fails before any trial
+    runs."""
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
     combos, rows = run_grid(cfg, workers, use_sweep)
     num_users = max(combo.users for combo in combos)
     lines = [",".join(csv_header(num_users))]

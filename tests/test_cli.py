@@ -10,6 +10,7 @@ import pytest
 import switchmux
 from switchmux import runner
 from switchmux.cli import main
+from switchmux.config import MAX_TRIAL_ELEMENTS
 
 SMALL = "users = 2\nantennas = 4\npayload_symbols = 2\ntrials = 2\nseed = 7\n"
 
@@ -78,6 +79,18 @@ def test_unwritable_out_path_exits_1_before_any_trial(tmp_path, config_file, cap
     rc = main(["simulate", "--config", str(config_file), "--out", str(blocker / "rows.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+def test_out_path_naming_a_directory_exits_1_before_any_trial(
+    tmp_path, config_file, capsys, monkeypatch
+):
+    calls = []
+    trial = runner.run_trial
+    monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a) or trial(*a))
+    rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
     assert calls == []
 
 
@@ -224,10 +237,22 @@ def test_out_of_range_seed_exits_1(tmp_path, config_file, capsys, seed):
         (["power", "--bandwidth-hz", "-1"], "--bandwidth-hz positive"),
         (["codes", "--slots", "10000000"], "--slots must be >= 1 with a square <="),
         (["power", "--bandwidth-hz", "inf"], "--bandwidth-hz positive and finite"),
+        (
+            ["power", "--users", "1" + "0" * 400],
+            f"error: --antennas and --users must be >= 1 and <= {MAX_TRIAL_ELEMENTS}",
+        ),
+        (
+            ["power", "--antennas", str(10**20)],
+            f"error: --antennas and --users must be >= 1 and <= {MAX_TRIAL_ELEMENTS}",
+        ),
+        (
+            ["power", "--users", str(MAX_TRIAL_ELEMENTS), "--bandwidth-hz", "1e305"],
+            "--users x --bandwidth-hz finite",
+        ),
     ],
     ids=[
         "zero_slots", "zero_antennas", "zero_users", "negative_bandwidth", "huge_slots",
-        "infinite_bandwidth",
+        "infinite_bandwidth", "huge_users", "huge_antennas", "infinite_fdma_bandwidth",
     ],
 )
 def test_bad_table_arguments_exit_1(capsys, argv, message):

@@ -11,6 +11,7 @@ import pytest
 from switchmux import runner
 from switchmux.config import (
     CONFIG_KEYS,
+    STAGES,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -355,6 +356,13 @@ DIGEST_VALUES = {
     "sweep.snr_db": "5, 15",
     "sweep.select": "grouped, random",
 }
+
+
+def test_every_field_declares_the_stage_that_reads_it():
+    stages = {f.name: f.metadata.get("stage") for f in fields(ExperimentConfig)}
+    assert {name for name, stage in stages.items() if stage not in STAGES} == set()
+    assert stages["bandwidth_hz"] == "draw"  # ray_trace's subcarrier spacing
+    assert stages["arch"] == "link"  # the draw sees it only as fdma or not
 
 
 class TestOverridesAndDigest:

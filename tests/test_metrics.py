@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from switchmux import metrics
 from switchmux.equalize import CombinerMatrix
 from switchmux.metrics import (
     DEFAULT_ADC_FOM,
@@ -62,6 +63,26 @@ class TestSinr:
         # fully correlated chains: noise |1+1|^2 * 0.1, signal |2|^2
         got = sinr(comb, truth, noise_cov=0.1 * np.ones((2, 2)))
         assert np.allclose(got, 10.0 * np.log10(4.0 / 0.4))
+
+
+@pytest.mark.parametrize("users, chains", [(1, 1), (2, 3), (4, 4), (8, 8), (8, 64)])
+def test_noise_form_matches_the_three_operand_einsum(users, chains):
+    rng = np.random.default_rng(users * 100 + chains)
+    v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
+    occupancy = rng.integers(1, 4, chains).astype(np.float64)
+    w = np.exp(1j * rng.uniform(0, 2 * np.pi, (chains + 2, chains)))
+    for cov, exact in [
+        (0.3 * np.eye(chains), True),  # physical chains
+        (0.2 * np.diag(occupancy), True),  # switch slots of uneven occupancy
+        (0.01 * (w.T @ w.conj()), False),  # correlated phase-shifter chains
+    ]:
+        cov = cov.astype(np.complex128)
+        old = np.real(np.einsum("ucf,cd,udf->uf", v, cov, v.conj()))
+        got = metrics._noise_form(v, cov)
+        if exact:
+            assert np.array_equal(got, old)
+        else:
+            np.testing.assert_allclose(got, old, rtol=1e-12)
 
 
 class TestEvm:

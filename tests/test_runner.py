@@ -7,6 +7,7 @@ about the architectures live in the acceptance suite instead.
 import json
 import math
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,99 @@ class TestRunSweep:
         assert "sinr_db_u1" in lines[0]
         one_user = lines[1].split(",")
         assert one_user[8] == ""
+
+
+class TestSharedDraw:
+    """Combos with equal draw keys share each trial's read-only draw, and
+    their rows equal independent trials at any worker count."""
+
+    MIXED = (
+        "users = 2\nantennas = 4\npayload_symbols = 1\ntrials = 2\nseed = 11\n"
+        "scenario = raytrace\nsync_mode = offset\nfrontend.quantizer_bits = 8\n"
+        "sweep.arch = switched, dbf, fdma\nsweep.snr_db = 5, 25\n"
+        "sweep.select = grouped, random\n"
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_rows_equal_independent_trials(self, workers):
+        cfg = cfg_from(self.MIXED)
+        combos = runner.sweep_combos(cfg)
+        assert len({runner.draw_key(c) for c in combos}) == 2  # fdma or not
+        expected = [
+            runner.format_row(runner.run_trial(c, t), c.users)
+            for c in combos
+            for t in range(c.trials)
+        ]
+        got_combos, rows = runner.run_grid(cfg, workers)
+        assert got_combos == combos
+        got = [runner.format_row(row, row["users"]) for row in rows]
+        assert got == expected
+
+    def test_ray_trace_runs_once_per_trial(self, monkeypatch):
+        cfg = cfg_from(
+            "users = 2\nantennas = 4\npayload_symbols = 1\ntrials = 3\n"
+            "scenario = raytrace\nsweep.arch = switched, dbf, hbf_full, hbf_partial\n"
+        )
+        calls = []
+        ray_trace = runner.channel.ray_trace
+        monkeypatch.setattr(
+            runner.channel, "ray_trace", lambda *a, **k: calls.append(1) or ray_trace(*a, **k)
+        )
+        _, rows = runner.run_grid(cfg, workers=1)
+        assert len(rows) == 12
+        assert len(calls) == 3
+
+    def test_one_draws_dict_keeps_draw_keys_apart(self):
+        draws: dict = {}
+        for arch, users in [("switched", 2), ("fdma", 2), ("switched", 3), ("dbf", 2)]:
+            cfg = with_overrides(cfg_from(SMALL), arch=arch, users=users)
+            shared = runner.format_row(runner.run_trial(cfg, 1, draws), users)
+            assert shared == runner.format_row(runner.run_trial(cfg, 1), users)
+        assert len(draws) == 3
+
+    def test_draw_arrays_are_read_only(self):
+        for arch in ("switched", "fdma"):
+            cfg = cfg_from(SMALL + f"arch = {arch}\n")
+            bits, links = runner.draw_trial(cfg, 0)
+            arrays = [bits] + [a for link in links for a in link]
+            assert len(arrays) == 1 + 4 * (cfg.users if arch == "fdma" else 1)
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 1
+
+    def test_draw_key_follows_the_draw_stage(self):
+        cfg = cfg_from("scenario = raytrace\n")
+        key = runner.draw_key(cfg)
+        changed = {
+            "users": 2,
+            "antennas": 6,
+            "seed": 2,
+            "payload_symbols": 3,
+            "scenario": "rayleigh",
+            "sync_mode": "offset",
+            "sync_max_offset_samples": 0.25,
+            "rayleigh_taps": 2,
+            "lts_repeats": 3,
+            "bandwidth_hz": 20e6,
+            "room_x_m": 11.0,
+            "room_y_m": 6.0,
+            "ap_x_m": 5.0,
+            "ap_y_m": 0.75,
+            "scene_gamma": 0.5,
+            "max_reflections": 2,
+            "user_positions": ((2.0, 3.0),) * 4,
+        }
+        draw_fields = {f.name for f in fields(cfg) if f.metadata["stage"] == "draw"}
+        assert set(changed) == draw_fields
+        for name, value in changed.items():
+            assert runner.draw_key(replace(cfg, **{name: value})) != key, name
+        # the other sweep keys leave the draw alone, arch up to fdma or not
+        for name, value in [
+            ("arch", "dbf"), ("arch", "hbf_full"), ("arch", "hbf_partial"),
+            ("chains", 8), ("snr_db", -5.0), ("select", "random"),
+        ]:
+            assert runner.draw_key(replace(cfg, **{name: value})) == key, name
+        assert runner.draw_key(replace(cfg, arch="fdma")) != key
 
 
 class TestBenchTrace:
