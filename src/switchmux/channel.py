@@ -86,14 +86,13 @@ def ray_trace(
     *,
     gamma: float,
     max_reflections: int,
-    carrier_hz: float = CARRIER_HZ,
     subcarrier_spacing_hz: float = 10e6 / 64,
 ) -> np.ndarray:
     """Image-source channel [users, antennas, F] for antennas_m [M, 2] and
     users_m [K, 2] inside the room [0, room_m[0]] x [0, room_m[1]], whose
     walls all reflect with gamma (the config checks the geometry).  Per
     path, amplitude gamma^bounces / distance and phase
-    e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier."""
+    e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier, f_c = CARRIER_HZ."""
     if max_reflections not in (0, 1, 2):
         raise ValueError("max_reflections must be 0, 1 or 2")
     if F < 1:
@@ -101,7 +100,7 @@ def ray_trace(
     ants = np.asarray(antennas_m, float)
     users = np.asarray(users_m, float)
     amps = (1.0, gamma, gamma * gamma)
-    freqs = carrier_hz + signed_bins(F) * subcarrier_spacing_hz
+    freqs = CARRIER_HZ + signed_bins(F) * subcarrier_spacing_hz
     gains = np.zeros((len(users), len(ants), F), dtype=np.complex128)
     for u, user in enumerate(users):
         direct = np.linalg.norm(ants - user[None, :], axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,8 @@ def _out_path(args, cfg) -> str:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _out_path(args, cfg)
-    rows = runner.run_sweep(cfg, out, workers=args.workers, use_sweep=False)
+    # the base combo alone, so the manifest's digest describes these rows
+    rows = runner.run_sweep(replace(cfg, sweep=()), out, workers=args.workers)
     print(f"wrote {rows} rows to {out}")
     return 0
 
@@ -43,7 +45,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _out_path(args, cfg)
     combos = len(runner.sweep_combos(cfg))
-    rows = runner.run_sweep(cfg, out, workers=args.workers, use_sweep=True)
+    rows = runner.run_sweep(cfg, out, workers=args.workers)
     print(f"wrote {rows} rows ({combos} configs) to {out}")
     return 0
 

@@ -190,20 +190,17 @@ def _resolve_chains(cfg: ExperimentConfig) -> int:
         raise ConfigError("need at least one antenna per user")
     if cfg.user_positions is not None and len(cfg.user_positions) != users:
         raise ConfigError("scene.userN_x_m/y_m must cover users 0..users-1 exactly")
-    if cfg.arch == "switched":
+    if cfg.arch in ("switched", "hbf_full", "hbf_partial"):
+        # one switch slot, or one steered phase-shifter chain, per user
         resolved = chains or users
         if resolved != users:
-            raise ConfigError("switched capture needs chains == users (one slot each)")
+            raise ConfigError(f"{cfg.arch} needs chains == users (one chain per user)")
+        if cfg.arch == "hbf_partial" and antennas % resolved != 0:
+            raise ConfigError("hbf_partial needs antennas divisible by chains")
     elif cfg.arch == "dbf":
         resolved = chains or antennas
         if not users <= resolved <= antennas:
             raise ConfigError("dbf needs users <= chains <= antennas")
-    elif cfg.arch in ("hbf_full", "hbf_partial"):
-        resolved = chains or users
-        if not users <= resolved <= antennas:
-            raise ConfigError("hbf needs users <= chains <= antennas")
-        if cfg.arch == "hbf_partial" and antennas % resolved != 0:
-            raise ConfigError("hbf_partial needs antennas divisible by chains")
     else:  # fdma
         resolved = chains or 1
         if resolved != 1:

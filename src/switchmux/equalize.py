@@ -3,15 +3,16 @@
 Each user sends known training symbols in its own time slot, so every
 chain-user pair gets a clean per-subcarrier estimate of the effective
 channel (physical channel times switch matrix).  Effective channels are
-heff arrays [chains, users, used bins] on the physical scale (transmit
-power normalization undone), one column per entry of USED_BINS.  The
-digital combiner then inverts that matrix bin by bin: zero-forcing uses
-the pseudo-inverse, in one stacked pinv and one stacked SVD over heff
-moved to [bins, chains, users].  Null-space combining projects each user
-onto the directions the others cannot reach; it is defined only on square
-channels (chains == users, or one user), where that projection is the
-user's row of the inverse, so it is computed as zero-forcing.  Both null
-interference exactly on full-rank bins.
+heff arrays [chains, users, data bins] on the physical scale (transmit
+power normalization undone), one column per entry of DATA_BINS: the pilot
+bins carry nothing this receiver reads, so they are neither estimated nor
+combined.  The digital combiner then inverts that matrix bin by bin:
+zero-forcing uses the pseudo-inverse, in one stacked pinv and one stacked
+SVD over heff moved to [bins, chains, users].  Null-space combining
+projects each user onto the directions the others cannot reach; it is
+defined only on square channels (chains == users, or one user), where that
+projection is the user's row of the inverse, so it is computed as
+zero-forcing.  Both null interference exactly on full-rank bins.
 
 Captures are [chains, samples] arrays of a build_frame frame; the user
 count and the training repeats locate its training slots and payload.
@@ -23,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE, USED_BINS, symbol_spectra
+from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE, symbol_spectra
 
 
 @dataclass(frozen=True)
 class CombinerMatrix:
-    """Per-bin combining weights: weights[user][chain][used bin].
+    """Per-bin combining weights: weights[user][chain][data bin].
 
     ``erased`` marks bins whose effective channel could not be inverted;
     their symbols are zeroed downstream and count as errors.
@@ -51,17 +52,17 @@ def true_effective_channel(
 
     ``mixing`` is the M x C antenna-to-chain matrix (binary switch columns,
     phase-shifter weights, or identity columns for dedicated chains):
-    heff[c, u, f] = loss_amp * sum_m mixing[m, c] * H[u, m, f].
+    heff[c, u, f] = loss_amp * sum_m mixing[m, c] * H[u, m, f] on the data bins.
     """
     mixing = np.asarray(mixing, dtype=np.complex128)
     if mixing.ndim != 2 or mixing.shape[0] != gains.shape[1]:
         raise ValueError("mixing must be antennas x chains")
-    picked = gains[:, :, USED_BINS]
+    picked = gains[:, :, DATA_BINS]
     return loss_amp * np.einsum("mc,umf->cuf", mixing, picked)
 
 
 def estimate_channel(chains: np.ndarray, num_users: int, lts_repeats: int) -> np.ndarray:
-    """Estimate heff[chain][user][used bin] from the staggered training slots
+    """Estimate heff[chain][user][data bin] from the staggered training slots
     of a capture [chains, samples] of build_frame's frame.
 
     Each user's slot holds only that user's training symbol, so division by
@@ -72,8 +73,8 @@ def estimate_channel(chains: np.ndarray, num_users: int, lts_repeats: int) -> np
     spectra = symbol_spectra(chains)
     if spectra.ndim != 3 or spectra.shape[1] < preamble:
         raise ValueError("chains must be [chains, samples] holding every training slot")
-    slots = spectra[:, :preamble, USED_BINS].reshape(len(spectra), num_users, lts_repeats, -1)
-    return slots.mean(axis=2) / (TX_SCALE * LTS_FREQ[USED_BINS])
+    slots = spectra[:, :preamble, DATA_BINS].reshape(len(spectra), num_users, lts_repeats, -1)
+    return slots.mean(axis=2) / (TX_SCALE * LTS_FREQ[DATA_BINS])
 
 
 def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
@@ -119,9 +120,7 @@ def apply_combiner(chains: np.ndarray, comb: CombinerMatrix, lts_repeats: int) -
     spectra = symbol_spectra(chains)
     if spectra.ndim != 3 or spectra.shape[1] <= preamble:
         raise ValueError("chains must be [chains, samples] holding a payload symbol")
-    payload = spectra[:, preamble:, USED_BINS] / TX_SCALE
+    payload = spectra[:, preamble:, DATA_BINS] / TX_SCALE
     grids = np.einsum("ucf,csf->usf", comb.weights, payload)
-    data_cols = np.searchsorted(USED_BINS, DATA_BINS)
-    out = grids[:, :, data_cols]
-    out[:, :, comb.erased[data_cols]] = 0.0
-    return out
+    grids[:, :, comb.erased] = 0.0
+    return grids

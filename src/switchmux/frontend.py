@@ -127,15 +127,14 @@ def capture_physical(rx: np.ndarray, num_chains: int, sigma2: float, rng: Rng) -
     return chains
 
 
-def hybrid_weights(H_ref: np.ndarray, num_chains: int, mode: str) -> np.ndarray:
-    """Unit-modulus phase-shifter weights steering chain k at user k.
+def hybrid_weights(H_ref: np.ndarray, mode: str) -> np.ndarray:
+    """Unit-modulus phase-shifter weights [antennas][chains] steering chain
+    k at user k, one chain per user.
 
     H_ref is [users][antennas]; mode "partially" keeps only a contiguous
-    block of M/num_chains antennas per chain (zero weight = not connected).
+    block of M/users antennas per chain (zero weight = not connected).
     """
     K, M = H_ref.shape
-    if num_chains != K:
-        raise ValueError("one chain per user required for steering weights")
     w = np.exp(-1j * np.angle(H_ref)).T.copy()  # [antennas][chains]
     if mode == "partially":
         if M % K != 0:

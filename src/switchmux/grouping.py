@@ -17,6 +17,9 @@ import numpy as np
 
 from .dsp import Rng
 
+# draws random_switch_matrix tries before giving up
+MAX_RANDOM_DRAWS = 10000
+
 
 class GroupingError(RuntimeError):
     """No full-rank switch matrix was found within the fallback budget."""
@@ -106,21 +109,20 @@ def inphase_select(
     )
 
 
-def random_switch_matrix(
-    num_antennas: int, num_slots: int, rng: Rng, max_draws: int = 10000
-) -> np.ndarray:
+def random_switch_matrix(num_antennas: int, num_slots: int, rng: Rng) -> np.ndarray:
     """Draw a uniform M x K 0/1 int64 switch matrix, rejecting degenerate ones.
 
-    Resamples until every slot column is nonempty and the matrix has full
-    column rank, so the draw is always usable by the digital combiner.
+    Resamples, at most MAX_RANDOM_DRAWS times, until every slot column is
+    nonempty and the matrix has full column rank, so the draw is always
+    usable by the digital combiner.
     """
     if num_slots < 1 or num_antennas < num_slots:
         raise ValueError("need at least as many antennas as slots")
     gen = rng.generator
-    for _ in range(max_draws):
+    for _ in range(MAX_RANDOM_DRAWS):
         entries = gen.integers(0, 2, size=(num_antennas, num_slots))
         if np.any(entries.sum(axis=0) == 0):
             continue
         if np.linalg.matrix_rank(entries) == num_slots:
             return entries
-    raise RuntimeError(f"no full-rank binary matrix in {max_draws} draws")
+    raise RuntimeError(f"no full-rank binary matrix in {MAX_RANDOM_DRAWS} draws")

@@ -2,8 +2,8 @@
 
 SINR is computed against the ground-truth effective channel, the way
 hardware testbeds measure it from known preambles.  The power model prices
-the analog front end, the switch network and the ADCs; its constants
-reproduce published receiver totals and stay configurable.
+the analog front end, the switch network and the ADCs; its module constants
+reproduce published receiver totals.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equalize import CombinerMatrix
-from .waveform import DATA_BINS, USED_BINS
 
 SINR_CAP_DB = 80.0
 
 # ADC figure of merit calibrated so a 12-bit converter burns 100 mW per
 # 10 MHz of sampled spectrum.
-DEFAULT_ADC_BITS = 12
-DEFAULT_ADC_FOM = 0.1 / (2**DEFAULT_ADC_BITS * 1e7)
+ADC_BITS = 12
+ADC_FOM = 0.1 / (2**ADC_BITS * 1e7)
 
 RFE_SINGLE_CHAIN_MW = 354.0
 RFE_PER_CHAIN_MW = 408.0
@@ -67,20 +66,18 @@ def _noise_form(v: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
 
 def sinr(comb: CombinerMatrix, heff: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     """Per-user post-combining SINR in dB against the true channel heff
-    [chains, users, used bins] and the chains x chains noise covariance.
+    [chains, users, data bins] and the chains x chains noise covariance.
 
     P[u, j, f] = sum_c V[u, c, f] * Heff[c, j, f]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
     the quadratic form V_u C V_u^H of the combiner row with noise_cov.
     Independent chains of variance sigma2 pass sigma2 * I; front ends whose
     chain noise is correlated (phase-shifter combining) or uneven (shared
-    switch slots) pass their own C.  Bins average in the linear domain over
-    data subcarriers; values cap at +80 dB.
+    switch slots) pass their own C.  Bins average in the linear domain;
+    values cap at +80 dB.
     """
-    data_cols = np.searchsorted(USED_BINS, DATA_BINS)
-    v = comb.weights[:, :, data_cols]
-    h = heff[:, :, data_cols]
-    p = np.einsum("ucf,cjf->ujf", v, h)
+    v = comb.weights
+    p = np.einsum("ucf,cjf->ujf", v, heff)
     power = np.abs(p) ** 2
     num_users = power.shape[0]
     idx = np.arange(num_users)
@@ -127,14 +124,7 @@ def adc_power(fom: float, bits: int, sample_rate_hz: float) -> float:
     return fom * (2.0**bits) * sample_rate_hz
 
 
-def power(
-    arch: str,
-    num_antennas: int,
-    num_chains: int,
-    per_chain_bw_hz: float,
-    adc_bits: int = DEFAULT_ADC_BITS,
-    fom: float = DEFAULT_ADC_FOM,
-) -> PowerReport:
+def power(arch: str, num_antennas: int, num_chains: int, per_chain_bw_hz: float) -> PowerReport:
     """Receiver power for one architecture.
 
     Single-RF-chain receivers (switched, fdma) pay one front end; per-chain
@@ -152,7 +142,7 @@ def power(
     else:
         rfe = RFE_PER_CHAIN_MW * num_chains
     switch = SWITCH_PER_ANTENNA_MW * num_antennas if arch == "switched" else 0.0
-    adc = 1000.0 * adc_power(fom, adc_bits, num_chains * per_chain_bw_hz)
+    adc = 1000.0 * adc_power(ADC_FOM, ADC_BITS, num_chains * per_chain_bw_hz)
     return PowerReport(rfe_mw=rfe, switch_mw=switch, adc_mw=adc)
 
 

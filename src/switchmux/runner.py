@@ -54,9 +54,16 @@ from .frontend import (
     noise_power,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
-from .waveform import CP_LEN, SYMBOL_LEN, build_frame, payload_bits_for_symbols, recover_bits
+from .waveform import (
+    CP_LEN,
+    FFT_SIZE,
+    SYMBOL_LEN,
+    build_frame,
+    payload_bits_for_symbols,
+    recover_bits,
+)
 
-# used subcarrier closest to DC (fft bin +1); the antenna selector and the
+# data subcarrier closest to DC (fft bin +1); the antenna selector and the
 # hybrid steering weights see the channel at this single reference bin
 REFERENCE_BIN = 1
 
@@ -98,10 +105,10 @@ def _draw_positions(cfg: ExperimentConfig, rng: Rng) -> np.ndarray:
 
 
 def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
-    """The trial's channel gains [users, antennas, 64]."""
+    """The trial's channel gains [users, antennas, FFT_SIZE]."""
     if cfg.scenario == "rayleigh":
         gains = channel.rayleigh(
-            cfg.users, cfg.antennas, 64, trial_rng.derive(_P_CHANNEL), cfg.rayleigh_taps
+            cfg.users, cfg.antennas, FFT_SIZE, trial_rng.derive(_P_CHANNEL), cfg.rayleigh_taps
         )
     else:
         if cfg.user_positions is not None:
@@ -112,10 +119,10 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
             (cfg.room_x_m, cfg.room_y_m),
             channel.ula_positions(cfg.antennas, (cfg.ap_x_m, cfg.ap_y_m)),
             positions,
-            64,
+            FFT_SIZE,
             gamma=cfg.scene_gamma,
             max_reflections=cfg.max_reflections,
-            subcarrier_spacing_hz=cfg.bandwidth_hz / 64.0,
+            subcarrier_spacing_hz=cfg.bandwidth_hz / FFT_SIZE,
         )
         # uplink power control: every user arrives at the configured SNR,
         # so path loss does not fold into the per-user noise reference
@@ -249,7 +256,7 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
         noise_cov = sigma2 * np.diag(s.sum(axis=0).astype(np.float64))
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         mode = "fully" if cfg.arch == "hbf_full" else "partially"
-        weights = hybrid_weights(h_ref, cfg.chains, mode)
+        weights = hybrid_weights(h_ref, mode)
         chains = capture_hybrid(rx, weights, sigma2, noise_rng)
         truth = true_effective_channel(gains, weights)
         noise_cov = sigma2 * (weights.T @ weights.conj())
@@ -319,10 +326,10 @@ def _grid_task(args) -> list:
     return [run_trial(combo, trial_id, draws) for combo in combos]
 
 
-def sweep_combos(cfg: ExperimentConfig, use_sweep: bool = True) -> list:
+def sweep_combos(cfg: ExperimentConfig) -> list:
     """Resolved per-combo configs in deterministic grid order, the first
     sweep key outermost."""
-    if not (use_sweep and cfg.sweep):
+    if not cfg.sweep:
         return [cfg]
     names = [name for name, _ in cfg.sweep]
     grid = itertools.product(*(values for _, values in cfg.sweep))
@@ -372,7 +379,7 @@ def format_row(row: dict, num_users: int) -> str:
     return ",".join(cells)
 
 
-def run_grid(cfg: ExperimentConfig, workers: int = 1, use_sweep: bool = True) -> tuple:
+def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     """Run every trial of the grid; returns its combos and their rows in
     (combo, trial_id) order on any worker count.  workers must be >= 1 and
     is capped at the machine's CPU count.
@@ -385,7 +392,7 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1, use_sweep: bool = True) ->
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    combos = sweep_combos(cfg, use_sweep)
+    combos = sweep_combos(cfg)
     groups: dict = {}
     for index, combo in enumerate(combos):
         groups.setdefault(draw_key(combo), []).append(index)
@@ -408,12 +415,7 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1, use_sweep: bool = True) ->
     return combos, rows
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    out_path: str,
-    workers: int = 1,
-    use_sweep: bool = True,
-) -> int:
+def run_sweep(cfg: ExperimentConfig, out_path: str, workers: int = 1) -> int:
     """Write run_grid's rows as CSV with a manifest; returns the row count.
     Identical configs reproduce byte-identical files on any worker count.
     The output directory is made first and out_path must not be a
@@ -422,7 +424,7 @@ def run_sweep(
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     if os.path.isdir(out_path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
-    combos, rows = run_grid(cfg, workers, use_sweep)
+    combos, rows = run_grid(cfg, workers)
     num_users = max(combo.users for combo in combos)
     lines = [",".join(csv_header(num_users))]
     lines += [format_row(row, num_users) for row in rows]

@@ -1,8 +1,10 @@
 """Command line front end: subcommand wiring, output files, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import switchmux
 from switchmux import runner
 from switchmux.cli import main
-from switchmux.config import MAX_TRIAL_ELEMENTS
+from switchmux.config import MAX_TRIAL_ELEMENTS, config_digest, load_config
 
 SMALL = "users = 2\nantennas = 4\npayload_symbols = 2\ntrials = 2\nseed = 7\n"
 
@@ -40,6 +42,23 @@ def test_sweep_expands_grid(tmp_path, config_file, capsys):
     assert rc == 0
     assert "wrote 4 rows (2 configs)" in capsys.readouterr().out
     assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+
+def test_simulate_writes_the_base_combo_of_a_grid(tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(SMALL + "sweep.snr_db = 0, 10, 20\n", encoding="utf-8")
+    base = tmp_path / "base.cfg"
+    base.write_text(SMALL, encoding="utf-8")
+    simulated, swept = tmp_path / "simulated.csv", tmp_path / "swept.csv"
+    assert main(["simulate", "--config", str(grid), "--out", str(simulated)]) == 0
+    assert main(["sweep", "--config", str(base), "--out", str(swept)]) == 0
+    assert simulated.read_bytes() == swept.read_bytes()
+    # the manifest describes the rows beside it, not the grid they came from
+    manifest = json.loads(Path(str(simulated) + ".manifest.json").read_text(encoding="utf-8"))
+    cfg = load_config(str(grid))
+    assert manifest["config_sha256"] == config_digest(replace(cfg, sweep=()))
+    assert manifest["config_sha256"] != config_digest(cfg)
+    assert (manifest["rows"], manifest["combos"]) == (2, 1)
 
 
 def test_seed_override_changes_rows(tmp_path, config_file):
@@ -179,10 +198,27 @@ def test_module_entry_point():
     assert "code 1: 01" in proc.stdout
 
 
+@pytest.mark.parametrize("arch", ["hbf_full", "hbf_partial"])
+def test_hbf_with_more_chains_than_users_exits_1_before_any_trial(
+    tmp_path, capsys, monkeypatch, arch
+):
+    calls = []
+    monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a))
+    path = tmp_path / "hbf.cfg"
+    path.write_text(
+        f"arch = {arch}\nusers = 2\nantennas = 8\nchains = 4\ntrials = 1\n", encoding="utf-8"
+    )
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {arch} needs chains == users (one chain per user)\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "grid, message",
     [
         ("combiner = nullspace\nsweep.arch = switched, dbf\n", "nullspace"),
+        ("users = 2\nsweep.chains = 2, 4\nsweep.arch = hbf_full\n", "chains == users"),
         ("users = 4\nsweep.antennas = 2, 8\n", "antenna per user"),
         ("scenario = raytrace\nscene.room_x_m = 1.5\n", "scene.room_x_m must be >= 2"),
         ("scenario = raytrace\nscene.ap_y_m = 9\n", "scene.ap_x_m/ap_y_m must lie"),
@@ -196,8 +232,9 @@ def test_module_entry_point():
         ("sweep.antennas = 8, 99999999999\n", "users x antennas is too large"),
     ],
     ids=[
-        "nullspace_with_dbf", "fewer_antennas_than_users", "narrow_room", "ap_outside_room",
-        "array_outside_room", "empty_sweep_list", "user_on_an_antenna", "oversized_combo",
+        "nullspace_with_dbf", "hbf_chains_above_users", "fewer_antennas_than_users",
+        "narrow_room", "ap_outside_room", "array_outside_room", "empty_sweep_list",
+        "user_on_an_antenna", "oversized_combo",
     ],
 )
 def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, message):

@@ -93,6 +93,12 @@ class TestChainResolution:
     def test_hbf_defaults_to_users(self):
         assert cfg_from("arch = hbf_full\nusers = 4\nantennas = 16").chains == 4
 
+    @pytest.mark.parametrize("arch", ["hbf_full", "hbf_partial"])
+    def test_hbf_rejects_more_chains_than_users(self, arch):
+        # each phase-shifter chain is steered at one user
+        with pytest.raises(ConfigError, match="chains == users"):
+            cfg_from(f"arch = {arch}\nusers = 2\nantennas = 8\nchains = 4")
+
     def test_hbf_partial_needs_divisible_blocks(self):
         with pytest.raises(ConfigError, match="divisible"):
             cfg_from("arch = hbf_partial\nusers = 3\nantennas = 8\nchains = 3")

@@ -6,7 +6,7 @@ import pytest
 from switchmux import metrics
 from switchmux.equalize import CombinerMatrix
 from switchmux.metrics import (
-    DEFAULT_ADC_FOM,
+    ADC_FOM,
     PowerReport,
     adc_power,
     bits_per_joule,
@@ -16,17 +16,17 @@ from switchmux.metrics import (
     power,
     sinr,
 )
-from switchmux.waveform import USED_BINS
+from switchmux.waveform import DATA_BINS
 
 
 def flat_effective(matrix):
     matrix = np.asarray(matrix, dtype=complex)
-    return np.repeat(matrix[:, :, None], USED_BINS.size, axis=2)
+    return np.repeat(matrix[:, :, None], DATA_BINS.size, axis=2)
 
 
 def identity_combiner(n):
-    w = np.repeat(np.eye(n, dtype=complex)[:, :, None], USED_BINS.size, axis=2)
-    return CombinerMatrix(weights=w, erased=np.zeros(USED_BINS.size, bool))
+    w = np.repeat(np.eye(n, dtype=complex)[:, :, None], DATA_BINS.size, axis=2)
+    return CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
 
 
 class TestSinr:
@@ -42,8 +42,8 @@ class TestSinr:
 
     def test_noise_term_uses_combiner_norm(self):
         truth = flat_effective(np.eye(1))
-        w = np.full((1, 1, USED_BINS.size), 2.0, dtype=complex)
-        comb = CombinerMatrix(weights=w, erased=np.zeros(USED_BINS.size, bool))
+        w = np.full((1, 1, DATA_BINS.size), 2.0, dtype=complex)
+        comb = CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
         # signal |2|^2, noise |2|^2 * 0.1 -> SINR = 1/0.1
         got = sinr(comb, truth, 0.1 * np.eye(1))
         assert np.allclose(got, 10.0, atol=1e-9)
@@ -58,8 +58,8 @@ class TestSinr:
 
     def test_correlated_noise_follows_quadratic_form(self):
         truth = flat_effective([[1.0], [1.0]])
-        w = np.ones((1, 2, USED_BINS.size), dtype=complex)
-        comb = CombinerMatrix(weights=w, erased=np.zeros(USED_BINS.size, bool))
+        w = np.ones((1, 2, DATA_BINS.size), dtype=complex)
+        comb = CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
         # fully correlated chains: noise |1+1|^2 * 0.1, signal |2|^2
         got = sinr(comb, truth, noise_cov=0.1 * np.ones((2, 2)))
         assert np.allclose(got, 10.0 * np.log10(4.0 / 0.4))
@@ -143,10 +143,10 @@ class TestPowerModel:
             power("mimo", 4, 4, 10e6)
 
     def test_adc_linearity_and_resolution(self):
-        base = adc_power(DEFAULT_ADC_FOM, 12, 10e6)
+        base = adc_power(ADC_FOM, 12, 10e6)
         assert abs(base - 0.1) < 1e-12
-        assert abs(adc_power(DEFAULT_ADC_FOM, 12, 40e6) - 4 * base) < 1e-12
-        assert abs(adc_power(DEFAULT_ADC_FOM, 13, 10e6) - 2 * base) < 1e-12
+        assert abs(adc_power(ADC_FOM, 12, 40e6) - 4 * base) < 1e-12
+        assert abs(adc_power(ADC_FOM, 13, 10e6) - 2 * base) < 1e-12
 
     def test_negative_terms_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,13 @@ import pytest
 
 import switchmux
 from switchmux import runner, waveform
-from switchmux.config import ARCH_CHOICES, build_config, parse_config_text, with_overrides
+from switchmux.config import (
+    ARCH_CHOICES,
+    ConfigError,
+    build_config,
+    parse_config_text,
+    with_overrides,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -194,6 +200,43 @@ class TestRunTrial:
             assert got == runner.format_row(runner.run_trial(zf, t), zf.users)
 
 
+# (arch, combiner) -> the chain counts 0..4 config accepts at 2 users and
+# 4 antennas: switched and hbf_* take one chain per user, dbf 2..4, fdma 1,
+# and nullspace only a square channel
+ACCEPTED_CHAINS = {
+    ("switched", "zf"): [0, 2],
+    ("dbf", "zf"): [0, 2, 3, 4],
+    ("hbf_full", "zf"): [0, 2],
+    ("hbf_partial", "zf"): [0, 2],
+    ("fdma", "zf"): [0, 1],
+    ("switched", "nullspace"): [0, 2],
+    ("dbf", "nullspace"): [2],
+    ("hbf_full", "nullspace"): [0, 2],
+    ("hbf_partial", "nullspace"): [0, 2],
+    ("fdma", "nullspace"): [],
+}
+
+
+@pytest.mark.parametrize("arch, combiner", sorted(ACCEPTED_CHAINS))
+def test_every_accepted_chain_count_runs_a_trial(arch, combiner):
+    # config alone decides the chain count, so every count it accepts must
+    # run trial 0 to a row
+    accepted = []
+    for chains in range(5):
+        text = (
+            f"arch = {arch}\ncombiner = {combiner}\nchains = {chains}\n"
+            "users = 2\nantennas = 4\npayload_symbols = 1\n"
+        )
+        try:
+            cfg = cfg_from(text)
+        except ConfigError:
+            continue
+        row = runner.run_trial(cfg, 0)
+        assert (row["trial_id"], row["K"], len(row["sinr_db"])) == (0, cfg.chains, 2)
+        accepted.append(chains)
+    assert accepted == ACCEPTED_CHAINS[(arch, combiner)]
+
+
 class TestSweepGrid:
     def test_no_sweep_keys_single_combo(self):
         cfg = cfg_from(SMALL)
@@ -220,10 +263,6 @@ class TestSweepGrid:
         cfg = cfg_from(SMALL + "sweep.arch = switched, dbf, fdma\n")
         chains = [c.chains for c in runner.sweep_combos(cfg)]
         assert chains == [2, 4, 1]
-
-    def test_use_sweep_false_ignores_grid(self):
-        cfg = cfg_from(SMALL + "sweep.snr_db = 0, 10, 20\n")
-        assert len(runner.sweep_combos(cfg, use_sweep=False)) == 1
 
 
 class TestCsvFormat:
