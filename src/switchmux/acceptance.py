@@ -108,18 +108,23 @@ def check_despread_equivalence() -> CheckResult:
 
 # --- 3: virtual chains match physical chains --------------------------------
 
+VIRTUAL_EQUALS_PHYSICAL = (
+    "users = 4\nantennas = 4\nscenario = rayleigh\npayload_symbols = 2\n"
+    "seed = 11\nfrontend.insertion_loss_db = 0.0\nselect = identity\ntrials = 75\n"
+    "sweep.arch = switched, dbf\nsweep.snr_db = 17, 18, 19, 20\n"
+)
+
+
 def check_virtual_equals_physical() -> CheckResult:
     """Identity-switched capture+despread tracks per-antenna chains.
 
     The switch insertion-loss constant is zeroed so the comparison
     isolates the gate-combine-despread path itself.  select only acts on
-    the switched arm.
+    the switched arm.  With the quantizer off the runner computes the
+    switched chains in closed form (frontend.switched_chains), which gives
+    the same rows as the full K*B capture and despread.
     """
-    combos = _sweep(
-        "users = 4\nantennas = 4\nscenario = rayleigh\npayload_symbols = 2\n"
-        "seed = 11\nfrontend.insertion_loss_db = 0.0\nselect = identity\ntrials = 75\n"
-        "sweep.arch = switched, dbf\nsweep.snr_db = 17, 18, 19, 20\n"
-    )
+    combos = _sweep(VIRTUAL_EQUALS_PHYSICAL)
     # arch is the outer grid key: the switched SNR points, then the dbf ones
     medians = [np.median([r["mean_sinr_db"] for r in rows]) for _, rows in combos]
     half = len(medians) // 2

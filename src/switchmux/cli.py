@@ -17,7 +17,13 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import metrics, runner
-from .config import MAX_TRIAL_ELEMENTS, ConfigError, load_config, with_overrides
+from .config import (
+    MAX_BANDWIDTH_HZ,
+    MAX_TRIAL_ELEMENTS,
+    ConfigError,
+    load_config,
+    with_overrides,
+)
 from .frontend import control_word
 
 
@@ -73,13 +79,13 @@ def _cmd_codes(args) -> int:
 
 def _cmd_power(args) -> int:
     bw = args.bandwidth_hz
-    # bound the counts like a trial's arrays; fdma samples users x bandwidth,
-    # which is computed only once both are known to be in range
+    # bound the counts like a trial's arrays and the bandwidth like a config's;
+    # fdma's users x bandwidth is then finite too
     counts_ok = all(1 <= n <= MAX_TRIAL_ELEMENTS for n in (args.antennas, args.users))
-    if not (counts_ok and 0 < bw < np.inf and args.users * bw < np.inf):
+    if not (counts_ok and 0 < bw <= MAX_BANDWIDTH_HZ):
         raise ConfigError(
             f"--antennas and --users must be >= 1 and <= {MAX_TRIAL_ELEMENTS}, "
-            "--bandwidth-hz positive and finite, and --users x --bandwidth-hz finite"
+            f"and --bandwidth-hz positive and finite, <= {MAX_BANDWIDTH_HZ:g}"
         )
     rows = [
         ("switched", args.antennas, args.users, bw),

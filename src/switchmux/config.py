@@ -39,6 +39,11 @@ DROP_MARGIN_M = 1.0
 # complex array of the budget is 256 MiB.
 MAX_TRIAL_ELEMENTS = 2**24
 
+# Upper bound of a per-user bandwidth, ofdm.bandwidth_hz in a config and
+# `switchmux power --bandwidth-hz`: far above any radio channel, it keeps
+# rates and the ADC power figures they feed finite and printable.
+MAX_BANDWIDTH_HZ = 1e12
+
 
 class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration input."""
@@ -127,7 +132,13 @@ class ExperimentConfig:
     rank_tolerance: float = _key("grouping.rank_tolerance", "link", _float, 1e-9, _POSITIVE)
     max_fallbacks: int = _key("grouping.max_fallbacks", "link", _int, 64, _at_least(0))
     lts_repeats: int = _key("ofdm.lts_repeats", "draw", _int, 2, _at_least(1))
-    bandwidth_hz: float = _key("ofdm.bandwidth_hz", "draw", _float, 10e6, _POSITIVE)
+    bandwidth_hz: float = _key(
+        "ofdm.bandwidth_hz",
+        "draw",
+        _float,
+        10e6,
+        ((lambda b: 0 < b <= MAX_BANDWIDTH_HZ), f"must be positive and <= {MAX_BANDWIDTH_HZ:g}"),
+    )
     insertion_loss_db: float = _key(
         "frontend.insertion_loss_db", "link", _float, 0.5, _at_least(0)
     )
@@ -205,7 +216,8 @@ def _resolve_chains(cfg: ExperimentConfig) -> int:
         resolved = chains or 1
         if resolved != 1:
             raise ConfigError("fdma uses exactly one chain")
-    if cfg.combiner == "nullspace" and resolved != users:
+    # every fdma link is one user on one chain, where null-space combining is ZF
+    if cfg.combiner == "nullspace" and cfg.arch != "fdma" and resolved != users:
         raise ConfigError("nullspace combining needs chains == users")
     return resolved
 

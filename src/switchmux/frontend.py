@@ -8,6 +8,15 @@ comparison front ends. Every front end takes the received B-rate signals
 [antennas, samples]; the switched one returns its K*B capture
 [K*samples], the others their chains [chains, samples].
 
+Without a quantizer the switched chain is linear, and upsample and the
+despreader's fractional delay are exact inverses, so despreading the K*B
+capture gives back each slot's gated sum of B-rate antenna signals plus
+the despread K*B noise. switched_chains computes those K virtual chains
+[K, samples] in that closed form, drawing the same noise as
+capture_switched; the runner uses it whenever the quantizer is off and
+runs the K*B capture only for a quantized chain, whose rounding needs the
+K*B stream.
+
 Noise convention: noise_power turns snr_db into sigma2, the per-sample
 noise variance of a B-rate chain, against the received power per user
 averaged over the whole frame. The runner computes it once per link and
@@ -31,6 +40,7 @@ import math
 
 import numpy as np
 
+from .despread import time_despread
 from .dsp import Rng, upsample
 
 
@@ -46,6 +56,30 @@ def control_word(S: np.ndarray) -> str:
 def _check_received(rx: np.ndarray) -> None:
     if rx.ndim != 2 or rx.shape[0] < 1:
         raise ValueError("received signals must be [antennas, samples]")
+
+
+def _checked_switch(rx: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """S as an array, after checking rx and that S is an M x K 0/1 matrix
+    with one row per antenna of rx and no empty slot."""
+    _check_received(rx)
+    S = np.asarray(S)
+    if S.ndim != 2 or S.shape[0] != rx.shape[0]:
+        raise ValueError("switch matrix must be M x K with one row per stream")
+    if not np.isin(S, (0, 1)).all():
+        raise ValueError("switch matrix entries must be 0 or 1")
+    if np.any(S.sum(axis=0) == 0):
+        raise ValueError("every slot column needs at least one antenna")
+    return S
+
+
+def _slot_noise(S: np.ndarray, reps: int, sigma2: float, rng: Rng) -> np.ndarray:
+    """The switched chain's K*B noise [K*reps], slot k of each period
+    scaled by the number of antennas it gates."""
+    # a slot that joins n antennas pays an n-way passive split before the
+    # shared LNA, so referred to the unit combiner gain of the capture its
+    # samples carry n times the single-branch noise power
+    occupancy = np.tile(S.sum(axis=0), reps).astype(np.float64)
+    return rng.normal_complex(occupancy.size) * np.sqrt(sigma2 * occupancy)
 
 
 def noise_power(rx: np.ndarray, snr_db: float, num_users: int) -> float:
@@ -87,14 +121,7 @@ def capture_switched(
     S is the M x K 0/1 switch matrix, rows antennas, columns slots; every
     slot must gate at least one antenna.
     """
-    _check_received(rx)
-    S = np.asarray(S)
-    if S.ndim != 2 or S.shape[0] != rx.shape[0]:
-        raise ValueError("switch matrix must be M x K with one row per stream")
-    if not np.isin(S, (0, 1)).all():
-        raise ValueError("switch matrix entries must be 0 or 1")
-    if np.any(S.sum(axis=0) == 0):
-        raise ValueError("every slot column needs at least one antenna")
+    S = _checked_switch(rx, S)
     K = S.shape[1]
     reps = rx.shape[1]  # one period of K slot samples per input sample
     total = np.zeros(reps * K, dtype=np.complex128)
@@ -103,14 +130,33 @@ def capture_switched(
         total += upsample(signal, K) * gate
     total *= loss_amp
     if sigma2 > 0:
-        # a slot that joins n antennas pays an n-way passive split before
-        # the shared LNA, so referred to the unit combiner gain used above
-        # its samples carry n times the single-branch noise power
-        occupancy = np.tile(S.sum(axis=0), reps).astype(np.float64)
-        total = total + rng.normal_complex(total.size) * np.sqrt(sigma2 * occupancy)
+        total = total + _slot_noise(S, reps, sigma2, rng)
     if quantizer_bits:
         total = quantize(total, quantizer_bits)
     return total
+
+
+def switched_chains(
+    rx: np.ndarray, S: np.ndarray, sigma2: float, rng: Rng, loss_amp: float = 1.0
+) -> np.ndarray:
+    """The K virtual chains [K, samples] that time_despread recovers from an
+    unquantized capture_switched capture, in closed form.
+
+    Chain k is loss_amp times the sum of the B-rate signals of the antennas
+    slot k gates, plus the time-despread K*B noise capture_switched draws
+    from rng.  S and rx are checked as capture_switched checks them.
+    """
+    S = _checked_switch(rx, S)
+    K = S.shape[1]
+    # a per-slot sum of rows, not S.T @ rx: OpenBLAS threads a product this
+    # large and its spinning helper thread takes a second sweep worker's core
+    chains = np.empty((K, rx.shape[1]), dtype=np.complex128)
+    for k in range(K):
+        chains[k] = rx[S[:, k] == 1].sum(axis=0)
+    chains *= loss_amp
+    if sigma2 > 0:
+        chains += time_despread(_slot_noise(S, rx.shape[1], sigma2, rng), K)
+    return chains
 
 
 def capture_physical(rx: np.ndarray, num_chains: int, sigma2: float, rng: Rng) -> np.ndarray:

@@ -12,16 +12,20 @@ each config field is tagged with the first stage that reads it (the
   from whether arch is fdma, whose users are one single-antenna link each;
 * link (``_run_link``): selection, front end, noise, estimation and
   combining, adding the link fields (arch, chains, snr_db, select,
-  combiner, grouping.*, frontend.*);
+  combiner, grouping.*, frontend.*).  A switched link captures the K*B
+  stream and despreads it only when frontend.quantizer_bits is set; with
+  the quantizer off it takes the same chains in closed form
+  (``frontend.switched_chains``);
 * score: one decode of every link's grids and the metrics of the row.
 
-Combos with equal ``draw_key`` draw identical arrays for trial t, so a
-sweep draws it once per task and its combos share it; the shared arrays are
-read-only, so a stage that writes into them fails loudly.  Sweeps
-cross-multiply the grid keys, run the trials (optionally across processes)
-and write one CSV row per trial in (combo, trial_id) order, so identical
-configs reproduce identical bytes whatever the worker count or the split
-of tasks.
+Combos with equal ``draw_key`` draw identical arrays for trial t, and the
+shared arrays are read-only, so a stage that writes into them fails
+loudly.  Sweeps cross-multiply the grid keys and list every (combo,
+trial_id) pair, each draw key's pairs trial by trial.  A task block is a
+contiguous run of that list, one per worker; it keeps one draw at a time,
+so a trial is drawn once per block that holds it.  The rows are written
+in (combo, trial_id) order, so identical configs reproduce identical
+bytes whatever the worker count or the split of blocks.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .frontend import (
     capture_switched,
     hybrid_weights,
     noise_power,
+    switched_chains,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .waveform import (
@@ -247,10 +252,14 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
     if cfg.arch == "switched":
         s = _select_matrix(cfg, h_ref, trial_rng)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
-        capture = capture_switched(
-            rx, s, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
-        )
-        chains = time_despread(capture, cfg.chains)
+        if cfg.quantizer_bits:
+            # rounding is nonlinear, so a quantized chain needs the K*B stream
+            capture = capture_switched(
+                rx, s, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
+            )
+            chains = time_despread(capture, cfg.chains)
+        else:
+            chains = switched_chains(rx, s, sigma2, noise_rng, loss_amp)
         truth = true_effective_channel(gains, s, loss_amp)
         # chain k inherits the n-way split noise of its slot
         noise_cov = sigma2 * np.diag(s.sum(axis=0).astype(np.float64))
@@ -319,11 +328,17 @@ def run_trial(cfg: ExperimentConfig, trial_id: int, draws: dict | None = None) -
     return _score(cfg, trial_id, bits, grids, sinrs, evms)
 
 
-def _grid_task(args) -> list:
-    """Rows of one trial for combos that share its draw key."""
-    combos, trial_id = args
+def _grid_task(block) -> list:
+    """Rows of one block of (combo, trial_id) pairs, in block order.  The
+    block lists each draw key's pairs trial by trial, so the task holds one
+    draw at a time and drops it when the (draw key, trial) changes."""
     draws: dict = {}
-    return [run_trial(combo, trial_id, draws) for combo in combos]
+    rows = []
+    for combo, trial_id in block:
+        if (draw_key(combo), trial_id) not in draws:
+            draws.clear()
+        rows.append(run_trial(combo, trial_id, draws))
+    return rows
 
 
 def sweep_combos(cfg: ExperimentConfig) -> list:
@@ -384,10 +399,10 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     (combo, trial_id) order on any worker count.  workers must be >= 1 and
     is capped at the machine's CPU count.
 
-    Combos with equal draw keys form a group, dealt round-robin into
-    min(len(group), workers) slices, and one task runs one trial of one
-    slice: the slice's combos share that trial's draw, and a task holds one
-    draw at a time.
+    The (combo, trial_id) pairs are listed group by group of combos with
+    equal draw keys, trial-major within a group, and cut into
+    min(pairs, workers) contiguous blocks of near-equal size, one task each,
+    so a trial is drawn once per block that holds it.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -396,22 +411,18 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     groups: dict = {}
     for index, combo in enumerate(combos):
         groups.setdefault(draw_key(combo), []).append(index)
-    slices = []
-    for group in groups.values():
-        n = min(len(group), workers)
-        slices += [group[s::n] for s in range(n)]
-    tasks = [(part, t) for t in range(cfg.trials) for part in slices]
-    args = [([combos[i] for i in part], t) for part, t in tasks]
+    pairs = [(i, t) for group in groups.values() for t in range(cfg.trials) for i in group]
+    n = min(len(pairs), workers)
+    cuts = [len(pairs) * b // n for b in range(n + 1)]
+    blocks = [[(combos[i], t) for i, t in pairs[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(args) // (workers * 4))
-            done = list(pool.map(_grid_task, args, chunksize=chunk))
+            done = list(pool.map(_grid_task, blocks))
     else:
-        done = [_grid_task(a) for a in args]
+        done = [_grid_task(block) for block in blocks]
     rows = [None] * (len(combos) * cfg.trials)
-    for (part, t), got in zip(tasks, done):
-        for index, row in zip(part, got):
-            rows[index * cfg.trials + t] = row
+    for (i, t), row in zip(pairs, itertools.chain.from_iterable(done)):
+        rows[i * cfg.trials + t] = row
     return combos, rows
 
 

@@ -24,6 +24,7 @@ that takes the other users into account.
 import pytest
 
 from switchmux import acceptance, runner
+from switchmux.config import with_overrides
 
 
 def _run(check):
@@ -41,6 +42,26 @@ def test_despread_equivalence():
 
 def test_virtual_equals_physical():
     _run(acceptance.check_virtual_equals_physical)
+
+
+def test_virtual_equals_physical_rows_match_the_full_capture(monkeypatch, tmp_path):
+    """The check's switched rows come from the closed-form chains; at a few
+    trials they are the rows of the full K*B capture and despread."""
+    cfg = with_overrides(acceptance._config(acceptance.VIRTUAL_EQUALS_PHYSICAL), trials=3)
+    closed = tmp_path / "closed.csv"
+    runner.run_sweep(cfg, str(closed))
+    calls = []
+
+    def full_capture(rx, S, sigma2, rng, loss_amp=1.0):
+        calls.append(1)
+        capture = runner.capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
+        return runner.time_despread(capture, S.shape[1])
+
+    monkeypatch.setattr(runner, "switched_chains", full_capture)
+    full = tmp_path / "full.csv"
+    runner.run_sweep(cfg, str(full))
+    assert len(calls) == 4 * 3  # every switched trial, 4 SNR points x 3 trials
+    assert full.read_bytes() == closed.read_bytes()
 
 
 def test_interference_floor():

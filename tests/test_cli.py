@@ -12,7 +12,7 @@ import pytest
 import switchmux
 from switchmux import runner
 from switchmux.cli import main
-from switchmux.config import MAX_TRIAL_ELEMENTS, config_digest, load_config
+from switchmux.config import MAX_BANDWIDTH_HZ, MAX_TRIAL_ELEMENTS, config_digest, load_config
 
 SMALL = "users = 2\nantennas = 4\npayload_symbols = 2\ntrials = 2\nseed = 7\n"
 
@@ -177,6 +177,14 @@ def test_power_table(capsys):
     assert lines["fdma"].split()[-1] == "754.0"
 
 
+def test_power_table_at_the_largest_arguments(capsys):
+    # fdma's chain samples users x bandwidth, which stays finite at the bounds
+    argv = ["power", "--users", str(MAX_TRIAL_ELEMENTS), "--antennas", str(MAX_TRIAL_ELEMENTS)]
+    assert main(argv + ["--bandwidth-hz", str(MAX_BANDWIDTH_HZ)]) == 0
+    out = capsys.readouterr().out.lower()
+    assert "inf" not in out and "nan" not in out
+
+
 def test_validate_quick_passes(capsys):
     assert main(["validate", "--quick"]) == 0
     out = capsys.readouterr().out
@@ -284,12 +292,17 @@ def test_out_of_range_seed_exits_1(tmp_path, config_file, capsys, seed):
         ),
         (
             ["power", "--users", str(MAX_TRIAL_ELEMENTS), "--bandwidth-hz", "1e305"],
-            "--users x --bandwidth-hz finite",
+            f"--bandwidth-hz positive and finite, <= {MAX_BANDWIDTH_HZ:g}",
+        ),
+        (
+            ["power", "--bandwidth-hz", "1e300"],
+            f"--bandwidth-hz positive and finite, <= {MAX_BANDWIDTH_HZ:g}",
         ),
     ],
     ids=[
         "zero_slots", "zero_antennas", "zero_users", "negative_bandwidth", "huge_slots",
         "infinite_bandwidth", "huge_users", "huge_antennas", "infinite_fdma_bandwidth",
+        "huge_bandwidth",
     ],
 )
 def test_bad_table_arguments_exit_1(capsys, argv, message):

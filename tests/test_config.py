@@ -115,6 +115,11 @@ class TestChainResolution:
         )
         assert cfg.chains == 4
 
+    def test_nullspace_takes_fdma_one_chain_links(self):
+        # each fdma user is its own one-chain link, a square channel
+        cfg = cfg_from("users = 4\ncombiner = nullspace\nsweep.arch = switched, fdma\n")
+        assert [c.chains for c in runner.sweep_combos(cfg)] == [4, 1]
+
 
 class TestUserPositions:
     def test_full_set_accepted(self):
@@ -315,10 +320,13 @@ class TestSweepComboValidation:
             ({"rank_tolerance": 0.0}, "grouping.rank_tolerance must be positive"),
             ({"max_fallbacks": -1}, "grouping.max_fallbacks must be >= 0"),
             ({"quantizer_bits": -1}, "frontend.quantizer_bits must be >= 0"),
+            ({"bandwidth_hz": 0.0}, "ofdm.bandwidth_hz must be positive"),
+            ({"bandwidth_hz": 1e300}, r"ofdm.bandwidth_hz must be positive and <= 1e\+12"),
         ],
         ids=[
             "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi",
             "zero_phi", "zero_rank_tolerance", "negative_fallbacks", "negative_quantizer_bits",
+            "zero_bandwidth", "huge_bandwidth",
         ],
     )
     def test_overrides_run_the_per_key_checks(self, updates, message):

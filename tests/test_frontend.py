@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from switchmux.frontend import (
     hybrid_weights,
     noise_power,
     quantize,
+    switched_chains,
 )
 
 NOISELESS = 0.0
@@ -146,6 +149,64 @@ class TestCaptureSwitched:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
             capture_switched(random_streams(3, 32, 12), np.eye(4, dtype=int), NOISELESS, Rng(1))
+
+
+def oracle_chains(rx, S, sigma2, rng, loss_amp):
+    """The K*B capture despread into its K chains."""
+    capture = capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
+    return time_despread(capture, S.shape[1])
+
+
+def gating_matrix(m, k, seed):
+    """An m x k 0/1 matrix whose slots each gate one or more antennas and
+    that leaves the last antenna unused."""
+    g = np.random.Generator(np.random.Philox(key=seed))
+    S = np.zeros((m, k), dtype=np.int64)
+    owner = np.concatenate([np.arange(k), g.integers(0, k, m - 1 - k)])
+    S[np.arange(m - 1), g.permutation(owner)] = 1
+    return S
+
+
+class TestSwitchedChains:
+    """switched_chains is the closed form of capture_switched then
+    time_despread without a quantizer, drawing the same noise."""
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_equals_capture_then_despread(self, K, sigma2):
+        M = K + 4
+        S = gating_matrix(M, K, 40 + K)
+        assert (S.sum(axis=1) == 0).any() and (S.sum(axis=0) > 1).any()
+        rx = random_streams(M, 96, 50 + K)
+        got = switched_chains(rx, S, sigma2, Rng(9, K), loss_amp=0.8)
+        want = oracle_chains(rx, S, sigma2, Rng(9, K), 0.8)
+        assert got.shape == (K, 96)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_noise_is_drawn_only_when_sigma2_is_positive(self):
+        S = gating_matrix(6, 3, 1)
+        rx = random_streams(6, 32, 2)
+        rng = Rng(5)
+        switched_chains(rx, S, NOISELESS, rng)
+        np.testing.assert_array_equal(rng.normal_complex(4), Rng(5).normal_complex(4))
+
+    @pytest.mark.parametrize(
+        "streams, S",
+        [
+            (3, np.ones(3, dtype=int)),
+            (3, np.array([[2, 0], [0, 1], [1, 1]])),
+            (3, np.array([[1, 0], [1, 0], [1, 0]])),
+            (3, np.eye(4, dtype=int)),
+            (0, np.ones((0, 1), dtype=int)),
+        ],
+        ids=["one_dimensional", "non_binary", "silent_column", "mismatched", "no_streams"],
+    )
+    def test_rejects_what_capture_switched_rejects(self, streams, S):
+        rx = random_streams(streams, 32, 12) if streams else np.zeros((0, 32), complex)
+        with pytest.raises(ValueError) as want:
+            capture_switched(rx, S, NOISELESS, Rng(1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            switched_chains(rx, S, NOISELESS, Rng(1))
 
 
 class TestCapturePhysical:

@@ -202,7 +202,7 @@ class TestRunTrial:
 
 # (arch, combiner) -> the chain counts 0..4 config accepts at 2 users and
 # 4 antennas: switched and hbf_* take one chain per user, dbf 2..4, fdma 1,
-# and nullspace only a square channel
+# and nullspace only a square channel, which every fdma link is
 ACCEPTED_CHAINS = {
     ("switched", "zf"): [0, 2],
     ("dbf", "zf"): [0, 2, 3, 4],
@@ -213,7 +213,7 @@ ACCEPTED_CHAINS = {
     ("dbf", "nullspace"): [2],
     ("hbf_full", "nullspace"): [0, 2],
     ("hbf_partial", "nullspace"): [0, 2],
-    ("fdma", "nullspace"): [],
+    ("fdma", "nullspace"): [0, 1],
 }
 
 
@@ -405,6 +405,45 @@ class TestSharedDraw:
         _, rows = runner.run_grid(cfg, workers=1)
         assert len(rows) == 12
         assert len(calls) == 3
+
+    # two draw-key groups (fdma or not) of 12 and 6 pairs and a trial count
+    # 2 workers do not divide, so one block ends inside a trial
+    TWO_GROUPS = (
+        "users = 2\nantennas = 2\npayload_symbols = 1\ntrials = 3\nseed = 5\n"
+        "combiner = nullspace\nsweep.arch = switched, dbf, fdma\nsweep.snr_db = 5, 25\n"
+    )
+
+    def test_each_trial_drawn_once_per_draw_key(self, monkeypatch):
+        cfg = cfg_from(self.TWO_GROUPS)
+        drawn = []
+        draw_trial = runner.draw_trial
+
+        def counted(combo, trial_id):
+            drawn.append((runner.draw_key(combo), trial_id))
+            return draw_trial(combo, trial_id)
+
+        monkeypatch.setattr(runner, "draw_trial", counted)
+        _, rows = runner.run_grid(cfg, workers=1)
+        assert len(rows) == 18
+        assert len(drawn) == len(set(drawn)) == 2 * 3
+
+    def test_blocks_give_the_same_bytes_on_any_worker_count(self, tmp_path):
+        cfg = cfg_from(self.TWO_GROUPS)
+        combos = runner.sweep_combos(cfg)
+        assert len({runner.draw_key(c) for c in combos}) == 2
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"rows{workers}.csv"
+            runner.run_sweep(cfg, str(out), workers=workers)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        lines = written[0].decode().splitlines()[1:]
+        expected = [
+            runner.format_row(runner.run_trial(c, t), c.users)
+            for c in combos
+            for t in range(c.trials)
+        ]
+        assert lines == expected
 
     def test_one_draws_dict_keeps_draw_keys_apart(self):
         draws: dict = {}
