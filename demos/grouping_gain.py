@@ -11,8 +11,9 @@ one-antenna-per-chain switching.
 
 import numpy as np
 
-from switchmux import Rng, runner
+from switchmux import runner
 from switchmux.config import build_config, parse_config_text
+from switchmux.dsp import Rng
 from switchmux.frontend import control_word
 from switchmux.grouping import inphase_select
 

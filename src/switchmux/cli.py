@@ -87,20 +87,28 @@ def _cmd_power(args) -> int:
             f"--antennas and --users must be >= 1 and <= {MAX_TRIAL_ELEMENTS}, "
             f"and --bandwidth-hz positive and finite, <= {MAX_BANDWIDTH_HZ:g}"
         )
+    # (row label, arch, antennas, chains, per-chain bandwidth); the one
+    # hybrid row prices hbf_full, whose power equals hbf_partial's
     rows = [
-        ("switched", args.antennas, args.users, bw),
-        ("dbf", args.antennas, args.antennas, bw),
-        ("hbf", args.antennas, args.users, bw),
-        ("fdma", 1, 1, args.users * bw),
+        ("switched", "switched", args.antennas, args.users, bw),
+        ("dbf", "dbf", args.antennas, args.antennas, bw),
+        ("hbf", "hbf_full", args.antennas, args.users, bw),
+        ("fdma", "fdma", 1, 1, args.users * bw),
     ]
-    print(f"{'arch':<10}{'M':>4}{'chains':>8}{'rfe_mw':>10}"
-          f"{'switch_mw':>11}{'adc_mw':>9}{'total_mw':>10}")
-    for arch, m, chains, per_chain in rows:
+    table = [("arch", "M", "chains", "rfe_mw", "switch_mw", "adc_mw", "total_mw")]
+    for label, arch, m, chains, per_chain in rows:
         report = metrics.power(arch, m, chains, per_chain)
-        print(
-            f"{arch:<10}{m:>4}{chains:>8}{report.rfe_mw:>10.1f}"
-            f"{report.switch_mw:>11.1f}{report.adc_mw:>9.1f}{report.total_mw:>10.1f}"
-        )
+        mw = (report.rfe_mw, report.switch_mw, report.adc_mw, report.total_mw)
+        table.append((label, str(m), str(chains), *(f"{v:.1f}" for v in mw)))
+    # each column keeps its usual width unless a cell needs more, and then
+    # takes the widest cell plus one space
+    widths = [
+        max(width, 1 + max(len(row[c]) for row in table))
+        for c, width in enumerate((10, 4, 8, 10, 11, 9, 10))
+    ]
+    for row in table:
+        cells = [row[0].ljust(widths[0])] + [v.rjust(w) for v, w in zip(row[1:], widths[1:])]
+        print("".join(cells))
     return 0
 
 

@@ -173,21 +173,22 @@ def capture_physical(rx: np.ndarray, num_chains: int, sigma2: float, rng: Rng) -
     return chains
 
 
-def hybrid_weights(H_ref: np.ndarray, mode: str) -> np.ndarray:
+def hybrid_weights(H_ref: np.ndarray, arch: str) -> np.ndarray:
     """Unit-modulus phase-shifter weights [antennas][chains] steering chain
     k at user k, one chain per user.
 
-    H_ref is [users][antennas]; mode "partially" keeps only a contiguous
+    H_ref is [users][antennas]; arch is "hbf_full", which connects every
+    antenna to every chain, or "hbf_partial", which keeps only a contiguous
     block of M/users antennas per chain (zero weight = not connected).
     """
     K, M = H_ref.shape
     w = np.exp(-1j * np.angle(H_ref)).T.copy()  # [antennas][chains]
-    if mode == "partially":
+    if arch == "hbf_partial":
         if M % K != 0:
-            raise ValueError("partially-connected mode needs K to divide M")
+            raise ValueError("hbf_partial needs K to divide M")
         w *= np.kron(np.eye(K), np.ones((M // K, 1)))
-    elif mode != "fully":
-        raise ValueError("mode must be 'fully' or 'partially'")
+    elif arch != "hbf_full":
+        raise ValueError("arch must be 'hbf_full' or 'hbf_partial'")
     return w
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ARCH_CHOICES
 from .equalize import CombinerMatrix
 
 SINR_CAP_DB = 80.0
@@ -24,8 +25,6 @@ ADC_FOM = 0.1 / (2**ADC_BITS * 1e7)
 RFE_SINGLE_CHAIN_MW = 354.0
 RFE_PER_CHAIN_MW = 408.0
 SWITCH_PER_ANTENNA_MW = 1.0
-
-POWER_ARCHS = ("switched", "dbf", "hbf", "fdma")
 
 
 @dataclass(frozen=True)
@@ -125,15 +124,16 @@ def adc_power(fom: float, bits: int, sample_rate_hz: float) -> float:
 
 
 def power(arch: str, num_antennas: int, num_chains: int, per_chain_bw_hz: float) -> PowerReport:
-    """Receiver power for one architecture.
+    """Receiver power for one architecture, named as in config.ARCH_CHOICES.
 
     Single-RF-chain receivers (switched, fdma) pay one front end; per-chain
-    receivers (dbf, hbf) pay one per chain.  Only the switched design pays
-    the 1 mW-per-antenna switch network.  ADC power scales linearly with
-    the total sampled bandwidth num_chains * per_chain_bw_hz regardless of
-    whether that spectrum lives in one fast converter or many slow ones.
+    receivers (dbf, hbf_full, hbf_partial) pay one per chain.  Only the
+    switched design pays the 1 mW-per-antenna switch network.  ADC power
+    scales linearly with the total sampled bandwidth num_chains *
+    per_chain_bw_hz regardless of whether that spectrum lives in one fast
+    converter or many slow ones.
     """
-    if arch not in POWER_ARCHS:
+    if arch not in ARCH_CHOICES:
         raise ValueError(f"unknown architecture {arch!r}")
     if num_antennas < 1 or num_chains < 1 or per_chain_bw_hz <= 0:
         raise ValueError("antennas, chains and bandwidth must be positive")

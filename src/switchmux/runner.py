@@ -75,14 +75,6 @@ REFERENCE_BIN = 1
 # derived random-stream purposes; one per independent randomness source
 _P_PAYLOAD, _P_CHANNEL, _P_NOISE, _P_SELECT, _P_PLACE, _P_SYNC = range(1, 7)
 
-_POWER_ARCH = {
-    "switched": "switched",
-    "dbf": "dbf",
-    "hbf_full": "hbf",
-    "hbf_partial": "hbf",
-    "fdma": "fdma",
-}
-
 
 def _payload_bits(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
     """The trial's payloads [users, bits], each filling the payload symbols."""
@@ -186,10 +178,8 @@ def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, report):
 
 def _power_report(cfg: ExperimentConfig) -> metrics.PowerReport:
     if cfg.arch == "fdma":
-        return metrics.power("fdma", 1, 1, cfg.users * cfg.bandwidth_hz)
-    return metrics.power(
-        _POWER_ARCH[cfg.arch], cfg.antennas, cfg.chains, cfg.bandwidth_hz
-    )
+        return metrics.power(cfg.arch, 1, 1, cfg.users * cfg.bandwidth_hz)
+    return metrics.power(cfg.arch, cfg.antennas, cfg.chains, cfg.bandwidth_hz)
 
 
 def _failed_row(cfg: ExperimentConfig, trial_id: int) -> dict:
@@ -264,8 +254,7 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
         # chain k inherits the n-way split noise of its slot
         noise_cov = sigma2 * np.diag(s.sum(axis=0).astype(np.float64))
     elif cfg.arch in ("hbf_full", "hbf_partial"):
-        mode = "fully" if cfg.arch == "hbf_full" else "partially"
-        weights = hybrid_weights(h_ref, mode)
+        weights = hybrid_weights(h_ref, cfg.arch)
         chains = capture_hybrid(rx, weights, sigma2, noise_rng)
         truth = true_effective_channel(gains, weights)
         noise_cov = sigma2 * (weights.T @ weights.conj())
@@ -402,7 +391,8 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     The (combo, trial_id) pairs are listed group by group of combos with
     equal draw keys, trial-major within a group, and cut into
     min(pairs, workers) contiguous blocks of near-equal size, one task each,
-    so a trial is drawn once per block that holds it.
+    so a trial is drawn once per block that holds it.  A single block runs
+    in this process, without a pool.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -415,8 +405,8 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     n = min(len(pairs), workers)
     cuts = [len(pairs) * b // n for b in range(n + 1)]
     blocks = [[(combos[i], t) for i, t in pairs[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             done = list(pool.map(_grid_task, blocks))
     else:
         done = [_grid_task(block) for block in blocks]
@@ -429,24 +419,39 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
 def run_sweep(cfg: ExperimentConfig, out_path: str, workers: int = 1) -> int:
     """Write run_grid's rows as CSV with a manifest; returns the row count.
     Identical configs reproduce byte-identical files on any worker count.
-    The output directory is made first and out_path must not be a
-    directory, so a path that cannot hold the file fails before any trial
-    runs."""
+    The output directory is made first, and neither out_path nor its
+    manifest path may be a directory, so a path that cannot hold a file
+    fails before any trial runs.
+
+    Both files are written beside their targets under temporary names and
+    renamed into place, the CSV first, only once both are complete: a
+    failed write leaves the previous CSV and manifest as they were.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    if os.path.isdir(out_path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    manifest_path = out_path + ".manifest.json"
+    for path in (out_path, manifest_path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     combos, rows = run_grid(cfg, workers)
     num_users = max(combo.users for combo in combos)
     lines = [",".join(csv_header(num_users))]
     lines += [format_row(row, num_users) for row in rows]
-    text = "\n".join(lines) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    _write_manifest(cfg, out_path, len(rows), len(combos))
+    # renamed in this order, so the CSV goes first
+    staged = {path: f"{path}.{os.getpid()}.tmp" for path in (out_path, manifest_path)}
+    try:
+        with open(staged[out_path], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        _write_manifest(cfg, staged[manifest_path], len(rows), len(combos))
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return len(rows)
 
 
-def _write_manifest(cfg: ExperimentConfig, out_path: str, rows: int, combos: int) -> None:
+def _write_manifest(cfg: ExperimentConfig, path: str, rows: int, combos: int) -> None:
     from . import __version__
 
     manifest = {
@@ -455,6 +460,6 @@ def _write_manifest(cfg: ExperimentConfig, out_path: str, rows: int, combos: int
         "rows": rows,
         "combos": combos,
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -113,6 +113,22 @@ def test_out_path_naming_a_directory_exits_1_before_any_trial(
     assert calls == []
 
 
+def test_manifest_path_naming_a_directory_exits_1_and_keeps_the_csv(
+    tmp_path, config_file, capsys, monkeypatch
+):
+    calls = []
+    trial = runner.run_trial
+    monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a) or trial(*a))
+    out = tmp_path / "rows.csv"
+    out.write_text("old rows\n", encoding="utf-8")
+    (tmp_path / "rows.csv.manifest.json").mkdir()
+    rc = main(["simulate", "--config", str(config_file), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert calls == []
+    assert out.read_text(encoding="utf-8") == "old rows\n"
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL + "no_such_key = 1\n", encoding="utf-8")
@@ -183,6 +199,15 @@ def test_power_table_at_the_largest_arguments(capsys):
     assert main(argv + ["--bandwidth-hz", str(MAX_BANDWIDTH_HZ)]) == 0
     out = capsys.readouterr().out.lower()
     assert "inf" not in out and "nan" not in out
+
+
+def test_power_table_columns_stay_apart(capsys):
+    # wide counts and figures widen their columns instead of running together
+    assert main(["power", "--users", str(MAX_TRIAL_ELEMENTS), "--bandwidth-hz", "1e12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all(len(line.split()) == 7 for line in lines)
+    assert lines[1].split()[:3] == ["switched", "8", str(MAX_TRIAL_ELEMENTS)]
 
 
 def test_validate_quick_passes(capsys):

@@ -274,13 +274,19 @@ class TestCaptureHybrid:
     def test_steering_weights_shapes_and_modes(self):
         g = np.random.Generator(np.random.Philox(key=21))
         H = g.standard_normal((4, 16)) + 1j * g.standard_normal((4, 16))
-        w_full = hybrid_weights(H, "fully")
+        w_full = hybrid_weights(H, "hbf_full")
         assert w_full.shape == (16, 4)
         assert np.allclose(np.abs(w_full), 1.0)
-        w_part = hybrid_weights(H, "partially")
+        w_part = hybrid_weights(H, "hbf_partial")
         for k in range(4):
             nz = np.nonzero(w_part[:, k])[0]
             assert np.array_equal(nz, np.arange(k * 4, (k + 1) * 4))
+
+    @pytest.mark.parametrize("arch", ["dbf", "fully"])
+    def test_steering_weights_reject_other_names(self, arch):
+        H = np.ones((2, 4), complex)
+        with pytest.raises(ValueError, match="hbf_full"):
+            hybrid_weights(H, arch)
 
 
 class TestNoiseAndQuantizer:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchmux import metrics
+from switchmux.config import ARCH_CHOICES
 from switchmux.equalize import CombinerMatrix
 from switchmux.metrics import (
     ADC_FOM,
@@ -134,13 +135,22 @@ class TestPowerModel:
         assert report.total_mw == 754.0
 
     def test_hybrid_pays_per_chain_front_end_but_no_switches(self):
-        report = power("hbf", num_antennas=64, num_chains=8, per_chain_bw_hz=10e6)
+        report = power("hbf_full", num_antennas=64, num_chains=8, per_chain_bw_hz=10e6)
         assert report.rfe_mw == 408.0 * 8
         assert report.switch_mw == 0.0
 
+    @pytest.mark.parametrize("arch", ARCH_CHOICES)
+    def test_prices_every_config_arch(self, arch):
+        assert power(arch, 8, 4, 10e6).total_mw > 0
+
+    def test_both_hybrids_price_alike(self):
+        assert power("hbf_full", 64, 8, 10e6) == power("hbf_partial", 64, 8, 10e6)
+
     def test_unknown_arch_rejected(self):
-        with pytest.raises(ValueError):
-            power("mimo", 4, 4, 10e6)
+        # "hbf" names no architecture: the hybrids are hbf_full and hbf_partial
+        for arch in ("hbf", "mimo"):
+            with pytest.raises(ValueError, match="unknown architecture"):
+                power(arch, 4, 4, 10e6)
 
     def test_adc_linearity_and_resolution(self):
         base = adc_power(ADC_FOM, 12, 10e6)

@@ -22,6 +22,7 @@ from switchmux.config import (
     parse_config_text,
     with_overrides,
 )
+from switchmux.dsp import Rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -64,8 +65,8 @@ def test_drawn_positions_match_the_per_draw_oracle(scene, fallbacks):
     # the array center, so every user takes the 101st draw
     cfg = cfg_from(f"scenario = raytrace\nusers = 3\nantennas = 4\n{scene}")
     for t in range(3):
-        got = runner._draw_positions(cfg, switchmux.Rng(cfg.seed, t))
-        want, taken = loop_positions(cfg, switchmux.Rng(cfg.seed, t))
+        got = runner._draw_positions(cfg, Rng(cfg.seed, t))
+        want, taken = loop_positions(cfg, Rng(cfg.seed, t))
         assert got.shape == (3, 2)
         assert np.array_equal(got, want)
         assert taken == fallbacks
@@ -326,8 +327,10 @@ class TestRunSweep:
             runner.run_sweep(cfg_from(SMALL), str(out), workers=workers)
         assert not out.exists()
 
-    @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
-    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, pool_sizes):
+    @staticmethod
+    def recorded_pools(monkeypatch, cpus) -> list:
+        """Make the runner see cpus CPUs and run its pools in-process; the
+        returned list gathers each pool's max_workers."""
         seen = []
 
         class RecordingPool:
@@ -345,13 +348,44 @@ class TestRunSweep:
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-        cfg = cfg_from(SMALL)
+        return seen
+
+    @pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, pool_sizes):
+        seen = self.recorded_pools(monkeypatch, cpus)
+        cfg = cfg_from(SMALL + "sweep.snr_db = 10, 20\n")  # 4 pairs
         capped = tmp_path / "capped.csv"
         serial = tmp_path / "serial.csv"
         runner.run_sweep(cfg, str(capped), workers=1000)
         runner.run_sweep(cfg, str(serial), workers=1)
         assert seen == pool_sizes
         assert capped.read_bytes() == serial.read_bytes()
+
+    def test_one_pair_runs_without_a_pool(self, tmp_path, monkeypatch):
+        seen = self.recorded_pools(monkeypatch, 2)
+        cfg = replace(cfg_from(SMALL), trials=1)
+        pooled = tmp_path / "pooled.csv"
+        serial = tmp_path / "serial.csv"
+        runner.run_sweep(cfg, str(pooled), workers=2)
+        runner.run_sweep(cfg, str(serial), workers=1)
+        assert seen == []
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_failed_manifest_write_keeps_previous_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "rows.csv"
+        manifest = tmp_path / "rows.csv.manifest.json"
+        out.write_bytes(b"old rows\n")
+        manifest.write_bytes(b"old manifest\n")
+
+        def failing_dump(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            runner.run_sweep(cfg_from(SMALL), str(out))
+        assert out.read_bytes() == b"old rows\n"
+        assert manifest.read_bytes() == b"old manifest\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "rows.csv.manifest.json"]
 
     def test_mixed_user_counts_pad_short_rows(self, tmp_path):
         cfg = cfg_from(
