@@ -19,7 +19,7 @@ print("component power (mW), 8 antennas, 4 users, 10 MHz per user:\n")
 rows = [
     ("switched", metrics.power("switched", 8, 4, BW)),
     ("dbf", metrics.power("dbf", 8, 8, BW)),
-    ("hbf", metrics.power("hbf_full", 8, 4, BW)),
+    ("hbf_full", metrics.power("hbf_full", 8, 4, BW)),
     ("fdma", metrics.power("fdma", 1, 1, 4 * BW)),
 ]
 print(f"{'arch':<10}{'rfe':>8}{'switch':>8}{'adc':>8}{'total':>8}")

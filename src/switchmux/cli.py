@@ -21,13 +21,14 @@ from .config import (
     MAX_BANDWIDTH_HZ,
     MAX_TRIAL_ELEMENTS,
     ConfigError,
+    ExperimentConfig,
     load_config,
     with_overrides,
 )
 from .frontend import control_word
 
 
-def _load(args) -> "ExperimentConfig":
+def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = with_overrides(cfg, seed=args.seed)
@@ -87,19 +88,16 @@ def _cmd_power(args) -> int:
             f"--antennas and --users must be >= 1 and <= {MAX_TRIAL_ELEMENTS}, "
             f"and --bandwidth-hz positive and finite, <= {MAX_BANDWIDTH_HZ:g}"
         )
-    # (row label, arch, antennas, chains, per-chain bandwidth); the one
-    # hybrid row prices hbf_full, whose power equals hbf_partial's
-    rows = [
-        ("switched", "switched", args.antennas, args.users, bw),
-        ("dbf", "dbf", args.antennas, args.antennas, bw),
-        ("hbf", "hbf_full", args.antennas, args.users, bw),
-        ("fdma", "fdma", 1, 1, args.users * bw),
-    ]
     table = [("arch", "M", "chains", "rfe_mw", "switch_mw", "adc_mw", "total_mw")]
-    for label, arch, m, chains, per_chain in rows:
+    # the hybrid row prices hbf_full, whose power equals hbf_partial's; the
+    # table needs only each arch's chain count, so its config is not checked
+    for arch in ("switched", "dbf", "hbf_full", "fdma"):
+        chains = ExperimentConfig(arch=arch, users=args.users, antennas=args.antennas).chains
+        # fdma's one antenna and chain sample every user's band
+        m, per_chain = (1, args.users * bw) if arch == "fdma" else (args.antennas, bw)
         report = metrics.power(arch, m, chains, per_chain)
         mw = (report.rfe_mw, report.switch_mw, report.adc_mw, report.total_mw)
-        table.append((label, str(m), str(chains), *(f"{v:.1f}" for v in mw)))
+        table.append((arch, str(m), str(chains), *(f"{v:.1f}" for v in mw)))
     # each column keeps its usual width unless a cell needs more, and then
     # takes the widest cell plus one space
     widths = [

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import ARRAY_SPACING_M, MIN_CLEARANCE_M, ula_positions
-from .waveform import CODED_BITS_PER_SYMBOL, FFT_SIZE, SYMBOL_LEN
+from .waveform import CODED_BITS_PER_SYMBOL, CP_LEN, FFT_SIZE, SYMBOL_LEN
 
 ARCH_CHOICES = ("switched", "dbf", "hbf_full", "hbf_partial", "fdma")
 SELECT_CHOICES = ("grouped", "random", "identity")
@@ -79,6 +79,10 @@ def _at_least(low):
     return (lambda v: v >= low), f"must be >= {low}"
 
 
+def _between(low, high):
+    return (lambda v: low <= v <= high), f"must be >= {low} and <= {high}"
+
+
 _POSITIVE = ((lambda v: v > 0), "must be positive")
 
 
@@ -99,29 +103,28 @@ def _key(name, stage, parse, default, check=None, sweep=None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment description.  After build_config or with_overrides,
-    chains holds the count resolved for the architecture."""
+    """One experiment description.  Its chain count is not a key: chains
+    follows from arch, users and antennas."""
 
     arch: str = _key("arch", "link", _choice(ARCH_CHOICES), "switched", sweep=0)
-    users: int = _key("users", "draw", _int, 4, _at_least(1), sweep=3)
+    users: int = _key("users", "draw", _int, 4, _at_least(1), sweep=2)
     antennas: int = _key("antennas", "draw", _int, 8, _at_least(1), sweep=1)
-    chains: int = _key(  # 0 resolves per arch
-        "chains", "link", _int, 0, _at_least(0), sweep=2
-    )
-    snr_db: float = _key("snr_db", "link", _float, 15.0, sweep=4)
+    snr_db: float = _key("snr_db", "link", _float, 15.0, sweep=3)
     trials: int = _key("trials", "grid", _int, 100, _at_least(1))
     seed: int = _key(
         "seed", "draw", _int, 1, ((lambda s: 0 <= s < 2**64), "must fit in 64 bits")
     )
     payload_symbols: int = _key("payload_symbols", "draw", _int, 4, _at_least(1))
     combiner: str = _key("combiner", "link", _choice(COMBINER_CHOICES), "zf")
-    select: str = _key("select", "link", _choice(SELECT_CHOICES), "grouped", sweep=5)
+    select: str = _key("select", "link", _choice(SELECT_CHOICES), "grouped", sweep=4)
     scenario: str = _key("scenario", "draw", _choice(SCENARIO_CHOICES), "rayleigh")
     sync_mode: str = _key("sync_mode", "draw", _choice(SYNC_CHOICES), "aligned")
     sync_max_offset_samples: float = _key(
         "sync.max_offset_samples", "draw", _float, 0.5, _at_least(0)
     )
-    rayleigh_taps: int = _key("rayleigh.taps", "draw", _int, 1, _at_least(1))
+    # the cyclic prefix absorbs delays up to CP_LEN samples; a longer
+    # channel would leak each symbol into the next
+    rayleigh_taps: int = _key("rayleigh.taps", "draw", _int, 1, _between(1, CP_LEN + 1))
     phi_rad: float = _key(
         "grouping.phi_rad",
         "link",
@@ -142,8 +145,8 @@ class ExperimentConfig:
     insertion_loss_db: float = _key(
         "frontend.insertion_loss_db", "link", _float, 0.5, _at_least(0)
     )
-    quantizer_bits: int = _key(  # 0 is off
-        "frontend.quantizer_bits", "link", _int, 0, _at_least(0)
+    quantizer_bits: int = _key(  # 0 is off; a float64 holds at most 53 bits
+        "frontend.quantizer_bits", "link", _int, 0, _between(0, 53)
     )
     room_x_m: float = _key("scene.room_x_m", "draw", _float, 12.0)
     room_y_m: float = _key("scene.room_y_m", "draw", _float, 5.0)
@@ -160,6 +163,14 @@ class ExperimentConfig:
     user_positions: tuple | None = field(default=None, metadata={"stage": "draw"})
     # ((field name, values), ...), outermost grid key first
     sweep: tuple = field(default=(), metadata={"stage": "grid"})
+
+    @property
+    def chains(self) -> int:
+        """RF chains: one switch slot, or one steered phase-shifter chain,
+        per user; one per antenna for dbf; one wideband chain for fdma."""
+        if self.arch == "dbf":
+            return self.antennas
+        return 1 if self.arch == "fdma" else self.users
 
 
 _KEYS = [f for f in fields(ExperimentConfig) if "key" in f.metadata]
@@ -193,33 +204,18 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _resolve_chains(cfg: ExperimentConfig) -> int:
-    """Cross-field checks every runnable combo must pass; returns the chain
-    count resolved for the architecture (chains = 0 picks its default)."""
-    users, antennas, chains = cfg.users, cfg.antennas, cfg.chains
+def _check_links(cfg: ExperimentConfig) -> None:
+    """Cross-field checks every runnable combo must pass."""
+    users, antennas = cfg.users, cfg.antennas
     if cfg.arch != "fdma" and antennas < users:
         raise ConfigError("need at least one antenna per user")
     if cfg.user_positions is not None and len(cfg.user_positions) != users:
         raise ConfigError("scene.userN_x_m/y_m must cover users 0..users-1 exactly")
-    if cfg.arch in ("switched", "hbf_full", "hbf_partial"):
-        # one switch slot, or one steered phase-shifter chain, per user
-        resolved = chains or users
-        if resolved != users:
-            raise ConfigError(f"{cfg.arch} needs chains == users (one chain per user)")
-        if cfg.arch == "hbf_partial" and antennas % resolved != 0:
-            raise ConfigError("hbf_partial needs antennas divisible by chains")
-    elif cfg.arch == "dbf":
-        resolved = chains or antennas
-        if not users <= resolved <= antennas:
-            raise ConfigError("dbf needs users <= chains <= antennas")
-    else:  # fdma
-        resolved = chains or 1
-        if resolved != 1:
-            raise ConfigError("fdma uses exactly one chain")
+    if cfg.arch == "hbf_partial" and antennas % users != 0:
+        raise ConfigError("hbf_partial needs antennas divisible by users")
     # every fdma link is one user on one chain, where null-space combining is ZF
-    if cfg.combiner == "nullspace" and cfg.arch != "fdma" and resolved != users:
+    if cfg.combiner == "nullspace" and cfg.arch != "fdma" and cfg.chains != users:
         raise ConfigError("nullspace combining needs chains == users")
-    return resolved
 
 
 def _check_room(cfg: ExperimentConfig) -> None:
@@ -276,9 +272,8 @@ def _check_trial_size(cfg: ExperimentConfig) -> None:
 
 
 def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Run every per-key, room, trial-size and cross-field check on cfg,
-    whose chains is the declared count (0 when unset); returns cfg with
-    chains resolved.
+    """Run every per-key, room, trial-size and cross-field check on cfg;
+    returns cfg.
 
     build_config runs it on the file's own values and with_overrides on
     every sweep combo and command-line override, so a bad value fails
@@ -291,7 +286,8 @@ def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.scenario == "raytrace":
         _check_room(cfg)
     _check_trial_size(cfg)
-    return replace(cfg, chains=_resolve_chains(cfg))
+    _check_links(cfg)
+    return cfg
 
 
 def _parsed(key: str, parse, text: str):
@@ -302,7 +298,7 @@ def _parsed(key: str, parse, text: str):
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping against the table and resolve derived fields."""
+    """Validate a raw mapping against the table."""
     values, grids, positions = {}, {}, {}
     for key, text in raw.items():
         match = _USER_POS_RE.match(key)
@@ -343,10 +339,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def with_overrides(cfg: ExperimentConfig, **updates) -> ExperimentConfig:
-    """Copy with field replacements, re-running every check.  Unless updates
-    set chains, a change of arch, users or antennas resolves chains anew."""
-    if "chains" not in updates and updates.keys() & {"arch", "users", "antennas"}:
-        updates["chains"] = 0
+    """Copy with field replacements, re-running every check."""
+    unknown = sorted(updates.keys() - {f.name for f in fields(cfg)})
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     return _validated(replace(cfg, **updates))
 
 

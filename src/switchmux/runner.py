@@ -11,8 +11,9 @@ each config field is tagged with the first stage that reads it (the
   payload_symbols, scenario, sync_*, rayleigh.taps, ofdm.*, scene.*) and
   from whether arch is fdma, whose users are one single-antenna link each;
 * link (``_run_link``): selection, front end, noise, estimation and
-  combining, adding the link fields (arch, chains, snr_db, select,
-  combiner, grouping.*, frontend.*).  A switched link captures the K*B
+  combining, adding the link fields (arch, snr_db, select, combiner,
+  grouping.*, frontend.*) and the chain count arch, users and antennas
+  fix (``ExperimentConfig.chains``).  A switched link captures the K*B
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
   (``frontend.switched_chains``);

@@ -191,6 +191,8 @@ def test_power_table(capsys):
     assert lines["switched"].split()[-1] == "762.0"
     assert lines["dbf"].split()[-1] == "4064.0"
     assert lines["fdma"].split()[-1] == "754.0"
+    # the hybrid row is named for the arch it prices
+    assert list(lines) == ["switched", "dbf", "hbf_full", "fdma"]
 
 
 def test_power_table_at_the_largest_arguments(capsys):
@@ -243,15 +245,41 @@ def test_hbf_with_more_chains_than_users_exits_1_before_any_trial(
     )
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {arch} needs chains == users (one chain per user)\n"
+    # the chain count follows from the architecture, so no key sets it
+    assert err == "error: unknown key 'chains'\n"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rayleigh.taps = 18", "rayleigh.taps must be >= 1 and <= 17"),
+        ("frontend.quantizer_bits = 54", "frontend.quantizer_bits must be >= 0 and <= 53"),
+        ("frontend.quantizer_bits = 1100", "frontend.quantizer_bits must be >= 0 and <= 53"),
+    ],
+    ids=["taps_18", "quantizer_bits_54", "quantizer_bits_1100"],
+)
+def test_out_of_range_taps_or_quantizer_exits_1_before_any_trial(
+    tmp_path, capsys, monkeypatch, line, message
+):
+    # past these bounds the channel would lose its tail or leak past the
+    # cyclic prefix, and the quantizer step would overflow mid-sweep
+    calls = []
+    monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a))
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL + line + "\n", encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "grid, message",
     [
         ("combiner = nullspace\nsweep.arch = switched, dbf\n", "nullspace"),
-        ("users = 2\nsweep.chains = 2, 4\nsweep.arch = hbf_full\n", "chains == users"),
+        ("users = 2\nsweep.chains = 2, 4\nsweep.arch = hbf_full\n", "unknown key 'sweep.chains'"),
         ("users = 4\nsweep.antennas = 2, 8\n", "antenna per user"),
         ("scenario = raytrace\nscene.room_x_m = 1.5\n", "scene.room_x_m must be >= 2"),
         ("scenario = raytrace\nscene.ap_y_m = 9\n", "scene.ap_x_m/ap_y_m must lie"),

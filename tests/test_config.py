@@ -39,7 +39,7 @@ class TestParsing:
         assert cfg.arch == "switched"
         assert cfg.users == 4
         assert cfg.antennas == 8
-        assert cfg.chains == 4  # resolved to users
+        assert cfg.chains == 4  # one per user
         assert cfg.snr_db == 15.0
         assert cfg.phi_rad == pytest.approx(np.pi / 3)
         assert cfg.sweep == ()
@@ -80,28 +80,32 @@ class TestChainResolution:
         assert cfg_from("arch = switched\nusers = 3\nantennas = 6").chains == 3
 
     def test_switched_rejects_other_chain_count(self):
-        with pytest.raises(ConfigError, match="chains == users"):
+        # the count follows from the architecture, so no key can set it
+        with pytest.raises(ConfigError, match="unknown key 'chains'"):
             cfg_from("arch = switched\nusers = 3\nantennas = 6\nchains = 6")
 
     def test_dbf_defaults_to_all_antennas(self):
         assert cfg_from("arch = dbf\nusers = 4\nantennas = 16").chains == 16
 
     def test_dbf_bounds_checked(self):
-        with pytest.raises(ConfigError):
-            cfg_from("arch = dbf\nusers = 4\nantennas = 8\nchains = 2")
+        # a chain per antenna, and at least one antenna per user
+        with pytest.raises(ConfigError, match="antenna per user"):
+            cfg_from("arch = dbf\nusers = 4\nantennas = 2")
 
     def test_hbf_defaults_to_users(self):
         assert cfg_from("arch = hbf_full\nusers = 4\nantennas = 16").chains == 4
 
     @pytest.mark.parametrize("arch", ["hbf_full", "hbf_partial"])
     def test_hbf_rejects_more_chains_than_users(self, arch):
-        # each phase-shifter chain is steered at one user
-        with pytest.raises(ConfigError, match="chains == users"):
+        # each phase-shifter chain is steered at one user, and no key can
+        # ask for more
+        assert cfg_from(f"arch = {arch}\nusers = 2\nantennas = 8").chains == 2
+        with pytest.raises(ConfigError, match="unknown key 'chains'"):
             cfg_from(f"arch = {arch}\nusers = 2\nantennas = 8\nchains = 4")
 
     def test_hbf_partial_needs_divisible_blocks(self):
         with pytest.raises(ConfigError, match="divisible"):
-            cfg_from("arch = hbf_partial\nusers = 3\nantennas = 8\nchains = 3")
+            cfg_from("arch = hbf_partial\nusers = 3\nantennas = 8")
 
     def test_fdma_single_chain(self):
         cfg = cfg_from("arch = fdma\nusers = 4\nantennas = 1")
@@ -110,9 +114,7 @@ class TestChainResolution:
     def test_nullspace_needs_square_combining(self):
         with pytest.raises(ConfigError, match="nullspace"):
             cfg_from("arch = dbf\nusers = 4\nantennas = 8\ncombiner = nullspace")
-        cfg = cfg_from(
-            "arch = dbf\nusers = 4\nantennas = 8\nchains = 4\ncombiner = nullspace"
-        )
+        cfg = cfg_from("arch = dbf\nusers = 4\nantennas = 4\ncombiner = nullspace")
         assert cfg.chains == 4
 
     def test_nullspace_takes_fdma_one_chain_links(self):
@@ -283,12 +285,12 @@ class TestSweepComboValidation:
     @pytest.mark.parametrize(
         "text, chains",
         [
-            ("arch = dbf\nsweep.chains = 4\nsweep.antennas = 8, 16\n", [4, 4]),
-            ("sweep.chains = 4\nsweep.arch = switched, dbf, hbf_full\n", [4, 4, 4]),
+            ("arch = dbf\nsweep.chains = 4\nsweep.antennas = 8, 16\n", None),
+            ("sweep.chains = 4\nsweep.arch = switched, dbf, hbf_full\n", None),
             ("arch = dbf\nsweep.antennas = 8, 16\n", [8, 16]),
-            ("arch = dbf\nchains = 0\nsweep.antennas = 8, 16\n", [8, 16]),
-            ("arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n", [8, 16]),
-            ("arch = dbf\nchains = 4\nsweep.chains = 4, 6\n", [4, 6]),
+            ("arch = dbf\nchains = 0\nsweep.antennas = 8, 16\n", None),
+            ("arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n", None),
+            ("arch = dbf\nchains = 4\nsweep.chains = 4, 6\n", None),
         ],
         ids=[
             "pinned_across_antennas", "pinned_across_arch", "unset", "zero_is_unset",
@@ -296,16 +298,13 @@ class TestSweepComboValidation:
         ],
     )
     def test_combo_chains(self, text, chains):
-        # a one-value sweep.chains holds for every combo; otherwise chains
-        # resolves anew for each combo that changes arch, users or antennas,
-        # even when the file sets it (the canonical text cannot yet tell a
-        # set chains from a resolved one)
-        assert [c.chains for c in runner.sweep_combos(cfg_from(text))] == chains
-
-    def test_pinned_chains_invalid_for_a_combo_rejected(self):
-        cfg = cfg_from("users = 4\nsweep.chains = 4\nsweep.users = 2, 4\n")
-        with pytest.raises(ConfigError, match="chains == users"):
-            runner.sweep_combos(cfg)
+        # every combo derives its chain count from arch, users and antennas;
+        # a text that sets chains in any form (None here) is refused
+        if chains is None:
+            with pytest.raises(ConfigError, match="unknown key '(sweep.)?chains'"):
+                cfg_from(text)
+        else:
+            assert [c.chains for c in runner.sweep_combos(cfg_from(text))] == chains
 
     @pytest.mark.parametrize(
         "updates, message",
@@ -320,12 +319,16 @@ class TestSweepComboValidation:
             ({"rank_tolerance": 0.0}, "grouping.rank_tolerance must be positive"),
             ({"max_fallbacks": -1}, "grouping.max_fallbacks must be >= 0"),
             ({"quantizer_bits": -1}, "frontend.quantizer_bits must be >= 0"),
+            ({"quantizer_bits": 54}, "frontend.quantizer_bits must be >= 0 and <= 53"),
+            ({"rayleigh_taps": 0}, "rayleigh.taps must be >= 1"),
+            ({"rayleigh_taps": 18}, "rayleigh.taps must be >= 1 and <= 17"),
             ({"bandwidth_hz": 0.0}, "ofdm.bandwidth_hz must be positive"),
             ({"bandwidth_hz": 1e300}, r"ofdm.bandwidth_hz must be positive and <= 1e\+12"),
         ],
         ids=[
             "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi",
             "zero_phi", "zero_rank_tolerance", "negative_fallbacks", "negative_quantizer_bits",
+            "quantizer_bits_past_float64", "zero_taps", "taps_past_cyclic_prefix",
             "zero_bandwidth", "huge_bandwidth",
         ],
     )
@@ -339,7 +342,6 @@ DIGEST_VALUES = {
     "arch": "dbf",
     "users": 2,
     "antennas": 6,
-    "chains": 6,
     "snr_db": 10.0,
     "trials": 5,
     "seed": 2,
@@ -365,7 +367,6 @@ DIGEST_VALUES = {
     "scene.max_reflections": 2,
     "sweep.arch": "switched, dbf",
     "sweep.antennas": "4, 8",
-    "sweep.chains": "4",
     "sweep.users": "2, 4",
     "sweep.snr_db": "5, 15",
     "sweep.select": "grouped, random",
@@ -387,10 +388,17 @@ class TestOverridesAndDigest:
         fdma = with_overrides(cfg, arch="fdma")
         assert fdma.chains == 1
 
-    def test_explicit_chain_override_kept(self):
+    def test_chains_is_not_a_key(self):
+        # the count follows from arch, users and antennas alone
+        assert "chains" not in {f.name for f in fields(ExperimentConfig)}
+        assert {"chains", "sweep.chains"}.isdisjoint(CONFIG_KEYS)
         cfg = cfg_from("arch = dbf\nusers = 4\nantennas = 8")
-        four = with_overrides(cfg, chains=4)
-        assert four.chains == 4
+        assert "chains" not in canonical_text(cfg)
+        with pytest.raises(ConfigError, match="unknown key 'chains'"):
+            with_overrides(cfg, chains=4)
+        for line in ("chains = 8", "sweep.chains = 4, 8"):
+            with pytest.raises(ConfigError, match=f"unknown key '{line.split()[0]}'"):
+                cfg_from(line)
 
     def test_digest_tracks_content(self):
         a = cfg_from("seed = 1")
@@ -400,13 +408,10 @@ class TestOverridesAndDigest:
 
     @pytest.mark.parametrize("key", sorted(set(CONFIG_KEYS) - {"out"}))
     def test_digest_tracks_every_key(self, key):
-        # the switched default only admits chains == users, so chains is
-        # varied on a dbf config
-        base = "arch = dbf\n" if key == "chains" else ""
-        default = cfg_from(base)
-        changed = cfg_from(base + f"{key} = {DIGEST_VALUES[key]}\n")
+        default = cfg_from("")
+        changed = cfg_from(f"{key} = {DIGEST_VALUES[key]}\n")
         assert config_digest(changed) != config_digest(default)
-        assert config_digest(default) == config_digest(cfg_from(base))
+        assert config_digest(default) == config_digest(cfg_from(""))
 
     def test_digest_values_cover_the_schema(self):
         assert set(DIGEST_VALUES) == set(CONFIG_KEYS) - {"out"}
@@ -429,13 +434,8 @@ class TestOverridesAndDigest:
             bench_run.config_text("large_room", 1),
             bench_run.config_text("grid_parallel", 1),
             "users = 2\nantennas = 4\npayload_symbols = 2\nsweep.arch = switched, dbf, fdma\n",
-            "arch = dbf\nchains = 4\nsweep.antennas = 8, 16\n",
-            "arch = dbf\nsweep.chains = 4\nsweep.antennas = 8, 16\n",
         ],
-        ids=[
-            "decode_heavy", "large_room", "grid_parallel", "arch_sweep", "set_chains",
-            "pinned_chains",
-        ],
+        ids=["decode_heavy", "large_room", "grid_parallel", "arch_sweep"],
     )
     def test_canonical_text_runs_the_same_combos(self, text):
         cfg = cfg_from(text)
@@ -443,17 +443,17 @@ class TestOverridesAndDigest:
         assert runner.sweep_combos(again) == runner.sweep_combos(cfg)
 
     def test_sweep_lines_in_grid_order(self):
-        cfg = cfg_from("sweep.users = 1, 2\nsweep.chains = 0\nsweep.antennas = 4, 8\n")
+        cfg = cfg_from("sweep.select = random\nsweep.users = 1, 2\nsweep.antennas = 4, 8\n")
         lines = canonical_text(cfg).splitlines()[-3:]
-        assert lines == ["sweep.antennas = 4,8", "sweep.chains = 0", "sweep.users = 1,2"]
+        assert lines == ["sweep.antennas = 4,8", "sweep.users = 1,2", "sweep.select = random"]
 
     @pytest.mark.parametrize(
         "workload, digest",
         [
-            ("decode_heavy", "85172f24fde762af6af105f1ff3c3a16cfb913ef8517ed4fef7fb9a455cc290e"),
-            ("large_room", "97a69f205433af6e00ace42d86728e714792fbe0c76a23c848c1b68e529532d8"),
-            ("grid_parallel", "da2dad8e903734ec25c7b8354eadc493f564bac0f596a8dbddca1fc1f8a81f05"),
-            (None, "7cede4e7c3d9d98a9183e07998c1a05de9c1a73813c49cdd5cdc20cd96ae55c5"),
+            ("decode_heavy", "a605c3c99c5818e887cabf61a8a997a36d3d082fa83a7ffaf068c501d6c5bbbd"),
+            ("large_room", "f4aeafd935d94396c4ec06aead07ed71067048089ff84b057d00b7e12b58d9b2"),
+            ("grid_parallel", "965bdb1314652112b1cc0b9c5592c7dc0a0eb9ffd764a0bd95c2a8696a646785"),
+            (None, "11cce0fda75779993da937369f44eec2f4514815b2d05deaa7abce4461e5c73f"),
         ],
         ids=["decode_heavy", "large_room", "grid_parallel", "empty"],
     )
@@ -464,7 +464,7 @@ class TestOverridesAndDigest:
 
 # every key at a non-default value, two pinned users and three sweep keys
 EVERY_KEY = (
-    "arch = dbf\nusers = 2\nantennas = 6\nchains = 2\nsnr_db = 10\ntrials = 5\n"
+    "arch = hbf_full\nusers = 2\nantennas = 6\nsnr_db = 10\ntrials = 5\n"
     "seed = 2\npayload_symbols = 2\ncombiner = nullspace\nselect = random\n"
     "scenario = raytrace\nsync_mode = offset\nsync.max_offset_samples = 0.25\n"
     "rayleigh.taps = 3\ngrouping.phi_rad = 0.5\ngrouping.rank_tolerance = 1e-6\n"

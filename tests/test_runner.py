@@ -108,9 +108,9 @@ class TestRunTrial:
         ],
     )
     def test_each_arch_yields_finite_row(self, arch, chains, total_mw):
-        cfg = cfg_from(SMALL + f"arch = {arch}\nchains = {chains}\n")
+        cfg = cfg_from(SMALL + f"arch = {arch}\n")
         row = runner.run_trial(cfg, 0)
-        assert row["arch"] == arch
+        assert (row["arch"], row["K"]) == (arch, chains)
         assert math.isfinite(row["mean_sinr_db"])
         assert math.isfinite(row["ber"])
         assert row["capacity_bps"] > 0
@@ -169,12 +169,20 @@ class TestRunTrial:
             return decode(coded)
 
         monkeypatch.setattr(waveform, "viterbi_decode", counted)
-        cfg = cfg_from(f"users = 4\nantennas = 4\npayload_symbols = 2\narch = {arch}\n"
-                       f"chains = {chains}\n")
+        cfg = cfg_from(f"users = 4\nantennas = 4\npayload_symbols = 2\narch = {arch}\n")
         row = runner.run_trial(cfg, 0)
+        assert row["K"] == chains
         assert math.isfinite(row["ber"])
         assert len(calls) == 1
         assert calls[0][0] == 4
+
+    @pytest.mark.parametrize(
+        "line", ["rayleigh.taps = 17\n", "frontend.quantizer_bits = 53\n"], ids=["taps", "bits"]
+    )
+    def test_largest_taps_and_quantizer_bits_run(self, line):
+        row = runner.run_trial(cfg_from(SMALL + line), 0)
+        assert math.isfinite(row["mean_sinr_db"])
+        assert math.isfinite(row["ber"])
 
     def test_nullspace_combiner_runs(self):
         cfg = cfg_from(SMALL + "combiner = nullspace\nsnr_db = 30\n")
@@ -193,40 +201,44 @@ class TestRunTrial:
     )
     def test_nullspace_rows_equal_zero_forcing_rows(self, arch, scene):
         # config takes nullspace only on square channels, where each user's
-        # null-space row is its row of the inverse
-        zf = cfg_from(SMALL + scene + f"arch = {arch}\nchains = 2\n")
+        # null-space row is its row of the inverse; dbf's are square when
+        # antennas == users
+        zf = cfg_from(SMALL + scene + f"arch = {arch}\n")
+        if arch == "dbf":
+            zf = with_overrides(zf, antennas=2)
         ns = with_overrides(zf, combiner="nullspace")
         for t in range(3):
             got = runner.format_row(runner.run_trial(ns, t), ns.users)
             assert got == runner.format_row(runner.run_trial(zf, t), zf.users)
 
 
-# (arch, combiner) -> the chain counts 0..4 config accepts at 2 users and
-# 4 antennas: switched and hbf_* take one chain per user, dbf 2..4, fdma 1,
-# and nullspace only a square channel, which every fdma link is
-ACCEPTED_CHAINS = {
-    ("switched", "zf"): [0, 2],
-    ("dbf", "zf"): [0, 2, 3, 4],
-    ("hbf_full", "zf"): [0, 2],
-    ("hbf_partial", "zf"): [0, 2],
-    ("fdma", "zf"): [0, 1],
-    ("switched", "nullspace"): [0, 2],
+# (arch, combiner) -> the antenna counts 1..4 config accepts at 2 users:
+# every arch but fdma needs an antenna per user, hbf_partial a whole block
+# of antennas per user, and nullspace a square channel, which a dbf link
+# has only at antennas == users and every fdma link has
+ACCEPTED_ANTENNAS = {
+    ("switched", "zf"): [2, 3, 4],
+    ("dbf", "zf"): [2, 3, 4],
+    ("hbf_full", "zf"): [2, 3, 4],
+    ("hbf_partial", "zf"): [2, 4],
+    ("fdma", "zf"): [1, 2, 3, 4],
+    ("switched", "nullspace"): [2, 3, 4],
     ("dbf", "nullspace"): [2],
-    ("hbf_full", "nullspace"): [0, 2],
-    ("hbf_partial", "nullspace"): [0, 2],
-    ("fdma", "nullspace"): [0, 1],
+    ("hbf_full", "nullspace"): [2, 3, 4],
+    ("hbf_partial", "nullspace"): [2, 4],
+    ("fdma", "nullspace"): [1, 2, 3, 4],
 }
 
 
-@pytest.mark.parametrize("arch, combiner", sorted(ACCEPTED_CHAINS))
+@pytest.mark.parametrize("arch, combiner", sorted(ACCEPTED_ANTENNAS))
 def test_every_accepted_chain_count_runs_a_trial(arch, combiner):
-    # config alone decides the chain count, so every count it accepts must
-    # run trial 0 to a row
+    # config alone decides the chain count, so every array it accepts must
+    # run trial 0 to a row with that count
     accepted = []
-    for chains in range(5):
+    for antennas in range(1, 5):
         text = (
-            f"arch = {arch}\ncombiner = {combiner}\nchains = {chains}\n"
-            "users = 2\nantennas = 4\npayload_symbols = 1\n"
+            f"arch = {arch}\ncombiner = {combiner}\nantennas = {antennas}\n"
+            "users = 2\npayload_symbols = 1\n"
         )
         try:
             cfg = cfg_from(text)
@@ -234,8 +246,8 @@ def test_every_accepted_chain_count_runs_a_trial(arch, combiner):
             continue
         row = runner.run_trial(cfg, 0)
         assert (row["trial_id"], row["K"], len(row["sinr_db"])) == (0, cfg.chains, 2)
-        accepted.append(chains)
-    assert accepted == ACCEPTED_CHAINS[(arch, combiner)]
+        accepted.append(antennas)
+    assert accepted == ACCEPTED_ANTENNAS[(arch, combiner)]
 
 
 class TestSweepGrid:
@@ -250,15 +262,13 @@ class TestSweepGrid:
         assert seen == [(4, 0.0), (4, 10.0), (6, 0.0), (6, 10.0)]
 
     def test_users_nest_inside_antennas_and_chains(self):
+        # dbf's chains follow the antennas, so users nest inside both
         cfg = cfg_from(
             "arch = dbf\nusers = 1\nantennas = 4\n"
-            "sweep.users = 1, 2\nsweep.chains = 2, 4\nsweep.antennas = 4, 8\n"
+            "sweep.users = 1, 2\nsweep.antennas = 4, 8\n"
         )
         seen = [(c.antennas, c.chains, c.users) for c in runner.sweep_combos(cfg)]
-        assert seen == [
-            (4, 2, 1), (4, 2, 2), (4, 4, 1), (4, 4, 2),
-            (8, 2, 1), (8, 2, 2), (8, 4, 1), (8, 4, 2),
-        ]
+        assert seen == [(4, 4, 1), (4, 4, 2), (8, 8, 1), (8, 8, 2)]
 
     def test_arch_sweep_reresolves_chains(self):
         cfg = cfg_from(SMALL + "sweep.arch = switched, dbf, fdma\n")
@@ -526,7 +536,7 @@ class TestSharedDraw:
         # the other sweep keys leave the draw alone, arch up to fdma or not
         for name, value in [
             ("arch", "dbf"), ("arch", "hbf_full"), ("arch", "hbf_partial"),
-            ("chains", 8), ("snr_db", -5.0), ("select", "random"),
+            ("snr_db", -5.0), ("select", "random"),
         ]:
             assert runner.draw_key(replace(cfg, **{name: value})) == key, name
         assert runner.draw_key(replace(cfg, arch="fdma")) != key
