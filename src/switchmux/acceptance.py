@@ -28,7 +28,14 @@ from .dsp import Rng
 from .equalize import apply_combiner, estimate_channel, true_effective_channel, zf_weights
 from .frontend import capture_switched
 from .grouping import GroupingError, random_switch_matrix
-from .waveform import CP_LEN, SYMBOL_LEN, build_frame, payload_bits_for_symbols, recover_bits
+from .waveform import (
+    CP_LEN,
+    SYMBOL_LEN,
+    build_frame,
+    payload_bits_for_symbols,
+    recover_bits,
+    symbol_spectra,
+)
 from . import channel
 
 
@@ -154,8 +161,9 @@ def check_interference_floor() -> CheckResult:
         s = random_switch_matrix(ants, users, rng.derive(2))
         cap = capture_switched(rx, s, 0.0, rng.derive(3))
         chains = time_despread(cap, users)
-        comb = zf_weights(estimate_channel(chains, users, reps))
-        grids = apply_combiner(chains, comb, reps)
+        spectra = symbol_spectra(chains)
+        comb = zf_weights(estimate_channel(spectra, users, reps))
+        grids = apply_combiner(spectra, comb, reps)
         if np.any(recover_bits(grids) != bits):
             return CheckResult(
                 "interference_floor", False, f"bit errors at users={users} M={ants}"

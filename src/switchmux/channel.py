@@ -28,10 +28,13 @@ def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> np.ndarray:
 
     num_taps = 1 gives a flat channel across subcarriers; num_taps > 1
     draws that many unit-total-power taps (uniform profile) and takes
-    their transfer function across the F bins.
+    their transfer function across the F bins, so num_taps may not
+    exceed F (an F-point transform would drop the taps past F).
     """
     if min(K, M, F) < 1 or num_taps < 1:
         raise ValueError("K, M, F, num_taps must be >= 1")
+    if num_taps > F:
+        raise ValueError(f"num_taps must be <= F = {F}, got {num_taps}")
     if num_taps == 1:
         flat = rng.normal_complex((K, M))
         return np.repeat(flat[:, :, None], F, axis=2)

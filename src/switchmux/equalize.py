@@ -7,15 +7,18 @@ heff arrays [chains, users, data bins] on the physical scale (transmit
 power normalization undone), one column per entry of DATA_BINS: the pilot
 bins carry nothing this receiver reads, so they are neither estimated nor
 combined.  The digital combiner then inverts that matrix bin by bin:
-zero-forcing uses the pseudo-inverse, in one stacked pinv and one stacked
-SVD over heff moved to [bins, chains, users].  Null-space combining
-projects each user onto the directions the others cannot reach; it is
-defined only on square channels (chains == users, or one user), where that
-projection is the user's row of the inverse, so it is computed as
-zero-forcing.  Both null interference exactly on full-rank bins.
+zero-forcing uses the pseudo-inverse, built from one stacked SVD over heff
+moved to [bins, chains, users] whose singular values also give each bin's
+rank.  Null-space combining projects each user onto the directions the
+others cannot reach; it is defined only on square channels (chains ==
+users, or one user), where that projection is the user's row of the
+inverse, so it is computed as zero-forcing.  Both null interference
+exactly on full-rank bins.
 
-Captures are [chains, samples] arrays of a build_frame frame; the user
-count and the training repeats locate its training slots and payload.
+Estimation and combining read a capture's symbol spectra [chains, symbols,
+fft bins] (``waveform.symbol_spectra`` of a [chains, samples] capture of a
+build_frame frame), taken once per link; the user count and the training
+repeats locate its training slots and payload.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE, symbol_spectra
+from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE
 
 
 @dataclass(frozen=True)
@@ -46,33 +49,36 @@ class CombinerMatrix:
 
 
 def true_effective_channel(
-    gains: np.ndarray, mixing: np.ndarray, loss_amp: float = 1.0
+    gains: np.ndarray, mixing: np.ndarray | None = None, loss_amp: float = 1.0
 ) -> np.ndarray:
     """Ground-truth effective channel for a linear antenna front end.
 
-    ``mixing`` is the M x C antenna-to-chain matrix (binary switch columns,
-    phase-shifter weights, or identity columns for dedicated chains):
+    ``mixing`` is the M x C antenna-to-chain matrix (binary switch columns
+    or phase-shifter weights):
     heff[c, u, f] = loss_amp * sum_m mixing[m, c] * H[u, m, f] on the data bins.
+    Dedicated chains, one per antenna, pass no matrix: heff[m, u, f] =
+    loss_amp * H[u, m, f].
     """
+    picked = gains[:, :, DATA_BINS]
+    if mixing is None:
+        return loss_amp * np.moveaxis(picked, 1, 0)
     mixing = np.asarray(mixing, dtype=np.complex128)
     if mixing.ndim != 2 or mixing.shape[0] != gains.shape[1]:
         raise ValueError("mixing must be antennas x chains")
-    picked = gains[:, :, DATA_BINS]
     return loss_amp * np.einsum("mc,umf->cuf", mixing, picked)
 
 
-def estimate_channel(chains: np.ndarray, num_users: int, lts_repeats: int) -> np.ndarray:
+def estimate_channel(spectra: np.ndarray, num_users: int, lts_repeats: int) -> np.ndarray:
     """Estimate heff[chain][user][data bin] from the staggered training slots
-    of a capture [chains, samples] of build_frame's frame.
+    of a capture's symbol spectra [chains, symbols, fft bins].
 
     Each user's slot holds only that user's training symbol, so division by
     the known transmitted value gives the effective channel directly;
     repetitions are averaged.
     """
     preamble = num_users * lts_repeats
-    spectra = symbol_spectra(chains)
     if spectra.ndim != 3 or spectra.shape[1] < preamble:
-        raise ValueError("chains must be [chains, samples] holding every training slot")
+        raise ValueError("spectra must be [chains, symbols, bins] holding every training slot")
     slots = spectra[:, :preamble, DATA_BINS].reshape(len(spectra), num_users, lts_repeats, -1)
     return slots.mean(axis=2) / (TX_SCALE * LTS_FREQ[DATA_BINS])
 
@@ -85,14 +91,17 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
     pseudo-inverse, but downstream symbols are not trusted.
     """
     users = heff.shape[1]
-    stack = np.moveaxis(heff, 2, 0)  # [bins, chains, users]
-    pinv = np.linalg.pinv(stack, rcond=rank_tolerance)  # [bins, users, chains]
+    # np.linalg.pinv step for step, keeping the singular values it cuts
+    stack = np.moveaxis(heff, 2, 0).conj()  # [bins, chains, users]
+    u, sing, vt = np.linalg.svd(stack, full_matrices=False)  # sing descending
+    # an all-zero bin has no singular value above 0, so its rank is 0
+    large = sing > rank_tolerance * sing[:, :1]
+    inv = np.divide(1, sing, where=large, out=sing)
+    inv[~large] = 0
+    pinv = np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
     # C-ordered [users, chains, bins], the layout apply_combiner and sinr read
     weights = np.ascontiguousarray(np.moveaxis(pinv, 0, 2))
-    sing = np.linalg.svd(stack, compute_uv=False)  # [bins, min(chains, users)], descending
-    # an all-zero bin has no singular value above 0, so its rank is 0
-    rank = np.sum(sing > rank_tolerance * sing[:, :1], axis=1)
-    return CombinerMatrix(weights=weights, erased=rank < users)
+    return CombinerMatrix(weights=weights, erased=large.sum(axis=1) < users)
 
 
 def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
@@ -109,17 +118,17 @@ def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> Combine
     return zf_weights(heff, rank_tolerance)
 
 
-def apply_combiner(chains: np.ndarray, comb: CombinerMatrix, lts_repeats: int) -> np.ndarray:
+def apply_combiner(spectra: np.ndarray, comb: CombinerMatrix, lts_repeats: int) -> np.ndarray:
     """Equalize the payload: [users][payload symbols][data bins] QAM grids.
 
-    Every symbol of the capture [chains, samples] after the users' training
-    slots is payload.  Output is on the unit constellation scale; erased
-    bins are zeroed and therefore decode as errors.
+    Every symbol of the capture's spectra [chains, symbols, fft bins] after
+    the users' training slots is payload.  Output is on the unit
+    constellation scale; erased bins are zeroed and therefore decode as
+    errors.
     """
     preamble = comb.weights.shape[0] * lts_repeats
-    spectra = symbol_spectra(chains)
     if spectra.ndim != 3 or spectra.shape[1] <= preamble:
-        raise ValueError("chains must be [chains, samples] holding a payload symbol")
+        raise ValueError("spectra must be [chains, symbols, bins] holding a payload symbol")
     payload = spectra[:, preamble:, DATA_BINS] / TX_SCALE
     grids = np.einsum("ucf,csf->usf", comb.weights, payload)
     grids[:, :, comb.erased] = 0.0

@@ -55,11 +55,16 @@ def _noise_form(v: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     einsum's own loops, not a BLAS product: OpenBLAS threads large products
     and its spinning helper thread takes the core a second sweep worker
     needs.  Each user's rows [bins, chains] are made contiguous, multiplied
-    by C, then by their own conjugates row by row; on a diagonal C this is
-    bit-identical to the single three-operand einsum and faster.
+    by C, then by their own conjugates row by row.  A C with no non-zero
+    entry off its diagonal (independent chains) scales the rows by its
+    diagonal instead of multiplying by it, with bit-identical values.
     """
     rows = np.ascontiguousarray(v.transpose(0, 2, 1))
-    weighted = np.einsum("ufc,dc->ufd", rows, np.ascontiguousarray(noise_cov.T))
+    diag = np.diagonal(noise_cov)
+    if np.count_nonzero(noise_cov) == np.count_nonzero(diag):
+        weighted = rows * diag
+    else:
+        weighted = np.einsum("ufc,dc->ufd", rows, np.ascontiguousarray(noise_cov.T))
     return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
 
 

@@ -67,6 +67,7 @@ from .waveform import (
     build_frame,
     payload_bits_for_symbols,
     recover_bits,
+    symbol_spectra,
 )
 
 # data subcarrier closest to DC (fft bin +1); the antenna selector and the
@@ -261,12 +262,13 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
         noise_cov = sigma2 * (weights.T @ weights.conj())
     else:  # dbf, and each fdma user's single-antenna link
         chains = capture_physical(rx, cfg.chains, sigma2, noise_rng)
-        truth = true_effective_channel(gains, np.eye(rx.shape[0], cfg.chains))
+        truth = true_effective_channel(gains)
         noise_cov = sigma2 * np.eye(cfg.chains)
 
-    est = estimate_channel(chains, len(bits), cfg.lts_repeats)
+    spectra = symbol_spectra(chains)
+    est = estimate_channel(spectra, len(bits), cfg.lts_repeats)
     comb = _combiner_weights(cfg, est)
-    grids = apply_combiner(chains, comb, cfg.lts_repeats)
+    grids = apply_combiner(spectra, comb, cfg.lts_repeats)
     sinr_db = metrics.sinr(comb, truth, noise_cov)
     return grids, sinr_db, metrics.evm(grids, tx_grids)
 

@@ -50,6 +50,12 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             rayleigh(0, 1, 1, Rng(1))
 
+    def test_rejects_more_taps_than_bins(self):
+        # an F-point transform of 128 taps would keep half their power
+        assert rayleigh(1, 1, 64, Rng(1), num_taps=64).shape == (1, 1, 64)
+        with pytest.raises(ValueError, match="num_taps must be <= F"):
+            rayleigh(4, 8, 64, Rng(1), num_taps=65)
+
 
 class TestUlaPositions:
     def test_antenna_positions(self):

@@ -2,7 +2,7 @@
 
 Chains are synthesized by pushing the framed waveform through a known
 per-bin effective channel, so estimates and combiner outputs have exact
-references.
+references.  Estimation and combining read the chains' symbol spectra.
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ from switchmux.waveform import (
     build_frame,
     payload_bits_for_symbols,
     recover_bits,
+    symbol_spectra,
 )
 
 REPS = 2  # training symbols per user, the config default
@@ -40,11 +41,12 @@ def make_frame(num_users, seed, symbols=2):
 
 
 def inject(tx, heff_full):
-    """Push streams [user, sample] through heff[chain][user][fft bin] -> chains [chain, sample]."""
+    """Push streams [user, sample] through heff[chain][user][fft bin] and
+    return the chains' symbol spectra [chain, symbol, fft bin]."""
     heff_full = np.asarray(heff_full, dtype=np.complex128)
     _, users, fft_size = heff_full.shape
     assert users == len(tx) and fft_size == FFT_SIZE
-    return channel.apply(np.transpose(heff_full, (1, 0, 2)), tx, CP_LEN)
+    return symbol_spectra(channel.apply(np.transpose(heff_full, (1, 0, 2)), tx, CP_LEN))
 
 
 def decoded_ok(grids, payloads):
@@ -94,7 +96,8 @@ class TestEstimateChannel:
             clean, _ = build_frame(Rng(40).bits((1, payload_bits_for_symbols(1))), reps)
             for trial in range(200):
                 noise = Rng(41, trial + 1000 * reps).normal_complex(clean.shape)
-                est = estimate_channel(clean + noise * np.sqrt(noise_power), 1, reps)
+                spectra = symbol_spectra(clean + noise * np.sqrt(noise_power))
+                est = estimate_channel(spectra, 1, reps)
                 errors[reps].append(est[0, 0] - 1.0)
         ratio = np.var(np.concatenate(errors[1])) / np.var(np.concatenate(errors[2]))
         assert abs(ratio - 2.0) < 0.2
@@ -102,7 +105,8 @@ class TestEstimateChannel:
     @pytest.mark.parametrize("reps", [1, 2, 3])
     def test_matches_per_user_oracle(self, reps):
         clean, _ = build_frame(Rng(42).bits((3, payload_bits_for_symbols(2))), reps)
-        chains = inject(clean, random_heff(4, 3, seed=43))
+        heff = np.transpose(random_heff(4, 3, seed=43), (1, 0, 2))
+        chains = channel.apply(heff, clean, CP_LEN)
         chains = chains + 0.1 * Rng(44).normal_complex(chains.shape)
         spectra = np.fft.fft(chains.reshape(4, -1, SYMBOL_LEN)[:, :, CP_LEN:], axis=-1)
         ref = TX_SCALE * LTS_FREQ[DATA_BINS]
@@ -113,19 +117,33 @@ class TestEstimateChannel:
             ],
             axis=1,
         )
-        assert np.array_equal(estimate_channel(chains, 3, reps), want)
+        assert np.array_equal(estimate_channel(spectra, 3, reps), want)
 
     def test_short_capture_missing_training_fails(self):
         _, tx, _ = make_frame(2, seed=5)
-        chains = inject(tx, random_heff(2, 2, seed=6))
-        estimate_channel(chains[:, : 2 * REPS * SYMBOL_LEN], 2, REPS)
+        spectra = inject(tx, random_heff(2, 2, seed=6))
+        estimate_channel(spectra[:, : 2 * REPS], 2, REPS)
         with pytest.raises(ValueError):
-            estimate_channel(chains[:, : (2 * REPS - 1) * SYMBOL_LEN], 2, REPS)
+            estimate_channel(spectra[:, : 2 * REPS - 1], 2, REPS)
 
     def test_rejects_a_single_stream(self):
         _, tx, _ = make_frame(1, seed=5)
         with pytest.raises(ValueError):
-            estimate_channel(tx[0], 1, REPS)
+            estimate_channel(symbol_spectra(tx[0]), 1, REPS)
+
+    def test_one_spectra_serve_estimate_and_combine(self):
+        # a link takes its capture's spectra once; neither stage writes into them
+        _, tx, _ = make_frame(3, seed=45)
+        heff = np.transpose(random_heff(4, 3, seed=46), (1, 0, 2))
+        chains = channel.apply(heff, tx, CP_LEN)
+        chains = chains + 0.1 * Rng(47).normal_complex(chains.shape)
+        spectra = symbol_spectra(chains)
+        est = estimate_channel(spectra, 3, REPS)
+        grids = apply_combiner(spectra, zf_weights(est), REPS)
+        est_per_call = estimate_channel(symbol_spectra(chains), 3, REPS)
+        grids_per_call = apply_combiner(symbol_spectra(chains), zf_weights(est_per_call), REPS)
+        assert np.array_equal(est, est_per_call)
+        assert np.array_equal(grids, grids_per_call)
 
 
 class TestTrueEffectiveChannel:
@@ -141,6 +159,14 @@ class TestTrueEffectiveChannel:
                 )
                 assert np.allclose(est[c, u], want)
 
+    @pytest.mark.parametrize("users, antennas", [(8, 64), (4, 1)])
+    def test_dedicated_chains_equal_the_identity_product(self, users, antennas):
+        chan = channel.rayleigh(users, antennas, FFT_SIZE, Rng(10), num_taps=4)
+        identity = np.eye(antennas, dtype=np.complex128)
+        want = np.einsum("mc,umf->cuf", identity, chan[:, :, DATA_BINS])
+        assert np.array_equal(true_effective_channel(chan), want)
+        assert np.array_equal(true_effective_channel(chan, loss_amp=0.9), 0.9 * want)
+
     def test_rejects_wrong_mixing_shape(self):
         chan = channel.rayleigh(2, 4, 64, Rng(9))
         with pytest.raises(ValueError):
@@ -151,18 +177,18 @@ class TestZeroForcing:
     def test_identity_channel_passes_grids_through(self):
         _, tx, tx_grids = make_frame(2, seed=10)
         heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], FFT_SIZE, axis=2)
-        chains = inject(tx, heff)
-        grids = apply_combiner(chains, zf_weights(estimate_channel(chains, 2, REPS)), REPS)
+        spectra = inject(tx, heff)
+        grids = apply_combiner(spectra, zf_weights(estimate_channel(spectra, 2, REPS)), REPS)
         assert np.max(np.abs(grids - tx_grids)) < 1e-9
 
     def test_capture_without_a_payload_symbol_fails(self):
         _, tx, _ = make_frame(2, seed=10)
         heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], FFT_SIZE, axis=2)
-        chains = inject(tx, heff)
-        comb = zf_weights(estimate_channel(chains, 2, REPS))
-        assert apply_combiner(chains[:, : (2 * REPS + 1) * SYMBOL_LEN], comb, REPS).shape[1] == 1
+        spectra = inject(tx, heff)
+        comb = zf_weights(estimate_channel(spectra, 2, REPS))
+        assert apply_combiner(spectra[:, : 2 * REPS + 1], comb, REPS).shape[1] == 1
         with pytest.raises(ValueError):
-            apply_combiner(chains[:, : 2 * REPS * SYMBOL_LEN], comb, REPS)
+            apply_combiner(spectra[:, : 2 * REPS], comb, REPS)
 
     def test_worked_two_user_inversion(self):
         # Heff = [[1,-1],[1,1]]: pinv recovers exactly; the raw nulling
@@ -171,9 +197,9 @@ class TestZeroForcing:
         _, tx, tx_grids = make_frame(2, seed=11)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
         heff = np.repeat(a[:, :, None], FFT_SIZE, axis=2)
-        chains = inject(tx, heff)
-        est = estimate_channel(chains, 2, REPS)
-        grids = apply_combiner(chains, zf_weights(est), REPS)
+        spectra = inject(tx, heff)
+        est = estimate_channel(spectra, 2, REPS)
+        grids = apply_combiner(spectra, zf_weights(est), REPS)
         assert np.max(np.abs(grids - tx_grids)) < 1e-9
         v = np.linalg.pinv(a)
         assert np.allclose(np.sum(np.abs(v) ** 2, axis=1), [0.5, 0.5])
@@ -191,7 +217,7 @@ class TestZeroForcing:
         sigma2 = 0.3
         n = SYMBOL_LEN * 400
         noise = np.stack([np.sqrt(sigma2) * Rng(13, c).normal_complex(n) for c in range(2)])
-        out = apply_combiner(noise, comb, REPS)
+        out = apply_combiner(symbol_spectra(noise), comb, REPS)
         # per data bin: var = ||V_u||^2 * fft_size * sigma2 / tx_scale^2
         measured = np.var(out) * TX_SCALE**2 / FFT_SIZE
         assert abs(measured / (0.5 * sigma2) - 1.0) < 0.1
@@ -199,15 +225,15 @@ class TestZeroForcing:
     def test_noiseless_leakage_below_minus_60dbc(self):
         payloads, tx, _ = make_frame(4, seed=14)
         heff = random_heff(4, 4, seed=15)
-        chains = inject(tx, heff)
-        est = estimate_channel(chains, 4, REPS)
+        spectra = inject(tx, heff)
+        est = estimate_channel(spectra, 4, REPS)
         comb = zf_weights(est)
         for f in range(0, DATA_BINS.size, 7):
             p = np.einsum("uc,cv->uv", comb.weights[:, :, f], heff[:, :, DATA_BINS[f]])
             for u in range(4):
                 cross = np.sum(np.abs(np.delete(p[u], u)) ** 2)
                 assert cross < 1e-6 * np.abs(p[u, u]) ** 2
-        assert decoded_ok(apply_combiner(chains, zf_weights(est), REPS), payloads)
+        assert decoded_ok(apply_combiner(spectra, zf_weights(est), REPS), payloads)
 
     def test_weights_times_channel_is_identity(self):
         heff = random_heff(4, 4, seed=16)[:, :, DATA_BINS]
@@ -222,12 +248,12 @@ class TestZeroForcing:
         heff = random_heff(2, 2, seed=18)
         bad = DATA_BINS[5]
         heff[:, 1, bad] = heff[:, 0, bad]  # identical columns on one bin
-        chains = inject(tx, heff)
-        est = estimate_channel(chains, 2, REPS)
+        spectra = inject(tx, heff)
+        est = estimate_channel(spectra, 2, REPS)
         comb = zf_weights(est)
         assert comb.erased[5]
         assert comb.erased.sum() == 1
-        grids = apply_combiner(chains, comb, REPS)
+        grids = apply_combiner(spectra, comb, REPS)
         assert np.all(grids[:, :, 5] == 0)
 
     @pytest.mark.parametrize(
@@ -253,6 +279,14 @@ class TestZeroForcing:
         assert np.array_equal(comb.erased, erased)
         assert erased[9] == (dead is not None or chains < users)
 
+    @pytest.mark.parametrize("chains, users", [(64, 8), (8, 8), (4, 4)])
+    def test_weights_equal_numpy_pinv(self, chains, users):
+        stack = Rng(chains, users).normal_complex((DATA_BINS.size, chains, users))
+        comb = zf_weights(np.moveaxis(stack, 0, 2))
+        want = np.moveaxis(np.linalg.pinv(stack, rcond=1e-9), 0, 2)
+        assert np.array_equal(comb.weights, want)
+        assert not comb.erased.any()
+
     def test_bin_permutation_permutes_weights(self):
         heff = random_heff(3, 3, seed=19)[:, :, DATA_BINS]
         perm = Rng(20).generator.permutation(DATA_BINS.size)
@@ -267,26 +301,26 @@ class TestNullspace:
         a = np.array([[1, -1], [1, 1]], dtype=complex)
         scale = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(FFT_SIZE) / 64)
         heff = a[:, :, None] * scale[None, None, :]
-        chains = inject(tx, heff)
-        est = estimate_channel(chains, 2, REPS)
-        zf = apply_combiner(chains, zf_weights(est), REPS)
-        ns = apply_combiner(chains, nullspace_weights(est), REPS)
+        spectra = inject(tx, heff)
+        est = estimate_channel(spectra, 2, REPS)
+        zf = apply_combiner(spectra, zf_weights(est), REPS)
+        ns = apply_combiner(spectra, nullspace_weights(est), REPS)
         assert np.max(np.abs(zf - ns)) < 1e-9
 
     def test_single_user_matches_zero_forcing(self):
         _, tx, _ = make_frame(1, seed=22)
         heff = random_heff(3, 1, seed=23)
-        chains = inject(tx, heff)
-        est = estimate_channel(chains, 1, REPS)
-        zf = apply_combiner(chains, zf_weights(est), REPS)
-        ns = apply_combiner(chains, nullspace_weights(est), REPS)
+        spectra = inject(tx, heff)
+        est = estimate_channel(spectra, 1, REPS)
+        zf = apply_combiner(spectra, zf_weights(est), REPS)
+        ns = apply_combiner(spectra, nullspace_weights(est), REPS)
         assert np.max(np.abs(zf - ns)) < 1e-9
 
     def test_noiseless_leakage_below_minus_60dbc(self):
         payloads, tx, _ = make_frame(3, seed=24)
         heff = random_heff(3, 3, seed=25)
-        chains = inject(tx, heff)
-        est = estimate_channel(chains, 3, REPS)
+        spectra = inject(tx, heff)
+        est = estimate_channel(spectra, 3, REPS)
         comb = nullspace_weights(est)
         assert not comb.erased.any()
         for f in range(0, DATA_BINS.size, 5):
@@ -294,7 +328,7 @@ class TestNullspace:
             off = p - np.diag(np.diag(p))
             assert np.max(np.abs(off)) ** 2 < 1e-6
             assert np.allclose(np.diag(p), 1.0)
-        assert decoded_ok(apply_combiner(chains, nullspace_weights(est), REPS), payloads)
+        assert decoded_ok(apply_combiner(spectra, nullspace_weights(est), REPS), payloads)
 
     def test_degenerate_null_space_erases_bin(self):
         heff = random_heff(3, 3, seed=26)[:, :, DATA_BINS]
