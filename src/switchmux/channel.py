@@ -150,8 +150,12 @@ def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
         raise ValueError("stream length must be a whole number of symbols")
     bodies = tx.reshape(num_users, total // sym_len, sym_len)[:, :, cp_len:]
     spectra = np.fft.fft(bodies, axis=2)
-    out_spectra = np.einsum("umf,usf->msf", gains, spectra)
-    out_bodies = np.fft.ifft(out_spectra, axis=2)
+    # per subcarrier, gains [antennas, users] @ spectra [users, symbols]
+    out_spectra = np.matmul(
+        np.ascontiguousarray(gains.transpose(2, 1, 0)),
+        np.ascontiguousarray(spectra.transpose(2, 0, 1)),
+    )
+    out_bodies = np.fft.ifft(out_spectra.transpose(1, 2, 0), axis=2)
     if cp_len:
         symbols = np.concatenate([out_bodies[:, :, -cp_len:], out_bodies], axis=2)
     else:

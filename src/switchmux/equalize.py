@@ -65,7 +65,10 @@ def true_effective_channel(
     mixing = np.asarray(mixing, dtype=np.complex128)
     if mixing.ndim != 2 or mixing.shape[0] != gains.shape[1]:
         raise ValueError("mixing must be antennas x chains")
-    return loss_amp * np.einsum("mc,umf->cuf", mixing, picked)
+    users, antennas, bins = picked.shape
+    # one product over every (user, bin) column
+    columns = picked.transpose(1, 0, 2).reshape(antennas, users * bins)
+    return loss_amp * (mixing.T @ columns).reshape(-1, users, bins)
 
 
 def estimate_channel(spectra: np.ndarray, num_users: int, lts_repeats: int) -> np.ndarray:
@@ -130,6 +133,11 @@ def apply_combiner(spectra: np.ndarray, comb: CombinerMatrix, lts_repeats: int) 
     if spectra.ndim != 3 or spectra.shape[1] <= preamble:
         raise ValueError("spectra must be [chains, symbols, bins] holding a payload symbol")
     payload = spectra[:, preamble:, DATA_BINS] / TX_SCALE
-    grids = np.einsum("ucf,csf->usf", comb.weights, payload)
+    # per bin, weights [users, chains] @ payload [chains, symbols]
+    grids = np.matmul(
+        np.ascontiguousarray(comb.weights.transpose(2, 0, 1)),
+        np.ascontiguousarray(payload.transpose(2, 0, 1)),
+    )
+    grids = np.ascontiguousarray(grids.transpose(1, 2, 0))
     grids[:, :, comb.erased] = 0.0
     return grids

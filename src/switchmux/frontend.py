@@ -12,10 +12,13 @@ Without a quantizer the switched chain is linear, and upsample and the
 despreader's fractional delay are exact inverses, so despreading the K*B
 capture gives back each slot's gated sum of B-rate antenna signals plus
 the despread K*B noise. switched_chains computes those K virtual chains
-[K, samples] in that closed form, drawing the same noise as
-capture_switched; the runner uses it whenever the quantizer is off and
-runs the K*B capture only for a quantized chain, whose rounding needs the
-K*B stream.
+[K, samples] in that closed form, as the product S.T @ rx plus the same
+noise capture_switched draws; the runner uses it whenever the quantizer is
+off and runs the K*B capture only for a quantized chain, whose rounding
+needs the K*B stream. capture_hybrid is likewise one product, weights.T @
+rx, and capture_physical draws every chain's noise in one call. The
+products run on numpy's BLAS, which a sweep holds to one thread
+(runner.one_blas_thread).
 
 Noise convention: noise_power turns snr_db into sigma2, the per-sample
 noise variance of a B-rate chain, against the received power per user
@@ -148,11 +151,11 @@ def switched_chains(
     """
     S = _checked_switch(rx, S)
     K = S.shape[1]
-    # a per-slot sum of rows, not S.T @ rx: OpenBLAS threads a product this
-    # large and its spinning helper thread takes a second sweep worker's core
-    chains = np.empty((K, rx.shape[1]), dtype=np.complex128)
-    for k in range(K):
-        chains[k] = rx[S[:, k] == 1].sum(axis=0)
+    # S is real, so S.T @ rx runs as a real product on rx's interleaved real
+    # and imaginary parts; adding the gated rows in antenna order, it gives
+    # the bytes of a per-slot sum of rows
+    parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
+    chains = (S.T.astype(np.float64) @ parts).view(np.complex128)
     chains *= loss_amp
     if sigma2 > 0:
         chains += time_despread(_slot_noise(S, rx.shape[1], sigma2, rng), K)
@@ -168,8 +171,10 @@ def capture_physical(rx: np.ndarray, num_chains: int, sigma2: float, rng: Rng) -
         raise ValueError("num_chains must be in [1, M]")
     chains = rx[:num_chains].copy()
     if sigma2 > 0:
-        for chain in chains:
-            chain += rng.normal_complex(chain.size) * np.sqrt(sigma2)
+        # one draw in the order of per-chain normal_complex calls: each
+        # chain's real parts, then its imaginary parts
+        z = rng.generator.standard_normal((num_chains, 2, rx.shape[1]))
+        chains += (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * np.sqrt(sigma2)
     return chains
 
 
@@ -209,6 +214,4 @@ def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng)
         raise ValueError("nonzero weights must be unit modulus")
     if sigma2 > 0:
         rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
-    # einsum's own loop, not a BLAS product: OpenBLAS threads a product this
-    # large and its spinning helper thread takes a second sweep worker's core
-    return np.einsum("mk,ms->ks", weights, rx)
+    return weights.T @ rx

@@ -52,19 +52,17 @@ def _noise_form(v: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     """Real part of V_u C V_u^H for combiner rows v [users, chains, bins]
     and covariance C [chains, chains]; returns [users, bins].
 
-    einsum's own loops, not a BLAS product: OpenBLAS threads large products
-    and its spinning helper thread takes the core a second sweep worker
-    needs.  Each user's rows [bins, chains] are made contiguous, multiplied
-    by C, then by their own conjugates row by row.  A C with no non-zero
-    entry off its diagonal (independent chains) scales the rows by its
-    diagonal instead of multiplying by it, with bit-identical values.
+    Each user's rows [bins, chains] are made contiguous, multiplied by C,
+    then by their own conjugates row by row.  A C with no non-zero entry
+    off its diagonal (independent chains) scales the rows by its diagonal
+    instead of multiplying by it, with bit-identical values.
     """
     rows = np.ascontiguousarray(v.transpose(0, 2, 1))
     diag = np.diagonal(noise_cov)
     if np.count_nonzero(noise_cov) == np.count_nonzero(diag):
         weighted = rows * diag
     else:
-        weighted = np.einsum("ufc,dc->ufd", rows, np.ascontiguousarray(noise_cov.T))
+        weighted = rows @ noise_cov
     return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
 
 
@@ -81,7 +79,13 @@ def sinr(comb: CombinerMatrix, heff: np.ndarray, noise_cov: np.ndarray) -> np.nd
     values cap at +80 dB.
     """
     v = comb.weights
-    p = np.einsum("ucf,cjf->ujf", v, heff)
+    # per bin, V [users, chains] @ Heff [chains, users]
+    p = np.matmul(
+        np.ascontiguousarray(v.transpose(2, 0, 1)), np.ascontiguousarray(heff.transpose(2, 0, 1))
+    )
+    # C order [users, users, bins], so the sums over users below add in the
+    # same order whatever the product's layout
+    p = np.ascontiguousarray(p.transpose(1, 2, 0))
     power = np.abs(p) ** 2
     num_users = power.shape[0]
     idx = np.arange(num_users)

@@ -31,6 +31,7 @@ bytes whatever the worker count or the split of blocks.
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import itertools
 import json
@@ -386,6 +387,51 @@ def format_row(row: dict, num_users: int) -> str:
     return ",".join(cells)
 
 
+# OpenBLAS's thread-count entries, by the names its numpy builds export
+_OPENBLAS_THREADS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def _openblas_threads_entry(verb: str):
+    """The ``verb`` ("set" or "get") thread-count entry of the OpenBLAS that
+    numpy loaded, or None when no such entry is found."""
+    try:
+        # an extension that links it; dlsym searches its dependencies too
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _OPENBLAS_THREADS:
+        entry = getattr(lib, name.format(verb), None)
+        if entry is not None:
+            return entry
+    return None
+
+
+def one_blas_thread() -> bool:
+    """Hold OpenBLAS to one thread in this process, and so in the workers
+    it forks, from now on; returns whether the entry that sets it was found.
+
+    A trial's products are too small for a second thread to speed them up,
+    and in a 2-worker sweep each worker's spinning helper thread takes the
+    core the other worker needs.  The count is set in the process that
+    forks, before the pool starts: set again in each forked worker, it
+    dropped a 2-worker sweep below the speed of one worker.  Nor is it
+    restored afterwards: restoring it wakes the helper threads, which then
+    spin into the next sweep.  Another BLAS is left as it is; set
+    OPENBLAS_NUM_THREADS=1 or OMP_NUM_THREADS=1 for it.
+    """
+    entry = _openblas_threads_entry("set")
+    if entry is None:
+        return False
+    entry.argtypes = [ctypes.c_int]
+    entry.restype = None
+    entry(1)
+    return True
+
+
 def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     """Run every trial of the grid; returns its combos and their rows in
     (combo, trial_id) order on any worker count.  workers must be >= 1 and
@@ -395,10 +441,12 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     equal draw keys, trial-major within a group, and cut into
     min(pairs, workers) contiguous blocks of near-equal size, one task each,
     so a trial is drawn once per block that holds it.  A single block runs
-    in this process, without a pool.
+    in this process, without a pool.  OpenBLAS is held to one thread first,
+    before any worker forks (one_blas_thread).
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    one_blas_thread()
     workers = min(workers, os.cpu_count() or 1)
     combos = sweep_combos(cfg)
     groups: dict = {}

@@ -185,6 +185,17 @@ class TestApply:
         sym = out.reshape(2, 20)
         assert np.allclose(sym[:, :4], sym[:, -4:])
 
+    @pytest.mark.parametrize("users, antennas, cp", [(8, 64, 16), (3, 5, 4), (1, 1, 16)])
+    def test_matches_the_einsum_per_subcarrier(self, users, antennas, cp):
+        chan = rayleigh(users, antennas, 64, Rng(15), num_taps=4)
+        tx = np.stack([ofdm_like_stream(6, 64, cp, 20 + u) for u in range(users)])
+        bodies = tx.reshape(users, 6, 64 + cp)[:, :, cp:]
+        out = np.fft.ifft(np.einsum("umf,usf->msf", chan, np.fft.fft(bodies, axis=2)), axis=2)
+        want = np.concatenate([out[:, :, -cp:], out], axis=2).reshape(antennas, -1)
+        got = apply(chan, tx, cp_len=cp)
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_rejects_wrong_user_count(self):
         chan = rayleigh(2, 2, 16, Rng(13))
         with pytest.raises(ValueError):

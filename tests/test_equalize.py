@@ -167,6 +167,14 @@ class TestTrueEffectiveChannel:
         assert np.array_equal(true_effective_channel(chan), want)
         assert np.array_equal(true_effective_channel(chan, loss_amp=0.9), 0.9 * want)
 
+    @pytest.mark.parametrize("users, antennas, chains", [(8, 64, 8), (3, 5, 2), (1, 1, 1)])
+    def test_mixing_matches_the_einsum(self, users, antennas, chains):
+        chan = channel.rayleigh(users, antennas, FFT_SIZE, Rng(11), num_taps=4)
+        mixing = Rng(12).normal_complex((antennas, chains))
+        want = 0.9 * np.einsum("mc,umf->cuf", mixing, chan[:, :, DATA_BINS])
+        got = true_effective_channel(chan, mixing, loss_amp=0.9)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_rejects_wrong_mixing_shape(self):
         chan = channel.rayleigh(2, 4, 64, Rng(9))
         with pytest.raises(ValueError):
@@ -234,6 +242,16 @@ class TestZeroForcing:
                 cross = np.sum(np.abs(np.delete(p[u], u)) ** 2)
                 assert cross < 1e-6 * np.abs(p[u, u]) ** 2
         assert decoded_ok(apply_combiner(spectra, zf_weights(est), REPS), payloads)
+
+    @pytest.mark.parametrize("chains, users", [(64, 8), (8, 8), (1, 1)])
+    def test_combining_matches_the_einsum(self, chains, users):
+        spectra = Rng(13).normal_complex((chains, users * REPS + 3, FFT_SIZE))
+        comb = zf_weights(random_heff(chains, users, 14)[:, :, DATA_BINS])
+        payload = spectra[:, users * REPS :, DATA_BINS] / TX_SCALE
+        want = np.einsum("ucf,csf->usf", comb.weights, payload)
+        got = apply_combiner(spectra, comb, REPS)
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_weights_times_channel_is_identity(self):
         heff = random_heff(4, 4, seed=16)[:, :, DATA_BINS]

@@ -183,6 +183,17 @@ class TestSwitchedChains:
         assert got.shape == (K, 96)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("M, K", [(64, 8), (8, 4), (5, 1)])
+    def test_bytes_equal_the_per_slot_sum_of_rows(self, M, K):
+        S = gating_matrix(M, K, 60 + K)
+        rx = random_streams(M, 1120, 70 + K)
+        want = np.empty((K, 1120), dtype=np.complex128)
+        for k in range(K):
+            want[k] = rx[S[:, k] == 1].sum(axis=0)
+        want *= 0.8
+        got = switched_chains(rx, S, NOISELESS, Rng(2), loss_amp=0.8)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_noise_is_drawn_only_when_sigma2_is_positive(self):
         S = gating_matrix(6, 3, 1)
         rx = random_streams(6, 32, 2)
@@ -226,6 +237,16 @@ class TestCapturePhysical:
         rho = np.corrcoef(np.abs(a), np.abs(b))[0, 1]
         assert abs(rho) < 0.01
 
+    @pytest.mark.parametrize("M, chains", [(64, 64), (8, 3), (1, 1)])
+    def test_bytes_equal_the_per_chain_draws(self, M, chains):
+        streams = random_streams(M, 1120, 16 + M)
+        rng = Rng(6, M)
+        want = streams[:chains].copy()
+        for chain in want:
+            chain += rng.normal_complex(chain.size) * np.sqrt(0.2)
+        got = capture_physical(streams, chains, 0.2, Rng(6, M))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_rejects_too_many_chains(self):
         with pytest.raises(ValueError):
             capture_physical(random_streams(2, 16, 16), 3, NOISELESS, Rng(1))
@@ -265,6 +286,16 @@ class TestCaptureHybrid:
         for k in range(K):
             want = np.sum(streams[k * 8 : (k + 1) * 8], axis=0)
             assert np.max(np.abs(out[k] - want)) < 1e-12
+
+    @pytest.mark.parametrize("arch", ["hbf_full", "hbf_partial"])
+    def test_matches_the_einsum(self, arch):
+        streams = random_streams(64, 1120, 22)
+        g = np.random.Generator(np.random.Philox(key=23))
+        w = hybrid_weights(g.standard_normal((8, 64)) + 1j * g.standard_normal((8, 64)), arch)
+        noisy = streams + Rng(5).normal_complex(streams.shape) * np.sqrt(0.1)
+        want = np.einsum("mk,ms->ks", w, noisy)
+        got = capture_hybrid(streams, w, 0.1, Rng(5))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejects_non_unit_modulus(self):
         streams = random_streams(2, 16, 20)

@@ -86,6 +86,23 @@ def test_noise_form_matches_the_three_operand_einsum(users, chains):
             np.testing.assert_allclose(got, old, rtol=1e-12)
 
 
+@pytest.mark.parametrize("users, chains", [(1, 1), (2, 3), (8, 8), (8, 64)])
+def test_sinr_matches_the_einsum_product(users, chains):
+    rng = np.random.default_rng(users * 10 + chains)
+    v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
+    heff = rng.normal(size=(chains, users, 48)) + 1j * rng.normal(size=(chains, users, 48))
+    cov = 0.5 * np.eye(chains, dtype=np.complex128)
+    p = np.einsum("ucf,cjf->ujf", v, heff)
+    power = np.abs(p) ** 2
+    wanted = power[np.arange(users), np.arange(users)]
+    noise = np.real(np.einsum("ucf,cd,udf->uf", v, cov, v.conj()))
+    lin = wanted / (power.sum(axis=1) - wanted + noise)
+    comb = CombinerMatrix(weights=v, erased=np.zeros(48, bool))
+    want = lin.mean(axis=1)
+    got = 10.0 ** (sinr(comb, heff, cov) / 10.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestEvm:
     def test_known_error_ratio(self):
         ref = np.ones((2, 3, 4), dtype=complex)

@@ -6,6 +6,7 @@ about the architectures live in the acceptance suite instead.
 
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -274,6 +275,23 @@ class TestSweepGrid:
         cfg = cfg_from(SMALL + "sweep.arch = switched, dbf, fdma\n")
         chains = [c.chains for c in runner.sweep_combos(cfg)]
         assert chains == [2, 4, 1]
+
+
+def _blas_threads_here(block):
+    """Stand-in grid task: this worker's pid and OpenBLAS thread count."""
+    return [(os.getpid(), runner._openblas_threads_entry("get")())] * len(block)
+
+
+def test_a_grid_holds_openblas_to_one_thread_here_and_in_its_workers(monkeypatch):
+    if not runner.one_blas_thread():
+        pytest.skip("no OpenBLAS thread-count entry in this numpy")
+    runner._openblas_threads_entry("set")(2)
+    monkeypatch.setattr(runner, "_grid_task", _blas_threads_here)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)  # a pool even on one core
+    _, rows = runner.run_grid(cfg_from(SMALL), workers=2)
+    assert runner._openblas_threads_entry("get")() == 1
+    assert {pid for pid, _ in rows}.isdisjoint({os.getpid()})
+    assert [threads for _, threads in rows] == [1, 1]
 
 
 class TestCsvFormat:
