@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -42,8 +41,9 @@ def _out_path(args, cfg) -> str:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _out_path(args, cfg)
-    # the base combo alone, so the manifest's digest describes these rows
-    rows = runner.run_sweep(replace(cfg, sweep=()), out, workers=args.workers)
+    # the base combo alone, checked as it runs, so the manifest's digest
+    # describes these rows
+    rows = runner.run_sweep(with_overrides(cfg, sweep=()), out, workers=args.workers)
     print(f"wrote {rows} rows to {out}")
     return 0
 

@@ -7,6 +7,11 @@ once, and a sweepable field also its place in the grid, which makes
 validation, sweep keys, overrides, the digest and the runner's draw key are
 loops over that table, so adding a key means adding one field.
 
+The grid is expanded here too (``sweep_combos``), and validity has one
+rule: a config is valid when every combo its grid runs passes every check.
+A config without a grid is its own single combo, and the base value of a
+swept key, which no combo runs, is not checked.
+
 Unknown keys are errors so a config file cannot silently misspell a knob.
 Dotted prefixes group related keys but the file stays flat, one assignment
 per line, ``#`` starts a comment.
@@ -15,6 +20,8 @@ per line, ``#`` starts a comment.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
@@ -43,6 +50,12 @@ MAX_TRIAL_ELEMENTS = 2**24
 # `switchmux power --bandwidth-hz`: far above any radio channel, it keeps
 # rates and the ADC power figures they feed finite and printable.
 MAX_BANDWIDTH_HZ = 1e12
+
+# Bound of a grid's trials, combos x trials.  run_sweep holds every row,
+# its (combo, trial) bookkeeping and its CSV line until the file is
+# written: about 2 KB a trial (tracemalloc's peak over a serial 2000-trial
+# 8-user sweep), so a grid at the cap holds about 2 GiB.
+MAX_GRID_TRIALS = 2**20
 
 
 class ConfigError(ValueError):
@@ -109,7 +122,9 @@ class ExperimentConfig:
     arch: str = _key("arch", "link", _choice(ARCH_CHOICES), "switched", sweep=0)
     users: int = _key("users", "draw", _int, 4, _at_least(1), sweep=2)
     antennas: int = _key("antennas", "draw", _int, 8, _at_least(1), sweep=1)
-    snr_db: float = _key("snr_db", "link", _float, 15.0, sweep=3)
+    # 10**(-snr_db/10) scales the noise power, which overflows float64
+    # past about +-3000 dB; +-300 keeps it and its products finite
+    snr_db: float = _key("snr_db", "link", _float, 15.0, _between(-300, 300), sweep=3)
     trials: int = _key("trials", "grid", _int, 100, _at_least(1))
     seed: int = _key(
         "seed", "draw", _int, 1, ((lambda s: 0 <= s < 2**64), "must fit in 64 bits")
@@ -119,11 +134,12 @@ class ExperimentConfig:
     select: str = _key("select", "link", _choice(SELECT_CHOICES), "grouped", sweep=4)
     scenario: str = _key("scenario", "draw", _choice(SCENARIO_CHOICES), "rayleigh")
     sync_mode: str = _key("sync_mode", "draw", _choice(SYNC_CHOICES), "aligned")
+    # the cyclic prefix absorbs delays up to CP_LEN samples; a longer delay
+    # or channel would leak each symbol into the next, which the per-symbol
+    # channel model cannot show (it folds a delay modulo FFT_SIZE)
     sync_max_offset_samples: float = _key(
-        "sync.max_offset_samples", "draw", _float, 0.5, _at_least(0)
+        "sync.max_offset_samples", "draw", _float, 0.5, _between(0, CP_LEN)
     )
-    # the cyclic prefix absorbs delays up to CP_LEN samples; a longer
-    # channel would leak each symbol into the next
     rayleigh_taps: int = _key("rayleigh.taps", "draw", _int, 1, _between(1, CP_LEN + 1))
     phi_rad: float = _key(
         "grouping.phi_rad",
@@ -271,14 +287,9 @@ def _check_trial_size(cfg: ExperimentConfig) -> None:
             )
 
 
-def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Run every per-key, room, trial-size and cross-field check on cfg;
-    returns cfg.
-
-    build_config runs it on the file's own values and with_overrides on
-    every sweep combo and command-line override, so a bad value fails
-    before any trial starts.  Rayleigh configs ignore the scene.* keys.
-    """
+def _check_combo(cfg: ExperimentConfig) -> None:
+    """Run every per-key, room, trial-size and cross-field check on one
+    combo.  Rayleigh configs ignore the scene.* keys."""
     for f in _KEYS:
         check = f.metadata["check"]
         if check is not None and not check[0](getattr(cfg, f.name)):
@@ -287,6 +298,32 @@ def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_room(cfg)
     _check_trial_size(cfg)
     _check_links(cfg)
+
+
+def sweep_combos(cfg: ExperimentConfig) -> list:
+    """The grid's combos in deterministic grid order, the first sweep key
+    outermost, each a checked config without a grid; cfg alone when it has
+    no grid.  A grid over MAX_GRID_TRIALS trials is refused before any
+    combo is built."""
+    count = math.prod(len(values) for _, values in cfg.sweep)
+    if count * cfg.trials > MAX_GRID_TRIALS:
+        raise ConfigError(
+            f"a grid of {count} combos x {cfg.trials} trials is over the budget "
+            f"of {MAX_GRID_TRIALS} trials"
+        )
+    names = [name for name, _ in cfg.sweep]
+    grid = itertools.product(*(values for _, values in cfg.sweep))
+    combos = [replace(cfg, sweep=(), **dict(zip(names, values))) for values in grid]
+    for combo in combos:
+        _check_combo(combo)
+    return combos
+
+
+def _validated(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Refuse cfg unless every combo of its grid passes every check
+    (sweep_combos); returns cfg.  build_config and with_overrides reach
+    the checks only here, so a bad value fails before any trial starts."""
+    sweep_combos(cfg)
     return cfg
 
 
@@ -298,7 +335,8 @@ def _parsed(key: str, parse, text: str):
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping against the table."""
+    """Parse a raw mapping against the table; the config is refused unless
+    every combo of its grid is valid (_validated)."""
     values, grids, positions = {}, {}, {}
     for key, text in raw.items():
         match = _USER_POS_RE.match(key)
@@ -339,7 +377,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def with_overrides(cfg: ExperimentConfig, **updates) -> ExperimentConfig:
-    """Copy with field replacements, re-running every check."""
+    """Copy with field replacements, refused unless every combo of the
+    copy's grid is valid (_validated); sweep=() gives the base alone."""
     unknown = sorted(updates.keys() - {f.name for f in fields(cfg)})
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")

@@ -21,8 +21,8 @@ each config field is tagged with the first stage that reads it (the
 
 Combos with equal ``draw_key`` draw identical arrays for trial t, and the
 shared arrays are read-only, so a stage that writes into them fails
-loudly.  Sweeps cross-multiply the grid keys and list every (combo,
-trial_id) pair, each draw key's pairs trial by trial.  A task block is a
+loudly.  A sweep runs the checked combos of ``config.sweep_combos`` and
+lists every (combo, trial_id) pair, each draw key's pairs trial by trial.  A task block is a
 contiguous run of that list, one per worker; it keeps one draw at a time,
 so a trial is drawn once per block that holds it.  The rows are written
 in (combo, trial_id) order, so identical configs reproduce identical
@@ -42,7 +42,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import channel, metrics
-from .config import DROP_MARGIN_M, ConfigError, ExperimentConfig, config_digest, with_overrides
+from .config import DROP_MARGIN_M, ConfigError, ExperimentConfig, config_digest, sweep_combos
 from .despread import time_despread
 from .dsp import Rng
 from .equalize import (
@@ -332,16 +332,6 @@ def _grid_task(block) -> list:
             draws.clear()
         rows.append(run_trial(combo, trial_id, draws))
     return rows
-
-
-def sweep_combos(cfg: ExperimentConfig) -> list:
-    """Resolved per-combo configs in deterministic grid order, the first
-    sweep key outermost."""
-    if not cfg.sweep:
-        return [cfg]
-    names = [name for name, _ in cfg.sweep]
-    grid = itertools.product(*(values for _, values in cfg.sweep))
-    return [with_overrides(cfg, **dict(zip(names, values))) for values in grid]
 
 
 def _fmt(value) -> str:

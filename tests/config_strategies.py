@@ -11,7 +11,7 @@ has no fault and only in-range values, and sweeps two archs.
 
 from hypothesis import strategies as st
 
-from switchmux import config, runner
+from switchmux import config
 
 # the options of the table's choice fields, by file key
 CHOICES = {
@@ -38,6 +38,8 @@ RANGES = {
     "seed": (-1, 2**64),
     "grouping.phi_rad": (-0.1, 1.7),
     "scene.gamma": (-0.1, 1.1),
+    "snr_db": (-310.0, 310.0),
+    "sync.max_offset_samples": (-1.0, 17.0),
 }
 
 JUNK = st.sampled_from(["x", "1.5", "-1", "nan", "inf", "1e999", "2**3", "hbf", ""])
@@ -123,10 +125,12 @@ def grid_texts(draw) -> str:
 
 
 def accepted_combos(text: str):
-    """The config and combos of text, or None when config refuses it: a
-    text is accepted once it reads and each of its combos resolves."""
+    """The config and combos of text, or None when config refuses it.  The
+    reader (parse_config_text, then build_config) is the one place a text
+    is refused: build_config accepts a grid only when each of its combos
+    is valid, so sweep_combos refuses no accepted config."""
     try:
         cfg = config.build_config(config.parse_config_text(text))
-        return cfg, runner.sweep_combos(cfg)
     except config.ConfigError:
         return None
+    return cfg, config.sweep_combos(cfg)

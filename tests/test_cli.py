@@ -256,14 +256,25 @@ def test_hbf_with_more_chains_than_users_exits_1_before_any_trial(
         ("rayleigh.taps = 18", "rayleigh.taps must be >= 1 and <= 17"),
         ("frontend.quantizer_bits = 54", "frontend.quantizer_bits must be >= 0 and <= 53"),
         ("frontend.quantizer_bits = 1100", "frontend.quantizer_bits must be >= 0 and <= 53"),
+        ("snr_db = 4000", "snr_db must be >= -300 and <= 300"),
+        ("snr_db = -4000", "snr_db must be >= -300 and <= 300"),
+        ("snr_db = 301", "snr_db must be >= -300 and <= 300"),
+        ("snr_db = -301", "snr_db must be >= -300 and <= 300"),
+        ("sync.max_offset_samples = 16.5", "sync.max_offset_samples must be >= 0 and <= 16"),
+        ("sync.max_offset_samples = 1000", "sync.max_offset_samples must be >= 0 and <= 16"),
     ],
-    ids=["taps_18", "quantizer_bits_54", "quantizer_bits_1100"],
+    ids=[
+        "taps_18", "quantizer_bits_54", "quantizer_bits_1100", "snr_4000", "snr_minus_4000",
+        "snr_301", "snr_minus_301", "offset_16.5", "offset_1000",
+    ],
 )
 def test_out_of_range_taps_or_quantizer_exits_1_before_any_trial(
     tmp_path, capsys, monkeypatch, line, message
 ):
     # past these bounds the channel would lose its tail or leak past the
-    # cyclic prefix, and the quantizer step would overflow mid-sweep
+    # cyclic prefix, a user's delay would leak past it and fold modulo the
+    # FFT size, and the quantizer step or the noise power would overflow
+    # mid-sweep
     calls = []
     monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a))
     path = tmp_path / "run.cfg"
@@ -306,6 +317,58 @@ def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, mess
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# grids whose every combo runs, though their base values fail, each with
+# the fault of its base and a valid base for the same combos
+UNRUN_BASE_GRIDS = [
+    (
+        "arch = hbf_partial\nusers = {}\nantennas = 8\nsweep.users = 2, 4\n",
+        (3, 2),
+        "hbf_partial needs antennas divisible by users",
+    ),
+    ("users = 4\nantennas = {}\nsweep.antennas = 4, 8\n", (2, 4), "need at least one antenna per user"),
+]
+
+
+@pytest.mark.parametrize("grid, bases, fault", UNRUN_BASE_GRIDS, ids=["users", "antennas"])
+@pytest.mark.parametrize("seed", [[], ["--seed", "8"]], ids=["config_seed", "seed_override"])
+def test_grid_runs_when_every_combo_does(tmp_path, capsys, grid, bases, fault, seed):
+    for name, base in zip(("grid", "same"), bases):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("payload_symbols = 1\ntrials = 2\n" + grid.format(base), encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)] + seed) == 0
+        assert capsys.readouterr().out == f"wrote 4 rows (2 configs) to {out}\n"
+    # the base value no combo runs changes no row
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "same.csv").read_bytes()
+
+
+@pytest.mark.parametrize("grid, bases, fault", UNRUN_BASE_GRIDS, ids=["users", "antennas"])
+def test_simulate_checks_the_base_it_runs(tmp_path, capsys, monkeypatch, grid, bases, fault):
+    calls = []
+    monkeypatch.setattr(runner, "run_trial", lambda *a: calls.append(a))
+    path = tmp_path / "grid.cfg"
+    path.write_text("payload_symbols = 1\ntrials = 1\n" + grid.format(bases[0]), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {fault}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["snr_db = 300", "snr_db = -300", "sync.max_offset_samples = 16"],
+    ids=["snr_300", "snr_minus_300", "offset_16"],
+)
+def test_snr_and_offset_at_their_bounds_run(tmp_path, capsys, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL + "sync_mode = offset\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert "wrote 2 rows" in capsys.readouterr().out
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

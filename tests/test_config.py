@@ -11,6 +11,7 @@ import pytest
 from switchmux import runner
 from switchmux.config import (
     CONFIG_KEYS,
+    MAX_GRID_TRIALS,
     STAGES,
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from switchmux.config import (
     config_digest,
     load_config,
     parse_config_text,
+    sweep_combos,
     with_overrides,
     _float,
 )
@@ -258,29 +260,28 @@ class TestSweepKeys:
 
 
 class TestSweepComboValidation:
+    # a grid with one invalid combo is refused as it loads, by build_config
     def test_nullspace_rejects_a_non_square_combo(self):
-        cfg = cfg_from("combiner = nullspace\nsweep.arch = switched, dbf\n")
-        assert with_overrides(cfg, arch="switched").chains == 4
+        cfg = cfg_from("combiner = nullspace\nsweep.arch = switched\n")
+        assert [c.chains for c in runner.sweep_combos(cfg)] == [4]
         with pytest.raises(ConfigError, match="nullspace"):
-            with_overrides(cfg, arch="dbf")
+            cfg_from("combiner = nullspace\nsweep.arch = switched, dbf\n")
 
     def test_too_few_antennas_rejected(self):
-        cfg = cfg_from("users = 4\nsweep.antennas = 2, 8\n")
-        assert with_overrides(cfg, antennas=8).antennas == 8
+        cfg = cfg_from("users = 4\nsweep.antennas = 8\n")
+        assert [c.antennas for c in runner.sweep_combos(cfg)] == [8]
         with pytest.raises(ConfigError, match="antenna per user"):
-            with_overrides(cfg, antennas=2)
+            cfg_from("users = 4\nsweep.antennas = 2, 8\n")
 
     def test_oversized_combo_rejected(self):
-        cfg = cfg_from("sweep.antennas = 8, 99999999999\n")
         with pytest.raises(ConfigError, match="users x antennas is too large"):
-            runner.sweep_combos(cfg)
+            cfg_from("sweep.antennas = 8, 99999999999\n")
 
     def test_pinned_positions_must_match_user_count(self):
-        cfg = cfg_from(
-            "users = 1\nscene.user0_x_m = 3.0\nscene.user0_y_m = 2.0\nsweep.users = 1, 2\n"
-        )
+        pinned = "users = 1\nscene.user0_x_m = 3.0\nscene.user0_y_m = 2.0\n"
+        assert cfg_from(pinned + "sweep.users = 1\n").users == 1
         with pytest.raises(ConfigError, match="cover users"):
-            with_overrides(cfg, users=2)
+            cfg_from(pinned + "sweep.users = 1, 2\n")
 
     @pytest.mark.parametrize(
         "text, chains",
@@ -324,17 +325,85 @@ class TestSweepComboValidation:
             ({"rayleigh_taps": 18}, "rayleigh.taps must be >= 1 and <= 17"),
             ({"bandwidth_hz": 0.0}, "ofdm.bandwidth_hz must be positive"),
             ({"bandwidth_hz": 1e300}, r"ofdm.bandwidth_hz must be positive and <= 1e\+12"),
+            ({"snr_db": 301.0}, "snr_db must be >= -300 and <= 300"),
+            ({"snr_db": -301.0}, "snr_db must be >= -300 and <= 300"),
+            ({"sync_max_offset_samples": -0.5}, "sync.max_offset_samples must be >= 0"),
+            ({"sync_max_offset_samples": 16.5}, "sync.max_offset_samples must be >= 0 and <= 16"),
         ],
         ids=[
             "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi",
             "zero_phi", "zero_rank_tolerance", "negative_fallbacks", "negative_quantizer_bits",
             "quantizer_bits_past_float64", "zero_taps", "taps_past_cyclic_prefix",
-            "zero_bandwidth", "huge_bandwidth",
+            "zero_bandwidth", "huge_bandwidth", "snr_301", "snr_minus_301", "negative_offset",
+            "offset_past_cyclic_prefix",
         ],
     )
     def test_overrides_run_the_per_key_checks(self, updates, message):
         with pytest.raises(ConfigError, match=message):
             with_overrides(cfg_from(""), **updates)
+
+
+# grids whose base values no combo runs, and which the base alone fails
+UNRUN_BASE_GRIDS = [
+    ("arch = hbf_partial\nusers = 3\nantennas = 8\nsweep.users = 2, 4\n", "divisible"),
+    ("users = 4\nantennas = 2\nsweep.antennas = 4, 8\n", "antenna per user"),
+]
+
+
+class TestOneRule:
+    """A config is valid when every combo its grid runs passes every check."""
+
+    @pytest.mark.parametrize("text, fault", UNRUN_BASE_GRIDS, ids=["users", "antennas"])
+    def test_a_grid_is_judged_by_the_combos_it_runs(self, text, fault):
+        cfg = cfg_from(text)
+        assert len(sweep_combos(cfg)) == 2
+        assert with_overrides(cfg, seed=8).seed == 8
+        # the base alone is a config whose one combo fails
+        with pytest.raises(ConfigError, match=fault):
+            with_overrides(cfg, sweep=())
+
+    def test_combos_carry_no_grid(self):
+        cfg = cfg_from("sweep.arch = switched, dbf\nsweep.snr_db = 0, 10\n")
+        combos = sweep_combos(cfg)
+        assert [(c.arch, c.snr_db) for c in combos] == [
+            ("switched", 0.0), ("switched", 10.0), ("dbf", 0.0), ("dbf", 10.0)
+        ]
+        assert all(c.sweep == () for c in combos)
+        assert all(sweep_combos(c) == [c] for c in combos)
+        assert sweep_combos(cfg_from("users = 2\n")) == [cfg_from("users = 2\n")]
+        assert runner.sweep_combos is sweep_combos
+
+    @pytest.mark.parametrize(
+        "text", ["sweep.snr_db = 0, 301\n", "sweep.snr_db = -4000\n"], ids=["301", "minus_4000"]
+    )
+    def test_swept_snr_values_are_bounded(self, text):
+        with pytest.raises(ConfigError, match="snr_db must be >= -300 and <= 300"):
+            cfg_from(text)
+
+    def test_a_swept_base_value_is_not_checked(self):
+        # snr_db = 4000 is run by no combo of this grid
+        cfg = cfg_from("snr_db = 4000\nsweep.snr_db = 300\n")
+        assert [c.snr_db for c in sweep_combos(cfg)] == [300.0]
+
+    # only build_config sees these grids: run, they would list every pair
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"trials = {MAX_GRID_TRIALS + 1}\n",
+            f"trials = {MAX_GRID_TRIALS // 2 + 1}\nsweep.snr_db = 0, 10\n",
+            "trials = 1000000000000\nsweep.snr_db = "
+            + ", ".join(str(v) for v in range(25))
+            + "\nsweep.select = grouped, random, identity\nsweep.arch = switched, dbf\n",
+        ],
+        ids=["one_combo", "two_combos", "150_combos"],
+    )
+    def test_grid_over_the_trial_budget_refused(self, text):
+        with pytest.raises(ConfigError, match=f"trials is over the budget of {MAX_GRID_TRIALS}"):
+            cfg_from(text)
+
+    def test_grid_at_the_trial_budget_accepted(self):
+        cfg = cfg_from(f"trials = {MAX_GRID_TRIALS // 2}\nsweep.snr_db = 0, 10\n")
+        assert len(sweep_combos(cfg)) * cfg.trials == MAX_GRID_TRIALS
 
 
 # one valid non-default value per schema key

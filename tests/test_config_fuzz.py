@@ -2,8 +2,9 @@
 (the strategies of ``config_strategies``).  Three properties hold for every
 text:
 
-* a rejected text raises ConfigError, never another exception, whether
-  build_config refuses it or sweep_combos refuses one of its combos;
+* a rejected text raises ConfigError, never another exception, and the
+  reader is the one place a text is refused: build_config refuses a grid
+  with one invalid combo, and sweep_combos then refuses no accepted text;
 * every combo of an accepted text runs trial 0 to a row, a NaN row when
   its selection fails;
 * canonical_text reads back to equal combos and an equal digest.

@@ -65,7 +65,7 @@ MOVED = {
     "sinr": "metrics",
     "run_sweep": "runner",
     "run_trial": "runner",
-    "sweep_combos": "runner",
+    "sweep_combos": "config",
 }
 
 
