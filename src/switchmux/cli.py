@@ -43,7 +43,7 @@ def _cmd_simulate(args) -> int:
     out = _out_path(args, cfg)
     # the base combo alone, checked as it runs, so the manifest's digest
     # describes these rows
-    rows = runner.run_sweep(with_overrides(cfg, sweep=()), out, workers=args.workers)
+    rows, _ = runner.run_sweep(with_overrides(cfg, sweep=()), out, workers=args.workers)
     print(f"wrote {rows} rows to {out}")
     return 0
 
@@ -51,8 +51,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _out_path(args, cfg)
-    combos = len(runner.sweep_combos(cfg))
-    rows = runner.run_sweep(cfg, out, workers=args.workers)
+    rows, combos = runner.run_sweep(cfg, out, workers=args.workers)
     print(f"wrote {rows} rows ({combos} configs) to {out}")
     return 0
 

@@ -191,6 +191,7 @@ class ExperimentConfig:
 
 _KEYS = [f for f in fields(ExperimentConfig) if "key" in f.metadata]
 _FIELD_OF = {f.metadata["key"]: f for f in _KEYS}
+_FIELD_KEY = {f.name: key for key, f in _FIELD_OF.items()}
 _GRID = sorted(
     (f for f in _KEYS if f.metadata["sweep"] is not None), key=lambda f: f.metadata["sweep"]
 )
@@ -304,7 +305,7 @@ def sweep_combos(cfg: ExperimentConfig) -> list:
     """The grid's combos in deterministic grid order, the first sweep key
     outermost, each a checked config without a grid; cfg alone when it has
     no grid.  A grid over MAX_GRID_TRIALS trials is refused before any
-    combo is built."""
+    combo is built, and a combo's error names its swept values."""
     count = math.prod(len(values) for _, values in cfg.sweep)
     if count * cfg.trials > MAX_GRID_TRIALS:
         raise ConfigError(
@@ -315,7 +316,13 @@ def sweep_combos(cfg: ExperimentConfig) -> list:
     grid = itertools.product(*(values for _, values in cfg.sweep))
     combos = [replace(cfg, sweep=(), **dict(zip(names, values))) for values in grid]
     for combo in combos:
-        _check_combo(combo)
+        try:
+            _check_combo(combo)
+        except ConfigError as exc:
+            if not names:
+                raise
+            swept = ", ".join(f"{_FIELD_KEY[name]} = {getattr(combo, name)}" for name in names)
+            raise ConfigError(f"sweep combo {swept}: {exc}") from exc
     return combos
 
 

@@ -2,11 +2,11 @@
 
 capture_switched models the system under study: M antennas gated at K times
 the per-user bandwidth by one-hot slot codes, passively combined, and
-sampled by a single chain at K*B. capture_physical (one chain per antenna)
-and capture_hybrid (per-antenna phase shifters into fewer chains) are the
-comparison front ends. Every front end takes the received B-rate signals
-[antennas, samples]; the switched one returns its K*B capture
-[K*samples], the others their chains [chains, samples].
+sampled by a single chain at K*B. capture_physical (one chain per antenna,
+a row of rx) and capture_hybrid (per-antenna phase shifters into fewer
+chains) are the comparison front ends. Every front end takes the received
+B-rate signals [antennas, samples]; the switched one returns its K*B
+capture [K*samples], the others their chains [chains, samples].
 
 Without a quantizer the switched chain is linear, and upsample and the
 despreader's fractional delay are exact inverses, so despreading the K*B
@@ -34,7 +34,11 @@ therefore despreads to exactly the B-rate variance, so an
 identity-switched virtual chain and a physical chain are noise-equivalent
 by construction. The hybrid front end injects noise per antenna (each
 antenna has its own LNA ahead of the phase-shifter network), which is what
-gives coherent combining its 10*log10(M) SNR gain.
+gives coherent combining its 10*log10(M) SNR gain. Every front end draws
+its noise whatever sigma2 is; a zero sigma2 scales the draw to exact zeros.
+The runner passes metrics.sinr the chain noise in the shape of its law:
+the variances [chains] of independent chains (switched and physical), the
+covariance [chains, chains] of the hybrid chains the weights correlate.
 """
 
 from __future__ import annotations
@@ -132,8 +136,7 @@ def capture_switched(
         gate = np.tile(S[m], reps)
         total += upsample(signal, K) * gate
     total *= loss_amp
-    if sigma2 > 0:
-        total = total + _slot_noise(S, reps, sigma2, rng)
+    total += _slot_noise(S, reps, sigma2, rng)
     if quantizer_bits:
         total = quantize(total, quantizer_bits)
     return total
@@ -157,25 +160,18 @@ def switched_chains(
     parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
     chains = (S.T.astype(np.float64) @ parts).view(np.complex128)
     chains *= loss_amp
-    if sigma2 > 0:
-        chains += time_despread(_slot_noise(S, rx.shape[1], sigma2, rng), K)
+    chains += time_despread(_slot_noise(S, rx.shape[1], sigma2, rng), K)
     return chains
 
 
-def capture_physical(rx: np.ndarray, num_chains: int, sigma2: float, rng: Rng) -> np.ndarray:
-    """One dedicated B-rate chain per antenna (first num_chains antennas),
-    independent AWGN of variance sigma2 per chain, no switches and no
-    insertion loss."""
+def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> np.ndarray:
+    """One dedicated B-rate chain per antenna (row of rx), independent AWGN
+    of variance sigma2 per chain, no switches and no insertion loss."""
     _check_received(rx)
-    if num_chains < 1 or num_chains > rx.shape[0]:
-        raise ValueError("num_chains must be in [1, M]")
-    chains = rx[:num_chains].copy()
-    if sigma2 > 0:
-        # one draw in the order of per-chain normal_complex calls: each
-        # chain's real parts, then its imaginary parts
-        z = rng.generator.standard_normal((num_chains, 2, rx.shape[1]))
-        chains += (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * np.sqrt(sigma2)
-    return chains
+    # one draw in the order of per-chain normal_complex calls: each chain's
+    # real parts, then its imaginary parts
+    z = rng.generator.standard_normal((rx.shape[0], 2, rx.shape[1]))
+    return rx + (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * np.sqrt(sigma2)
 
 
 def hybrid_weights(H_ref: np.ndarray, arch: str) -> np.ndarray:
@@ -212,6 +208,5 @@ def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng)
     nz = np.abs(weights[weights != 0])
     if nz.size and np.max(np.abs(nz - 1.0)) > 1e-9:
         raise ValueError("nonzero weights must be unit modulus")
-    if sigma2 > 0:
-        rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
+    rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
     return weights.T @ rx

@@ -48,35 +48,33 @@ def _cap_linear(lin: np.ndarray) -> np.ndarray:
     return np.minimum(lin, 10.0 ** (SINR_CAP_DB / 10.0))
 
 
-def _noise_form(v: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
-    """Real part of V_u C V_u^H for combiner rows v [users, chains, bins]
-    and covariance C [chains, chains]; returns [users, bins].
+def _noise_form(v: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Real part of V_u C V_u^H for combiner rows v [users, chains, bins];
+    returns [users, bins].
 
-    Each user's rows [bins, chains] are made contiguous, multiplied by C,
-    then by their own conjugates row by row.  A C with no non-zero entry
-    off its diagonal (independent chains) scales the rows by its diagonal
-    instead of multiplying by it, with bit-identical values.
+    noise is either the variances [chains] of independent chains, the
+    diagonal of C, or the covariance C [chains, chains] of correlated ones.
+    Each user's rows [bins, chains] are made contiguous, scaled by the
+    variances or multiplied by C, then multiplied by their own conjugates
+    row by row.
     """
     rows = np.ascontiguousarray(v.transpose(0, 2, 1))
-    diag = np.diagonal(noise_cov)
-    if np.count_nonzero(noise_cov) == np.count_nonzero(diag):
-        weighted = rows * diag
-    else:
-        weighted = rows @ noise_cov
+    weighted = rows * noise if noise.ndim == 1 else rows @ noise
     return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
 
 
-def sinr(comb: CombinerMatrix, heff: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
+def sinr(comb: CombinerMatrix, heff: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Per-user post-combining SINR in dB against the true channel heff
-    [chains, users, data bins] and the chains x chains noise covariance.
+    [chains, users, data bins] and the chain noise.
 
     P[u, j, f] = sum_c V[u, c, f] * Heff[c, j, f]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
-    the quadratic form V_u C V_u^H of the combiner row with noise_cov.
-    Independent chains of variance sigma2 pass sigma2 * I; front ends whose
-    chain noise is correlated (phase-shifter combining) or uneven (shared
-    switch slots) pass their own C.  Bins average in the linear domain;
-    values cap at +80 dB.
+    the quadratic form V_u C V_u^H of the combiner row with the chain noise
+    covariance C.  noise gives C by its shape: independent chains pass
+    their variances [chains] (sigma2 each for physical chains, sigma2
+    times the slot occupancy for switched ones), and front ends whose
+    chain noise is correlated (phase-shifter combining) pass C [chains,
+    chains].  Bins average in the linear domain; values cap at +80 dB.
     """
     v = comb.weights
     # per bin, V [users, chains] @ Heff [chains, users]
@@ -91,11 +89,10 @@ def sinr(comb: CombinerMatrix, heff: np.ndarray, noise_cov: np.ndarray) -> np.nd
     idx = np.arange(num_users)
     wanted = power[idx, idx]
     interference = power.sum(axis=1) - wanted
-    noise_cov = np.asarray(noise_cov, dtype=np.complex128)
-    if noise_cov.shape != (v.shape[1], v.shape[1]):
-        raise ValueError("noise_cov must be chains x chains")
-    noise = np.maximum(_noise_form(v, noise_cov), 0.0)
-    denom = interference + noise
+    noise = np.asarray(noise)
+    if noise.shape not in ((v.shape[1],), (v.shape[1], v.shape[1])):
+        raise ValueError("noise must be [chains] or [chains, chains]")
+    denom = interference + np.maximum(_noise_form(v, noise), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lin = np.where(denom > 0, wanted / np.maximum(denom, 1e-300), np.inf)
     lin = _cap_linear(np.where(wanted == 0, 0.0, lin))

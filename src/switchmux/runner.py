@@ -150,12 +150,6 @@ def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> 
     return np.eye(cfg.antennas, cfg.users, dtype=np.int64)
 
 
-def _combiner_weights(cfg: ExperimentConfig, heff: np.ndarray):
-    if cfg.combiner == "nullspace":
-        return nullspace_weights(heff, cfg.rank_tolerance)
-    return zf_weights(heff, cfg.rank_tolerance)
-
-
 def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, report):
     sinr_db = np.asarray(sinr_db, dtype=float)
     se = goodput / (cfg.users * cfg.bandwidth_hz)
@@ -254,23 +248,25 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
         else:
             chains = switched_chains(rx, s, sigma2, noise_rng, loss_amp)
         truth = true_effective_channel(gains, s, loss_amp)
-        # chain k inherits the n-way split noise of its slot
-        noise_cov = sigma2 * np.diag(s.sum(axis=0).astype(np.float64))
+        # independent chains; chain k inherits the n-way split noise of its slot
+        noise = sigma2 * s.sum(axis=0)
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         weights = hybrid_weights(h_ref, cfg.arch)
         chains = capture_hybrid(rx, weights, sigma2, noise_rng)
         truth = true_effective_channel(gains, weights)
-        noise_cov = sigma2 * (weights.T @ weights.conj())
+        # per-antenna noise, correlated across chains by the weights
+        noise = sigma2 * (weights.T @ weights.conj())
     else:  # dbf, and each fdma user's single-antenna link
-        chains = capture_physical(rx, cfg.chains, sigma2, noise_rng)
+        chains = capture_physical(rx, sigma2, noise_rng)
         truth = true_effective_channel(gains)
-        noise_cov = sigma2 * np.eye(cfg.chains)
+        noise = np.full(len(chains), sigma2)
 
     spectra = symbol_spectra(chains)
     est = estimate_channel(spectra, len(bits), cfg.lts_repeats)
-    comb = _combiner_weights(cfg, est)
+    combine = nullspace_weights if cfg.combiner == "nullspace" else zf_weights
+    comb = combine(est, cfg.rank_tolerance)
     grids = apply_combiner(spectra, comb, cfg.lts_repeats)
-    sinr_db = metrics.sinr(comb, truth, noise_cov)
+    sinr_db = metrics.sinr(comb, truth, noise)
     return grids, sinr_db, metrics.evm(grids, tx_grids)
 
 
@@ -457,8 +453,9 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     return combos, rows
 
 
-def run_sweep(cfg: ExperimentConfig, out_path: str, workers: int = 1) -> int:
-    """Write run_grid's rows as CSV with a manifest; returns the row count.
+def run_sweep(cfg: ExperimentConfig, out_path: str, workers: int = 1) -> tuple:
+    """Write run_grid's rows as CSV with a manifest; returns the row and
+    combo counts the manifest records.
     Identical configs reproduce byte-identical files on any worker count.
     The output directory is made first, and neither out_path nor its
     manifest path may be a directory, so a path that cannot hold a file
@@ -489,7 +486,7 @@ def run_sweep(cfg: ExperimentConfig, out_path: str, workers: int = 1) -> int:
         for tmp in staged.values():
             if os.path.exists(tmp):
                 os.remove(tmp)
-    return len(rows)
+    return len(rows), len(combos)
 
 
 def _write_manifest(cfg: ExperimentConfig, path: str, rows: int, combos: int) -> None:

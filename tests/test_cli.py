@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import switchmux
-from switchmux import runner
+from switchmux import config, runner
 from switchmux.cli import main
 from switchmux.config import MAX_BANDWIDTH_HZ, MAX_TRIAL_ELEMENTS, config_digest, load_config
 
@@ -42,6 +42,31 @@ def test_sweep_expands_grid(tmp_path, config_file, capsys):
     assert rc == 0
     assert "wrote 4 rows (2 configs)" in capsys.readouterr().out
     assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "seed, expansions", [([], 2), (["--seed", "8"], 3)], ids=["config_seed", "seed_override"]
+)
+def test_sweep_expands_its_grid_only_to_check_and_run_it(
+    tmp_path, capsys, monkeypatch, seed, expansions
+):
+    # load checks the grid, --seed checks it again, and the run expands it;
+    # the printed counts come from the run
+    expanded = []
+    sweep_combos = config.sweep_combos
+
+    def counted(cfg):
+        expanded.append(cfg)
+        return sweep_combos(cfg)
+
+    monkeypatch.setattr(config, "sweep_combos", counted)
+    monkeypatch.setattr(runner, "sweep_combos", counted)
+    path = tmp_path / "grid.cfg"
+    path.write_text(SMALL + "sweep.snr_db = 10, 20\n", encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)] + seed) == 0
+    assert capsys.readouterr().out == f"wrote 4 rows (2 configs) to {out}\n"
+    assert len(expanded) == expansions
 
 
 def test_simulate_writes_the_base_combo_of_a_grid(tmp_path, capsys):
@@ -316,6 +341,16 @@ def test_invalid_sweep_combo_exits_1_before_writing(tmp_path, capsys, grid, mess
     rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invalid_sweep_combo_error_names_its_swept_values(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("users = 4\nsweep.antennas = 2, 4, 8\n", encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sweep combo antennas = 2: need at least one antenna per user\n"
     assert not out.exists()
 
 

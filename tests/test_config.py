@@ -273,6 +273,16 @@ class TestSweepComboValidation:
         with pytest.raises(ConfigError, match="antenna per user"):
             cfg_from("users = 4\nsweep.antennas = 2, 8\n")
 
+    def test_combo_error_names_its_swept_values(self):
+        # the grid's keys in grid order, each with the combo's value; a
+        # config without a grid keeps the bare message
+        message = "need at least one antenna per user"
+        named = f"^sweep combo arch = switched, antennas = 2: {message}$"
+        with pytest.raises(ConfigError, match=named):
+            cfg_from("users = 4\nsweep.arch = switched, fdma\nsweep.antennas = 2, 8\n")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            cfg_from("users = 4\nantennas = 2\n")
+
     def test_oversized_combo_rejected(self):
         with pytest.raises(ConfigError, match="users x antennas is too large"):
             cfg_from("sweep.antennas = 8, 99999999999\n")

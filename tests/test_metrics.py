@@ -62,8 +62,14 @@ class TestSinr:
         w = np.ones((1, 2, DATA_BINS.size), dtype=complex)
         comb = CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
         # fully correlated chains: noise |1+1|^2 * 0.1, signal |2|^2
-        got = sinr(comb, truth, noise_cov=0.1 * np.ones((2, 2)))
+        got = sinr(comb, truth, noise=0.1 * np.ones((2, 2)))
         assert np.allclose(got, 10.0 * np.log10(4.0 / 0.4))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3), (2, 2, 2)])
+    def test_rejects_noise_of_another_shape(self, shape):
+        truth = flat_effective(np.eye(2))
+        with pytest.raises(ValueError, match="noise must be"):
+            sinr(identity_combiner(2), truth, np.ones(shape))
 
 
 @pytest.mark.parametrize("users, chains", [(1, 1), (2, 3), (4, 4), (8, 8), (8, 64)])
@@ -72,18 +78,43 @@ def test_noise_form_matches_the_three_operand_einsum(users, chains):
     v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
     occupancy = rng.integers(1, 4, chains).astype(np.float64)
     w = np.exp(1j * rng.uniform(0, 2 * np.pi, (chains + 2, chains)))
-    for cov, exact in [
-        (0.3 * np.eye(chains), True),  # physical chains
-        (0.2 * np.diag(occupancy), True),  # switch slots of uneven occupancy
+    for noise, exact in [
+        (np.full(chains, 0.3), True),  # physical chains
+        (0.2 * occupancy, True),  # switch slots of uneven occupancy
+        (0.3 * np.eye(chains), True),  # the same chains as a covariance
+        (0.2 * np.diag(occupancy), True),
         (0.01 * (w.T @ w.conj()), False),  # correlated phase-shifter chains
     ]:
-        cov = cov.astype(np.complex128)
+        cov = (np.diag(noise) if noise.ndim == 1 else noise).astype(np.complex128)
         old = np.real(np.einsum("ucf,cd,udf->uf", v, cov, v.conj()))
-        got = metrics._noise_form(v, cov)
+        got = metrics._noise_form(v, noise)
         if exact:
             assert np.array_equal(got, old)
         else:
             np.testing.assert_allclose(got, old, rtol=1e-12)
+
+
+def diagonal_noise_form(v, noise_cov):
+    """The noise form of a diagonal covariance as it was computed from a
+    dense complex matrix: the rows scaled by its complex diagonal."""
+    rows = np.ascontiguousarray(v.transpose(0, 2, 1))
+    weighted = rows * np.diagonal(np.asarray(noise_cov, dtype=np.complex128))
+    return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
+
+
+@pytest.mark.parametrize("chains", [4, 8, 64])
+def test_chain_variances_give_the_bytes_of_the_dense_diagonal(chains):
+    rng = np.random.default_rng(chains)
+    users = min(chains, 8)
+    v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
+    sigma2 = float(rng.uniform(1e-3, 1.0))
+    slots = rng.integers(0, 2, (2 * chains, chains))
+    slots[rng.integers(0, 2 * chains, chains), np.arange(chains)] = 1
+    # the runner's variances: sigma2 per physical chain, sigma2 times the
+    # antennas each switch slot gates
+    for variances in (np.full(chains, sigma2), sigma2 * slots.sum(axis=0)):
+        want = diagonal_noise_form(v, np.diag(variances))
+        assert np.array_equal(metrics._noise_form(v, variances), want)
 
 
 @pytest.mark.parametrize("users, chains", [(1, 1), (2, 3), (8, 8), (8, 64)])

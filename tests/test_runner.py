@@ -117,6 +117,29 @@ class TestRunTrial:
         assert row["capacity_bps"] > 0
         assert row["total_mw"] == pytest.approx(total_mw)
 
+    @pytest.mark.parametrize(
+        "arch, shapes",
+        [
+            ("switched", [(2,)]),
+            ("dbf", [(4,)]),
+            ("hbf_full", [(2, 2)]),
+            ("hbf_partial", [(2, 2)]),
+            ("fdma", [(1,), (1,)]),
+        ],
+    )
+    def test_chain_noise_is_passed_by_shape(self, monkeypatch, arch, shapes):
+        # independent chains pass their variances, correlated ones a covariance
+        seen = []
+        sinr = runner.metrics.sinr
+
+        def recording(comb, heff, noise):
+            seen.append(noise.shape)
+            return sinr(comb, heff, noise)
+
+        monkeypatch.setattr(runner.metrics, "sinr", recording)
+        runner.run_trial(cfg_from(SMALL + f"arch = {arch}\n"), 0)
+        assert seen == shapes
+
     def test_raytrace_scenario_runs(self):
         cfg = cfg_from(SMALL + "scenario = raytrace\n")
         row = runner.run_trial(cfg, 0)
@@ -318,8 +341,8 @@ class TestRunSweep:
     def test_writes_rows_and_manifest(self, tmp_path):
         cfg = cfg_from(SMALL + "sweep.snr_db = 10, 20\n")
         out = tmp_path / "grid.csv"
-        count = runner.run_sweep(cfg, str(out))
-        assert count == 4  # 2 snr points x 2 trials
+        count, combos = runner.run_sweep(cfg, str(out))
+        assert (count, combos) == (4, 2)  # 2 snr points x 2 trials
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + count
         assert lines[0] == ",".join(runner.csv_header(2))
