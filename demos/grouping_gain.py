@@ -15,7 +15,6 @@ from switchmux import runner
 from switchmux.config import build_config, parse_config_text
 from switchmux.dsp import Rng
 from switchmux.frontend import control_word
-from switchmux.grouping import inphase_select
 
 TRIALS = 60
 
@@ -32,16 +31,11 @@ base = (
 # Show the matrix the phase-cone selector picks for this room.
 cfg = build_config(parse_config_text(base + "select = grouped\n"))
 gains = runner._draw_channel(cfg, Rng(cfg.seed, 0))
-result = inphase_select(
-    gains[:, :, runner.REFERENCE_BIN],
-    phi_rad=cfg.phi_rad,
-    rank_tolerance=cfg.rank_tolerance,
-    max_fallbacks=cfg.max_fallbacks,
-)
+matrix = runner._select_matrix(cfg, gains[:, :, runner.REFERENCE_BIN], Rng(cfg.seed, 0))
 print("selected switch matrix (rows antennas, cols virtual chains):")
-print(result.matrix)
-print(f"control word: {control_word(result.matrix)}")
-print(f"antennas per chain: {result.matrix.sum(axis=0)}")
+print(matrix)
+print(f"control word: {control_word(matrix)}")
+print(f"antennas per chain: {matrix.sum(axis=0)}")
 
 print(f"\nmedian mean-SINR over {TRIALS} noise draws, same room:")
 for select in ("grouped", "random", "identity"):

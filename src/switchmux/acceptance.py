@@ -159,7 +159,7 @@ def check_interference_floor() -> CheckResult:
         gains = channel.rayleigh(users, ants, 64, rng.derive(1), 3)
         rx = channel.apply(gains, tx_streams, CP_LEN)
         s = random_switch_matrix(ants, users, rng.derive(2))
-        cap = capture_switched(rx, s, 0.0, rng.derive(3))
+        cap, _ = capture_switched(rx, s, 0.0, rng.derive(3))
         chains = time_despread(cap, users)
         spectra = symbol_spectra(chains)
         comb = zf_weights(estimate_channel(spectra, users, reps))

@@ -5,8 +5,8 @@ the per-user bandwidth by one-hot slot codes, passively combined, and
 sampled by a single chain at K*B. capture_physical (one chain per antenna,
 a row of rx) and capture_hybrid (per-antenna phase shifters into fewer
 chains) are the comparison front ends. Every front end takes the received
-B-rate signals [antennas, samples]; the switched one returns its K*B
-capture [K*samples], the others their chains [chains, samples].
+B-rate signals [antennas, samples] and returns (output, noise): the switched
+K*B capture [K*samples] or the chains [chains, samples], and the noise law.
 
 Without a quantizer the switched chain is linear, and upsample and the
 despreader's fractional delay are exact inverses, so despreading the K*B
@@ -25,20 +25,18 @@ noise variance of a B-rate chain, against the received power per user
 averaged over the whole frame. The runner computes it once per link and
 passes the same sigma2 to whichever front end captures, so every
 architecture shares one noise reference. Training slots carry one user
-each, so in a multi-user frame the payload SNR sits above snr_db. The
-switched path injects noise after combining, at K*B, scaled per slot by
-its occupancy: a slot that gates n antennas carries n times the
-single-branch variance, since each joined antenna brings its own front-end
-noise through the n-way passive split. A slot that gates one antenna
-therefore despreads to exactly the B-rate variance, so an
-identity-switched virtual chain and a physical chain are noise-equivalent
-by construction. The hybrid front end injects noise per antenna (each
-antenna has its own LNA ahead of the phase-shifter network), which is what
-gives coherent combining its 10*log10(M) SNR gain. Every front end draws
-its noise whatever sigma2 is; a zero sigma2 scales the draw to exact zeros.
-The runner passes metrics.sinr the chain noise in the shape of its law:
-the variances [chains] of independent chains (switched and physical), the
-covariance [chains, chains] of the hybrid chains the weights correlate.
+each, so in a multi-user frame the payload SNR sits above snr_db. Each
+front end draws its noise for any sigma2 (zero scales it to exact zeros)
+and returns the law of that noise in the shape metrics.sinr reads:
+- switched: variances [K], sigma2 * S.sum(axis=0). Noise enters at K*B
+  after combining, and each of the n antennas a slot gates brings its own
+  front-end noise through the n-way passive split, so an identity-switched
+  virtual chain and a physical chain are noise-equivalent by construction;
+- physical: variances [chains], np.full(chains, sigma2);
+- hybrid: covariance [K, K], sigma2 * weights.T @ weights.conj(): noise
+  enters per antenna (each has its own LNA ahead of the phase shifters),
+  which gives coherent combining its 10*log10(M) SNR gain, and the weights
+  correlate it across chains.
 """
 
 from __future__ import annotations
@@ -79,14 +77,12 @@ def _checked_switch(rx: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _slot_noise(S: np.ndarray, reps: int, sigma2: float, rng: Rng) -> np.ndarray:
+def _slot_noise(S: np.ndarray, reps: int, sigma2: float, rng: Rng) -> tuple:
     """The switched chain's K*B noise [K*reps], slot k of each period
-    scaled by the number of antennas it gates."""
-    # a slot that joins n antennas pays an n-way passive split before the
-    # shared LNA, so referred to the unit combiner gain of the capture its
-    # samples carry n times the single-branch noise power
-    occupancy = np.tile(S.sum(axis=0), reps).astype(np.float64)
-    return rng.normal_complex(occupancy.size) * np.sqrt(sigma2 * occupancy)
+    scaled by the number of antennas it gates, and the variances [K] of
+    the chains it despreads to (see the noise convention above)."""
+    law = sigma2 * S.sum(axis=0)
+    return rng.normal_complex(law.size * reps) * np.sqrt(np.tile(law, reps)), law
 
 
 def noise_power(rx: np.ndarray, snr_db: float, num_users: int) -> float:
@@ -117,7 +113,7 @@ def capture_switched(
     *,
     loss_amp: float = 1.0,
     quantizer_bits: int = 0,
-) -> np.ndarray:
+) -> tuple:
     """Gate, combine and sample M B-rate antenna signals on one K*B chain.
 
     Each antenna's signal is band-limited interpolated to K*B, multiplied
@@ -126,7 +122,9 @@ def capture_switched(
     variance sigma2 per gated antenna and, for quantizer_bits > 0, a
     uniform quantizer are applied to the combined capture [K*samples].
     S is the M x K 0/1 switch matrix, rows antennas, columns slots; every
-    slot must gate at least one antenna.
+    slot must gate at least one antenna. Returns the capture and the noise
+    variances [K] of the chains time_despread recovers from it, taken before
+    quantization: the SINR does not model quantization noise.
     """
     S = _checked_switch(rx, S)
     K = S.shape[1]
@@ -136,17 +134,19 @@ def capture_switched(
         gate = np.tile(S[m], reps)
         total += upsample(signal, K) * gate
     total *= loss_amp
-    total += _slot_noise(S, reps, sigma2, rng)
+    noise, law = _slot_noise(S, reps, sigma2, rng)
+    total += noise
     if quantizer_bits:
         total = quantize(total, quantizer_bits)
-    return total
+    return total, law
 
 
 def switched_chains(
     rx: np.ndarray, S: np.ndarray, sigma2: float, rng: Rng, loss_amp: float = 1.0
-) -> np.ndarray:
+) -> tuple:
     """The K virtual chains [K, samples] that time_despread recovers from an
-    unquantized capture_switched capture, in closed form.
+    unquantized capture_switched capture, in closed form, and their noise
+    variances [K], as capture_switched returns them.
 
     Chain k is loss_amp times the sum of the B-rate signals of the antennas
     slot k gates, plus the time-despread K*B noise capture_switched draws
@@ -160,18 +160,21 @@ def switched_chains(
     parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
     chains = (S.T.astype(np.float64) @ parts).view(np.complex128)
     chains *= loss_amp
-    chains += time_despread(_slot_noise(S, rx.shape[1], sigma2, rng), K)
-    return chains
+    noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
+    chains += time_despread(noise, K)
+    return chains, law
 
 
-def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> np.ndarray:
+def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> tuple:
     """One dedicated B-rate chain per antenna (row of rx), independent AWGN
-    of variance sigma2 per chain, no switches and no insertion loss."""
+    of variance sigma2 per chain, no switches and no insertion loss; returns
+    the chains and their noise variances [chains]."""
     _check_received(rx)
     # one draw in the order of per-chain normal_complex calls: each chain's
     # real parts, then its imaginary parts
     z = rng.generator.standard_normal((rx.shape[0], 2, rx.shape[1]))
-    return rx + (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * np.sqrt(sigma2)
+    noise = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * np.sqrt(sigma2)
+    return rx + noise, np.full(len(rx), sigma2)
 
 
 def hybrid_weights(H_ref: np.ndarray, arch: str) -> np.ndarray:
@@ -193,13 +196,14 @@ def hybrid_weights(H_ref: np.ndarray, arch: str) -> np.ndarray:
     return w
 
 
-def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng) -> np.ndarray:
+def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng) -> tuple:
     """Phase-shifter front end: chain k = sum_m weights[m][k] * antenna_m.
 
     Noise of variance sigma2 enters per antenna (ahead of the combining
     network) and is therefore correlated across chains through the
-    weights. A zero weight leaves its antenna unconnected; nonzero weights
-    must be unit modulus.
+    weights; returns the chains and their noise covariance [K, K]. A zero
+    weight leaves its antenna unconnected; nonzero weights must be unit
+    modulus.
     """
     _check_received(rx)
     weights = np.asarray(weights, dtype=np.complex128)
@@ -209,4 +213,4 @@ def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng)
     if nz.size and np.max(np.abs(nz - 1.0)) > 1e-9:
         raise ValueError("nonzero weights must be unit modulus")
     rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
-    return weights.T @ rx
+    return weights.T @ rx, sigma2 * (weights.T @ weights.conj())

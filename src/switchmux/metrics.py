@@ -70,10 +70,8 @@ def sinr(comb: CombinerMatrix, heff: np.ndarray, noise: np.ndarray) -> np.ndarra
     P[u, j, f] = sum_c V[u, c, f] * Heff[c, j, f]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
     the quadratic form V_u C V_u^H of the combiner row with the chain noise
-    covariance C.  noise gives C by its shape: independent chains pass
-    their variances [chains] (sigma2 each for physical chains, sigma2
-    times the slot occupancy for switched ones), and front ends whose
-    chain noise is correlated (phase-shifter combining) pass C [chains,
+    covariance C.  noise is the law a front end returns (see frontend):
+    the diagonal of C [chains] for independent chains, or C [chains,
     chains].  Bins average in the linear domain; values cap at +80 dB.
     """
     v = comb.weights

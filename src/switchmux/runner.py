@@ -35,6 +35,7 @@ import ctypes
 import errno
 import itertools
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -237,29 +238,23 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
     sigma2 = noise_power(rx, cfg.snr_db, len(bits))
 
     if cfg.arch == "switched":
-        s = _select_matrix(cfg, h_ref, trial_rng)
+        mixing = _select_matrix(cfg, h_ref, trial_rng)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
         if cfg.quantizer_bits:
             # rounding is nonlinear, so a quantized chain needs the K*B stream
-            capture = capture_switched(
-                rx, s, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
+            capture, noise = capture_switched(
+                rx, mixing, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
             )
             chains = time_despread(capture, cfg.chains)
         else:
-            chains = switched_chains(rx, s, sigma2, noise_rng, loss_amp)
-        truth = true_effective_channel(gains, s, loss_amp)
-        # independent chains; chain k inherits the n-way split noise of its slot
-        noise = sigma2 * s.sum(axis=0)
+            chains, noise = switched_chains(rx, mixing, sigma2, noise_rng, loss_amp)
     elif cfg.arch in ("hbf_full", "hbf_partial"):
-        weights = hybrid_weights(h_ref, cfg.arch)
-        chains = capture_hybrid(rx, weights, sigma2, noise_rng)
-        truth = true_effective_channel(gains, weights)
-        # per-antenna noise, correlated across chains by the weights
-        noise = sigma2 * (weights.T @ weights.conj())
+        mixing, loss_amp = hybrid_weights(h_ref, cfg.arch), 1.0
+        chains, noise = capture_hybrid(rx, mixing, sigma2, noise_rng)
     else:  # dbf, and each fdma user's single-antenna link
-        chains = capture_physical(rx, sigma2, noise_rng)
-        truth = true_effective_channel(gains)
-        noise = np.full(len(chains), sigma2)
+        mixing, loss_amp = None, 1.0
+        chains, noise = capture_physical(rx, sigma2, noise_rng)
+    truth = true_effective_channel(gains, mixing, loss_amp)
 
     spectra = symbol_spectra(chains)
     est = estimate_channel(spectra, len(bits), cfg.lts_repeats)
@@ -427,8 +422,9 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     equal draw keys, trial-major within a group, and cut into
     min(pairs, workers) contiguous blocks of near-equal size, one task each,
     so a trial is drawn once per block that holds it.  A single block runs
-    in this process, without a pool.  OpenBLAS is held to one thread first,
-    before any worker forks (one_blas_thread).
+    in this process, without a pool.  OpenBLAS is held to one thread first
+    (one_blas_thread), and the pool forks its workers, whatever the default
+    start method, so they inherit that pin.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -443,7 +439,8 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     cuts = [len(pairs) * b // n for b in range(n + 1)]
     blocks = [[(combos[i], t) for i, t in pairs[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
     if len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=len(blocks), mp_context=fork) as pool:
             done = list(pool.map(_grid_task, blocks))
     else:
         done = [_grid_task(block) for block in blocks]

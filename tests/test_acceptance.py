@@ -54,8 +54,8 @@ def test_virtual_equals_physical_rows_match_the_full_capture(monkeypatch, tmp_pa
 
     def full_capture(rx, S, sigma2, rng, loss_amp=1.0):
         calls.append(1)
-        capture = runner.capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
-        return runner.time_despread(capture, S.shape[1])
+        capture, noise = runner.capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
+        return runner.time_despread(capture, S.shape[1]), noise
 
     monkeypatch.setattr(runner, "switched_chains", full_capture)
     full = tmp_path / "full.csv"

@@ -50,13 +50,13 @@ class TestControlWord:
 class TestCaptureSwitched:
     def test_single_antenna_single_slot_identity(self):
         x = random_streams(1, 64, 2)
-        y = capture_switched(x, np.array([[1]]), NOISELESS, Rng(1))
+        y, _ = capture_switched(x, np.array([[1]]), NOISELESS, Rng(1))
         assert y.shape == (64,)
         assert np.max(np.abs(y - x[0])) < 1e-12
 
     def test_identity_matrix_interleaves_interpolated_antennas(self):
         streams = random_streams(4, 32, 3)
-        y = capture_switched(streams, np.eye(4, dtype=int), NOISELESS, Rng(1))
+        y, _ = capture_switched(streams, np.eye(4, dtype=int), NOISELESS, Rng(1))
         assert y.shape == (4 * 32,)
         for k in range(4):
             up = upsample(streams[k], 4)
@@ -65,7 +65,7 @@ class TestCaptureSwitched:
     def test_shared_slot_sums_antennas(self):
         streams = random_streams(2, 32, 4)
         S = np.array([[1, 0], [1, 1]])
-        y = capture_switched(streams, S, NOISELESS, Rng(1))
+        y, _ = capture_switched(streams, S, NOISELESS, Rng(1))
         a = upsample(streams[0], 2)
         b = upsample(streams[1], 2)
         assert np.max(np.abs(y[0::2] - (a + b)[0::2])) < 1e-12
@@ -73,7 +73,7 @@ class TestCaptureSwitched:
 
     def test_insertion_loss_scales_amplitude(self):
         streams = random_streams(1, 32, 5)
-        y = capture_switched(
+        y, _ = capture_switched(
             streams, np.array([[1]]), NOISELESS, Rng(1), loss_amp=10 ** (-0.3)
         )
         assert np.max(np.abs(y - streams[0] * 10 ** (-0.3))) < 1e-12
@@ -83,7 +83,7 @@ class TestCaptureSwitched:
         # of exactly the antennas of its slot
         streams = random_streams(4, 32, 6)
         S = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
-        y = capture_switched(streams, S, NOISELESS, Rng(1))
+        y, _ = capture_switched(streams, S, NOISELESS, Rng(1))
         ups = [upsample(s, 2) for s in streams]
         assert np.max(np.abs(y[0::2] - (ups[0] + ups[1])[0::2])) < 1e-12
         assert np.max(np.abs(y[1::2] - (ups[2] + ups[3])[1::2])) < 1e-12
@@ -92,19 +92,19 @@ class TestCaptureSwitched:
         s1 = random_streams(2, 32, 7)
         s2 = random_streams(2, 32, 8)
         S = np.array([[1, 0], [0, 1]])
-        got = capture_switched(s1 + s2, S, NOISELESS, Rng(1))
-        want = capture_switched(s1, S, NOISELESS, Rng(1)) + capture_switched(
-            s2, S, NOISELESS, Rng(1)
-        )
+        got, _ = capture_switched(s1 + s2, S, NOISELESS, Rng(1))
+        want1, _ = capture_switched(s1, S, NOISELESS, Rng(1))
+        want2, _ = capture_switched(s2, S, NOISELESS, Rng(1))
+        want = want1 + want2
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_despread_recovers_physical_chains(self):
         # identity S, no loss, no noise: switched + despread equals the
         # dedicated-chain capture
         streams = random_streams(4, 64, 9)
-        y = capture_switched(streams, np.eye(4, dtype=int), NOISELESS, Rng(1))
+        y, _ = capture_switched(streams, np.eye(4, dtype=int), NOISELESS, Rng(1))
         chains = time_despread(y, 4)
-        phys = capture_physical(streams, NOISELESS, Rng(1))
+        phys, _ = capture_physical(streams, NOISELESS, Rng(1))
         assert np.max(np.abs(chains - phys)) < 1e-6
 
     def test_noise_calibration_after_despread(self):
@@ -112,7 +112,7 @@ class TestCaptureSwitched:
         n, K, snr_db = 30000, 4, 10.0
         streams = random_streams(K, n, 10)
         sigma2 = noise_power(streams, snr_db, 1)
-        y = capture_switched(streams, np.eye(K, dtype=int), sigma2, Rng(2, 5))
+        y, _ = capture_switched(streams, np.eye(K, dtype=int), sigma2, Rng(2, 5))
         chains = time_despread(y, K)
         p_sig = np.mean(np.abs(streams) ** 2)
         noise = chains - streams
@@ -121,7 +121,7 @@ class TestCaptureSwitched:
 
     def test_quantizer_applied(self):
         streams = random_streams(1, 64, 11)
-        y = capture_switched(
+        y, _ = capture_switched(
             streams, np.array([[1]]), NOISELESS, Rng(1), quantizer_bits=4
         )
         assert len(set(np.round(y.real, 12))) <= 16
@@ -129,8 +129,9 @@ class TestCaptureSwitched:
     def test_zero_quantizer_bits_is_off(self):
         streams = random_streams(1, 64, 11)
         S = np.array([[1]])
-        np.testing.assert_array_equal(capture_switched(streams, S, NOISELESS, Rng(1)), streams[0])
-        y = capture_switched(streams, S, NOISELESS, Rng(1), quantizer_bits=0)
+        y, _ = capture_switched(streams, S, NOISELESS, Rng(1))
+        np.testing.assert_array_equal(y, streams[0])
+        y, _ = capture_switched(streams, S, NOISELESS, Rng(1), quantizer_bits=0)
         np.testing.assert_array_equal(y, streams[0])
 
     @pytest.mark.parametrize(
@@ -153,7 +154,7 @@ class TestCaptureSwitched:
 
 def oracle_chains(rx, S, sigma2, rng, loss_amp):
     """The K*B capture despread into its K chains."""
-    capture = capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
+    capture, _ = capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
     return time_despread(capture, S.shape[1])
 
 
@@ -178,7 +179,7 @@ class TestSwitchedChains:
         S = gating_matrix(M, K, 40 + K)
         assert (S.sum(axis=1) == 0).any() and (S.sum(axis=0) > 1).any()
         rx = random_streams(M, 96, 50 + K)
-        got = switched_chains(rx, S, sigma2, Rng(9, K), loss_amp=0.8)
+        got, _ = switched_chains(rx, S, sigma2, Rng(9, K), loss_amp=0.8)
         want = oracle_chains(rx, S, sigma2, Rng(9, K), 0.8)
         assert got.shape == (K, 96)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -191,7 +192,7 @@ class TestSwitchedChains:
         for k in range(K):
             want[k] = rx[S[:, k] == 1].sum(axis=0)
         want *= 0.8
-        got = switched_chains(rx, S, NOISELESS, Rng(2), loss_amp=0.8)
+        got, _ = switched_chains(rx, S, NOISELESS, Rng(2), loss_amp=0.8)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize(
@@ -216,17 +217,19 @@ class TestSwitchedChains:
 class TestCapturePhysical:
     def test_noiseless_chains_equal_antennas(self):
         streams = random_streams(3, 32, 14)
-        out = capture_physical(streams, NOISELESS, Rng(1))
+        out, _ = capture_physical(streams, NOISELESS, Rng(1))
         assert np.array_equal(out, streams)
 
     def test_chain_count(self):
         streams = random_streams(8, 16, 15)
-        assert capture_physical(streams, NOISELESS, Rng(1)).shape == (8, 16)
+        chains, _ = capture_physical(streams, NOISELESS, Rng(1))
+        assert chains.shape == (8, 16)
 
     def test_noise_independent_across_chains(self):
         streams = np.ones((2, 10**5), complex)
         sigma2 = noise_power(streams, 0.0, 1)
-        a, b = capture_physical(streams, sigma2, Rng(3, 1)) - streams
+        chains, _ = capture_physical(streams, sigma2, Rng(3, 1))
+        a, b = chains - streams
         rho = np.corrcoef(np.abs(a), np.abs(b))[0, 1]
         assert abs(rho) < 0.01
 
@@ -237,7 +240,7 @@ class TestCapturePhysical:
         want = streams[:chains].copy()
         for chain in want:
             chain += rng.normal_complex(chain.size) * np.sqrt(0.2)
-        got = capture_physical(streams[:chains], 0.2, Rng(6, M))
+        got, _ = capture_physical(streams[:chains], 0.2, Rng(6, M))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -247,8 +250,8 @@ class TestCaptureHybrid:
         w = np.zeros((4, 2), dtype=complex)
         w[0, 0] = 1.0
         w[1, 1] = 1.0
-        got = capture_hybrid(streams, w, NOISELESS, Rng(1))
-        want = capture_physical(streams[:2], NOISELESS, Rng(1))
+        got, _ = capture_hybrid(streams, w, NOISELESS, Rng(1))
+        want, _ = capture_physical(streams[:2], NOISELESS, Rng(1))
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_conjugate_combining_gain(self):
@@ -260,7 +263,7 @@ class TestCaptureHybrid:
         streams = h[:, None] * x[None, :]
         w = np.exp(-1j * np.angle(h))[:, None]
         sigma2 = noise_power(streams, snr_db, 1)
-        (chain,) = capture_hybrid(streams, w, sigma2, Rng(4, 2))
+        (chain,), _ = capture_hybrid(streams, w, sigma2, Rng(4, 2))
         clean = M * x
         noise = chain - clean
         snr_out = 10 * np.log10(np.mean(np.abs(clean) ** 2) / np.mean(np.abs(noise) ** 2))
@@ -271,7 +274,7 @@ class TestCaptureHybrid:
         M, K = 64, 8
         streams = random_streams(M, 16, 19)
         w = np.kron(np.eye(K), np.ones((M // K, 1))).astype(complex)
-        out = capture_hybrid(streams, w, NOISELESS, Rng(1))
+        out, _ = capture_hybrid(streams, w, NOISELESS, Rng(1))
         for k in range(K):
             want = np.sum(streams[k * 8 : (k + 1) * 8], axis=0)
             assert np.max(np.abs(out[k] - want)) < 1e-12
@@ -283,7 +286,7 @@ class TestCaptureHybrid:
         w = hybrid_weights(g.standard_normal((8, 64)) + 1j * g.standard_normal((8, 64)), arch)
         noisy = streams + Rng(5).normal_complex(streams.shape) * np.sqrt(0.1)
         want = np.einsum("mk,ms->ks", w, noisy)
-        got = capture_hybrid(streams, w, 0.1, Rng(5))
+        got, _ = capture_hybrid(streams, w, 0.1, Rng(5))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_rejects_non_unit_modulus(self):
@@ -337,7 +340,48 @@ def test_zero_variance_gives_the_noiseless_output(front_end):
         "capture_hybrid": lambda: capture_hybrid(rx, weights, NOISELESS, Rng(7)),
     }
     want = noiseless_outputs(rx, S, weights, 0.8)[front_end]
-    assert np.array_equal(captures[front_end](), want)
+    got, _ = captures[front_end]()
+    assert np.array_equal(got, want)
+
+
+def law_captures(M, K):
+    """The five front ends whose noise law metrics.sinr reads, each as
+    capture(rx, sigma2, rng) -> (chains, law) at M antennas and K chains."""
+    S = gating_matrix(M, K, 27)
+    H = random_streams(K, M, 28)
+    full, partial = hybrid_weights(H, "hbf_full"), hybrid_weights(H, "hbf_partial")
+
+    def despread_capture(rx, sigma2, rng):
+        capture, law = capture_switched(rx, S, sigma2, rng, loss_amp=0.8)
+        return time_despread(capture, K), law
+
+    return {
+        "switched_chains": lambda rx, sigma2, rng: switched_chains(rx, S, sigma2, rng, 0.8),
+        "capture_switched": despread_capture,
+        "dbf": capture_physical,
+        "hbf_full": lambda rx, sigma2, rng: capture_hybrid(rx, full, sigma2, rng),
+        "hbf_partial": lambda rx, sigma2, rng: capture_hybrid(rx, partial, sigma2, rng),
+    }
+
+
+@pytest.mark.parametrize(
+    "front_end", ["switched_chains", "capture_switched", "dbf", "hbf_full", "hbf_partial"]
+)
+def test_noise_law_is_the_covariance_of_the_drawn_noise(front_end):
+    # the capture at sigma2 minus the capture at 0 on the same stream is the
+    # drawn chain noise; each entry of its sample covariance over n samples
+    # has standard error sqrt(C_ii C_jj / n) for circular Gaussian chains
+    M, K, n, sigma2 = 8, 4, 20000, 0.3
+    capture = law_captures(M, K)[front_end]
+    rx = random_streams(M, n, 29)
+    noisy, law = capture(rx, sigma2, Rng(30))
+    clean, _ = capture(rx, NOISELESS, Rng(30))
+    noise = noisy - clean
+    got = noise @ noise.conj().T / n
+    want = np.diag(law) if law.ndim == 1 else law
+    var = np.real(np.diag(want))
+    z = np.abs(got - want) / np.sqrt(np.outer(var, var) / n)
+    assert z.max() < 5
 
 
 class TestNoiseAndQuantizer:

@@ -78,7 +78,11 @@ def test_grid_rows_equal_fresh_trials_on_any_block_split(text):
     with pytest.MonkeyPatch.context() as mp:
         # threads keep the blocks in this process, so the test is of the
         # split, and TestSharedDraw covers the worker processes
-        mp.setattr(runner, "ProcessPoolExecutor", ThreadPoolExecutor)
+        mp.setattr(
+            runner,
+            "ProcessPoolExecutor",
+            lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
+        )
         mp.setattr(runner.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):
             _, rows = runner.run_grid(cfg, workers)
