@@ -169,8 +169,8 @@ def check_interference_floor() -> CheckResult:
                 "interference_floor", False, f"bit errors at users={users} M={ants}"
             )
         truth = true_effective_channel(gains, s)
-        for f in range(truth.shape[2]):
-            g = comb.weights[:, :, f] @ truth[:, :, f]
+        for f in range(len(truth)):
+            g = comb.weights[f] @ truth[f]
             diag = np.abs(np.diag(g)) ** 2
             off = np.abs(g - np.diag(np.diag(g))) ** 2
             leak = off.max() / diag.min()

@@ -2,13 +2,14 @@
 
 Each user sends known training symbols in its own time slot, so every
 chain-user pair gets a clean per-subcarrier estimate of the effective
-channel (physical channel times switch matrix).  Effective channels are
-heff arrays [chains, users, data bins] on the physical scale (transmit
-power normalization undone), one column per entry of DATA_BINS: the pilot
-bins carry nothing this receiver reads, so they are neither estimated nor
-combined.  The digital combiner then inverts that matrix bin by bin:
-zero-forcing uses the pseudo-inverse, built from one stacked SVD over heff
-moved to [bins, chains, users] whose singular values also give each bin's
+channel (physical channel times switch matrix).  Per-bin stacks are
+bins-first, the layout a batched matmul reads: effective channels are heff
+arrays [data bins, chains, users] on the physical scale (transmit power
+normalization undone), one matrix per entry of DATA_BINS, and combiner
+weights are [data bins, users, chains].  The pilot bins carry nothing this
+receiver reads, so they are neither estimated nor combined.  The digital
+combiner inverts heff bin by bin: zero-forcing uses the pseudo-inverse,
+built from one stacked SVD whose singular values also give each bin's
 rank.  Null-space combining projects each user onto the directions the
 others cannot reach; it is defined only on square channels (chains ==
 users, or one user), where that projection is the user's row of the
@@ -32,7 +33,7 @@ from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE
 
 @dataclass(frozen=True)
 class CombinerMatrix:
-    """Per-bin combining weights: weights[user][chain][data bin].
+    """Per-bin combining weights: weights[data bin][user][chain].
 
     ``erased`` marks bins whose effective channel could not be inverted;
     their symbols are zeroed downstream and count as errors.
@@ -43,8 +44,8 @@ class CombinerMatrix:
 
     def __post_init__(self) -> None:
         if self.weights.ndim != 3:
-            raise ValueError("weights must be [users][chains][bins]")
-        if self.erased.shape != (self.weights.shape[2],):
+            raise ValueError("weights must be [bins][users][chains]")
+        if self.erased.shape != (self.weights.shape[0],):
             raise ValueError("one erasure flag per bin")
 
 
@@ -55,24 +56,24 @@ def true_effective_channel(
 
     ``mixing`` is the M x C antenna-to-chain matrix (binary switch columns
     or phase-shifter weights):
-    heff[c, u, f] = loss_amp * sum_m mixing[m, c] * H[u, m, f] on the data bins.
-    Dedicated chains, one per antenna, pass no matrix: heff[m, u, f] =
+    heff[f, c, u] = loss_amp * sum_m mixing[m, c] * H[u, m, f] on the data bins.
+    Dedicated chains, one per antenna, pass no matrix: heff[f, m, u] =
     loss_amp * H[u, m, f].
     """
     picked = gains[:, :, DATA_BINS]
     if mixing is None:
-        return loss_amp * np.moveaxis(picked, 1, 0)
+        return loss_amp * picked.transpose(2, 1, 0)
     mixing = np.asarray(mixing, dtype=np.complex128)
     if mixing.ndim != 2 or mixing.shape[0] != gains.shape[1]:
         raise ValueError("mixing must be antennas x chains")
     users, antennas, bins = picked.shape
     # one product over every (user, bin) column
     columns = picked.transpose(1, 0, 2).reshape(antennas, users * bins)
-    return loss_amp * (mixing.T @ columns).reshape(-1, users, bins)
+    return np.moveaxis(loss_amp * (mixing.T @ columns).reshape(-1, users, bins), 2, 0)
 
 
 def estimate_channel(spectra: np.ndarray, num_users: int, lts_repeats: int) -> np.ndarray:
-    """Estimate heff[chain][user][data bin] from the staggered training slots
+    """Estimate heff[data bin][chain][user] from the staggered training slots
     of a capture's symbol spectra [chains, symbols, fft bins].
 
     Each user's slot holds only that user's training symbol, so division by
@@ -83,7 +84,7 @@ def estimate_channel(spectra: np.ndarray, num_users: int, lts_repeats: int) -> n
     if spectra.ndim != 3 or spectra.shape[1] < preamble:
         raise ValueError("spectra must be [chains, symbols, bins] holding every training slot")
     slots = spectra[:, :preamble, DATA_BINS].reshape(len(spectra), num_users, lts_repeats, -1)
-    return slots.mean(axis=2) / (TX_SCALE * LTS_FREQ[DATA_BINS])
+    return np.moveaxis(slots.mean(axis=2) / (TX_SCALE * LTS_FREQ[DATA_BINS]), 2, 0)
 
 
 def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
@@ -93,18 +94,15 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
     at the given singular-value cutoff; its weights are still the truncated
     pseudo-inverse, but downstream symbols are not trusted.
     """
-    users = heff.shape[1]
+    users = heff.shape[2]
     # np.linalg.pinv step for step, keeping the singular values it cuts
-    stack = np.moveaxis(heff, 2, 0).conj()  # [bins, chains, users]
-    u, sing, vt = np.linalg.svd(stack, full_matrices=False)  # sing descending
+    u, sing, vt = np.linalg.svd(heff.conj(), full_matrices=False)  # sing descending
     # an all-zero bin has no singular value above 0, so its rank is 0
     large = sing > rank_tolerance * sing[:, :1]
     inv = np.divide(1, sing, where=large, out=sing)
     inv[~large] = 0
     pinv = np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
-    # C-ordered [users, chains, bins], the layout apply_combiner and sinr read
-    weights = np.ascontiguousarray(np.moveaxis(pinv, 0, 2))
-    return CombinerMatrix(weights=weights, erased=large.sum(axis=1) < users)
+    return CombinerMatrix(weights=pinv, erased=large.sum(axis=1) < users)
 
 
 def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
@@ -115,7 +113,7 @@ def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> Combine
     users == 1, and there it is row u of the (pseudo-)inverse, so other
     shapes raise ValueError.
     """
-    chains, users, _ = heff.shape
+    _, chains, users = heff.shape
     if chains != users and users != 1:
         raise ValueError(f"null-space combining needs chains == users, got {chains} x {users}")
     return zf_weights(heff, rank_tolerance)
@@ -129,15 +127,12 @@ def apply_combiner(spectra: np.ndarray, comb: CombinerMatrix, lts_repeats: int) 
     constellation scale; erased bins are zeroed and therefore decode as
     errors.
     """
-    preamble = comb.weights.shape[0] * lts_repeats
+    preamble = comb.weights.shape[1] * lts_repeats
     if spectra.ndim != 3 or spectra.shape[1] <= preamble:
         raise ValueError("spectra must be [chains, symbols, bins] holding a payload symbol")
     payload = spectra[:, preamble:, DATA_BINS] / TX_SCALE
     # per bin, weights [users, chains] @ payload [chains, symbols]
-    grids = np.matmul(
-        np.ascontiguousarray(comb.weights.transpose(2, 0, 1)),
-        np.ascontiguousarray(payload.transpose(2, 0, 1)),
-    )
+    grids = np.matmul(comb.weights, np.ascontiguousarray(payload.transpose(2, 0, 1)))
     grids = np.ascontiguousarray(grids.transpose(1, 2, 0))
     grids[:, :, comb.erased] = 0.0
     return grids

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ARCH_CHOICES
-from .equalize import CombinerMatrix
 
 SINR_CAP_DB = 80.0
 
@@ -49,36 +48,33 @@ def _cap_linear(lin: np.ndarray) -> np.ndarray:
 
 
 def _noise_form(v: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Real part of V_u C V_u^H for combiner rows v [users, chains, bins];
+    """Real part of V_u C V_u^H for combiner weights v [bins, users, chains];
     returns [users, bins].
 
     noise is either the variances [chains] of independent chains, the
     diagonal of C, or the covariance C [chains, chains] of correlated ones.
-    Each user's rows [bins, chains] are made contiguous, scaled by the
-    variances or multiplied by C, then multiplied by their own conjugates
-    row by row.
+    Each user's rows [bins, chains] are scaled by the variances or
+    multiplied by C, then multiplied by their own conjugates row by row.
     """
-    rows = np.ascontiguousarray(v.transpose(0, 2, 1))
+    rows = v.transpose(1, 0, 2)
     weighted = rows * noise if noise.ndim == 1 else rows @ noise
     return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
 
 
-def sinr(comb: CombinerMatrix, heff: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Per-user post-combining SINR in dB against the true channel heff
-    [chains, users, data bins] and the chain noise.
+def sinr(weights: np.ndarray, heff: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-user post-combining SINR in dB of combiner weights V [data bins,
+    users, chains] against the true channel heff [data bins, chains, users]
+    and the chain noise.
 
-    P[u, j, f] = sum_c V[u, c, f] * Heff[c, j, f]; per bin the wanted power
+    P[f, u, j] = sum_c V[f, u, c] * Heff[f, c, j]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
     the quadratic form V_u C V_u^H of the combiner row with the chain noise
     covariance C.  noise is the law a front end returns (see frontend):
     the diagonal of C [chains] for independent chains, or C [chains,
     chains].  Bins average in the linear domain; values cap at +80 dB.
     """
-    v = comb.weights
     # per bin, V [users, chains] @ Heff [chains, users]
-    p = np.matmul(
-        np.ascontiguousarray(v.transpose(2, 0, 1)), np.ascontiguousarray(heff.transpose(2, 0, 1))
-    )
+    p = np.matmul(weights, np.ascontiguousarray(heff))
     # C order [users, users, bins], so the sums over users below add in the
     # same order whatever the product's layout
     p = np.ascontiguousarray(p.transpose(1, 2, 0))
@@ -88,9 +84,10 @@ def sinr(comb: CombinerMatrix, heff: np.ndarray, noise: np.ndarray) -> np.ndarra
     wanted = power[idx, idx]
     interference = power.sum(axis=1) - wanted
     noise = np.asarray(noise)
-    if noise.shape not in ((v.shape[1],), (v.shape[1], v.shape[1])):
+    chains = weights.shape[2]
+    if noise.shape not in ((chains,), (chains, chains)):
         raise ValueError("noise must be [chains] or [chains, chains]")
-    denom = interference + np.maximum(_noise_form(v, noise), 0.0)
+    denom = interference + np.maximum(_noise_form(weights, noise), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lin = np.where(denom > 0, wanted / np.maximum(denom, 1e-300), np.inf)
     lin = _cap_linear(np.where(wanted == 0, 0.0, lin))

@@ -261,7 +261,7 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
     combine = nullspace_weights if cfg.combiner == "nullspace" else zf_weights
     comb = combine(est, cfg.rank_tolerance)
     grids = apply_combiner(spectra, comb, cfg.lts_repeats)
-    sinr_db = metrics.sinr(comb, truth, noise)
+    sinr_db = metrics.sinr(comb.weights, truth, noise)
     return grids, sinr_db, metrics.evm(grids, tx_grids)
 
 

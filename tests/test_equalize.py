@@ -18,6 +18,9 @@ from switchmux.equalize import (
     true_effective_channel,
     zf_weights,
 )
+from switchmux.frontend import capture_physical, switched_chains
+from switchmux.grouping import random_switch_matrix
+from switchmux.metrics import sinr
 from switchmux.waveform import (
     CP_LEN,
     DATA_BINS,
@@ -41,12 +44,12 @@ def make_frame(num_users, seed, symbols=2):
 
 
 def inject(tx, heff_full):
-    """Push streams [user, sample] through heff[chain][user][fft bin] and
+    """Push streams [user, sample] through heff[fft bin][chain][user] and
     return the chains' symbol spectra [chain, symbol, fft bin]."""
     heff_full = np.asarray(heff_full, dtype=np.complex128)
-    _, users, fft_size = heff_full.shape
+    fft_size, _, users = heff_full.shape
     assert users == len(tx) and fft_size == FFT_SIZE
-    return symbol_spectra(channel.apply(np.transpose(heff_full, (1, 0, 2)), tx, CP_LEN))
+    return symbol_spectra(channel.apply(np.transpose(heff_full, (2, 1, 0)), tx, CP_LEN))
 
 
 def decoded_ok(grids, payloads):
@@ -55,12 +58,12 @@ def decoded_ok(grids, payloads):
 
 def loop_zf(heff, rank_tolerance=1e-9):
     """Oracle: zero-forcing weights and erasure flags one bin at a time."""
-    chains, users, bins = heff.shape
-    weights = np.empty((users, chains, bins), dtype=np.complex128)
+    bins, chains, users = heff.shape
+    weights = np.empty((bins, users, chains), dtype=np.complex128)
     erased = np.zeros(bins, dtype=bool)
     for f in range(bins):
-        a = heff[:, :, f]
-        weights[:, :, f] = np.linalg.pinv(a, rcond=rank_tolerance)
+        a = heff[f]
+        weights[f] = np.linalg.pinv(a, rcond=rank_tolerance)
         sing = np.linalg.svd(a, compute_uv=False)
         rank = int(np.sum(sing > rank_tolerance * sing[0])) if sing[0] > 0 else 0
         erased[f] = rank < users
@@ -70,9 +73,9 @@ def loop_zf(heff, rank_tolerance=1e-9):
 def random_heff(chains, users, seed, per_bin=True):
     rng = Rng(seed, 77)
     if per_bin:
-        return rng.normal_complex((chains, users, FFT_SIZE))
+        return np.moveaxis(rng.normal_complex((chains, users, FFT_SIZE)), 2, 0)
     flat = rng.normal_complex((chains, users))
-    return np.repeat(flat[:, :, None], FFT_SIZE, axis=2)
+    return np.repeat(flat[None], FFT_SIZE, axis=0)
 
 
 class TestEstimateChannel:
@@ -80,12 +83,12 @@ class TestEstimateChannel:
         _, tx, _ = make_frame(2, seed=1)
         heff = random_heff(2, 2, seed=2)
         est = estimate_channel(inject(tx, heff), 2, REPS)
-        assert np.max(np.abs(est - heff[:, :, DATA_BINS])) < 1e-9
+        assert np.max(np.abs(est - heff[DATA_BINS])) < 1e-9
 
     def test_single_user_flat_gain_on_every_bin(self):
         _, tx, _ = make_frame(1, seed=3)
         gain = 0.5 - 1.2j
-        heff = np.full((1, 1, FFT_SIZE), gain)
+        heff = np.full((FFT_SIZE, 1, 1), gain)
         est = estimate_channel(inject(tx, heff), 1, REPS)
         assert np.max(np.abs(est - gain)) < 1e-9
 
@@ -98,14 +101,14 @@ class TestEstimateChannel:
                 noise = Rng(41, trial + 1000 * reps).normal_complex(clean.shape)
                 spectra = symbol_spectra(clean + noise * np.sqrt(noise_power))
                 est = estimate_channel(spectra, 1, reps)
-                errors[reps].append(est[0, 0] - 1.0)
+                errors[reps].append(est[:, 0, 0] - 1.0)
         ratio = np.var(np.concatenate(errors[1])) / np.var(np.concatenate(errors[2]))
         assert abs(ratio - 2.0) < 0.2
 
     @pytest.mark.parametrize("reps", [1, 2, 3])
     def test_matches_per_user_oracle(self, reps):
         clean, _ = build_frame(Rng(42).bits((3, payload_bits_for_symbols(2))), reps)
-        heff = np.transpose(random_heff(4, 3, seed=43), (1, 0, 2))
+        heff = np.transpose(random_heff(4, 3, seed=43), (2, 1, 0))
         chains = channel.apply(heff, clean, CP_LEN)
         chains = chains + 0.1 * Rng(44).normal_complex(chains.shape)
         spectra = np.fft.fft(chains.reshape(4, -1, SYMBOL_LEN)[:, :, CP_LEN:], axis=-1)
@@ -117,6 +120,7 @@ class TestEstimateChannel:
             ],
             axis=1,
         )
+        want = np.moveaxis(want, 2, 0)
         assert np.array_equal(estimate_channel(spectra, 3, reps), want)
 
     def test_short_capture_missing_training_fails(self):
@@ -134,7 +138,7 @@ class TestEstimateChannel:
     def test_one_spectra_serve_estimate_and_combine(self):
         # a link takes its capture's spectra once; neither stage writes into them
         _, tx, _ = make_frame(3, seed=45)
-        heff = np.transpose(random_heff(4, 3, seed=46), (1, 0, 2))
+        heff = np.transpose(random_heff(4, 3, seed=46), (2, 1, 0))
         chains = channel.apply(heff, tx, CP_LEN)
         chains = chains + 0.1 * Rng(47).normal_complex(chains.shape)
         spectra = symbol_spectra(chains)
@@ -157,13 +161,13 @@ class TestTrueEffectiveChannel:
                 want = 0.9 * np.sum(
                     mixing[:, c][:, None] * chan[u, :, DATA_BINS].T, axis=0
                 )
-                assert np.allclose(est[c, u], want)
+                assert np.allclose(est[:, c, u], want)
 
     @pytest.mark.parametrize("users, antennas", [(8, 64), (4, 1)])
     def test_dedicated_chains_equal_the_identity_product(self, users, antennas):
         chan = channel.rayleigh(users, antennas, FFT_SIZE, Rng(10), num_taps=4)
         identity = np.eye(antennas, dtype=np.complex128)
-        want = np.einsum("mc,umf->cuf", identity, chan[:, :, DATA_BINS])
+        want = np.einsum("mc,umf->fcu", identity, chan[:, :, DATA_BINS])
         assert np.array_equal(true_effective_channel(chan), want)
         assert np.array_equal(true_effective_channel(chan, loss_amp=0.9), 0.9 * want)
 
@@ -171,7 +175,7 @@ class TestTrueEffectiveChannel:
     def test_mixing_matches_the_einsum(self, users, antennas, chains):
         chan = channel.rayleigh(users, antennas, FFT_SIZE, Rng(11), num_taps=4)
         mixing = Rng(12).normal_complex((antennas, chains))
-        want = 0.9 * np.einsum("mc,umf->cuf", mixing, chan[:, :, DATA_BINS])
+        want = 0.9 * np.einsum("mc,umf->fcu", mixing, chan[:, :, DATA_BINS])
         got = true_effective_channel(chan, mixing, loss_amp=0.9)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -184,14 +188,14 @@ class TestTrueEffectiveChannel:
 class TestZeroForcing:
     def test_identity_channel_passes_grids_through(self):
         _, tx, tx_grids = make_frame(2, seed=10)
-        heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], FFT_SIZE, axis=2)
+        heff = np.repeat(np.eye(2, dtype=complex)[None], FFT_SIZE, axis=0)
         spectra = inject(tx, heff)
         grids = apply_combiner(spectra, zf_weights(estimate_channel(spectra, 2, REPS)), REPS)
         assert np.max(np.abs(grids - tx_grids)) < 1e-9
 
     def test_capture_without_a_payload_symbol_fails(self):
         _, tx, _ = make_frame(2, seed=10)
-        heff = np.repeat(np.eye(2, dtype=complex)[:, :, None], FFT_SIZE, axis=2)
+        heff = np.repeat(np.eye(2, dtype=complex)[None], FFT_SIZE, axis=0)
         spectra = inject(tx, heff)
         comb = zf_weights(estimate_channel(spectra, 2, REPS))
         assert apply_combiner(spectra[:, : 2 * REPS + 1], comb, REPS).shape[1] == 1
@@ -204,7 +208,7 @@ class TestZeroForcing:
         # carry half the per-chain noise power
         _, tx, tx_grids = make_frame(2, seed=11)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
-        heff = np.repeat(a[:, :, None], FFT_SIZE, axis=2)
+        heff = np.repeat(a[None], FFT_SIZE, axis=0)
         spectra = inject(tx, heff)
         est = estimate_channel(spectra, 2, REPS)
         grids = apply_combiner(spectra, zf_weights(est), REPS)
@@ -219,7 +223,7 @@ class TestZeroForcing:
         # per-chain noise sigma^2 maps to ||V_u||^2 sigma^2 after combining
         _, tx, _ = make_frame(2, seed=12)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
-        heff = np.repeat(a[:, :, None], FFT_SIZE, axis=2)
+        heff = np.repeat(a[None], FFT_SIZE, axis=0)
         est = estimate_channel(inject(tx, heff), 2, REPS)
         comb = zf_weights(est)
         sigma2 = 0.3
@@ -237,7 +241,7 @@ class TestZeroForcing:
         est = estimate_channel(spectra, 4, REPS)
         comb = zf_weights(est)
         for f in range(0, DATA_BINS.size, 7):
-            p = np.einsum("uc,cv->uv", comb.weights[:, :, f], heff[:, :, DATA_BINS[f]])
+            p = np.einsum("uc,cv->uv", comb.weights[f], heff[DATA_BINS[f]])
             for u in range(4):
                 cross = np.sum(np.abs(np.delete(p[u], u)) ** 2)
                 assert cross < 1e-6 * np.abs(p[u, u]) ** 2
@@ -246,18 +250,18 @@ class TestZeroForcing:
     @pytest.mark.parametrize("chains, users", [(64, 8), (8, 8), (1, 1)])
     def test_combining_matches_the_einsum(self, chains, users):
         spectra = Rng(13).normal_complex((chains, users * REPS + 3, FFT_SIZE))
-        comb = zf_weights(random_heff(chains, users, 14)[:, :, DATA_BINS])
+        comb = zf_weights(random_heff(chains, users, 14)[DATA_BINS])
         payload = spectra[:, users * REPS :, DATA_BINS] / TX_SCALE
-        want = np.einsum("ucf,csf->usf", comb.weights, payload)
+        want = np.einsum("fuc,csf->usf", comb.weights, payload)
         got = apply_combiner(spectra, comb, REPS)
         assert got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_weights_times_channel_is_identity(self):
-        heff = random_heff(4, 4, seed=16)[:, :, DATA_BINS]
+        heff = random_heff(4, 4, seed=16)[DATA_BINS]
         comb = zf_weights(heff.copy())
         for f in range(DATA_BINS.size):
-            prod = comb.weights[:, :, f] @ heff[:, :, f]
+            prod = comb.weights[f] @ heff[f]
             assert np.max(np.abs(prod - np.eye(4))) < 1e-9
         assert not comb.erased.any()
 
@@ -265,7 +269,7 @@ class TestZeroForcing:
         _, tx, _ = make_frame(2, seed=17)
         heff = random_heff(2, 2, seed=18)
         bad = DATA_BINS[5]
-        heff[:, 1, bad] = heff[:, 0, bad]  # identical columns on one bin
+        heff[bad, :, 1] = heff[bad, :, 0]  # identical columns on one bin
         spectra = inject(tx, heff)
         est = estimate_channel(spectra, 2, REPS)
         comb = zf_weights(est)
@@ -286,11 +290,11 @@ class TestZeroForcing:
         ],
     )
     def test_stacked_matches_per_bin_oracle(self, chains, users, dead):
-        heff = random_heff(chains, users, seed=chains + users)[:, :, DATA_BINS]
+        heff = random_heff(chains, users, seed=chains + users)[DATA_BINS]
         if dead == "rank":
-            heff[:, 1, 9] = 2.0 * heff[:, 0, 9]
+            heff[9, :, 1] = 2.0 * heff[9, :, 0]
         elif dead == "zero":
-            heff[:, :, 9] = 0.0  # sing[0] == 0
+            heff[9] = 0.0  # sing[0] == 0
         comb = zf_weights(heff)
         weights, erased = loop_zf(heff)
         assert np.array_equal(comb.weights, weights)
@@ -300,17 +304,17 @@ class TestZeroForcing:
     @pytest.mark.parametrize("chains, users", [(64, 8), (8, 8), (4, 4)])
     def test_weights_equal_numpy_pinv(self, chains, users):
         stack = Rng(chains, users).normal_complex((DATA_BINS.size, chains, users))
-        comb = zf_weights(np.moveaxis(stack, 0, 2))
-        want = np.moveaxis(np.linalg.pinv(stack, rcond=1e-9), 0, 2)
+        comb = zf_weights(stack)
+        want = np.linalg.pinv(stack, rcond=1e-9)
         assert np.array_equal(comb.weights, want)
         assert not comb.erased.any()
 
     def test_bin_permutation_permutes_weights(self):
-        heff = random_heff(3, 3, seed=19)[:, :, DATA_BINS]
+        heff = random_heff(3, 3, seed=19)[DATA_BINS]
         perm = Rng(20).generator.permutation(DATA_BINS.size)
         w = zf_weights(heff).weights
-        w_p = zf_weights(heff[:, :, perm]).weights
-        assert np.allclose(w[:, :, perm], w_p)
+        w_p = zf_weights(heff[perm]).weights
+        assert np.allclose(w[perm], w_p)
 
 
 class TestNullspace:
@@ -318,7 +322,7 @@ class TestNullspace:
         _, tx, _ = make_frame(2, seed=21)
         a = np.array([[1, -1], [1, 1]], dtype=complex)
         scale = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(FFT_SIZE) / 64)
-        heff = a[:, :, None] * scale[None, None, :]
+        heff = scale[:, None, None] * a[None, :, :]
         spectra = inject(tx, heff)
         est = estimate_channel(spectra, 2, REPS)
         zf = apply_combiner(spectra, zf_weights(est), REPS)
@@ -342,21 +346,21 @@ class TestNullspace:
         comb = nullspace_weights(est)
         assert not comb.erased.any()
         for f in range(0, DATA_BINS.size, 5):
-            p = comb.weights[:, :, f] @ heff[:, :, DATA_BINS[f]]
+            p = comb.weights[f] @ heff[DATA_BINS[f]]
             off = p - np.diag(np.diag(p))
             assert np.max(np.abs(off)) ** 2 < 1e-6
             assert np.allclose(np.diag(p), 1.0)
         assert decoded_ok(apply_combiner(spectra, nullspace_weights(est), REPS), payloads)
 
     def test_degenerate_null_space_erases_bin(self):
-        heff = random_heff(3, 3, seed=26)[:, :, DATA_BINS]
-        heff[:, :, 4] = 0.0  # whole bin dead: no usable projection
+        heff = random_heff(3, 3, seed=26)[DATA_BINS]
+        heff[4] = 0.0  # whole bin dead: no usable projection
         comb = nullspace_weights(heff)
         assert comb.erased[4]
 
     def test_non_square_channel_is_refused(self):
         # with more chains than users the null vector is not unique
-        heff = random_heff(4, 2, seed=27)[:, :, DATA_BINS]
+        heff = random_heff(4, 2, seed=27)[DATA_BINS]
         with pytest.raises(ValueError, match="chains == users"):
             nullspace_weights(heff)
 
@@ -365,6 +369,37 @@ class TestCombinerMatrixValidation:
     def test_rejects_mismatched_erasure_length(self):
         with pytest.raises(ValueError):
             CombinerMatrix(
-                weights=np.zeros((1, 1, 2), dtype=complex),
+                weights=np.zeros((2, 3, 3), dtype=complex),
                 erased=np.zeros(3, dtype=bool),
             )
+
+
+class TestStackLayout:
+    """Per-bin stacks are bins-first, the layout matmul reads: heff
+    [48, C, K] and combiner weights [48, K, C]."""
+
+    @pytest.mark.parametrize("arch, users, antennas", [("switched", 2, 8), ("dbf", 2, 4)])
+    def test_a_link_passes_bins_first_stacks(self, arch, users, antennas):
+        rng = Rng(30)
+        payloads, tx, _ = make_frame(users, seed=31)
+        gains = channel.rayleigh(users, antennas, FFT_SIZE, rng.derive(1), num_taps=3)
+        rx = channel.apply(gains, tx, CP_LEN)
+        if arch == "switched":
+            mixing = random_switch_matrix(antennas, users, rng.derive(2))
+            chains, noise = switched_chains(rx, mixing, 1e-4, rng.derive(3), loss_amp=0.9)
+            truth = true_effective_channel(gains, mixing, loss_amp=0.9)
+        else:
+            chains, noise = capture_physical(rx, 1e-4, rng.derive(3))
+            truth = true_effective_channel(gains)
+        spectra = symbol_spectra(chains)
+        est = estimate_channel(spectra, users, REPS)
+        assert est.shape == truth.shape == (DATA_BINS.size, len(chains), users)
+        comb = zf_weights(est)
+        assert comb.weights.shape == (DATA_BINS.size, users, len(chains))
+        assert comb.weights.flags.c_contiguous
+        for f in range(DATA_BINS.size):
+            assert np.array_equal(comb.weights[f], np.linalg.pinv(est[f], rcond=1e-9))
+        assert decoded_ok(apply_combiner(spectra, comb, REPS), payloads)
+        got = sinr(comb.weights, truth, noise)
+        assert got.shape == (users,)
+        assert np.all(got > 20.0)

@@ -5,7 +5,6 @@ import pytest
 
 from switchmux import metrics
 from switchmux.config import ARCH_CHOICES
-from switchmux.equalize import CombinerMatrix
 from switchmux.metrics import (
     ADC_FOM,
     PowerReport,
@@ -22,12 +21,11 @@ from switchmux.waveform import DATA_BINS
 
 def flat_effective(matrix):
     matrix = np.asarray(matrix, dtype=complex)
-    return np.repeat(matrix[:, :, None], DATA_BINS.size, axis=2)
+    return np.repeat(matrix[None], DATA_BINS.size, axis=0)
 
 
 def identity_combiner(n):
-    w = np.repeat(np.eye(n, dtype=complex)[:, :, None], DATA_BINS.size, axis=2)
-    return CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
+    return np.repeat(np.eye(n, dtype=complex)[None], DATA_BINS.size, axis=0)
 
 
 class TestSinr:
@@ -43,10 +41,9 @@ class TestSinr:
 
     def test_noise_term_uses_combiner_norm(self):
         truth = flat_effective(np.eye(1))
-        w = np.full((1, 1, DATA_BINS.size), 2.0, dtype=complex)
-        comb = CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
+        w = np.full((DATA_BINS.size, 1, 1), 2.0, dtype=complex)
         # signal |2|^2, noise |2|^2 * 0.1 -> SINR = 1/0.1
-        got = sinr(comb, truth, 0.1 * np.eye(1))
+        got = sinr(w, truth, 0.1 * np.eye(1))
         assert np.allclose(got, 10.0, atol=1e-9)
 
     def test_more_noise_never_raises_sinr(self):
@@ -59,10 +56,9 @@ class TestSinr:
 
     def test_correlated_noise_follows_quadratic_form(self):
         truth = flat_effective([[1.0], [1.0]])
-        w = np.ones((1, 2, DATA_BINS.size), dtype=complex)
-        comb = CombinerMatrix(weights=w, erased=np.zeros(DATA_BINS.size, bool))
+        w = np.ones((DATA_BINS.size, 1, 2), dtype=complex)
         # fully correlated chains: noise |1+1|^2 * 0.1, signal |2|^2
-        got = sinr(comb, truth, noise=0.1 * np.ones((2, 2)))
+        got = sinr(w, truth, noise=0.1 * np.ones((2, 2)))
         assert np.allclose(got, 10.0 * np.log10(4.0 / 0.4))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3), (2, 2, 2)])
@@ -70,12 +66,17 @@ class TestSinr:
         truth = flat_effective(np.eye(2))
         with pytest.raises(ValueError, match="noise must be"):
             sinr(identity_combiner(2), truth, np.ones(shape))
+        # 2 users on 3 chains: the noise is sized by the chains, not the users
+        wide = flat_effective(np.eye(2, 3))
+        assert np.all(np.isfinite(sinr(wide, wide.transpose(0, 2, 1), np.ones(3))))
+        with pytest.raises(ValueError, match="noise must be"):
+            sinr(wide, wide.transpose(0, 2, 1), np.ones(2))
 
 
 @pytest.mark.parametrize("users, chains", [(1, 1), (2, 3), (4, 4), (8, 8), (8, 64)])
 def test_noise_form_matches_the_three_operand_einsum(users, chains):
     rng = np.random.default_rng(users * 100 + chains)
-    v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
+    v = rng.normal(size=(48, users, chains)) + 1j * rng.normal(size=(48, users, chains))
     occupancy = rng.integers(1, 4, chains).astype(np.float64)
     w = np.exp(1j * rng.uniform(0, 2 * np.pi, (chains + 2, chains)))
     for noise, exact in [
@@ -86,7 +87,7 @@ def test_noise_form_matches_the_three_operand_einsum(users, chains):
         (0.01 * (w.T @ w.conj()), False),  # correlated phase-shifter chains
     ]:
         cov = (np.diag(noise) if noise.ndim == 1 else noise).astype(np.complex128)
-        old = np.real(np.einsum("ucf,cd,udf->uf", v, cov, v.conj()))
+        old = np.real(np.einsum("fuc,cd,fud->uf", v, cov, v.conj()))
         got = metrics._noise_form(v, noise)
         if exact:
             assert np.array_equal(got, old)
@@ -97,7 +98,7 @@ def test_noise_form_matches_the_three_operand_einsum(users, chains):
 def diagonal_noise_form(v, noise_cov):
     """The noise form of a diagonal covariance as it was computed from a
     dense complex matrix: the rows scaled by its complex diagonal."""
-    rows = np.ascontiguousarray(v.transpose(0, 2, 1))
+    rows = v.transpose(1, 0, 2)
     weighted = rows * np.diagonal(np.asarray(noise_cov, dtype=np.complex128))
     return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
 
@@ -106,7 +107,7 @@ def diagonal_noise_form(v, noise_cov):
 def test_chain_variances_give_the_bytes_of_the_dense_diagonal(chains):
     rng = np.random.default_rng(chains)
     users = min(chains, 8)
-    v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
+    v = rng.normal(size=(48, users, chains)) + 1j * rng.normal(size=(48, users, chains))
     sigma2 = float(rng.uniform(1e-3, 1.0))
     slots = rng.integers(0, 2, (2 * chains, chains))
     slots[rng.integers(0, 2 * chains, chains), np.arange(chains)] = 1
@@ -120,17 +121,16 @@ def test_chain_variances_give_the_bytes_of_the_dense_diagonal(chains):
 @pytest.mark.parametrize("users, chains", [(1, 1), (2, 3), (8, 8), (8, 64)])
 def test_sinr_matches_the_einsum_product(users, chains):
     rng = np.random.default_rng(users * 10 + chains)
-    v = rng.normal(size=(users, chains, 48)) + 1j * rng.normal(size=(users, chains, 48))
-    heff = rng.normal(size=(chains, users, 48)) + 1j * rng.normal(size=(chains, users, 48))
+    v = rng.normal(size=(48, users, chains)) + 1j * rng.normal(size=(48, users, chains))
+    heff = rng.normal(size=(48, chains, users)) + 1j * rng.normal(size=(48, chains, users))
     cov = 0.5 * np.eye(chains, dtype=np.complex128)
-    p = np.einsum("ucf,cjf->ujf", v, heff)
+    p = np.einsum("fuc,fcj->ujf", v, heff)
     power = np.abs(p) ** 2
     wanted = power[np.arange(users), np.arange(users)]
-    noise = np.real(np.einsum("ucf,cd,udf->uf", v, cov, v.conj()))
+    noise = np.real(np.einsum("fuc,cd,fud->uf", v, cov, v.conj()))
     lin = wanted / (power.sum(axis=1) - wanted + noise)
-    comb = CombinerMatrix(weights=v, erased=np.zeros(48, bool))
     want = lin.mean(axis=1)
-    got = 10.0 ** (sinr(comb, heff, cov) / 10.0)
+    got = 10.0 ** (sinr(v, heff, cov) / 10.0)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 

@@ -143,9 +143,9 @@ class TestRunTrial:
             monkeypatch.setattr(runner, name, recording_capture)
         sinr = runner.metrics.sinr
 
-        def recording(comb, heff, noise):
+        def recording(weights, heff, noise):
             seen.append(noise)
-            return sinr(comb, heff, noise)
+            return sinr(weights, heff, noise)
 
         monkeypatch.setattr(runner.metrics, "sinr", recording)
         runner.run_trial(cfg_from(SMALL + f"arch = {arch}\n"), 0)
