@@ -180,6 +180,9 @@ class TestRunTrial:
         assert math.isnan(row["ber"])
         assert row["goodput_bps"] == 0.0
         assert row["total_mw"] > 0
+        # the failed row's bytes: NaN capacity, zero se and bits per joule,
+        # and the 2-chain switched receiver's 354 + 4 + 200 mW
+        assert runner.format_row(row, 2) == "0,switched,4,2,2,15,7,nan,nan,nan,nan,0,nan,0,558,0"
 
     def test_offset_sync_tracks_aligned(self):
         aligned = cfg_from(SMALL + "snr_db = 25\n")
