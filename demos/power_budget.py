@@ -10,24 +10,12 @@ component budgets and folds in a quick throughput run for bits per joule.
 
 import numpy as np
 
-from switchmux import metrics, runner
+from switchmux import cli, runner
 from switchmux.config import build_config, parse_config_text
 
-BW = 10e6
-
+# the power command's defaults are this demo's 8 antennas, 4 users, 10 MHz
 print("component power (mW), 8 antennas, 4 users, 10 MHz per user:\n")
-rows = [
-    ("switched", metrics.power("switched", 8, 4, BW)),
-    ("dbf", metrics.power("dbf", 8, 8, BW)),
-    ("hbf_full", metrics.power("hbf_full", 8, 4, BW)),
-    ("fdma", metrics.power("fdma", 1, 1, 4 * BW)),
-]
-print(f"{'arch':<10}{'rfe':>8}{'switch':>8}{'adc':>8}{'total':>8}")
-for name, rep in rows:
-    print(
-        f"{name:<10}{rep.rfe_mw:>8.0f}{rep.switch_mw:>8.0f}"
-        f"{rep.adc_mw:>8.0f}{rep.total_mw:>8.0f}"
-    )
+cli.main(["power"])
 
 # Same watts question asked as efficiency: run a short experiment per
 # architecture and divide delivered goodput by the power draw.

@@ -89,14 +89,14 @@ def _cmd_power(args) -> int:
         )
     table = [("arch", "M", "chains", "rfe_mw", "switch_mw", "adc_mw", "total_mw")]
     # the hybrid row prices hbf_full, whose power equals hbf_partial's; the
-    # table needs only each arch's chain count, so its config is not checked
+    # table needs only each arch's receiver, so its config is not checked
     for arch in ("switched", "dbf", "hbf_full", "fdma"):
-        chains = ExperimentConfig(arch=arch, users=args.users, antennas=args.antennas).chains
-        # fdma's one antenna and chain sample every user's band
-        m, per_chain = (1, args.users * bw) if arch == "fdma" else (args.antennas, bw)
-        report = metrics.power(arch, m, chains, per_chain)
+        cfg = ExperimentConfig(arch, args.users, args.antennas, bandwidth_hz=bw)
+        report = metrics.power(cfg)
         mw = (report.rfe_mw, report.switch_mw, report.adc_mw, report.total_mw)
-        table.append((arch, str(m), str(chains), *(f"{v:.1f}" for v in mw)))
+        # fdma's users share one antenna
+        m = 1 if arch == "fdma" else cfg.antennas
+        table.append((arch, str(m), str(cfg.chains), *(f"{v:.1f}" for v in mw)))
     # each column keeps its usual width unless a cell needs more, and then
     # takes the widest cell plus one space
     widths = [

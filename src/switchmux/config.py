@@ -196,8 +196,7 @@ _GRID = sorted(
     (f for f in _KEYS if f.metadata["sweep"] is not None), key=lambda f: f.metadata["sweep"]
 )
 _GRID_OF = {"sweep." + f.metadata["key"]: f for f in _GRID}
-_GRID_KEY = {f.name: key for key, f in _GRID_OF.items()}
-_USER_POS_RE = re.compile(r"^scene\.user(\d+)_(x|y)_m$")
+_USER_POS_RE = re.compile(r"^scene\.user(0|[1-9][0-9]*)_(x|y)_m$")
 
 # every key a config file may set; scene.userN_x_m / _y_m come on top
 CONFIG_KEYS = tuple(_FIELD_OF) + tuple(_GRID_OF)
@@ -400,7 +399,7 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     for i, (x, y) in enumerate(cfg.user_positions or ()):
         lines += [f"scene.user{i}_x_m = {x}", f"scene.user{i}_y_m = {y}"]
     for name, values in cfg.sweep:
-        lines.append(f"{_GRID_KEY[name]} = " + ",".join(str(v) for v in values))
+        lines.append(f"sweep.{_FIELD_KEY[name]} = " + ",".join(str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

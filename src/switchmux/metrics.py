@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ARCH_CHOICES
+from .config import ARCH_CHOICES, ExperimentConfig
 
 SINR_CAP_DB = 80.0
 
@@ -124,26 +124,29 @@ def adc_power(fom: float, bits: int, sample_rate_hz: float) -> float:
     return fom * (2.0**bits) * sample_rate_hz
 
 
-def power(arch: str, num_antennas: int, num_chains: int, per_chain_bw_hz: float) -> PowerReport:
-    """Receiver power for one architecture, named as in config.ARCH_CHOICES.
+def power(cfg: ExperimentConfig) -> PowerReport:
+    """Power of the receiver cfg describes, its arch named as in
+    config.ARCH_CHOICES.
 
     Single-RF-chain receivers (switched, fdma) pay one front end; per-chain
-    receivers (dbf, hbf_full, hbf_partial) pay one per chain.  Only the
-    switched design pays the 1 mW-per-antenna switch network.  ADC power
-    scales linearly with the total sampled bandwidth num_chains *
-    per_chain_bw_hz regardless of whether that spectrum lives in one fast
-    converter or many slow ones.
+    receivers (dbf, hbf_full, hbf_partial) pay one per chain, cfg.chains.
+    Only the switched design pays the 1 mW-per-antenna switch network.
+    Each chain's converter samples one bandwidth_hz band, except fdma's
+    single chain, which samples every user's band.  ADC power scales
+    linearly with the total sampled bandwidth regardless of whether that
+    spectrum lives in one fast converter or many slow ones.
     """
-    if arch not in ARCH_CHOICES:
-        raise ValueError(f"unknown architecture {arch!r}")
-    if num_antennas < 1 or num_chains < 1 or per_chain_bw_hz <= 0:
-        raise ValueError("antennas, chains and bandwidth must be positive")
-    if arch in ("switched", "fdma"):
+    if cfg.arch not in ARCH_CHOICES:
+        raise ValueError(f"unknown architecture {cfg.arch!r}")
+    if cfg.antennas < 1 or cfg.users < 1 or cfg.bandwidth_hz <= 0:
+        raise ValueError("antennas, users and bandwidth must be positive")
+    if cfg.arch in ("switched", "fdma"):
         rfe = RFE_SINGLE_CHAIN_MW
     else:
-        rfe = RFE_PER_CHAIN_MW * num_chains
-    switch = SWITCH_PER_ANTENNA_MW * num_antennas if arch == "switched" else 0.0
-    adc = 1000.0 * adc_power(ADC_FOM, ADC_BITS, num_chains * per_chain_bw_hz)
+        rfe = RFE_PER_CHAIN_MW * cfg.chains
+    switch = SWITCH_PER_ANTENNA_MW * cfg.antennas if cfg.arch == "switched" else 0.0
+    bands = cfg.users if cfg.arch == "fdma" else cfg.chains
+    adc = 1000.0 * adc_power(ADC_FOM, ADC_BITS, bands * cfg.bandwidth_hz)
     return PowerReport(rfe_mw=rfe, switch_mw=switch, adc_mw=adc)
 
 

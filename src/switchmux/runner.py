@@ -151,9 +151,12 @@ def _select_matrix(cfg: ExperimentConfig, h_ref: np.ndarray, trial_rng: Rng) -> 
     return np.eye(cfg.antennas, cfg.users, dtype=np.int64)
 
 
-def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, report):
+def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput):
+    """The CSV row mapping, with the row's capacity and the power of the
+    receiver cfg describes."""
     sinr_db = np.asarray(sinr_db, dtype=float)
     se = goodput / (cfg.users * cfg.bandwidth_hz)
+    total_mw = metrics.power(cfg).total_mw
     return {
         "trial_id": trial_id,
         "arch": cfg.arch,
@@ -167,25 +170,16 @@ def _assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput, cap, report):
         "evm_pct": float(evm_pct),
         "ber": float(ber),
         "goodput_bps": float(goodput),
-        "capacity_bps": float(cap),
+        "capacity_bps": metrics.capacity(sinr_db, cfg.bandwidth_hz),
         "se": float(se),
-        "total_mw": float(report.total_mw),
-        "bits_per_joule": float(metrics.bits_per_joule(goodput, report.total_mw)),
+        "total_mw": float(total_mw),
+        "bits_per_joule": float(metrics.bits_per_joule(goodput, total_mw)),
     }
-
-
-def _power_report(cfg: ExperimentConfig) -> metrics.PowerReport:
-    if cfg.arch == "fdma":
-        return metrics.power(cfg.arch, 1, 1, cfg.users * cfg.bandwidth_hz)
-    return metrics.power(cfg.arch, cfg.antennas, cfg.chains, cfg.bandwidth_hz)
 
 
 def _failed_row(cfg: ExperimentConfig, trial_id: int) -> dict:
     nan = float("nan")
-    report = _power_report(cfg)
-    return _assemble_row(
-        cfg, trial_id, np.full(cfg.users, nan), nan, nan, 0.0, nan, report
-    )
+    return _assemble_row(cfg, trial_id, np.full(cfg.users, nan), nan, nan, 0.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -273,10 +267,7 @@ def _score(cfg, trial_id, bits, grids, sinrs, evms) -> dict:
     sinr_db = np.concatenate(sinrs)
     airtime_s = grids.shape[1] * (SYMBOL_LEN / cfg.bandwidth_hz)
     goodput, ber = metrics.goodput_and_ber(recovered, bits, airtime_s)
-    cap = metrics.capacity(sinr_db, cfg.bandwidth_hz)
-    return _assemble_row(
-        cfg, trial_id, sinr_db, np.mean(evms), ber, goodput, cap, _power_report(cfg)
-    )
+    return _assemble_row(cfg, trial_id, sinr_db, np.mean(evms), ber, goodput)
 
 
 def run_trial(cfg: ExperimentConfig, trial_id: int, draws: dict | None = None) -> dict:

@@ -53,6 +53,11 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             cfg_from("userz = 4")
+        # a leading zero or a non-ASCII digit would name user 0 a second way,
+        # and whichever key came last would set the coordinate silently
+        for key in ("scene.user00_x_m", "scene.user٠_x_m"):
+            with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}'")):
+                cfg_from(f"scene.user0_x_m = 3\n{key} = 5")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

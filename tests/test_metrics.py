@@ -1,10 +1,12 @@
 """Metric arithmetic and power model tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from switchmux import metrics
-from switchmux.config import ARCH_CHOICES
+from switchmux.config import ARCH_CHOICES, ExperimentConfig
 from switchmux.metrics import (
     ADC_FOM,
     PowerReport,
@@ -166,39 +168,48 @@ class TestCapacity:
 
 class TestPowerModel:
     def test_switched_receiver_total(self):
-        report = power("switched", num_antennas=8, num_chains=4, per_chain_bw_hz=10e6)
+        report = power(ExperimentConfig("switched", users=4, antennas=8, bandwidth_hz=10e6))
         assert (report.rfe_mw, report.switch_mw, report.adc_mw) == (354.0, 8.0, 400.0)
         assert report.total_mw == 762.0
 
     def test_four_chain_digital_total(self):
-        report = power("dbf", num_antennas=4, num_chains=4, per_chain_bw_hz=10e6)
+        report = power(ExperimentConfig("dbf", users=4, antennas=4, bandwidth_hz=10e6))
         assert report.total_mw == 2032.0
 
     def test_eight_chain_digital_total(self):
-        report = power("dbf", num_antennas=8, num_chains=8, per_chain_bw_hz=10e6)
+        report = power(ExperimentConfig("dbf", users=4, antennas=8, bandwidth_hz=10e6))
         assert report.total_mw == 4064.0
 
     def test_single_chain_wideband_total(self):
-        report = power("fdma", num_antennas=1, num_chains=1, per_chain_bw_hz=40e6)
-        assert report.total_mw == 754.0
+        # fdma's one chain samples all four users' bands, whatever the array
+        for antennas in (1, 8):
+            report = power(ExperimentConfig("fdma", users=4, antennas=antennas))
+            assert (report.rfe_mw, report.switch_mw, report.adc_mw) == (354.0, 0.0, 400.0)
+            assert report.total_mw == 754.0
 
     def test_hybrid_pays_per_chain_front_end_but_no_switches(self):
-        report = power("hbf_full", num_antennas=64, num_chains=8, per_chain_bw_hz=10e6)
+        report = power(ExperimentConfig("hbf_full", users=8, antennas=64))
         assert report.rfe_mw == 408.0 * 8
         assert report.switch_mw == 0.0
 
     @pytest.mark.parametrize("arch", ARCH_CHOICES)
     def test_prices_every_config_arch(self, arch):
-        assert power(arch, 8, 4, 10e6).total_mw > 0
+        assert power(ExperimentConfig(arch, users=4, antennas=8)).total_mw > 0
 
     def test_both_hybrids_price_alike(self):
-        assert power("hbf_full", 64, 8, 10e6) == power("hbf_partial", 64, 8, 10e6)
+        full = ExperimentConfig("hbf_full", users=8, antennas=64)
+        assert power(full) == power(replace(full, arch="hbf_partial"))
 
     def test_unknown_arch_rejected(self):
         # "hbf" names no architecture: the hybrids are hbf_full and hbf_partial
         for arch in ("hbf", "mimo"):
             with pytest.raises(ValueError, match="unknown architecture"):
-                power(arch, 4, 4, 10e6)
+                power(ExperimentConfig(arch, users=4, antennas=4))
+
+    @pytest.mark.parametrize("field", [{"users": 0}, {"antennas": 0}, {"bandwidth_hz": 0.0}])
+    def test_non_positive_receiver_rejected(self, field):
+        with pytest.raises(ValueError, match="must be positive"):
+            power(replace(ExperimentConfig(), **field))
 
     def test_adc_linearity_and_resolution(self):
         base = adc_power(ADC_FOM, 12, 10e6)
