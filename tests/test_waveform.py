@@ -213,6 +213,49 @@ class TestConvCode:
         for row, codeword in zip(got, coded):
             assert np.array_equal(row, loop_decode(codeword))
 
+    @given(
+        st.integers(1, 12),
+        st.one_of(st.sampled_from([96, 192, 288, 384]), st.integers(7, 400)),
+        st.sampled_from(["noisy", "random"]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_decoder_matches_loop_oracle_at_production_shapes(self, n, steps, kind, seed):
+        # the receiver decodes [users, 2 * 96 * P] batches: 4 x 768 and 8 x 384
+        rng = Rng(seed, 6)
+        if kind == "random":
+            coded = rng.bits(n * 2 * steps).reshape(n, 2 * steps)
+        else:
+            coded = conv_encode(rng.bits((n, steps - 6)))
+            coded ^= rng.generator.random(coded.shape) < 0.1
+        got = viterbi_decode(coded)
+        assert got.shape == (n, steps - 6)
+        for row, codeword in zip(got, coded):
+            assert np.array_equal(row, loop_decode(codeword))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_constant_input_matches_loop_oracle(self, bit):
+        # every branch ties or carries the start penalty: the tie rule decides
+        coded = np.full((2, 2 * 384), bit)
+        got = viterbi_decode(coded)
+        assert got.shape == (2, 378)
+        for row, codeword in zip(got, coded):
+            assert np.array_equal(row, loop_decode(codeword))
+
+    def test_empty_batch_decodes_to_empty_payload(self):
+        got = viterbi_decode(np.zeros((0, 40), dtype=int))
+        assert got.shape == (0, 14)
+        assert got.dtype == np.int64
+
+    def test_read_only_input_is_decoded_and_left_unchanged(self):
+        bits = Rng(7, 0).bits((3, 90))
+        coded = conv_encode(bits)
+        coded[:, ::17] ^= 1
+        before = coded.copy()
+        coded.flags.writeable = False
+        assert np.array_equal(viterbi_decode(coded), bits)
+        assert np.array_equal(coded, before)
+
     @given(st.integers(1, 4), st.integers(1, 120), st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, rows, n, seed):
