@@ -119,25 +119,34 @@ def viterbi_decode(coded) -> np.ndarray:
     if steps <= _TAIL:
         raise ValueError("too short to contain a terminated codeword")
     pairs = 2 * coded[:, 0::2] + coded[:, 1::2]
-    branch = _BRANCH_METRICS[pairs.T]  # [steps, codewords, choice, b, j]
+    # [steps, choice, codewords, b, j], so each step reads one contiguous block
+    branch = np.ascontiguousarray(_BRANCH_METRICS[pairs.T].transpose(0, 2, 1, 3, 4))
     # int32 holds any codeword under 5e8 steps: only the first _TAIL steps
     # carry the 10**9 start penalty, and a path gains at most 2 per step
-    metrics = np.full((n, 64), 10**9, dtype=np.int32)
-    metrics[:, 0] = 0
+    metrics = np.full((n, 2, 32), 10**9, dtype=np.int32)  # state s = 32·b + j
+    metrics[:, 0, 0] = 0
+    # pred[choice, i, 0, j] is metrics[i, 2·j + choice], predecessor 2·j + choice
+    pred = metrics.reshape(n, 32, 2).transpose(2, 0, 1)[:, :, None, :]
+    cand = np.empty((2, n, 2, 32), dtype=np.int32)
+    even, odd = cand
     back = np.empty((steps, n, 2, 32), dtype=bool)
-    for t in range(steps):
-        even = metrics[:, None, 0::2] + branch[t, :, 0]
-        odd = metrics[:, None, 1::2] + branch[t, :, 1]
-        np.less(odd, even, out=back[t])
-        metrics = np.minimum(even, odd).reshape(n, 64)
-    # survivor predecessor of state s: 2·(s & 31) + choice
-    prev = back.reshape(steps, n, 64) + _EVEN_PREDECESSOR
-    rows = np.arange(n)
-    state = np.zeros(n, dtype=np.int8)  # zero tail forces the final state
+    # every step writes into the buffers above and allocates nothing
+    for b, d in zip(branch, back):
+        np.add(pred, b, out=cand)
+        np.less(odd, even, out=d)
+        np.minimum(even, odd, out=metrics)
+    # survivor predecessor of state s, read off the flat [codewords · 64]
+    # table: 2·(s & 31) + choice, where choice is back's bool as int8
+    prev = back.reshape(steps, n * 64).view(np.int8)
+    prev += np.tile(_EVEN_PREDECESSOR, n)
+    base = 64 * np.arange(n)
+    idx = np.empty(n, dtype=base.dtype)
     states = np.empty((steps, n), dtype=np.int8)
-    for t in range(steps - 1, -1, -1):
-        states[t] = state
-        state = prev[t, rows, state]
+    states[-1] = 0  # zero tail forces the final state
+    # take's default mode="raise" buffers out; every index is in range
+    for p, s_in, s_out in zip(prev[:0:-1], states[:0:-1], states[-2::-1]):
+        np.add(base, s_in, out=idx)
+        p.take(idx, out=s_out, mode="clip")
     return (states[: steps - _TAIL].T >> 5).astype(np.int64)  # input bit of each state
 
 
