@@ -119,8 +119,9 @@ def viterbi_decode(coded) -> np.ndarray:
     if steps <= _TAIL:
         raise ValueError("too short to contain a terminated codeword")
     pairs = 2 * coded[:, 0::2] + coded[:, 1::2]
-    # [steps, choice, codewords, b, j], so each step reads one contiguous block
-    branch = np.ascontiguousarray(_BRANCH_METRICS[pairs.T].transpose(0, 2, 1, 3, 4))
+    # [steps, choice, codewords, b, j], gathered in that order so each step
+    # reads one contiguous block: the indices broadcast to [steps, choice, codewords]
+    branch = _BRANCH_METRICS[pairs.T[:, None], np.arange(2)[:, None]]
     # int32 holds any codeword under 5e8 steps: only the first _TAIL steps
     # carry the 10**9 start penalty, and a path gains at most 2 per step
     metrics = np.full((n, 2, 32), 10**9, dtype=np.int32)  # state s = 32·b + j
