@@ -102,6 +102,22 @@ def loop_decode(coded):
     return bits[: steps - 6]
 
 
+def assert_batch_matches_loop_oracle(rng, n, steps, kind):
+    """Decode n noisy codewords or n uniformly random words of `steps` trellis
+    steps in one batch, and each row again with loop_decode."""
+    # uniformly random bits are far from every codeword, so many
+    # add-compare-select steps tie and the tie rule is exercised
+    if kind == "random":
+        coded = rng.bits(n * 2 * steps).reshape(n, 2 * steps)
+    else:
+        coded = conv_encode(rng.bits((n, steps - 6)))
+        coded ^= rng.generator.random(coded.shape) < 0.1
+    got = viterbi_decode(coded)
+    assert got.shape == (n, steps - 6)
+    for row, codeword in zip(got, coded):
+        assert np.array_equal(row, loop_decode(codeword))
+
+
 class TestSubcarrierMaps:
     def test_counts(self):
         assert len(DATA_BINS) == 48
@@ -200,18 +216,7 @@ class TestConvCode:
     )
     @settings(max_examples=30, deadline=None)
     def test_batched_decoder_matches_loop_oracle(self, n, steps, kind, seed):
-        # uniformly random bits are far from every codeword, so many
-        # add-compare-select steps tie and the tie rule is exercised
-        rng = Rng(seed, 5)
-        if kind == "random":
-            coded = rng.bits(n * 2 * steps).reshape(n, 2 * steps)
-        else:
-            coded = conv_encode(rng.bits((n, steps - 6)))
-            coded ^= rng.generator.random(coded.shape) < 0.1
-        got = viterbi_decode(coded)
-        assert got.shape == (n, steps - 6)
-        for row, codeword in zip(got, coded):
-            assert np.array_equal(row, loop_decode(codeword))
+        assert_batch_matches_loop_oracle(Rng(seed, 5), n, steps, kind)
 
     @given(
         st.integers(1, 12),
@@ -222,16 +227,7 @@ class TestConvCode:
     @settings(max_examples=15, deadline=None)
     def test_decoder_matches_loop_oracle_at_production_shapes(self, n, steps, kind, seed):
         # the receiver decodes [users, 2 * 96 * P] batches: 4 x 768 and 8 x 384
-        rng = Rng(seed, 6)
-        if kind == "random":
-            coded = rng.bits(n * 2 * steps).reshape(n, 2 * steps)
-        else:
-            coded = conv_encode(rng.bits((n, steps - 6)))
-            coded ^= rng.generator.random(coded.shape) < 0.1
-        got = viterbi_decode(coded)
-        assert got.shape == (n, steps - 6)
-        for row, codeword in zip(got, coded):
-            assert np.array_equal(row, loop_decode(codeword))
+        assert_batch_matches_loop_oracle(Rng(seed, 6), n, steps, kind)
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_constant_input_matches_loop_oracle(self, bit):
