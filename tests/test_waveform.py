@@ -229,6 +229,13 @@ class TestConvCode:
         # the receiver decodes [users, 2 * 96 * P] batches: 4 x 768 and 8 x 384
         assert_batch_matches_loop_oracle(Rng(seed, 6), n, steps, kind)
 
+    @pytest.mark.parametrize("kind", ["noisy", "random"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("steps", range(7, 20))
+    def test_every_short_step_count_matches_loop_oracle(self, steps, n, kind):
+        # both parities and every remainder mod 6 of the step count
+        assert_batch_matches_loop_oracle(Rng(10 * steps + n, 7), n, steps, kind)
+
     @pytest.mark.parametrize("bit", [0, 1])
     def test_constant_input_matches_loop_oracle(self, bit):
         # every branch ties or carries the start penalty: the tie rule decides
