@@ -24,7 +24,8 @@ shared arrays are read-only, so a stage that writes into them fails
 loudly.  A sweep runs the checked combos of ``config.sweep_combos`` and
 lists every (combo, trial_id) pair, each draw key's pairs trial by trial.  A task block is a
 contiguous run of that list, one per worker; it keeps one draw at a time,
-so a trial is drawn once per block that holds it.  The rows are written
+so a trial is drawn once per block that holds it.  The sweep's own process
+runs the first block and forked pool workers the others.  The rows are written
 in (combo, trial_id) order, so identical configs reproduce identical
 bytes whatever the worker count or the split of blocks.
 """
@@ -412,10 +413,12 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     The (combo, trial_id) pairs are listed group by group of combos with
     equal draw keys, trial-major within a group, and cut into
     min(pairs, workers) contiguous blocks of near-equal size, one task each,
-    so a trial is drawn once per block that holds it.  A single block runs
-    in this process, without a pool.  OpenBLAS is held to one thread first
-    (one_blas_thread), and the pool forks its workers, whatever the default
-    start method, so they inherit that pin.
+    so a trial is drawn once per block that holds it.  This process runs
+    the first block itself; a pool of one worker per other block takes the
+    rest, and it is handed them, so it forks, before this process starts
+    its own.  OpenBLAS is held to one thread first (one_blas_thread), and
+    the pool forks its workers, whatever the default start method, so they
+    inherit that pin.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -431,8 +434,9 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     blocks = [[(combos[i], t) for i, t in pairs[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
     if len(blocks) > 1:
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(blocks), mp_context=fork) as pool:
-            done = list(pool.map(_grid_task, blocks))
+        with ProcessPoolExecutor(max_workers=len(blocks) - 1, mp_context=fork) as pool:
+            rest = pool.map(_grid_task, blocks[1:])  # submits, so forks, at once
+            done = [_grid_task(blocks[0]), *rest]
     else:
         done = [_grid_task(block) for block in blocks]
     rows = [None] * (len(combos) * cfg.trials)

@@ -13,7 +13,8 @@ the payload QAM grids [users, P, data bins].  Frames start with per-user
 long training symbols in non-overlapping time slots so each user's channel
 can be estimated cleanly.  The receiver demaps and deinterleaves a whole
 [users, P, data bins] grid at once and decodes all its codewords in one
-batched Viterbi pass back to [users, bits].
+batched radix-4 Viterbi pass back to [users, bits]: two trellis steps per
+add-compare-select, with each decision kept in the path metric's low bits.
 """
 
 from __future__ import annotations
@@ -80,7 +81,33 @@ def _branch_metrics() -> np.ndarray:
 
 
 _BRANCH_METRICS = _branch_metrics()
-_EVEN_PREDECESSOR = (2 * (np.arange(64) & 31)).astype(np.int8)
+
+
+def _two_step_branch_metrics() -> np.ndarray:
+    """Two trellis steps' Hamming distance shifted left by 6, plus the
+    decision code q << 2k: [k, 4·first pair + second pair, q, s] int32.
+
+    State s is entered from two-step predecessor 4·(s & 15) + q, q = 2·c2 +
+    c1, through 2·(s & 31) + c2 with choice c1 at the first step and c2 at
+    the second; k is the pass's place in its 6-step block.
+    """
+    s = np.arange(64)
+    q = np.arange(4)[:, None]
+    dist = _BRANCH_METRICS.reshape(4, 2, 64)  # [pair, choice, entered state]
+    first = dist[:, q & 1, 2 * (s & 31) + (q >> 1)]  # [pair, q, s]
+    second = dist[:, q >> 1, s]
+    both = (first[:, None] + second[None, :]).astype(np.int32) << 6
+    k = np.arange(3)[:, None, None, None, None]
+    return (both + (q << 2 * k)).reshape(3, 16, 4, 64).astype(np.int32)
+
+
+_TWO_STEP_BRANCH_METRICS = _two_step_branch_metrics()
+# A candidate's distance is at most 2 per step, so below 2 * _MAX_STEPS, or
+# _START_PENALTY + 14 for the candidates of the first 7 steps that still
+# carry the penalty.  Both stay below 2**25, so the distance shifted by 6
+# plus its 6 history bits fits int32.
+_START_PENALTY = 2**24
+_MAX_STEPS = 2**24 - 1
 
 
 def conv_encode(bits) -> np.ndarray:
@@ -104,11 +131,17 @@ def conv_encode(bits) -> np.ndarray:
 def viterbi_decode(coded) -> np.ndarray:
     """Hard-decision Viterbi for conv_encode's code.
 
-    ``coded`` is a batch [codewords, coded bits] of equal even length;
-    returns the payload bits [codewords, bits] with the tail removed.  All
-    codewords share one add-compare-select pass: a survivor switches to the
-    odd predecessor only when that is strictly shorter, which is argmin's
-    first-index tie rule.
+    ``coded`` is a batch [codewords, coded bits] of equal even length, at
+    most 2 * _MAX_STEPS bits; returns the payload bits [codewords, bits]
+    with the tail removed.  All codewords share one radix-4 add-compare-
+    select pass, two trellis steps per pass.  Each path metric is its
+    distance shifted left by 6 over the decisions of its current 6-step
+    block, so one minimum over the four two-step candidates picks the
+    shortest, and among equals the smaller (second, first) step choice: at
+    every step a survivor switches to the odd predecessor only when that is
+    strictly shorter, argmin's first-index tie rule.  After each block the
+    6 decision bits of a state are its survivor's state 6 steps back; the
+    traceback follows them a block at a time.
     """
     coded = np.asarray(coded, dtype=np.int64)
     if coded.ndim != 2 or coded.shape[1] % 2 != 0:
@@ -118,37 +151,50 @@ def viterbi_decode(coded) -> np.ndarray:
     n, steps = coded.shape[0], coded.shape[1] // 2
     if steps <= _TAIL:
         raise ValueError("too short to contain a terminated codeword")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps} trellis steps overflow the path metric; at most {_MAX_STEPS}")
     pairs = 2 * coded[:, 0::2] + coded[:, 1::2]
-    # [steps, choice, codewords, b, j], gathered in that order so each step
-    # reads one contiguous block: the indices broadcast to [steps, choice, codewords]
-    branch = _BRANCH_METRICS[pairs.T[:, None], np.arange(2)[:, None]]
-    # int32 holds any codeword under 5e8 steps: only the first _TAIL steps
-    # carry the 10**9 start penalty, and a path gains at most 2 per step
-    metrics = np.full((n, 2, 32), 10**9, dtype=np.int32)  # state s = 32·b + j
-    metrics[:, 0, 0] = 0
-    # pred[choice, i, 0, j] is metrics[i, 2·j + choice], predecessor 2·j + choice
-    pred = metrics.reshape(n, 32, 2).transpose(2, 0, 1)[:, :, None, :]
-    cand = np.empty((2, n, 2, 32), dtype=np.int32)
-    even, odd = cand
-    back = np.empty((steps, n, 2, 32), dtype=bool)
-    # every step writes into the buffers above and allocates nothing
-    for b, d in zip(branch, back):
+    first = steps % 2  # an odd count takes its first step in closed form
+    metrics = np.full((n, 64), _START_PENALTY << 6, dtype=np.int32)
+    metrics[:, 0] = 0
+    if first:  # from state 0 into states 0 and 32
+        metrics[:, ::32] = _BRANCH_METRICS[pairs[:, 0], 0, :, 0].astype(np.int32) << 6
+    passes = (steps - first) // 2
+    quads = 4 * pairs[:, first::2] + pairs[:, first + 1 :: 2]  # [codewords, passes]
+    # [passes, q, codewords, s], gathered in that order so each pass reads
+    # one contiguous block; state s = 16·hi + lo is split for the pred view
+    branch = _TWO_STEP_BRANCH_METRICS[
+        (np.arange(passes) % 3)[:, None, None], quads.T[:, None], np.arange(4)[:, None]
+    ].reshape(passes, 4, n, 4, 16)
+    # pred[q, i, 0, lo] is metrics[i, 4·lo + q], the predecessor of 16·hi + lo
+    pred = metrics.reshape(n, 16, 4).transpose(2, 0, 1)[:, :, None, :]
+    survivors = metrics.reshape(n, 4, 16)
+    cand = np.empty((4, n, 4, 16), dtype=np.int32)
+    history = np.empty((passes // 3, n, 64), dtype=np.int32)
+    # every pass writes into the buffers above and allocates nothing
+    for p, b in enumerate(branch):
         np.add(pred, b, out=cand)
-        np.less(odd, even, out=d)
-        np.minimum(even, odd, out=metrics)
-    # survivor predecessor of state s, read off the flat [codewords · 64]
-    # table: 2·(s & 31) + choice, where choice is back's bool as int8
-    prev = back.reshape(steps, n * 64).view(np.int8)
-    prev += np.tile(_EVEN_PREDECESSOR, n)
-    base = 64 * np.arange(n)
-    idx = np.empty(n, dtype=base.dtype)
-    states = np.empty((steps, n), dtype=np.int8)
-    states[-1] = 0  # zero tail forces the final state
+        np.minimum.reduce(cand, axis=0, out=survivors)
+        if p % 3 == 2:  # a block ends: keep its decision bits and clear them
+            np.bitwise_and(metrics, 63, out=history[p // 3])
+            metrics &= -64
+    # the zero tail ends in state 0, whose decision bits are its state at
+    # the end of the last whole block (0 when no partial block follows);
+    # walk the flat [codewords · 64] tables back one take per block
+    base = np.arange(0, 64 * n, 64, dtype=np.int32)
+    history += base[:, None]
+    blocks = len(history)
+    states = np.empty((blocks + 1, n), dtype=np.int32)
+    np.bitwise_and(metrics[:, 0], 63, out=states[-1])
+    states[-1] += base
     # take's default mode="raise" buffers out; every index is in range
-    for p, s_in, s_out in zip(prev[:0:-1], states[:0:-1], states[-2::-1]):
-        np.add(base, s_in, out=idx)
-        p.take(idx, out=s_out, mode="clip")
-    return (states[: steps - _TAIL].T >> 5).astype(np.int64)  # input bit of each state
+    tables = history.reshape(blocks, n * 64)[::-1]
+    for h, s_in, s_out in zip(tables, states[:0:-1], states[-2::-1]):
+        h.take(s_in, out=s_out, mode="clip")
+    # a block's end state holds its 6 input bits, the newest in bit 5;
+    # states[0] is the state after the closed-form step (or the start)
+    bits = (states.T[:, :, None] & 63) >> np.arange(6)
+    return (bits & 1).reshape(n, 6 * blocks + 6)[:, 6 - first : steps - first]
 
 
 def qam16_map(bits) -> np.ndarray:

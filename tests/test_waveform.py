@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchmux import waveform
 from switchmux.dsp import Rng
 from switchmux.waveform import (
     CODED_BITS_PER_SYMBOL,
@@ -176,6 +177,15 @@ class TestConvCode:
     def test_decoder_rejects_odd_length(self):
         with pytest.raises(ValueError):
             viterbi_decode(np.zeros((1, 13), dtype=int))
+
+    def test_decoder_rejects_more_steps_than_its_metric_holds(self):
+        # a candidate stays below 2 * steps, or the start penalty plus 14,
+        # and either, shifted by 6 over 6 history bits, must fit int32
+        limit = waveform._MAX_STEPS
+        assert (2 * limit << 6) + 63 < 2**31
+        assert (waveform._START_PENALTY + 14 << 6) + 63 < 2**31
+        with pytest.raises(ValueError, match="overflow"):
+            viterbi_decode(np.zeros((0, 2 * (limit + 1)), dtype=int))
 
     def test_encoder_rejects_non_binary(self):
         with pytest.raises(ValueError):
