@@ -414,11 +414,11 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     equal draw keys, trial-major within a group, and cut into
     min(pairs, workers) contiguous blocks of near-equal size, one task each,
     so a trial is drawn once per block that holds it.  This process runs
-    the first block itself; a pool of one worker per other block takes the
-    rest, and it is handed them, so it forks, before this process starts
-    its own.  OpenBLAS is held to one thread first (one_blas_thread), and
-    the pool forks its workers, whatever the default start method, so they
-    inherit that pin.
+    the first block itself, after it has handed the others to a pool of one
+    worker each, so the workers fork before its own block starts.  A single
+    block runs without a pool.  OpenBLAS is held to one thread first
+    (one_blas_thread), and the pool forks its workers, whatever the default
+    start method, so they inherit that pin.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")

@@ -185,16 +185,15 @@ def viterbi_decode(coded) -> np.ndarray:
     history += base[:, None]
     blocks = len(history)
     states = np.empty((blocks + 1, n), dtype=np.int32)
-    np.bitwise_and(metrics[:, 0], 63, out=states[-1])
-    states[-1] += base
+    states[-1] = (metrics[:, 0] & 63) + base
     # take's default mode="raise" buffers out; every index is in range
     tables = history.reshape(blocks, n * 64)[::-1]
     for h, s_in, s_out in zip(tables, states[:0:-1], states[-2::-1]):
         h.take(s_in, out=s_out, mode="clip")
     # a block's end state holds its 6 input bits, the newest in bit 5;
     # states[0] is the state after the closed-form step (or the start)
-    bits = (states.T[:, :, None] & 63) >> np.arange(6)
-    return (bits & 1).reshape(n, 6 * blocks + 6)[:, 6 - first : steps - first]
+    bits = (states.T[:, :, None] >> np.arange(6)) & 1
+    return bits.reshape(n, 6 * blocks + 6)[:, 6 - first : steps - first]
 
 
 def qam16_map(bits) -> np.ndarray:
