@@ -17,17 +17,26 @@ each config field is tagged with the first stage that reads it (the
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
   (``frontend.switched_chains``);
-* score: one decode of every link's grids and the metrics of the row.
+* score: the decode of every link's grids and the metrics of the row,
+  batched per task block (``TrialBlock``): a block's pairs wait with their
+  equalized grids until the first pair of the block's last draw, which
+  decodes all their codewords and its own in one recover_bits call; the
+  later pairs of that draw decode at once, and a block whose pending
+  codeword steps reach ``_DECODE_STEPS`` decodes them early.  Each
+  codeword is decoded on its own trellis, so a row is the same in any
+  batch.
 
 Combos with equal ``draw_key`` draw identical arrays for trial t, and the
 shared arrays are read-only, so a stage that writes into them fails
 loudly.  A sweep runs the checked combos of ``config.sweep_combos`` and
-lists every (combo, trial_id) pair, each draw key's pairs trial by trial.  A task block is a
-contiguous run of that list, one per worker; it keeps one draw at a time,
-so a trial is drawn once per block that holds it.  The sweep's own process
-runs the first block and forked pool workers the others.  The rows are written
-in (combo, trial_id) order, so identical configs reproduce identical
-bytes whatever the worker count or the split of blocks.
+lists every (combo, trial_id) pair, each draw key's pairs trial by trial.
+A task block is a contiguous run of that list, one per worker, run as one
+run_trial call per pair that all share one TrialBlock.  The block keeps
+one draw at a time, so a trial is drawn once per block that holds it.
+The sweep's own process runs the first block and forked pool workers the
+others.  The rows are written in (combo, trial_id) order, so identical
+configs reproduce identical bytes whatever the worker count or the split
+of blocks.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .waveform import (
     CP_LEN,
     FFT_SIZE,
+    INFO_BITS_PER_SYMBOL,
     SYMBOL_LEN,
     build_frame,
     payload_bits_for_symbols,
@@ -260,31 +270,78 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
     return grids, sinr_db, metrics.evm(grids, tx_grids)
 
 
-def _score(cfg, trial_id, bits, grids, sinrs, evms) -> dict:
-    """The score stage: decode the links' equalized grids together in one
-    recover_bits call and turn them into the CSV row mapping."""
-    grids = np.concatenate(grids)
-    recovered = recover_bits(grids)
-    sinr_db = np.concatenate(sinrs)
-    airtime_s = grids.shape[1] * (SYMBOL_LEN / cfg.bandwidth_hz)
-    goodput, ber = metrics.goodput_and_ber(recovered, bits, airtime_s)
-    return _assemble_row(cfg, trial_id, sinr_db, np.mean(evms), ber, goodput)
+# A block decodes its pending codewords once they reach this many trellis
+# steps (codewords x steps), not only at its last draw: recover_bits holds
+# about 55 bytes per codeword step at its peak (the demapped bits, the
+# decoder's uint8 decisions and its int64 output), so a decode stays near
+# 2 MB, about 85 codewords of 384 steps.
+_DECODE_STEPS = 2**15
 
 
-def run_trial(cfg: ExperimentConfig, trial_id: int, draws: dict | None = None) -> dict:
+class TrialBlock:
+    """What the run_trial calls of one task block share: the draw of the
+    current (draw key, trial) and the pending scores, each a row that waits
+    for the block's next decode.
+
+    ``pairs`` lists the block's (combo, trial_id) pairs, one run_trial call
+    each, draw by draw.  The rows wait until the first call of the block's
+    last draw, which decodes them with its own; each later call of that
+    draw decodes its own pair at once.  So the batch lands on a call that
+    draws, one of the block's costliest, never on a cheaper call that
+    reuses the draw (on a grid of several combos, the block's last call
+    would otherwise carry every pair's decode).  A call also decodes early
+    once the pending codeword steps reach _DECODE_STEPS.
+    """
+
+    def __init__(self, pairs: list) -> None:
+        last_cfg, last_trial = pairs[-1]
+        self.last_key = (draw_key(last_cfg), last_trial)
+        self.key = self.draw = None
+        self.pending: list = []
+        self.steps = 0  # the pending codeword steps
+
+    def draw_for(self, cfg: ExperimentConfig, trial_id: int) -> tuple:
+        """The draw of (cfg, trial_id), made unless the previous call drew
+        the same (draw key, trial); the block holds one draw at a time."""
+        key = (draw_key(cfg), trial_id)
+        if key != self.key:
+            self.key = self.draw = None  # so two draws are never held at once
+            self.draw, self.key = draw_trial(cfg, trial_id), key
+        return self.draw
+
+    def decode(self) -> None:
+        """The score stage: decode every pending pair's grids in one
+        recover_bits call and fill each pending row in place.  A grid has
+        one payload_symbols, so its codewords have one length."""
+        if not self.pending:
+            return
+        recovered = recover_bits(np.concatenate([entry[4] for entry in self.pending]))
+        start = 0
+        for row, cfg, trial_id, bits, grids, sinr_db, evm_pct in self.pending:
+            airtime_s = grids.shape[1] * (SYMBOL_LEN / cfg.bandwidth_hz)
+            got = recovered[start : start + len(bits)]
+            goodput, ber = metrics.goodput_and_ber(got, bits, airtime_s)
+            row.update(_assemble_row(cfg, trial_id, sinr_db, evm_pct, ber, goodput))
+            start += len(bits)
+        self.pending.clear()
+        self.steps = 0
+
+
+def run_trial(cfg: ExperimentConfig, trial_id: int, block: TrialBlock | None = None) -> dict:
     """One deterministic end-to-end trial, its draw, each link, then its
     score; returns the CSV row mapping.
 
-    draws, when given, holds draws across calls: the trial's draw is taken
-    from it by (draw_key(cfg), trial_id), or made and put there, so calls
-    whose configs share a draw key draw trial_id once.
+    block, when given, is the TrialBlock the calls of one task block share:
+    the trial's draw is taken from it when the previous call drew the same
+    (draw_key(cfg), trial_id), and the score waits there, so the row this
+    call returns stays empty until a later call of the block (or this one)
+    decodes it and fills it in place.  A failed row (GroupingError) is
+    returned complete.  Without a block the trial is a block of one pair,
+    and its row is complete.
     """
-    if draws is None:
-        draws = {}
-    key = (draw_key(cfg), trial_id)
-    if key not in draws:
-        draws[key] = draw_trial(cfg, trial_id)
-    bits, links = draws[key]
+    if block is None:
+        block = TrialBlock([(cfg, trial_id)])
+    bits, links = block.draw_for(cfg, trial_id)
     trial_rng = Rng(cfg.seed, trial_id)
     noise_rng = trial_rng.derive(_P_NOISE)
     if cfg.arch == "fdma":
@@ -293,28 +350,31 @@ def run_trial(cfg: ExperimentConfig, trial_id: int, draws: dict | None = None) -
         link_rngs = [noise_rng]
 
     grids, sinrs, evms = [], [], []
-    for link, link_rng in zip(links, link_rngs):
-        try:
+    try:
+        for link, link_rng in zip(links, link_rngs):
             got, sinr_db, evm_pct = _run_link(cfg, link, link_rng, trial_rng)
-        except GroupingError:
-            return _failed_row(cfg, trial_id)
-        grids.append(got)
-        sinrs.append(sinr_db)
-        evms.append(evm_pct)
-    return _score(cfg, trial_id, bits, grids, sinrs, evms)
+            grids.append(got)
+            sinrs.append(sinr_db)
+            evms.append(evm_pct)
+    except GroupingError:
+        row = _failed_row(cfg, trial_id)
+    else:
+        row, grids = {}, np.concatenate(grids)
+        score = (row, cfg, trial_id, bits, grids, np.concatenate(sinrs), np.mean(evms))
+        block.pending.append(score)
+        block.steps += grids.shape[0] * grids.shape[1] * INFO_BITS_PER_SYMBOL
+    if block.key == block.last_key or block.steps >= _DECODE_STEPS:
+        block.decode()
+    return row
 
 
-def _grid_task(block) -> list:
-    """Rows of one block of (combo, trial_id) pairs, in block order.  The
-    block lists each draw key's pairs trial by trial, so the task holds one
-    draw at a time and drops it when the (draw key, trial) changes."""
-    draws: dict = {}
-    rows = []
-    for combo, trial_id in block:
-        if (draw_key(combo), trial_id) not in draws:
-            draws.clear()
-        rows.append(run_trial(combo, trial_id, draws))
-    return rows
+def _grid_task(pairs) -> list:
+    """Rows of one block of (combo, trial_id) pairs, in block order, from
+    one run_trial call per pair, all sharing one TrialBlock.  The block
+    lists each draw key's pairs trial by trial, so it holds one draw at a
+    time."""
+    block = TrialBlock(pairs)
+    return [run_trial(combo, trial_id, block) for combo, trial_id in pairs]
 
 
 def _fmt(value) -> str:
@@ -413,10 +473,14 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     The (combo, trial_id) pairs are listed group by group of combos with
     equal draw keys, trial-major within a group, and cut into
     min(pairs, workers) contiguous blocks of near-equal size, one task each,
-    so a trial is drawn once per block that holds it.  This process runs
-    the first block itself, after it has handed the others to a pool of one
-    worker each, so the workers fork before its own block starts.  A single
-    block runs without a pool.  OpenBLAS is held to one thread first
+    so a trial is drawn once per block that holds it, and the codewords
+    of every pair up to the first of the block's last draw are decoded in
+    one recover_bits call (see TrialBlock).  Each block is one run_trial
+    call per pair, and the grid keeps the row each call returns, filled in
+    place by the block's decode.  This process runs the first block
+    itself, after it has handed the others to a pool of one worker each,
+    so the workers fork before its own block starts.  A single block runs
+    without a pool.  OpenBLAS is held to one thread first
     (one_blas_thread), and the pool forks its workers, whatever the default
     start method, so they inherit that pin.
     """

@@ -15,6 +15,10 @@ can be estimated cleanly.  The receiver demaps and deinterleaves a whole
 [users, P, data bins] grid at once and decodes all its codewords in one
 batched radix-4 Viterbi pass back to [users, bits]: two trellis steps per
 add-compare-select, with each decision kept in the path metric's low bits.
+The runner passes a whole task block's grids, tens of codewords, so the
+pass keeps its memory bounded by the batch: the branch metrics are gathered
+a few passes at a time into one reused buffer, and the decisions are kept
+as one uint8 per state and six steps.
 """
 
 from __future__ import annotations
@@ -108,19 +112,37 @@ _TWO_STEP_BRANCH_METRICS = _two_step_branch_metrics()
 # plus its 6 history bits fits int32.
 _START_PENALTY = 2**24
 _MAX_STEPS = 2**24 - 1
+# _TWO_STEP_BRANCH_METRICS as [q, k·16 + pair quad, s], the layout one take
+# gathers a run of passes from, q leading
+_GATHER_TABLE = np.ascontiguousarray(
+    _TWO_STEP_BRANCH_METRICS.reshape(48, 4, 64).transpose(1, 0, 2)
+)
+# the decoder gathers the branch metrics of this many bytes at a time, so
+# its buffer stays in cache and bounded whatever the batch
+_GATHER_BYTES = 2**18
+
+
+def _binary(bits, what: str) -> np.ndarray:
+    """bits as a 2-d uint8 array, refused unless every entry is a 0/1 bool
+    or integer; the dtype and the values are checked before any cast, so a
+    float input is refused, never truncated."""
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be 0/1 integers, got dtype {bits.dtype}")
+    if bits.ndim != 2:
+        raise ValueError(f"{what} must be [codewords, bits]")
+    if ((bits < 0) | (bits > 1)).any():
+        raise ValueError(f"{what} must be 0/1")
+    return bits.astype(np.uint8)
 
 
 def conv_encode(bits) -> np.ndarray:
     """Rate-1/2 constraint-7 encoder, zero-tail terminated: payloads
     [codewords, bits] -> codewords [codewords, 2 * (bits + 6)]."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 2:
-        raise ValueError("bits must be [codewords, bits]")
-    if (bits & ~1).any():
-        raise ValueError("bits must be 0/1")
+    bits = _binary(bits, "bits")
     n = bits.shape[1]
     steps = n + _TAIL
-    padded = np.zeros((len(bits), steps + _TAIL), dtype=np.int64)
+    padded = np.zeros((len(bits), steps + _TAIL), dtype=np.uint8)
     padded[:, _TAIL : _TAIL + n] = bits
     # the 7-bit encoder register at step t holds input bit t - j in bit 6 - j
     reg = sum(padded[:, _TAIL - j : _TAIL - j + steps] << (_TAIL - j) for j in range(CONV_K))
@@ -131,23 +153,27 @@ def conv_encode(bits) -> np.ndarray:
 def viterbi_decode(coded) -> np.ndarray:
     """Hard-decision Viterbi for conv_encode's code.
 
-    ``coded`` is a batch [codewords, coded bits] of equal even length, at
-    most 2 * _MAX_STEPS bits; returns the payload bits [codewords, bits]
-    with the tail removed.  All codewords share one radix-4 add-compare-
-    select pass, two trellis steps per pass.  Each path metric is its
-    distance shifted left by 6 over the decisions of its current 6-step
-    block, so one minimum over the four two-step candidates picks the
-    shortest, and among equals the smaller (second, first) step choice: at
-    every step a survivor switches to the odd predecessor only when that is
-    strictly shorter, argmin's first-index tie rule.  After each block the
-    6 decision bits of a state are its survivor's state 6 steps back; the
-    traceback follows them a block at a time.
+    ``coded`` is a batch [codewords, coded bits] of 0/1 integers, of equal
+    even length, at most 2 * _MAX_STEPS bits; returns the payload bits
+    [codewords, bits] int64 with the tail removed.  All codewords share one
+    radix-4 add-compare-select pass, two trellis steps per pass.  Each path
+    metric is its distance shifted left by 6 over the decisions of its
+    current 6-step block, so one minimum over the four two-step candidates
+    picks the shortest, and among equals the smaller (second, first) step
+    choice: at every step a survivor switches to the odd predecessor only
+    when that is strictly shorter, argmin's first-index tie rule.  After
+    each block the 6 decision bits of a state, its survivor's state 6 steps
+    back, are kept as one uint8; the traceback follows them a block at a
+    time.
+
+    Memory grows as codewords x steps, about 30 bytes each (the uint8
+    decisions take 64 / 6, the int64 output most of the rest), plus one
+    branch-metric buffer that gathers as many passes as fit _GATHER_BYTES
+    (at least one) and is reused for all of them.
     """
-    coded = np.asarray(coded, dtype=np.int64)
-    if coded.ndim != 2 or coded.shape[1] % 2 != 0:
+    coded = _binary(coded, "coded bits")
+    if coded.shape[1] % 2 != 0:
         raise ValueError("coded bits must be [codewords, coded bits] of even length")
-    if (coded & ~1).any():
-        raise ValueError("coded bits must be 0/1")
     n, steps = coded.shape[0], coded.shape[1] // 2
     if steps <= _TAIL:
         raise ValueError("too short to contain a terminated codeword")
@@ -160,40 +186,45 @@ def viterbi_decode(coded) -> np.ndarray:
     if first:  # from state 0 into states 0 and 32
         metrics[:, ::32] = _BRANCH_METRICS[pairs[:, 0], 0, :, 0].astype(np.int32) << 6
     passes = (steps - first) // 2
-    quads = 4 * pairs[:, first::2] + pairs[:, first + 1 :: 2]  # [codewords, passes]
-    # [passes, q, codewords, s], gathered in that order so each pass reads
-    # one contiguous block; state s = 16·hi + lo is split for the pred view
-    branch = _TWO_STEP_BRANCH_METRICS[
-        (np.arange(passes) % 3)[:, None, None], quads.T[:, None], np.arange(4)[:, None]
-    ].reshape(passes, 4, n, 4, 16)
+    # [passes, codewords] rows of _GATHER_TABLE: the pass's place k in its
+    # block and the quad of received pairs it reads
+    rows = (np.arange(passes) % 3 * 16)[:, None] + (
+        4 * pairs[:, first::2].T + pairs[:, first + 1 :: 2].T
+    ).astype(np.intp)
     # pred[q, i, 0, lo] is metrics[i, 4·lo + q], the predecessor of 16·hi + lo
     pred = metrics.reshape(n, 16, 4).transpose(2, 0, 1)[:, :, None, :]
     survivors = metrics.reshape(n, 4, 16)
     cand = np.empty((4, n, 4, 16), dtype=np.int32)
-    history = np.empty((passes // 3, n, 64), dtype=np.int32)
+    history = np.empty((passes // 3, n, 64), dtype=np.uint8)
+    # [q, passes of one gather, codewords, s]; 1 KiB per pass and codeword
+    gather = max(1, min(passes, _GATHER_BYTES // (1024 * max(n, 1))))
+    branch = np.empty((4, gather, n, 64), dtype=np.int32)
+    # the same buffer pass by pass, state s = 16·hi + lo split for pred
+    by_pass = branch.reshape(4, gather, n, 4, 16).transpose(1, 0, 2, 3, 4)
     # every pass writes into the buffers above and allocates nothing
-    for p, b in enumerate(branch):
-        np.add(pred, b, out=cand)
-        np.minimum.reduce(cand, axis=0, out=survivors)
-        if p % 3 == 2:  # a block ends: keep its decision bits and clear them
-            np.bitwise_and(metrics, 63, out=history[p // 3])
-            metrics &= -64
+    for start in range(0, passes, gather):
+        stop = min(start + gather, passes)
+        # take's default mode="raise" buffers out; every row is in range
+        _GATHER_TABLE.take(rows[start:stop], axis=1, out=branch[:, : stop - start], mode="clip")
+        for p, b in enumerate(by_pass[: stop - start], start):
+            np.add(pred, b, out=cand)
+            np.minimum.reduce(cand, axis=0, out=survivors)
+            if p % 3 == 2:  # a block ends: keep its decision bits and clear them
+                np.bitwise_and(metrics, 63, out=history[p // 3], casting="unsafe")
+                metrics &= -64
     # the zero tail ends in state 0, whose decision bits are its state at
     # the end of the last whole block (0 when no partial block follows);
-    # walk the flat [codewords · 64] tables back one take per block
-    base = np.arange(0, 64 * n, 64, dtype=np.int32)
-    history += base[:, None]
+    # walk the history back one block at a time
     blocks = len(history)
-    states = np.empty((blocks + 1, n), dtype=np.int32)
-    states[-1] = (metrics[:, 0] & 63) + base
-    # take's default mode="raise" buffers out; every index is in range
-    tables = history.reshape(blocks, n * 64)[::-1]
-    for h, s_in, s_out in zip(tables, states[:0:-1], states[-2::-1]):
-        h.take(s_in, out=s_out, mode="clip")
+    states = np.empty((blocks + 1, n), dtype=np.uint8)
+    states[-1] = metrics[:, 0] & 63
+    codewords = np.arange(n)
+    for b in range(blocks - 1, -1, -1):
+        states[b] = history[b, codewords, states[b + 1]]
     # a block's end state holds its 6 input bits, the newest in bit 5;
     # states[0] is the state after the closed-form step (or the start)
-    bits = (states.T[:, :, None] >> np.arange(6)) & 1
-    return bits.reshape(n, 6 * blocks + 6)[:, 6 - first : steps - first]
+    bits = np.unpackbits(states.T[:, :, None], axis=2, count=6, bitorder="little")
+    return bits.reshape(n, 6 * blocks + 6)[:, 6 - first : steps - first].astype(np.int64)
 
 
 def qam16_map(bits) -> np.ndarray:
@@ -283,7 +314,8 @@ def recover_bits(grids: np.ndarray) -> np.ndarray:
     [users, payload symbols, data bins] -> payload bits [users, bits].
 
     The whole grid is demapped and deinterleaved at once, and every user's
-    codeword goes through one viterbi_decode call.
+    codeword goes through one viterbi_decode call.  Axis 0 may stack the
+    users of many trials: each codeword is decoded on its own.
     """
     grids = np.asarray(grids)
     if grids.ndim != 3 or grids.shape[2] != len(DATA_BINS):

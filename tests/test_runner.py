@@ -555,13 +555,23 @@ class TestSharedDraw:
         ]
         assert lines == expected
 
-    def test_one_draws_dict_keeps_draw_keys_apart(self):
-        draws: dict = {}
-        for arch, users in [("switched", 2), ("fdma", 2), ("switched", 3), ("dbf", 2)]:
-            cfg = with_overrides(cfg_from(SMALL), arch=arch, users=users)
-            shared = runner.format_row(runner.run_trial(cfg, 1, draws), users)
-            assert shared == runner.format_row(runner.run_trial(cfg, 1), users)
-        assert len(draws) == 3
+    def test_one_draws_dict_keeps_draw_keys_apart(self, monkeypatch):
+        # one TrialBlock shared by calls of three draw keys: each row equals
+        # a fresh trial's, and only the dbf call reuses the draw before it
+        cfgs = [
+            with_overrides(cfg_from(SMALL), arch=arch, users=users)
+            for arch, users in [("switched", 2), ("dbf", 2), ("fdma", 2), ("switched", 3)]
+        ]
+        fresh = [runner.format_row(runner.run_trial(cfg, 1), cfg.users) for cfg in cfgs]
+        drawn = []
+        draw_trial = runner.draw_trial
+        monkeypatch.setattr(
+            runner, "draw_trial", lambda cfg, t: drawn.append(cfg) or draw_trial(cfg, t)
+        )
+        block = runner.TrialBlock([(cfg, 1) for cfg in cfgs])
+        rows = [runner.run_trial(cfg, 1, block) for cfg in cfgs]
+        assert [runner.format_row(row, cfg.users) for row, cfg in zip(rows, cfgs)] == fresh
+        assert [cfg.arch for cfg in drawn] == ["switched", "fdma", "switched"]
 
     def test_draw_arrays_are_read_only(self):
         for arch in ("switched", "fdma"):
@@ -661,6 +671,28 @@ class TestBenchTrace:
         assert sorted(calls - traced - UNTRACED.keys()) == []
         assert sorted(UNTRACED.keys() - calls) == []
         assert sorted(UNTRACED.keys() & traced) == []
+
+    def test_a_traced_grid_decodes_inside_its_trials(self):
+        # the benchmark times runner.run_trial once per pair and sums layer
+        # self times to it, so a block's decode runs inside a trial's call
+        cfg = cfg_from(SMALL + "sweep.arch = switched, fdma\n")
+        tracer = tracing.Tracer()
+        with tracer.installed(tracing.trial_targets(switchmux)):
+            _, rows = runner.run_grid(cfg, 1)
+        spans = tracer.spans
+        assert len(tracer.durations("runner.run_trial")) == len(rows) == 4
+        scored = [
+            i for i, span in enumerate(spans)
+            if span.name.startswith(("metrics.", "waveform.recover_bits", "waveform.viterbi"))
+        ]
+        assert any(spans[i].name == "waveform.viterbi_decode" for i in scored)
+        for i in scored:
+            while spans[i].name != "runner.run_trial":
+                i = spans[i].parent
+                assert i >= 0
+        metrics = tracing.layer_metrics(tracer)
+        accounted = sum(metrics[m] for m in tracing.SELF_MS)
+        assert accounted == pytest.approx(metrics["runner.run_trial.ms"], rel=1e-9)
 
     def test_every_traced_attribute_exists(self):
         missing = [

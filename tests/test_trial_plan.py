@@ -6,7 +6,10 @@ table (``config_strategies.grid_texts``):
   only whether it is fdma;
 * the grid's rows do not depend on how its (combo, trial) pairs are cut
   into blocks: run_grid at 1 and 2 workers and at 3 forced blocks writes
-  the rows that a fresh run_trial gives each pair.
+  the rows that a fresh run_trial gives each pair;
+* nor on how a block batches its decodes: a pair whose selection fails
+  mid-block, and a block that decodes several times, give the rows of
+  fresh trials.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 
 from config_strategies import accepted_combos, grid_texts
 from switchmux import runner
-from switchmux.config import ExperimentConfig
+from switchmux.config import ExperimentConfig, build_config, parse_config_text
+from switchmux.grouping import GroupingError
 
 _LINK_DEFAULTS = {
     f.name: f.default for f in fields(ExperimentConfig) if f.metadata["stage"] == "link"
@@ -87,3 +91,61 @@ def test_grid_rows_equal_fresh_trials_on_any_block_split(text):
         for workers in (1, 2, 3):
             _, rows = runner.run_grid(cfg, workers)
             assert [runner.format_row(row, row["users"]) for row in rows] == expected
+
+
+# one draw key (switched and dbf are not fdma), so the 1-worker grid is one
+# block that runs each trial's switched pair, then its dbf pair
+BLOCK = (
+    "users = 2\nantennas = 4\npayload_symbols = 1\ntrials = 3\nseed = 3\n"
+    "sweep.arch = switched, dbf\n"
+)
+
+
+def _fresh_rows(cfg) -> list:
+    return [
+        runner.format_row(runner.run_trial(c, t), c.users)
+        for c in runner.sweep_combos(cfg)
+        for t in range(cfg.trials)
+    ]
+
+
+def _grid_rows(cfg) -> list:
+    _, rows = runner.run_grid(cfg, 1)
+    return [runner.format_row(row, row["users"]) for row in rows]
+
+
+def test_a_pair_that_fails_mid_block_leaves_the_others_rows(monkeypatch):
+    cfg = build_config(parse_config_text(BLOCK))
+    _, links = runner.draw_trial(cfg, 1)
+    failing = links[0][1][:, :, runner.REFERENCE_BIN]
+    select = runner.inphase_select
+
+    def fail_on_trial_1(h_ref, **kwargs):
+        if np.array_equal(h_ref, failing):
+            raise GroupingError("injected")
+        return select(h_ref, **kwargs)
+
+    monkeypatch.setattr(runner, "inphase_select", fail_on_trial_1)
+    expected = _fresh_rows(cfg)
+    # rows are in (combo, trial) order; the switched pair of trial 1, the
+    # third of the block's six, is the only NaN row
+    assert ["nan" in line.split(",")[7:9] for line in expected] == [
+        False, True, False, False, False, False
+    ]
+    assert _grid_rows(cfg) == expected
+
+
+def test_a_block_that_decodes_several_times_gives_fresh_rows(monkeypatch):
+    cfg = build_config(parse_config_text(BLOCK + "sweep.snr_db = 5, 25\n"))
+    expected = _fresh_rows(cfg)
+    decodes = []
+    recover_bits = runner.recover_bits
+    monkeypatch.setattr(
+        runner, "recover_bits", lambda grids: decodes.append(len(grids)) or recover_bits(grids)
+    )
+    # each pair holds 2 codewords of 96 steps, so the cap decodes every
+    # third pending pair; each pair of the last trial (the block's last
+    # draw) decodes at once, the first with the two pairs before it
+    monkeypatch.setattr(runner, "_DECODE_STEPS", 3 * 2 * 96)
+    assert _grid_rows(cfg) == expected
+    assert decodes == [6, 6, 6, 2, 2, 2]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,45 @@ def loop_decode(coded):
         bits[t] = PREV_BIT[state, choice]
         state = PREV_STATE[state, choice]
     return bits[: steps - 6]
+
+
+def int32_decode(coded):
+    """Oracle for batches too large for loop_decode: the radix-4 pass with
+    one up-front int32 gather of every pass's branch metrics, int32
+    decision history and a traceback over flat [codewords * 64] offsets."""
+    coded = np.asarray(coded, dtype=np.int64)
+    n, steps = coded.shape[0], coded.shape[1] // 2
+    pairs = 2 * coded[:, 0::2] + coded[:, 1::2]
+    first = steps % 2
+    metrics = np.full((n, 64), waveform._START_PENALTY << 6, dtype=np.int32)
+    metrics[:, 0] = 0
+    if first:
+        metrics[:, ::32] = waveform._BRANCH_METRICS[pairs[:, 0], 0, :, 0].astype(np.int32) << 6
+    passes = (steps - first) // 2
+    quads = 4 * pairs[:, first::2] + pairs[:, first + 1 :: 2]
+    branch = waveform._TWO_STEP_BRANCH_METRICS[
+        (np.arange(passes) % 3)[:, None, None], quads.T[:, None], np.arange(4)[:, None]
+    ].reshape(passes, 4, n, 4, 16)
+    pred = metrics.reshape(n, 16, 4).transpose(2, 0, 1)[:, :, None, :]
+    survivors = metrics.reshape(n, 4, 16)
+    cand = np.empty((4, n, 4, 16), dtype=np.int32)
+    history = np.empty((passes // 3, n, 64), dtype=np.int32)
+    for p, b in enumerate(branch):
+        np.add(pred, b, out=cand)
+        np.minimum.reduce(cand, axis=0, out=survivors)
+        if p % 3 == 2:
+            np.bitwise_and(metrics, 63, out=history[p // 3])
+            metrics &= -64
+    base = np.arange(0, 64 * n, 64, dtype=np.int32)
+    history += base[:, None]
+    blocks = len(history)
+    states = np.empty((blocks + 1, n), dtype=np.int32)
+    states[-1] = (metrics[:, 0] & 63) + base
+    tables = history.reshape(blocks, n * 64)[::-1]
+    for h, s_in, s_out in zip(tables, states[:0:-1], states[-2::-1]):
+        h.take(s_in, out=s_out, mode="clip")
+    bits = (states.T[:, :, None] >> np.arange(6)) & 1
+    return bits.reshape(n, 6 * blocks + 6)[:, 6 - first : steps - first]
 
 
 def assert_batch_matches_loop_oracle(rng, n, steps, kind):
@@ -254,6 +295,40 @@ class TestConvCode:
         assert got.shape == (2, 378)
         for row, codeword in zip(got, coded):
             assert np.array_equal(row, loop_decode(codeword))
+
+    @pytest.mark.parametrize("kind", ["noisy", "random"])
+    @pytest.mark.parametrize("steps", [40, 41])
+    def test_batch_past_512_codewords_matches_int32_decoder(self, steps, kind):
+        # 600 codewords pass the 512 * 64 states a 16-bit flat offset holds;
+        # the uint8 history is indexed per block, by codeword and state
+        rng = Rng(steps, 8)
+        if kind == "random":
+            coded = rng.bits((600, 2 * steps))
+        else:
+            coded = conv_encode(rng.bits((600, steps - 6)))
+            coded ^= rng.generator.random(coded.shape) < 0.1
+        np.testing.assert_array_equal(viterbi_decode(coded), int32_decode(coded))
+
+    def test_recover_bits_of_a_block_stays_under_2_mb(self):
+        # a 1-worker decode_heavy block: 20 trials of 4 codewords, 384 steps
+        bits = Rng(9, 0).bits((80, payload_bits_for_symbols(4)))
+        _, grids = build_frame(bits, 2)
+        tracemalloc.start()
+        try:
+            got = recover_bits(grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, bits)
+        assert peak <= 2_000_000
+
+    @pytest.mark.parametrize("scale", [0.9, 1.7])
+    @pytest.mark.parametrize("fn", [conv_encode, viterbi_decode])
+    def test_non_integer_input_is_refused_not_truncated(self, fn, scale):
+        # cast first, 0.9 would read as 0 and 1.7 as 1
+        coded = conv_encode(np.ones((2, 20), dtype=int)) * scale
+        with pytest.raises(ValueError, match="integers"):
+            fn(coded)
 
     def test_empty_batch_decodes_to_empty_payload(self):
         got = viterbi_decode(np.zeros((0, 40), dtype=int))
