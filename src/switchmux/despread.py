@@ -12,10 +12,12 @@ numerical precision for any input.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .codes import phase_matrix
-from .dsp import fractional_delay, signed_bins
+from .dsp import signed_bins
 
 
 def _split(y: np.ndarray, K: int) -> int:
@@ -26,15 +28,30 @@ def _split(y: np.ndarray, K: int) -> int:
     return y.size // K
 
 
+@functools.lru_cache(maxsize=16)
+def _delay_ramps(n: int, K: int) -> np.ndarray:
+    """fractional_delay's bin ramps for the delays k/K, k = 1..K-1, as
+    [K-1, n], read-only; the same expression, so the same bytes."""
+    f = signed_bins(n)
+    delays = (np.arange(1, K) / K)[:, None]
+    ramps = np.exp(-2j * np.pi * f * delays / n)
+    ramps.flags.writeable = False
+    return ramps
+
+
 def time_despread(y: np.ndarray, K: int) -> np.ndarray:
     """Chain k = y[Kn+k], co-phased to chain 0.
 
     Slot k samples the underlying band-limited signal k/K of a B-sample
-    early relative to slot 0, so co-phasing delays chain k by +k/K.
+    early relative to slot 0, so co-phasing delays chain k by +k/K: chains
+    1..K-1 take fractional_delay's exact delay in one batched FFT pair.
     """
-    chains = np.empty((K, _split(y, K)), dtype=np.complex128)
-    for k in range(K):
-        chains[k] = fractional_delay(y[k::K], k / K)
+    n = _split(y, K)
+    slots = y.reshape(n, K).T
+    chains = np.empty((K, n), dtype=np.complex128)
+    chains[0] = slots[0]
+    if K > 1:
+        chains[1:] = np.fft.ifft(np.fft.fft(slots[1:]) * _delay_ramps(n, K))
     return chains
 
 

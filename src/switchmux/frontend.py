@@ -20,10 +20,19 @@ rx, and capture_physical draws every chain's noise in one call. The
 products run on numpy's BLAS, which a sweep holds to one thread
 (runner.one_blas_thread).
 
+Both switched paths add their noise to one noiseless part,
+switched_signal: the gated K*B stream, or the closed-form chains. It reads
+only rx, S and the switch loss, not snr_db, the combiner or the noise
+stream, so the runner computes it once per drawn link and switch matrix
+and passes it to every combo that shares them (runner.TrialBlock); a
+direct call computes it itself. Either way the sums run in one order, so
+the capture's bytes do not depend on who computed it.
+
 Noise convention: noise_power turns snr_db into sigma2, the per-sample
 noise variance of a B-rate chain, against the received power per user
-averaged over the whole frame. The runner computes it once per link and
-passes the same sigma2 to whichever front end captures, so every
+averaged over the whole frame (received_power). The runner measures that
+power once per drawn link and derives sigma2 from it for each link's
+snr_db, passing the same sigma2 to whichever front end captures, so every
 architecture shares one noise reference. Training slots carry one user
 each, so in a multi-user frame the payload SNR sits above snr_db. Each
 front end draws its noise for any sigma2 (zero scales it to exact zeros)
@@ -85,10 +94,15 @@ def _slot_noise(S: np.ndarray, reps: int, sigma2: float, rng: Rng) -> tuple:
     return rng.normal_complex(law.size * reps) * np.sqrt(np.tile(law, reps)), law
 
 
-def noise_power(rx: np.ndarray, snr_db: float, num_users: int) -> float:
+def received_power(rx: np.ndarray) -> float:
+    """The mean per-antenna received power of rx [antennas, samples]."""
+    return float(np.mean(np.mean(np.abs(rx) ** 2, axis=1)))
+
+
+def noise_power(p_rx: float, snr_db: float, num_users: int) -> float:
     """Per-sample noise variance for a B-rate chain at snr_db, referred to
-    the mean per-antenna received power of rx [antennas, samples] per user."""
-    p_ref = float(np.mean(np.mean(np.abs(rx) ** 2, axis=1))) / num_users
+    the received power p_rx (received_power) per user."""
+    p_ref = p_rx / num_users
     return p_ref / 10 ** (snr_db / 10)
 
 
@@ -105,6 +119,36 @@ def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
     return q(samples.real) + 1j * q(samples.imag)
 
 
+def switched_signal(
+    rx: np.ndarray, S: np.ndarray, loss_amp: float = 1.0, *, stream: bool
+) -> np.ndarray:
+    """The noiseless part of a switched capture: the K*B stream [K*samples]
+    capture_switched samples when stream is set, else the K chains
+    [K, samples] switched_chains returns.  It reads only rx, S and
+    loss_amp, so every snr_db and combiner of one draw and switch matrix
+    shares it.  S and rx are checked as capture_switched checks them.
+
+    The stream gates each antenna's signal, band-limited interpolated to
+    K*B, sample by sample with its slot sequence and sums it antenna by
+    antenna; chain k is the sum of the B-rate signals of the antennas slot
+    k gates.  Both are scaled by the switch loss amplitude loss_amp.
+    """
+    S = _checked_switch(rx, S)
+    if stream:
+        K, reps = S.shape[1], rx.shape[1]  # one period of K slot samples per input sample
+        signal = np.zeros(reps * K, dtype=np.complex128)
+        for m, antenna in enumerate(rx):
+            signal += upsample(antenna, K) * np.tile(S[m], reps)
+    else:
+        # S is real, so S.T @ rx runs as a real product on rx's interleaved
+        # real and imaginary parts; adding the gated rows in antenna order,
+        # it gives the bytes of a per-slot sum of rows
+        parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
+        signal = (S.T.astype(np.float64) @ parts).view(np.complex128)
+    signal *= loss_amp
+    return signal
+
+
 def capture_switched(
     rx: np.ndarray,
     S: np.ndarray,
@@ -113,6 +157,7 @@ def capture_switched(
     *,
     loss_amp: float = 1.0,
     quantizer_bits: int = 0,
+    signal: np.ndarray | None = None,
 ) -> tuple:
     """Gate, combine and sample M B-rate antenna signals on one K*B chain.
 
@@ -125,24 +170,28 @@ def capture_switched(
     slot must gate at least one antenna. Returns the capture and the noise
     variances [K] of the chains time_despread recovers from it, taken before
     quantization: the SINR does not model quantization noise.
+
+    signal, when given, is switched_signal(rx, S, loss_amp, stream=True),
+    computed once for every call that shares it; it is not written to.
     """
     S = _checked_switch(rx, S)
-    K = S.shape[1]
-    reps = rx.shape[1]  # one period of K slot samples per input sample
-    total = np.zeros(reps * K, dtype=np.complex128)
-    for m, signal in enumerate(rx):
-        gate = np.tile(S[m], reps)
-        total += upsample(signal, K) * gate
-    total *= loss_amp
-    noise, law = _slot_noise(S, reps, sigma2, rng)
-    total += noise
+    if signal is None:
+        signal = switched_signal(rx, S, loss_amp, stream=True)
+    noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
+    total = signal + noise
     if quantizer_bits:
         total = quantize(total, quantizer_bits)
     return total, law
 
 
 def switched_chains(
-    rx: np.ndarray, S: np.ndarray, sigma2: float, rng: Rng, loss_amp: float = 1.0
+    rx: np.ndarray,
+    S: np.ndarray,
+    sigma2: float,
+    rng: Rng,
+    loss_amp: float = 1.0,
+    *,
+    signal: np.ndarray | None = None,
 ) -> tuple:
     """The K virtual chains [K, samples] that time_despread recovers from an
     unquantized capture_switched capture, in closed form, and their noise
@@ -151,18 +200,14 @@ def switched_chains(
     Chain k is loss_amp times the sum of the B-rate signals of the antennas
     slot k gates, plus the time-despread K*B noise capture_switched draws
     from rng.  S and rx are checked as capture_switched checks them.
+    signal, when given, is switched_signal(rx, S, loss_amp, stream=False),
+    computed once for every call that shares it; it is not written to.
     """
     S = _checked_switch(rx, S)
-    K = S.shape[1]
-    # S is real, so S.T @ rx runs as a real product on rx's interleaved real
-    # and imaginary parts; adding the gated rows in antenna order, it gives
-    # the bytes of a per-slot sum of rows
-    parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
-    chains = (S.T.astype(np.float64) @ parts).view(np.complex128)
-    chains *= loss_amp
+    if signal is None:
+        signal = switched_signal(rx, S, loss_amp, stream=False)
     noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
-    chains += time_despread(noise, K)
-    return chains, law
+    return signal + time_despread(noise, S.shape[1]), law
 
 
 def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> tuple:

@@ -16,7 +16,11 @@ each config field is tagged with the first stage that reads it (the
   fix (``ExperimentConfig.chains``).  A switched link captures the K*B
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
-  (``frontend.switched_chains``);
+  (``frontend.switched_chains``).  What a link reads of its draw before
+  any noise, its received power and its noiseless switched signal
+  (``frontend.switched_signal``, one per switch matrix and path), the
+  block computes once per draw and shares across the combos that read it
+  (``TrialBlock``);
 * score: the decode of every link's grids and the metrics of the row,
   batched per task block (``TrialBlock``): a block's pairs wait with their
   equalized grids until the first pair of the block's last draw, which
@@ -69,7 +73,9 @@ from .frontend import (
     capture_switched,
     hybrid_weights,
     noise_power,
+    received_power,
     switched_chains,
+    switched_signal,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .waveform import (
@@ -230,29 +236,39 @@ def draw_trial(cfg: ExperimentConfig, trial_id: int) -> tuple:
     return bits, links
 
 
-def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng) -> tuple:
-    """Capture one drawn link (bits, gains, tx_grids, rx) with the configured
-    front end, then estimate and combine it.
+def _run_link(
+    cfg: ExperimentConfig, block: TrialBlock, index: int, noise_rng: Rng, trial_rng: Rng
+) -> tuple:
+    """Capture the block's drawn link index, (bits, gains, tx_grids, rx),
+    with the configured front end, then estimate and combine it.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
-    bits, gains, tx_grids, rx = link
+    bits, gains, tx_grids, rx = block.draw[1][index]
     h_ref = gains[:, :, REFERENCE_BIN]
-    sigma2 = noise_power(rx, cfg.snr_db, len(bits))
+    sigma2 = noise_power(block.powers[index], cfg.snr_db, len(bits))
 
     if cfg.arch == "switched":
         mixing = _select_matrix(cfg, h_ref, trial_rng)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
-        if cfg.quantizer_bits:
-            # rounding is nonlinear, so a quantized chain needs the K*B stream
+        # rounding is nonlinear, so a quantized chain needs the K*B stream
+        stream = bool(cfg.quantizer_bits)
+        signal = block.signal_for(index, mixing, loss_amp, stream)
+        if stream:
             capture, noise = capture_switched(
-                rx, mixing, sigma2, noise_rng, loss_amp=loss_amp, quantizer_bits=cfg.quantizer_bits
+                rx,
+                mixing,
+                sigma2,
+                noise_rng,
+                loss_amp=loss_amp,
+                quantizer_bits=cfg.quantizer_bits,
+                signal=signal,
             )
             chains = time_despread(capture, cfg.chains)
         else:
-            chains, noise = switched_chains(rx, mixing, sigma2, noise_rng, loss_amp)
+            chains, noise = switched_chains(rx, mixing, sigma2, noise_rng, loss_amp, signal=signal)
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         mixing, loss_amp = hybrid_weights(h_ref, cfg.arch), 1.0
         chains, noise = capture_hybrid(rx, mixing, sigma2, noise_rng)
@@ -272,16 +288,25 @@ def _run_link(cfg: ExperimentConfig, link: tuple, noise_rng: Rng, trial_rng: Rng
 
 # A block decodes its pending codewords once they reach this many trellis
 # steps (codewords x steps), not only at its last draw: recover_bits holds
-# about 55 bytes per codeword step at its peak (the demapped bits, the
+# about 41 bytes per codeword step at its peak (the demapped bits, the
 # decoder's uint8 decisions and its int64 output), so a decode stays near
-# 2 MB, about 85 codewords of 384 steps.
+# 1.3 MB, about 85 codewords of 384 steps.
 _DECODE_STEPS = 2**15
+
+# A block keeps the noiseless switched signals of its current draw while
+# they hold at most this many bytes, and computes any past it afresh for
+# each call.  A grid_parallel stream (K = 4, 800 samples) is 51 KB, and a
+# 100-symbol K*B stream of M = 64, K = 8 users is 1.2 MB, so three select
+# policies of it fit.
+_SIGNAL_BYTES = 2**22
 
 
 class TrialBlock:
     """What the run_trial calls of one task block share: the draw of the
-    current (draw key, trial) and the pending scores, each a row that waits
-    for the block's next decode.
+    current (draw key, trial), what each of its links gives before any
+    link field (its received power, and its noiseless switched signals),
+    and the pending scores, each a row that waits for the block's next
+    decode.
 
     ``pairs`` lists the block's (combo, trial_id) pairs, one run_trial call
     each, draw by draw.  The rows wait until the first call of the block's
@@ -291,12 +316,21 @@ class TrialBlock:
     reuses the draw (on a grid of several combos, the block's last call
     would otherwise carry every pair's decode).  A call also decodes early
     once the pending codeword steps reach _DECODE_STEPS.
+
+    A draw's links each keep their received power (``powers``), which
+    every snr_db refers its noise to, and a memo of their noiseless
+    switched signals (``signal_for``), so the combos of one draw that
+    share a switch matrix gate and sum its antennas once.  Both are
+    dropped with the draw.
     """
 
     def __init__(self, pairs: list) -> None:
         last_cfg, last_trial = pairs[-1]
         self.last_key = (draw_key(last_cfg), last_trial)
         self.key = self.draw = None
+        self.powers: list = []  # received_power of each drawn link
+        self.signals: dict = {}  # signal_for's memo of the current draw
+        self.signal_bytes = 0
         self.pending: list = []
         self.steps = 0  # the pending codeword steps
 
@@ -305,9 +339,28 @@ class TrialBlock:
         the same (draw key, trial); the block holds one draw at a time."""
         key = (draw_key(cfg), trial_id)
         if key != self.key:
-            self.key = self.draw = None  # so two draws are never held at once
+            # so two draws are never held at once
+            self.key = self.draw = None
+            self.signals.clear()
+            self.signal_bytes = 0
             self.draw, self.key = draw_trial(cfg, trial_id), key
+            self.powers = [received_power(rx) for *_, rx in self.draw[1]]
         return self.draw
+
+    def signal_for(self, index: int, S: np.ndarray, loss_amp: float, stream: bool) -> np.ndarray:
+        """frontend.switched_signal of the current draw's link index,
+        read-only.  It is kept for the later calls of the draw, keyed by
+        (index, stream, S, loss_amp), unless keeping it would take the
+        memo past _SIGNAL_BYTES."""
+        key = (index, stream, S.shape, S.tobytes(), loss_amp)
+        signal = self.signals.get(key)
+        if signal is None:
+            rx = self.draw[1][index][3]
+            signal = _frozen(switched_signal(rx, S, loss_amp, stream=stream))
+            if self.signal_bytes + signal.nbytes <= _SIGNAL_BYTES:
+                self.signals[key] = signal
+                self.signal_bytes += signal.nbytes
+        return signal
 
     def decode(self) -> None:
         """The score stage: decode every pending pair's grids in one
@@ -351,8 +404,8 @@ def run_trial(cfg: ExperimentConfig, trial_id: int, block: TrialBlock | None = N
 
     grids, sinrs, evms = [], [], []
     try:
-        for link, link_rng in zip(links, link_rngs):
-            got, sinr_db, evm_pct = _run_link(cfg, link, link_rng, trial_rng)
+        for index, link_rng in enumerate(link_rngs):
+            got, sinr_db, evm_pct = _run_link(cfg, block, index, link_rng, trial_rng)
             grids.append(got)
             sinrs.append(sinr_db)
             evms.append(evm_pct)

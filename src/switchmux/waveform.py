@@ -12,9 +12,10 @@ A frame is two plain arrays: the transmitted samples [users, samples] and
 the payload QAM grids [users, P, data bins].  Frames start with per-user
 long training symbols in non-overlapping time slots so each user's channel
 can be estimated cleanly.  The receiver demaps and deinterleaves a whole
-[users, P, data bins] grid at once and decodes all its codewords in one
-batched radix-4 Viterbi pass back to [users, bits]: two trellis steps per
-add-compare-select, with each decision kept in the path metric's low bits.
+[users, P, data bins] grid at once, as uint8 bits, and decodes all its
+codewords in one batched radix-4 Viterbi pass back to [users, bits]: two
+trellis steps per add-compare-select, with each decision kept in the path
+metric's low bits.
 The runner passes a whole task block's grids, tens of codewords, so the
 pass keeps its memory bounded by the batch: the branch metrics are gathered
 a few passes at a time into one reused buffer, and the decisions are kept
@@ -39,7 +40,8 @@ USED_BINS = np.sort(np.concatenate([DATA_BINS, PILOT_BINS]))
 
 # Unit-amplitude Gray axis: bit pair 00,01,10,11 -> level -3,-1,+3,+1.
 QAM16_AXIS = np.array([-3, -1, 3, 1]) / np.sqrt(10.0)
-_AXIS_BITS_BY_LEVEL_RANK = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])  # -3,-1,+1,+3
+# levels -3,-1,+1,+3; uint8, the decoder's dtype
+_AXIS_BITS_BY_LEVEL_RANK = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
 CONV_G0 = 0o133
 CONV_G1 = 0o171
@@ -133,7 +135,7 @@ def _binary(bits, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be [codewords, bits]")
     if ((bits < 0) | (bits > 1)).any():
         raise ValueError(f"{what} must be 0/1")
-    return bits.astype(np.uint8)
+    return bits.astype(np.uint8, copy=False)
 
 
 def conv_encode(bits) -> np.ndarray:
@@ -239,11 +241,11 @@ def qam16_map(bits) -> np.ndarray:
 
 
 def qam16_demap(symbols) -> np.ndarray:
-    """Hard nearest-neighbor demapping back to bits."""
+    """Hard nearest-neighbor demapping back to bits, as uint8 0/1."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    out = np.zeros((symbols.size, 4), dtype=np.int64)
+    out = np.empty((symbols.size, 4), dtype=np.uint8)
     for axis, col in ((symbols.real.ravel(), 0), (symbols.imag.ravel(), 2)):
-        rank = np.clip(np.round((axis * np.sqrt(10.0) + 3) / 2), 0, 3).astype(np.int64)
+        rank = np.clip(np.round((axis * np.sqrt(10.0) + 3) / 2), 0, 3).astype(np.uint8)
         out[:, col : col + 2] = _AXIS_BITS_BY_LEVEL_RANK[rank]
     return out.reshape(-1)
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchmux import despread
 from switchmux.despread import freq_despread, spectrum_zones, time_despread
+from switchmux.dsp import fractional_delay
 
 
 def random_stream(n, seed):
@@ -40,6 +42,18 @@ class TestTimeDespread:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             time_despread(random_stream(65, 4), 4)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [2, 5, 800, 960, 1440])
+    def test_bytes_of_the_per_chain_fractional_delay(self, K, n):
+        # chain k delayed by k/K on its own, the loop the batched FFT pair
+        # replaces
+        y = random_stream(K * n, (K, n))
+        want = np.stack([fractional_delay(y[k::K], k / K) for k in range(K)])
+        got = time_despread(y, K)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not despread._delay_ramps(n, K).flags.writeable
 
 
 class TestSpectrumZones:

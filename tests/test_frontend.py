@@ -14,6 +14,7 @@ from switchmux.frontend import (
     hybrid_weights,
     noise_power,
     quantize,
+    received_power,
     switched_chains,
 )
 
@@ -111,7 +112,7 @@ class TestCaptureSwitched:
         # a despreaded chain must see the configured per-user SNR
         n, K, snr_db = 30000, 4, 10.0
         streams = random_streams(K, n, 10)
-        sigma2 = noise_power(streams, snr_db, 1)
+        sigma2 = noise_power(received_power(streams), snr_db, 1)
         y, _ = capture_switched(streams, np.eye(K, dtype=int), sigma2, Rng(2, 5))
         chains = time_despread(y, K)
         p_sig = np.mean(np.abs(streams) ** 2)
@@ -227,7 +228,7 @@ class TestCapturePhysical:
 
     def test_noise_independent_across_chains(self):
         streams = np.ones((2, 10**5), complex)
-        sigma2 = noise_power(streams, 0.0, 1)
+        sigma2 = noise_power(received_power(streams), 0.0, 1)
         chains, _ = capture_physical(streams, sigma2, Rng(3, 1))
         a, b = chains - streams
         rho = np.corrcoef(np.abs(a), np.abs(b))[0, 1]
@@ -262,7 +263,7 @@ class TestCaptureHybrid:
         x = (g.standard_normal(n) + 1j * g.standard_normal(n)) / np.sqrt(2)
         streams = h[:, None] * x[None, :]
         w = np.exp(-1j * np.angle(h))[:, None]
-        sigma2 = noise_power(streams, snr_db, 1)
+        sigma2 = noise_power(received_power(streams), snr_db, 1)
         (chain,), _ = capture_hybrid(streams, w, sigma2, Rng(4, 2))
         clean = M * x
         noise = chain - clean
@@ -388,11 +389,11 @@ class TestNoiseAndQuantizer:
     def test_noise_power_uses_explicit_reference(self):
         # the reference is the mean per-antenna received power: 2 here
         rx = np.sqrt([[1.0], [3.0]]) * np.ones((2, 100), complex)
-        assert noise_power(rx, 10.0, 1) == pytest.approx(0.2)
+        assert noise_power(received_power(rx), 10.0, 1) == pytest.approx(0.2)
 
     def test_noise_power_measured_fallback(self):
         streams = 2 * np.ones((1, 100), complex)
-        assert noise_power(streams, 0.0, 2) == pytest.approx(2.0)
+        assert noise_power(received_power(streams), 0.0, 2) == pytest.approx(2.0)
 
     def test_quantizer_error_bounded(self):
         g = np.random.Generator(np.random.Philox(key=22))

@@ -625,10 +625,12 @@ UNTRACED = {
     "runner.sweep_combos": "grid level, not per trial",
     "runner.hybrid_weights": "cheap per-link helper",
     "runner.noise_power": "cheap per-link helper",
+    "runner.received_power": "cheap per-draw helper",
     "runner.payload_bits_for_symbols": "cheap per-link helper",
     "channel.ula_positions": "cheap per-link helper",
     "runner.switched_chains": "hot, unwrapped until the benchmark harness next changes",
     "runner.symbol_spectra": "hot, unwrapped until the benchmark harness next changes",
+    "runner.switched_signal": "hot, unwrapped until the benchmark harness next changes",
 }
 
 

@@ -9,7 +9,10 @@ table (``config_strategies.grid_texts``):
   the rows that a fresh run_trial gives each pair;
 * nor on how a block batches its decodes: a pair whose selection fails
   mid-block, and a block that decodes several times, give the rows of
-  fresh trials.
+  fresh trials;
+* nor on how a block shares its noiseless switched signals: a grid whose
+  combos share switch matrices gives fresh rows with the memo, past its
+  byte cap, and on any block split.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -149,3 +152,78 @@ def test_a_block_that_decodes_several_times_gives_fresh_rows(monkeypatch):
     monkeypatch.setattr(runner, "_DECODE_STEPS", 3 * 2 * 96)
     assert _grid_rows(cfg) == expected
     assert decodes == [6, 6, 6, 2, 2, 2]
+
+
+# three select policies at two SNRs: each trial's three switch matrices are
+# each shared by two combos
+MEMO = (
+    "users = 2\nantennas = 4\npayload_symbols = 1\ntrials = 2\nseed = 3\n"
+    "sweep.select = grouped, random, identity\nsweep.snr_db = 5, 25\n"
+)
+
+
+def _memo_config(quantizer_bits: int) -> ExperimentConfig:
+    return build_config(parse_config_text(MEMO + f"frontend.quantizer_bits = {quantizer_bits}\n"))
+
+
+def _counted_signals(monkeypatch) -> list:
+    computed = []
+    signal = runner.switched_signal
+    monkeypatch.setattr(
+        runner, "switched_signal", lambda *a, **k: computed.append(1) or signal(*a, **k)
+    )
+    return computed
+
+
+@pytest.mark.parametrize("quantizer_bits", [0, 8])
+def test_shared_switched_signals_give_fresh_rows_on_any_block_split(monkeypatch, quantizer_bits):
+    cfg = _memo_config(quantizer_bits)
+    expected = _fresh_rows(cfg)
+    computed = _counted_signals(monkeypatch)
+    assert _grid_rows(cfg) == expected
+    assert len(computed) == 2 * 3  # one per trial and select policy, not per combo
+    _, rows = runner.run_grid(cfg, 2)  # worker processes
+    assert [runner.format_row(row, row["users"]) for row in rows] == expected
+    # threads keep the blocks in this process, so 3 blocks fit 2 cores
+    monkeypatch.setattr(
+        runner,
+        "ProcessPoolExecutor",
+        lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
+    )
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+    _, rows = runner.run_grid(cfg, 3)
+    assert [runner.format_row(row, row["users"]) for row in rows] == expected
+
+
+def test_a_signal_memo_entry_is_read_only_and_dropped_with_its_draw():
+    cfg = _memo_config(8)
+    grouped = [c for c in runner.sweep_combos(cfg) if c.select == "grouped"]
+    block = runner.TrialBlock([(c, t) for t in range(2) for c in grouped])
+    runner.run_trial(grouped[0], 0, block)
+    (signal,) = block.signals.values()
+    runner.run_trial(grouped[1], 0, block)  # the other SNR, trial 0's one matrix
+    (again,) = block.signals.values()
+    assert again is signal
+    assert block.signal_bytes == signal.nbytes
+    with pytest.raises(ValueError, match="read-only"):
+        signal[0] = 0
+    runner.run_trial(grouped[0], 1, block)
+    (fresh,) = block.signals.values()
+    assert fresh is not signal
+    assert block.signal_bytes == fresh.nbytes
+
+
+def test_a_grid_past_the_signal_byte_cap_gives_fresh_rows(monkeypatch):
+    cfg = _memo_config(8)
+    expected = _fresh_rows(cfg)
+    computed = _counted_signals(monkeypatch)
+    # one K*B stream of 2 chains x 400 samples fits, the second does not
+    monkeypatch.setattr(runner, "_SIGNAL_BYTES", 2 * 400 * 16)
+    assert _grid_rows(cfg) == expected
+    # per trial the first matrix is kept and shared, the other two are
+    # computed for each of their two combos
+    assert len(computed) == 2 * (1 + 2 * 2)
+    monkeypatch.setattr(runner, "_SIGNAL_BYTES", 0)
+    computed.clear()
+    assert _grid_rows(cfg) == expected
+    assert len(computed) == 2 * 3 * 2
