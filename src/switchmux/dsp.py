@@ -2,8 +2,9 @@
 
 Signals are plain complex ndarrays of baseband samples. This module holds
 the signed-bin DFT convention, exact fractional delay, band-limited
-resampling and a counter-based seeded RNG. Everything here is pure: same
-inputs, same outputs, on any platform.
+resampling and a counter-based seeded RNG, with a kept prefix of one of its
+streams (KeptNormals) for consumers that share a stream's leading values.
+Everything here is pure: same inputs, same outputs, on any platform.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ class Rng:
         mixed = _splitmix64(self.stream_id ^ _splitmix64(purpose & _MASK64))
         return Rng(self.master_seed, mixed)
 
+    def normals(self, n: int) -> np.ndarray:
+        """The stream's next n standard normals."""
+        return self.generator.standard_normal(n)
+
     def normal_complex(self, shape) -> np.ndarray:
-        """Circularly-symmetric complex normal, unit variance per element."""
-        g = self.generator
-        re = g.standard_normal(shape)
-        im = g.standard_normal(shape)
-        return (re + 1j * im) / np.sqrt(2.0)
+        """Circularly-symmetric complex normal, unit variance per element
+        (unit_complex of the stream's next values)."""
+        return unit_complex(self, shape)
 
     def uniform(self, low, high, shape=None) -> np.ndarray:
         return self.generator.uniform(low, high, shape)
@@ -68,6 +71,44 @@ class Rng:
     def bits(self, shape) -> np.ndarray:
         """Random payload bits of the given shape as an int array of 0/1."""
         return self.generator.integers(0, 2, shape).astype(np.int64)
+
+
+class KeptNormals:
+    """The leading standard normals of one Rng stream, drawn once and kept.
+
+    normals(n) returns the stream's first n values on every call, read-only:
+    the first call draws them straight into the kept buffer, and a longer
+    call later draws only the values past it.  A consumer that makes one
+    normals call on a fresh Rng gets the same values from a KeptNormals of
+    that stream, so consumers that read one stream share its draw.
+    """
+
+    def __init__(self, rng: Rng) -> None:
+        self.rng = rng
+        self.values = np.empty(0)
+        self.values.flags.writeable = False
+
+    def normals(self, n: int) -> np.ndarray:
+        """The stream's first n standard normals, read-only."""
+        kept = self.values.size
+        if n > kept:
+            rest = self.rng.normals(n - kept)
+            self.values = np.concatenate((self.values, rest)) if kept else rest
+            self.values.flags.writeable = False
+        return self.values[:n]
+
+
+def unit_complex(source, shape) -> np.ndarray:
+    """Circularly-symmetric complex normals of shape, unit variance per
+    element, from one source.normals(2 * size) call (source is an Rng or a
+    KeptNormals): the first half of the values are the real parts in C
+    order, the second half the imaginary parts."""
+    out = np.empty(shape, dtype=np.complex128)
+    z = source.normals(2 * out.size)
+    out.real = z[: out.size].reshape(out.shape)
+    out.imag = z[out.size :].reshape(out.shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def signed_bins(n: int) -> np.ndarray:

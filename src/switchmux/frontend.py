@@ -28,6 +28,18 @@ and passes it to every combo that shares them (runner.TrialBlock); a
 direct call computes it itself. Either way the sums run in one order, so
 the capture's bytes do not depend on who computed it.
 
+Noise draw: each front end draws its noise in one rng.normals(n) call, the
+leading n standard normals of the stream it is given, and lays them out
+itself: the switched slot noise and the hybrid's antenna noise as
+dsp.unit_complex does (every real part, then every imaginary part), the
+physical chains chain by chain (each chain's real parts, then its
+imaginary parts). rng is an Rng or the runner's kept stream of a drawn
+link (dsp.KeptNormals, one per link in runner.TrialBlock), whose normals(n)
+is the first n values of that stream on every call. So every combo of one
+draw reads one draw of each link's stream, and a capture reads only the
+leading part it needs: a switched capture of K chains reads the first
+2*K*samples of the values that dbf and the hybrids read for M antennas.
+
 Noise convention: noise_power turns snr_db into sigma2, the per-sample
 noise variance of a B-rate chain, against the received power per user
 averaged over the whole frame (received_power). The runner measures that
@@ -55,7 +67,7 @@ import math
 import numpy as np
 
 from .despread import time_despread
-from .dsp import Rng, upsample
+from .dsp import Rng, unit_complex, upsample
 
 
 def control_word(S: np.ndarray) -> str:
@@ -91,7 +103,9 @@ def _slot_noise(S: np.ndarray, reps: int, sigma2: float, rng: Rng) -> tuple:
     scaled by the number of antennas it gates, and the variances [K] of
     the chains it despreads to (see the noise convention above)."""
     law = sigma2 * S.sum(axis=0)
-    return rng.normal_complex(law.size * reps) * np.sqrt(np.tile(law, reps)), law
+    noise = unit_complex(rng, law.size * reps)
+    noise *= np.sqrt(np.tile(law, reps))
+    return noise, law
 
 
 def received_power(rx: np.ndarray) -> float:
@@ -215,11 +229,16 @@ def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> tuple:
     of variance sigma2 per chain, no switches and no insertion loss; returns
     the chains and their noise variances [chains]."""
     _check_received(rx)
-    # one draw in the order of per-chain normal_complex calls: each chain's
+    # laid out in the order of per-chain normal_complex calls: each chain's
     # real parts, then its imaginary parts
-    z = rng.generator.standard_normal((rx.shape[0], 2, rx.shape[1]))
-    noise = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * np.sqrt(sigma2)
-    return rx + noise, np.full(len(rx), sigma2)
+    noisy = np.empty(rx.shape, dtype=np.complex128)
+    z = rng.normals(2 * noisy.size).reshape(rx.shape[0], 2, rx.shape[1])
+    noisy.real = z[:, 0]
+    noisy.imag = z[:, 1]
+    noisy /= np.sqrt(2.0)
+    noisy *= np.sqrt(sigma2)
+    noisy += rx
+    return noisy, np.full(len(rx), sigma2)
 
 
 def hybrid_weights(H_ref: np.ndarray, arch: str) -> np.ndarray:
@@ -257,5 +276,7 @@ def capture_hybrid(rx: np.ndarray, weights: np.ndarray, sigma2: float, rng: Rng)
     nz = np.abs(weights[weights != 0])
     if nz.size and np.max(np.abs(nz - 1.0)) > 1e-9:
         raise ValueError("nonzero weights must be unit modulus")
-    rx = rx + rng.normal_complex(rx.shape) * np.sqrt(sigma2)
-    return weights.T @ rx, sigma2 * (weights.T @ weights.conj())
+    noisy = unit_complex(rng, rx.shape)
+    noisy *= np.sqrt(sigma2)
+    noisy += rx
+    return weights.T @ noisy, sigma2 * (weights.T @ weights.conj())

@@ -16,11 +16,16 @@ each config field is tagged with the first stage that reads it (the
   fix (``ExperimentConfig.chains``).  A switched link captures the K*B
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
-  (``frontend.switched_chains``).  What a link reads of its draw before
-  any noise, its received power and its noiseless switched signal
-  (``frontend.switched_signal``, one per switch matrix and path), the
-  block computes once per draw and shares across the combos that read it
-  (``TrialBlock``);
+  (``frontend.switched_chains``).  What a link reads of its draw that no
+  link field changes, its received power, its noiseless switched signal
+  (``frontend.switched_signal``, one per switch matrix and path) and its
+  noise stream, the block computes once per draw and shares across the
+  combos that read it (``TrialBlock``).  The noise stream depends on the
+  seed, the trial and the link alone, and each front end reads the leading
+  part of it that it needs, so the block keeps each link's stream as drawn
+  so far (``dsp.KeptNormals``): it is drawn once per draw, a front end
+  that reads further extends it, and every capture gets the bytes a fresh
+  stream would give it;
 * score: the decode of every link's grids and the metrics of the row,
   batched per task block (``TrialBlock``): a block's pairs wait with their
   equalized grids until the first pair of the block's last draw, which
@@ -59,7 +64,7 @@ import numpy as np
 from . import channel, metrics
 from .config import DROP_MARGIN_M, ConfigError, ExperimentConfig, config_digest, sweep_combos
 from .despread import time_despread
-from .dsp import Rng
+from .dsp import KeptNormals, Rng
 from .equalize import (
     apply_combiner,
     estimate_channel,
@@ -236,17 +241,28 @@ def draw_trial(cfg: ExperimentConfig, trial_id: int) -> tuple:
     return bits, links
 
 
-def _run_link(
-    cfg: ExperimentConfig, block: TrialBlock, index: int, noise_rng: Rng, trial_rng: Rng
-) -> tuple:
+def _noise_streams(cfg: ExperimentConfig, trial_id: int, links: int) -> list:
+    """The noise stream of each of the trial's links, kept (KeptNormals):
+    the trial's noise stream for its one link, or one stream derived from
+    it per FDMA user's link.  It reads only seed and whether arch is fdma,
+    so every combo of a draw key reads the same streams."""
+    noise_rng = Rng(cfg.seed, trial_id).derive(_P_NOISE)
+    if cfg.arch == "fdma":
+        return [KeptNormals(noise_rng.derive(u)) for u in range(links)]
+    return [KeptNormals(noise_rng)]
+
+
+def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: Rng) -> tuple:
     """Capture the block's drawn link index, (bits, gains, tx_grids, rx),
-    with the configured front end, then estimate and combine it.
+    with the configured front end, then estimate and combine it.  The
+    front end reads the leading values of the link's kept noise stream.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
     bits, gains, tx_grids, rx = block.draw[1][index]
+    noise_rng = block.noises[index]
     h_ref = gains[:, :, REFERENCE_BIN]
     sigma2 = noise_power(block.powers[index], cfg.snr_db, len(bits))
 
@@ -278,6 +294,9 @@ def _run_link(
     truth = true_effective_channel(gains, mixing, loss_amp)
 
     spectra = symbol_spectra(chains)
+    # freed before the estimate, which holds a link's peak memory: at M = 64
+    # the chains are as large as the kept noise stream of the draw
+    del chains
     est = estimate_channel(spectra, len(bits), cfg.lts_repeats)
     combine = nullspace_weights if cfg.combiner == "nullspace" else zf_weights
     comb = combine(est, cfg.rank_tolerance)
@@ -303,10 +322,10 @@ _SIGNAL_BYTES = 2**22
 
 class TrialBlock:
     """What the run_trial calls of one task block share: the draw of the
-    current (draw key, trial), what each of its links gives before any
-    link field (its received power, and its noiseless switched signals),
-    and the pending scores, each a row that waits for the block's next
-    decode.
+    current (draw key, trial), what each of its links gives that no link
+    field changes (its received power, its noise stream and its noiseless
+    switched signals), and the pending scores, each a row that waits for
+    the block's next decode.
 
     ``pairs`` lists the block's (combo, trial_id) pairs, one run_trial call
     each, draw by draw.  The rows wait until the first call of the block's
@@ -318,10 +337,12 @@ class TrialBlock:
     once the pending codeword steps reach _DECODE_STEPS.
 
     A draw's links each keep their received power (``powers``), which
-    every snr_db refers its noise to, and a memo of their noiseless
-    switched signals (``signal_for``), so the combos of one draw that
-    share a switch matrix gate and sum its antennas once.  Both are
-    dropped with the draw.
+    every snr_db refers its noise to, their noise stream (``noises``, a
+    read-only dsp.KeptNormals each), so every combo of the draw reads one
+    draw of it, whatever its arch and snr_db, and a memo of their
+    noiseless switched signals (``signal_for``), so the combos of one draw
+    that share a switch matrix gate and sum its antennas once.  All three
+    are dropped with the draw.
     """
 
     def __init__(self, pairs: list) -> None:
@@ -329,6 +350,7 @@ class TrialBlock:
         self.last_key = (draw_key(last_cfg), last_trial)
         self.key = self.draw = None
         self.powers: list = []  # received_power of each drawn link
+        self.noises: list = []  # the kept noise stream of each drawn link
         self.signals: dict = {}  # signal_for's memo of the current draw
         self.signal_bytes = 0
         self.pending: list = []
@@ -341,10 +363,12 @@ class TrialBlock:
         if key != self.key:
             # so two draws are never held at once
             self.key = self.draw = None
+            self.noises = []
             self.signals.clear()
             self.signal_bytes = 0
             self.draw, self.key = draw_trial(cfg, trial_id), key
             self.powers = [received_power(rx) for *_, rx in self.draw[1]]
+            self.noises = _noise_streams(cfg, trial_id, len(self.draw[1]))
         return self.draw
 
     def signal_for(self, index: int, S: np.ndarray, loss_amp: float, stream: bool) -> np.ndarray:
@@ -396,16 +420,11 @@ def run_trial(cfg: ExperimentConfig, trial_id: int, block: TrialBlock | None = N
         block = TrialBlock([(cfg, trial_id)])
     bits, links = block.draw_for(cfg, trial_id)
     trial_rng = Rng(cfg.seed, trial_id)
-    noise_rng = trial_rng.derive(_P_NOISE)
-    if cfg.arch == "fdma":
-        link_rngs = [noise_rng.derive(u) for u in range(len(links))]
-    else:
-        link_rngs = [noise_rng]
 
     grids, sinrs, evms = [], [], []
     try:
-        for index, link_rng in enumerate(link_rngs):
-            got, sinr_db, evm_pct = _run_link(cfg, block, index, link_rng, trial_rng)
+        for index in range(len(links)):
+            got, sinr_db, evm_pct = _run_link(cfg, block, index, trial_rng)
             grids.append(got)
             sinrs.append(sinr_db)
             evms.append(evm_pct)

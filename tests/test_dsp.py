@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchmux.dsp import Rng, fractional_delay, signed_bins, upsample
+from switchmux.dsp import KeptNormals, Rng, fractional_delay, signed_bins, upsample
 
 
 def random_stream(n, seed):
@@ -106,6 +106,44 @@ class TestRng:
         z = Rng(21).normal_complex(10**5)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
 
+    def test_normal_complex_is_real_parts_then_imaginary_parts(self):
+        g = Rng(21, 3).generator
+        re, im = g.standard_normal((3, 5)), g.standard_normal((3, 5))
+        want = (re + 1j * im) / np.sqrt(2.0)
+        assert Rng(21, 3).normal_complex((3, 5)).tobytes() == want.tobytes()
+
+    def test_normals_are_sequential(self):
+        rng = Rng(9, 4)
+        pieces = [rng.normals(n) for n in (5, 100, 3)]
+        want = Rng(9, 4).generator.standard_normal(108)
+        assert np.concatenate(pieces).tobytes() == want.tobytes()
+
     def test_rejects_oversized_seed(self):
         with pytest.raises(ValueError):
             Rng(2**64)
+
+
+class TestKeptNormals:
+    def test_first_values_of_the_stream_at_once_or_in_pieces(self):
+        want = Rng(9, 4).generator.standard_normal(105)
+        assert KeptNormals(Rng(9, 4)).normals(105).tobytes() == want.tobytes()
+        kept = KeptNormals(Rng(9, 4))
+        for n in (5, 105, 3):  # drawn, extended, then read from the front
+            assert kept.normals(n).tobytes() == want[:n].tobytes()
+
+    def test_a_longer_read_draws_only_the_rest(self):
+        drawn = []
+        rng = Rng(9, 4)
+        normals = rng.normals
+        rng.normals = lambda n: drawn.append(n) or normals(n)
+        kept = KeptNormals(rng)
+        for n in (5, 3, 105, 105, 0):
+            kept.normals(n)
+        assert drawn == [5, 100]
+
+    def test_values_are_read_only(self):
+        kept = KeptNormals(Rng(9, 4))
+        for n in (5, 105, 3):
+            values = kept.normals(n)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0

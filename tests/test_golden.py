@@ -2,8 +2,8 @@
 
 Each workload config (taken from ``bench/run.py`` so it is defined once) is
 swept at seed 1 and its CSV must equal ``bench/reference/<workload>.csv``
-byte for byte; large_room and grid_parallel run at 1 and at 2 workers.  The workloads
-all keep the modem keys at their defaults, so one more config sets both
+byte for byte, at 1 and at 2 workers.  The workloads all keep the modem
+keys at their defaults, so one more config sets both
 ``ofdm.lts_repeats`` and ``ofdm.bandwidth_hz`` off them and must equal
 ``tests/reference/modem_keys.csv``.  Any change that moves a single digit
 of a row is a behaviour change and fails here.
@@ -24,6 +24,7 @@ import run as bench_run  # noqa: E402
 
 CASES = [
     ("decode_heavy", 1),
+    ("decode_heavy", 2),
     ("large_room", 1),
     ("large_room", 2),
     ("grid_parallel", 1),

@@ -12,7 +12,10 @@ table (``config_strategies.grid_texts``):
   fresh trials;
 * nor on how a block shares its noiseless switched signals: a grid whose
   combos share switch matrices gives fresh rows with the memo, past its
-  byte cap, and on any block split.
+  byte cap, and on any block split;
+* nor on how a block shares its noise streams: every front end of a draw
+  reads one kept stream per link, drawn once, in either order of the
+  short switched read and the long dbf read.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from config_strategies import accepted_combos, grid_texts
 from switchmux import runner
 from switchmux.config import ExperimentConfig, build_config, parse_config_text
+from switchmux.dsp import Rng
 from switchmux.grouping import GroupingError
 
 _LINK_DEFAULTS = {
@@ -227,3 +231,68 @@ def test_a_grid_past_the_signal_byte_cap_gives_fresh_rows(monkeypatch):
     computed.clear()
     assert _grid_rows(cfg) == expected
     assert len(computed) == 2 * 3 * 2
+
+
+# users = 2 at antennas = 4, so of each trial's noise stream a switched link
+# reads 2 * 2 * samples values and dbf and both hybrids read 2 * 4 * samples
+NOISE = "users = 2\nantennas = 4\npayload_symbols = 1\ntrials = 2\nseed = 5\n"
+
+# (arch, frontend.quantizer_bits) in block order within a draw; the
+# quantizer is no sweep key, so the grid's combos are listed here
+NOISE_ORDERS = {
+    "switched first": [
+        ("switched", 0), ("switched", 8), ("dbf", 0), ("hbf_full", 0), ("hbf_partial", 0),
+        ("fdma", 0),
+    ],
+    "dbf first": [
+        ("dbf", 0), ("hbf_full", 0), ("hbf_partial", 0), ("switched", 0), ("switched", 8),
+        ("fdma", 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("order", NOISE_ORDERS)
+def test_each_link_noise_stream_is_drawn_once_per_draw(monkeypatch, order):
+    cfg = build_config(parse_config_text(NOISE))
+    combos = [
+        replace(cfg, arch=arch, quantizer_bits=bits, snr_db=snr_db)
+        for arch, bits in NOISE_ORDERS[order]
+        for snr_db in (5.0, 25.0)
+    ]
+    monkeypatch.setattr(runner, "sweep_combos", lambda _: combos)
+    expected = _fresh_rows(cfg)
+    drawn: dict = {}  # stream_id -> the count of each normals call
+    normals = Rng.normals
+
+    def spy(rng, n):
+        drawn.setdefault(rng.stream_id, []).append(n)
+        return normals(rng, n)
+
+    monkeypatch.setattr(Rng, "normals", spy)
+    assert _grid_rows(cfg) == expected
+
+    # one noise stream per draw and link, keyed by trial and link: the
+    # trial's noise stream for its one link, and a stream per fdma user's
+    # link (the channel draws its own streams too)
+    noise = [Rng(cfg.seed, t).derive(runner._P_NOISE) for t in range(cfg.trials)]
+    fdma = {rng.derive(u).stream_id for rng in noise for u in range(cfg.users)}
+    assert set(drawn) >= {rng.stream_id for rng in noise} | fdma
+    # each drawn once: the dbf read in one call, or the switched read and
+    # then only the rest of dbf's
+    samples = runner.draw_trial(cfg, 0)[1][0][3].shape[1]
+    fdma_samples = runner.draw_trial(combos[-1], 0)[1][0][3].shape[1]
+    linked = [[8 * samples]] if order == "dbf first" else [[4 * samples, 4 * samples]]
+    assert sorted(drawn[rng.stream_id] for rng in noise) == linked * cfg.trials
+    assert all(drawn[stream] == [2 * fdma_samples] for stream in fdma)
+
+    _, rows = runner.run_grid(cfg, 2)  # worker processes
+    assert [runner.format_row(row, row["users"]) for row in rows] == expected
+    # threads keep the blocks in this process, so 3 blocks fit 2 cores
+    monkeypatch.setattr(
+        runner,
+        "ProcessPoolExecutor",
+        lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
+    )
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+    _, rows = runner.run_grid(cfg, 3)
+    assert [runner.format_row(row, row["users"]) for row in rows] == expected
