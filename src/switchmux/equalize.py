@@ -24,29 +24,22 @@ repeats locate its training slots and payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .waveform import DATA_BINS, LTS_FREQ, TX_SCALE
 
 
-@dataclass(frozen=True)
-class CombinerMatrix:
+class CombinerMatrix(NamedTuple):
     """Per-bin combining weights: weights[data bin][user][chain].
 
     ``erased`` marks bins whose effective channel could not be inverted;
     their symbols are zeroed downstream and count as errors.
     """
 
-    weights: np.ndarray = field(repr=False)
-    erased: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.weights.ndim != 3:
-            raise ValueError("weights must be [bins][users][chains]")
-        if self.erased.shape != (self.weights.shape[0],):
-            raise ValueError("one erasure flag per bin")
+    weights: np.ndarray
+    erased: np.ndarray
 
 
 def true_effective_channel(

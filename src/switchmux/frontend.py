@@ -33,9 +33,9 @@ leading n standard normals of the stream it is given, and lays them out
 itself: the switched slot noise and the hybrid's antenna noise as
 dsp.unit_complex does (every real part, then every imaginary part), the
 physical chains chain by chain (each chain's real parts, then its
-imaginary parts). rng is an Rng or the runner's kept stream of a drawn
-link (dsp.KeptNormals, one per link in runner.TrialBlock), whose normals(n)
-is the first n values of that stream on every call. So every combo of one
+imaginary parts). rng is an Rng or the kept noise stream of a drawn link
+(dsp.KeptNormals, one per link of runner.draw_trial), whose normals(n) is
+the first n values of that stream on every call. So every combo of one
 draw reads one draw of each link's stream, and a capture reads only the
 leading part it needs: a switched capture of K chains reads the first
 2*K*samples of the values that dbf and the hybrids read for M antennas.

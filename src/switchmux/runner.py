@@ -16,15 +16,14 @@ each config field is tagged with the first stage that reads it (the
   fix (``ExperimentConfig.chains``).  A switched link captures the K*B
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
-  (``frontend.switched_chains``).  What a link reads of its draw that no
-  link field changes, its received power, its noiseless switched signal
-  (``frontend.switched_signal``, one per switch matrix and path) and its
-  noise stream, the block computes once per draw and shares across the
-  combos that read it (``TrialBlock``).  The noise stream depends on the
-  seed, the trial and the link alone, and each front end reads the leading
-  part of it that it needs, so the block keeps each link's stream as drawn
-  so far (``dsp.KeptNormals``): it is drawn once per draw, a front end
-  that reads further extends it, and every capture gets the bytes a fresh
+  (``frontend.switched_chains``).  A link's noiseless switched signal
+  (``frontend.switched_signal``, one per switch matrix and path) reads the
+  draw and the switch matrix, so the block computes it once per draw and
+  matrix and shares it across the combos that select that matrix
+  (``TrialBlock``).  A link's received power and noise stream read no
+  link field at all, so the draw carries them: the noise stream is kept
+  as drawn so far (``dsp.KeptNormals``), each front end reads the leading
+  part of it that it needs, and every capture gets the bytes a fresh
   stream would give it;
 * score: the decode of every link's grids and the metrics of the row,
   batched per task block (``TrialBlock``): a block's pairs wait with their
@@ -220,51 +219,45 @@ def draw_key(cfg: ExperimentConfig) -> tuple:
 
 def draw_trial(cfg: ExperimentConfig, trial_id: int) -> tuple:
     """The draw stage: the trial's payload bits [users, bits] and its links,
-    each (bits, gains, tx_grids, rx), every array read-only.
+    each (bits, gains, tx_grids, rx, p_rx, noise): read-only arrays, the
+    received power every snr_db refers its noise to (received_power), and
+    the link's kept noise stream (KeptNormals), so every combo of the draw
+    reads one draw of it, whatever its arch and snr_db.
 
     FDMA users sit in disjoint bands on one antenna, so there is no spatial
-    interference: each user is its own single-antenna, single-chain link.
-    Every other architecture carries all users on one link.
+    interference: each user u is its own single-antenna, single-chain link,
+    with stream u derived from the trial's noise stream.  Every other
+    architecture carries all users on one link, with the trial's noise stream.
     """
     trial_rng = Rng(cfg.seed, trial_id)
     bits = _frozen(_payload_bits(cfg, trial_rng))
     gains = _frozen(_draw_channel(cfg, trial_rng))
+    noise = trial_rng.derive(_P_NOISE)
     if cfg.arch == "fdma":
-        split = [(bits[u : u + 1], gains[u : u + 1, :1]) for u in range(cfg.users)]
+        split = [(bits[u : u + 1], gains[u : u + 1, :1], noise.derive(u)) for u in range(cfg.users)]
     else:
-        split = [(bits, gains)]
+        split = [(bits, gains, noise)]
     links = []
-    for link_bits, link_gains in split:
+    for link_bits, link_gains, link_noise in split:
         tx_streams, tx_grids = build_frame(link_bits, cfg.lts_repeats)
-        rx = channel.apply(link_gains, tx_streams, CP_LEN)
-        links.append((link_bits, link_gains, _frozen(tx_grids), _frozen(rx)))
+        rx = _frozen(channel.apply(link_gains, tx_streams, CP_LEN))
+        p_rx = received_power(rx)
+        links.append((link_bits, link_gains, _frozen(tx_grids), rx, p_rx, KeptNormals(link_noise)))
     return bits, links
 
 
-def _noise_streams(cfg: ExperimentConfig, trial_id: int, links: int) -> list:
-    """The noise stream of each of the trial's links, kept (KeptNormals):
-    the trial's noise stream for its one link, or one stream derived from
-    it per FDMA user's link.  It reads only seed and whether arch is fdma,
-    so every combo of a draw key reads the same streams."""
-    noise_rng = Rng(cfg.seed, trial_id).derive(_P_NOISE)
-    if cfg.arch == "fdma":
-        return [KeptNormals(noise_rng.derive(u)) for u in range(links)]
-    return [KeptNormals(noise_rng)]
-
-
 def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: Rng) -> tuple:
-    """Capture the block's drawn link index, (bits, gains, tx_grids, rx),
-    with the configured front end, then estimate and combine it.  The
-    front end reads the leading values of the link's kept noise stream.
+    """Capture the block's drawn link index with the configured front end,
+    then estimate and combine it.  The front end reads the leading values
+    of the link's kept noise stream.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
-    bits, gains, tx_grids, rx = block.draw[1][index]
-    noise_rng = block.noises[index]
+    bits, gains, tx_grids, rx, p_rx, noise_rng = block.draw[1][index]
     h_ref = gains[:, :, REFERENCE_BIN]
-    sigma2 = noise_power(block.powers[index], cfg.snr_db, len(bits))
+    sigma2 = noise_power(p_rx, cfg.snr_db, len(bits))
 
     if cfg.arch == "switched":
         mixing = _select_matrix(cfg, h_ref, trial_rng)
@@ -322,10 +315,9 @@ _SIGNAL_BYTES = 2**22
 
 class TrialBlock:
     """What the run_trial calls of one task block share: the draw of the
-    current (draw key, trial), what each of its links gives that no link
-    field changes (its received power, its noise stream and its noiseless
-    switched signals), and the pending scores, each a row that waits for
-    the block's next decode.
+    current (draw key, trial), a memo of its links' noiseless switched
+    signals, and the pending scores, each a row that waits for the block's
+    next decode.
 
     ``pairs`` lists the block's (combo, trial_id) pairs, one run_trial call
     each, draw by draw.  The rows wait until the first call of the block's
@@ -336,23 +328,16 @@ class TrialBlock:
     would otherwise carry every pair's decode).  A call also decodes early
     once the pending codeword steps reach _DECODE_STEPS.
 
-    A draw's links each keep their received power (``powers``), which
-    every snr_db refers its noise to, their noise stream (``noises``, a
-    read-only dsp.KeptNormals each), so every combo of the draw reads one
-    draw of it, whatever its arch and snr_db, and a memo of their
-    noiseless switched signals (``signal_for``), so the combos of one draw
-    that share a switch matrix gate and sum its antennas once.  All three
-    are dropped with the draw.
+    The memo (``signal_for``) lets the combos of one draw that share a
+    switch matrix gate and sum its antennas once.  It is dropped with its
+    draw, and so are the draw's kept noise streams.
     """
 
     def __init__(self, pairs: list) -> None:
         last_cfg, last_trial = pairs[-1]
         self.last_key = (draw_key(last_cfg), last_trial)
         self.key = self.draw = None
-        self.powers: list = []  # received_power of each drawn link
-        self.noises: list = []  # the kept noise stream of each drawn link
         self.signals: dict = {}  # signal_for's memo of the current draw
-        self.signal_bytes = 0
         self.pending: list = []
         self.steps = 0  # the pending codeword steps
 
@@ -363,12 +348,8 @@ class TrialBlock:
         if key != self.key:
             # so two draws are never held at once
             self.key = self.draw = None
-            self.noises = []
-            self.signals.clear()
-            self.signal_bytes = 0
+            self.signals = {}
             self.draw, self.key = draw_trial(cfg, trial_id), key
-            self.powers = [received_power(rx) for *_, rx in self.draw[1]]
-            self.noises = _noise_streams(cfg, trial_id, len(self.draw[1]))
         return self.draw
 
     def signal_for(self, index: int, S: np.ndarray, loss_amp: float, stream: bool) -> np.ndarray:
@@ -381,9 +362,9 @@ class TrialBlock:
         if signal is None:
             rx = self.draw[1][index][3]
             signal = _frozen(switched_signal(rx, S, loss_amp, stream=stream))
-            if self.signal_bytes + signal.nbytes <= _SIGNAL_BYTES:
+            kept = sum(s.nbytes for s in self.signals.values())
+            if kept + signal.nbytes <= _SIGNAL_BYTES:
                 self.signals[key] = signal
-                self.signal_bytes += signal.nbytes
         return signal
 
     def decode(self) -> None:

@@ -11,7 +11,6 @@ import pytest
 from switchmux import channel
 from switchmux.dsp import Rng
 from switchmux.equalize import (
-    CombinerMatrix,
     apply_combiner,
     estimate_channel,
     nullspace_weights,
@@ -363,15 +362,6 @@ class TestNullspace:
         heff = random_heff(4, 2, seed=27)[DATA_BINS]
         with pytest.raises(ValueError, match="chains == users"):
             nullspace_weights(heff)
-
-
-class TestCombinerMatrixValidation:
-    def test_rejects_mismatched_erasure_length(self):
-        with pytest.raises(ValueError):
-            CombinerMatrix(
-                weights=np.zeros((2, 3, 3), dtype=complex),
-                erased=np.zeros(3, dtype=bool),
-            )
 
 
 class TestStackLayout:

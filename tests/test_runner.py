@@ -577,8 +577,10 @@ class TestSharedDraw:
         for arch in ("switched", "fdma"):
             cfg = cfg_from(SMALL + f"arch = {arch}\n")
             bits, links = runner.draw_trial(cfg, 0)
-            arrays = [bits] + [a for link in links for a in link]
-            assert len(arrays) == 1 + 4 * (cfg.users if arch == "fdma" else 1)
+            arrays = [bits] + [a for link in links for a in link[:4]]
+            # the kept noise values, as far as a dbf capture reads them
+            arrays += [noise.normals(2 * rx.size) for *_, rx, _, noise in links]
+            assert len(arrays) == 1 + 5 * (cfg.users if arch == "fdma" else 1)
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a.flat[0] = 1

@@ -1,9 +1,9 @@
 """Differential tests of the trial plan over grids drawn from the config
 table (``config_strategies.grid_texts``):
 
-* the draw stage reads no link field: each combo draws the same arrays as
-  the combo with every link-stage field at its default, where arch keeps
-  only whether it is fdma;
+* the draw stage reads no link field: each combo draws the same arrays,
+  received powers and noise streams as the combo with every link-stage
+  field at its default, where arch keeps only whether it is fdma;
 * the grid's rows do not depend on how its (combo, trial) pairs are cut
   into blocks: run_grid at 1 and 2 workers and at 3 forced blocks writes
   the rows that a fresh run_trial gives each pair;
@@ -18,6 +18,8 @@ table (``config_strategies.grid_texts``):
   short switched read and the long dbf read.
 """
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
@@ -68,9 +70,15 @@ def test_draw_reads_no_link_field(text):
         np.testing.assert_array_equal(bits, want_bits)
         assert len(links) == len(want_links)
         for link, want in zip(links, want_links):
-            for got, expected in zip(link, want, strict=True):
+            *arrays, p_rx, noise = link
+            *want_arrays, want_p_rx, want_noise = want
+            for got, expected in zip(arrays, want_arrays, strict=True):
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
+            assert p_rx == want_p_rx
+            # as many normals as the longest read, dbf's, takes of the stream
+            n = 2 * link[3].size
+            np.testing.assert_array_equal(noise.normals(n), want_noise.normals(n))
 
 
 @_derandomized(30)
@@ -208,13 +216,27 @@ def test_a_signal_memo_entry_is_read_only_and_dropped_with_its_draw():
     runner.run_trial(grouped[1], 0, block)  # the other SNR, trial 0's one matrix
     (again,) = block.signals.values()
     assert again is signal
-    assert block.signal_bytes == signal.nbytes
     with pytest.raises(ValueError, match="read-only"):
         signal[0] = 0
     runner.run_trial(grouped[0], 1, block)
     (fresh,) = block.signals.values()
     assert fresh is not signal
-    assert block.signal_bytes == fresh.nbytes
+
+
+def test_a_block_releases_its_previous_draw():
+    cfg = _memo_config(8)
+    grouped = [c for c in runner.sweep_combos(cfg) if c.select == "grouped"]
+    block = runner.TrialBlock([(c, t) for t in range(2) for c in grouped])
+    runner.run_trial(grouped[0], 0, block)
+    _, _, _, rx, _, noise = block.draw[1][0]
+    (signal,) = block.signals.values()
+    old = [weakref.ref(rx), weakref.ref(noise), weakref.ref(signal)]
+    del rx, noise, signal
+    runner.run_trial(grouped[0], 1, block)
+    gc.collect()
+    assert all(ref() is None for ref in old)
+    # so the memo's one entry is the new draw's signal
+    assert len(block.signals) == 1
 
 
 def test_a_grid_past_the_signal_byte_cap_gives_fresh_rows(monkeypatch):
