@@ -20,13 +20,12 @@ rx, and capture_physical draws every chain's noise in one call. The
 products run on numpy's BLAS, which a sweep holds to one thread
 (runner.one_blas_thread).
 
-Both switched paths add their noise to one noiseless part,
-switched_signal: the gated K*B stream, or the closed-form chains. It reads
-only rx, S and the switch loss, not snr_db, the combiner or the noise
-stream, so the runner computes it once per drawn link and switch matrix
-and passes it to every combo that shares them (runner.TrialBlock); a
-direct call computes it itself. Either way the sums run in one order, so
-the capture's bytes do not depend on who computed it.
+A quantized link's noiseless K*B stream, switched_signal, reads only rx,
+S and the switch loss, not snr_db, the combiner or the noise stream, so
+the runner computes it once per drawn link and switch matrix and passes it
+to every quantized combo that shares them (runner.TrialBlock); a direct
+capture_switched call computes it itself. Either way the sums run in one
+order, so the capture's bytes do not depend on who computed it.
 
 Noise draw: each front end draws its noise in one rng.normals(n) call, the
 leading n standard normals of the stream it is given, and lays them out
@@ -133,32 +132,19 @@ def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
     return q(samples.real) + 1j * q(samples.imag)
 
 
-def switched_signal(
-    rx: np.ndarray, S: np.ndarray, loss_amp: float = 1.0, *, stream: bool
-) -> np.ndarray:
-    """The noiseless part of a switched capture: the K*B stream [K*samples]
-    capture_switched samples when stream is set, else the K chains
-    [K, samples] switched_chains returns.  It reads only rx, S and
-    loss_amp, so every snr_db and combiner of one draw and switch matrix
-    shares it.  S and rx are checked as capture_switched checks them.
-
-    The stream gates each antenna's signal, band-limited interpolated to
-    K*B, sample by sample with its slot sequence and sums it antenna by
-    antenna; chain k is the sum of the B-rate signals of the antennas slot
-    k gates.  Both are scaled by the switch loss amplitude loss_amp.
+def switched_signal(rx: np.ndarray, S: np.ndarray, loss_amp: float = 1.0) -> np.ndarray:
+    """The noiseless K*B stream [K*samples] capture_switched samples: each
+    antenna's signal, band-limited interpolated to K*B, gated sample by
+    sample with its slot sequence, summed antenna by antenna and scaled by
+    the switch loss amplitude loss_amp.  It reads only rx, S and loss_amp,
+    so every snr_db and combiner of one draw and switch matrix shares it.
+    S and rx are checked as capture_switched checks them.
     """
     S = _checked_switch(rx, S)
-    if stream:
-        K, reps = S.shape[1], rx.shape[1]  # one period of K slot samples per input sample
-        signal = np.zeros(reps * K, dtype=np.complex128)
-        for m, antenna in enumerate(rx):
-            signal += upsample(antenna, K) * np.tile(S[m], reps)
-    else:
-        # S is real, so S.T @ rx runs as a real product on rx's interleaved
-        # real and imaginary parts; adding the gated rows in antenna order,
-        # it gives the bytes of a per-slot sum of rows
-        parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
-        signal = (S.T.astype(np.float64) @ parts).view(np.complex128)
+    K, reps = S.shape[1], rx.shape[1]  # one period of K slot samples per input sample
+    signal = np.zeros(reps * K, dtype=np.complex128)
+    for m, antenna in enumerate(rx):
+        signal += upsample(antenna, K) * np.tile(S[m], reps)
     signal *= loss_amp
     return signal
 
@@ -177,20 +163,21 @@ def capture_switched(
 
     Each antenna's signal is band-limited interpolated to K*B, multiplied
     sample-by-sample with its slot sequence, scaled by the switch loss
-    amplitude loss_amp, and summed antenna by antenna. AWGN of B-rate
-    variance sigma2 per gated antenna and, for quantizer_bits > 0, a
-    uniform quantizer are applied to the combined capture [K*samples].
+    amplitude loss_amp, and summed antenna by antenna (switched_signal).
+    AWGN of B-rate variance sigma2 per gated antenna and, for
+    quantizer_bits > 0, a uniform quantizer are applied to the combined
+    capture [K*samples].
     S is the M x K 0/1 switch matrix, rows antennas, columns slots; every
     slot must gate at least one antenna. Returns the capture and the noise
     variances [K] of the chains time_despread recovers from it, taken before
     quantization: the SINR does not model quantization noise.
 
-    signal, when given, is switched_signal(rx, S, loss_amp, stream=True),
-    computed once for every call that shares it; it is not written to.
+    signal, when given, is switched_signal(rx, S, loss_amp), computed once
+    for every call that shares it; it is not written to.
     """
     S = _checked_switch(rx, S)
     if signal is None:
-        signal = switched_signal(rx, S, loss_amp, stream=True)
+        signal = switched_signal(rx, S, loss_amp)
     noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
     total = signal + noise
     if quantizer_bits:
@@ -199,13 +186,7 @@ def capture_switched(
 
 
 def switched_chains(
-    rx: np.ndarray,
-    S: np.ndarray,
-    sigma2: float,
-    rng: Rng,
-    loss_amp: float = 1.0,
-    *,
-    signal: np.ndarray | None = None,
+    rx: np.ndarray, S: np.ndarray, sigma2: float, rng: Rng, loss_amp: float = 1.0
 ) -> tuple:
     """The K virtual chains [K, samples] that time_despread recovers from an
     unquantized capture_switched capture, in closed form, and their noise
@@ -214,14 +195,17 @@ def switched_chains(
     Chain k is loss_amp times the sum of the B-rate signals of the antennas
     slot k gates, plus the time-despread K*B noise capture_switched draws
     from rng.  S and rx are checked as capture_switched checks them.
-    signal, when given, is switched_signal(rx, S, loss_amp, stream=False),
-    computed once for every call that shares it; it is not written to.
     """
     S = _checked_switch(rx, S)
-    if signal is None:
-        signal = switched_signal(rx, S, loss_amp, stream=False)
+    # S is real, so S.T @ rx runs as a real product on rx's interleaved real
+    # and imaginary parts; adding the gated rows in antenna order, it gives
+    # the bytes of a per-slot sum of rows
+    parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
+    chains = (S.T.astype(np.float64) @ parts).view(np.complex128)
+    chains *= loss_amp
     noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
-    return signal + time_despread(noise, S.shape[1]), law
+    chains += time_despread(noise, S.shape[1])
+    return chains, law
 
 
 def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> tuple:
@@ -229,8 +213,8 @@ def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> tuple:
     of variance sigma2 per chain, no switches and no insertion loss; returns
     the chains and their noise variances [chains]."""
     _check_received(rx)
-    # laid out in the order of per-chain normal_complex calls: each chain's
-    # real parts, then its imaginary parts
+    # laid out chain by chain: each chain's real parts, then its imaginary
+    # parts (the golden rows pin this order)
     noisy = np.empty(rx.shape, dtype=np.complex128)
     z = rng.normals(2 * noisy.size).reshape(rx.shape[0], 2, rx.shape[1])
     noisy.real = z[:, 0]

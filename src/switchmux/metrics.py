@@ -8,7 +8,7 @@ reproduce published receiver totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,17 +26,12 @@ RFE_PER_CHAIN_MW = 408.0
 SWITCH_PER_ANTENNA_MW = 1.0
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     """Receiver power split into RF front end, switches and ADCs."""
 
     rfe_mw: float
     switch_mw: float
     adc_mw: float
-
-    def __post_init__(self) -> None:
-        if min(self.rfe_mw, self.switch_mw, self.adc_mw) < 0:
-            raise ValueError("power terms must be non-negative")
 
     @property
     def total_mw(self) -> float:

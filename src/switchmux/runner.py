@@ -16,15 +16,14 @@ each config field is tagged with the first stage that reads it (the
   fix (``ExperimentConfig.chains``).  A switched link captures the K*B
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
-  (``frontend.switched_chains``).  A link's noiseless switched signal
-  (``frontend.switched_signal``, one per switch matrix and path) reads the
-  draw and the switch matrix, so the block computes it once per draw and
-  matrix and shares it across the combos that select that matrix
-  (``TrialBlock``).  A link's received power and noise stream read no
-  link field at all, so the draw carries them: the noise stream is kept
-  as drawn so far (``dsp.KeptNormals``), each front end reads the leading
-  part of it that it needs, and every capture gets the bytes a fresh
-  stream would give it;
+  (``frontend.switched_chains``).  A quantized link's noiseless K*B
+  stream (``frontend.switched_signal``) reads only the draw and the switch
+  matrix, so the block computes it once per draw and matrix and shares it
+  across the quantized combos that select that matrix (``TrialBlock``).
+  A link's received power and noise stream read no link field at all, so
+  the draw carries them: the noise stream is kept as drawn so far
+  (``dsp.KeptNormals``), each front end reads the leading part of it that
+  it needs, and every capture gets the bytes a fresh stream would give it;
 * score: the decode of every link's grids and the metrics of the row,
   batched per task block (``TrialBlock``): a block's pairs wait with their
   equalized grids until the first pair of the block's last draw, which
@@ -263,9 +262,7 @@ def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: R
         mixing = _select_matrix(cfg, h_ref, trial_rng)
         loss_amp = 10.0 ** (-cfg.insertion_loss_db / 20.0)
         # rounding is nonlinear, so a quantized chain needs the K*B stream
-        stream = bool(cfg.quantizer_bits)
-        signal = block.signal_for(index, mixing, loss_amp, stream)
-        if stream:
+        if cfg.quantizer_bits:
             capture, noise = capture_switched(
                 rx,
                 mixing,
@@ -273,11 +270,11 @@ def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: R
                 noise_rng,
                 loss_amp=loss_amp,
                 quantizer_bits=cfg.quantizer_bits,
-                signal=signal,
+                signal=block.signal_for(index, mixing, loss_amp),
             )
             chains = time_despread(capture, cfg.chains)
         else:
-            chains, noise = switched_chains(rx, mixing, sigma2, noise_rng, loss_amp, signal=signal)
+            chains, noise = switched_chains(rx, mixing, sigma2, noise_rng, loss_amp)
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         mixing, loss_amp = hybrid_weights(h_ref, cfg.arch), 1.0
         chains, noise = capture_hybrid(rx, mixing, sigma2, noise_rng)
@@ -305,9 +302,9 @@ def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: R
 # 1.3 MB, about 85 codewords of 384 steps.
 _DECODE_STEPS = 2**15
 
-# A block keeps the noiseless switched signals of its current draw while
-# they hold at most this many bytes, and computes any past it afresh for
-# each call.  A grid_parallel stream (K = 4, 800 samples) is 51 KB, and a
+# A block keeps the noiseless K*B streams of its current draw while they
+# hold at most this many bytes, and computes any past it afresh for each
+# call.  A grid_parallel stream (K = 4, 800 samples) is 51 KB, and a
 # 100-symbol K*B stream of M = 64, K = 8 users is 1.2 MB, so three select
 # policies of it fit.
 _SIGNAL_BYTES = 2**22
@@ -315,9 +312,9 @@ _SIGNAL_BYTES = 2**22
 
 class TrialBlock:
     """What the run_trial calls of one task block share: the draw of the
-    current (draw key, trial), a memo of its links' noiseless switched
-    signals, and the pending scores, each a row that waits for the block's
-    next decode.
+    current (draw key, trial), a memo of its links' noiseless K*B streams
+    for quantized switched combos, and the pending scores, each a row that
+    waits for the block's next decode.
 
     ``pairs`` lists the block's (combo, trial_id) pairs, one run_trial call
     each, draw by draw.  The rows wait until the first call of the block's
@@ -328,9 +325,11 @@ class TrialBlock:
     would otherwise carry every pair's decode).  A call also decodes early
     once the pending codeword steps reach _DECODE_STEPS.
 
-    The memo (``signal_for``) lets the combos of one draw that share a
-    switch matrix gate and sum its antennas once.  It is dropped with its
-    draw, and so are the draw's kept noise streams.
+    The memo (``signal_for``) lets the quantized combos of one draw that
+    share a switch matrix gate and sum its antennas once; an unquantized
+    switched link takes its chains in closed form and keeps nothing.  The
+    memo is dropped with its draw, and so are the draw's kept noise
+    streams.
     """
 
     def __init__(self, pairs: list) -> None:
@@ -352,16 +351,16 @@ class TrialBlock:
             self.draw, self.key = draw_trial(cfg, trial_id), key
         return self.draw
 
-    def signal_for(self, index: int, S: np.ndarray, loss_amp: float, stream: bool) -> np.ndarray:
+    def signal_for(self, index: int, S: np.ndarray, loss_amp: float) -> np.ndarray:
         """frontend.switched_signal of the current draw's link index,
         read-only.  It is kept for the later calls of the draw, keyed by
-        (index, stream, S, loss_amp), unless keeping it would take the
-        memo past _SIGNAL_BYTES."""
-        key = (index, stream, S.shape, S.tobytes(), loss_amp)
+        (index, S, loss_amp), unless keeping it would take the memo past
+        _SIGNAL_BYTES."""
+        key = (index, S.shape, S.tobytes(), loss_amp)
         signal = self.signals.get(key)
         if signal is None:
             rx = self.draw[1][index][3]
-            signal = _frozen(switched_signal(rx, S, loss_amp, stream=stream))
+            signal = _frozen(switched_signal(rx, S, loss_amp))
             kept = sum(s.nbytes for s in self.signals.values())
             if kept + signal.nbytes <= _SIGNAL_BYTES:
                 self.signals[key] = signal

@@ -52,9 +52,7 @@ def test_virtual_equals_physical_rows_match_the_full_capture(monkeypatch, tmp_pa
     runner.run_sweep(cfg, str(closed))
     calls = []
 
-    def full_capture(rx, S, sigma2, rng, loss_amp=1.0, signal=None):
-        # the runner's shared noiseless chains are ignored: the capture
-        # gates the antennas itself
+    def full_capture(rx, S, sigma2, rng, loss_amp=1.0):
         calls.append(1)
         capture, noise = runner.capture_switched(rx, S, sigma2, rng, loss_amp=loss_amp)
         return runner.time_despread(capture, S.shape[1]), noise

@@ -9,7 +9,6 @@ from switchmux import metrics
 from switchmux.config import ARCH_CHOICES, ExperimentConfig
 from switchmux.metrics import (
     ADC_FOM,
-    PowerReport,
     adc_power,
     bits_per_joule,
     capacity,
@@ -216,10 +215,6 @@ class TestPowerModel:
         assert abs(base - 0.1) < 1e-12
         assert abs(adc_power(ADC_FOM, 12, 40e6) - 4 * base) < 1e-12
         assert abs(adc_power(ADC_FOM, 13, 10e6) - 2 * base) < 1e-12
-
-    def test_negative_terms_rejected(self):
-        with pytest.raises(ValueError):
-            PowerReport(rfe_mw=-1.0, switch_mw=0.0, adc_mw=0.0)
 
 
 class TestGoodput:
