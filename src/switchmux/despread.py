@@ -8,6 +8,12 @@ experiments. The frequency path partitions the spectrum into K zones
 centered on the code harmonics and inverts the harmonic phase matrix; it
 exists to validate the zone algebra and must agree with the time path to
 numerical precision for any input.
+
+time_spread is the time path's inverse: it interleaves K chains [K,
+samples] into one K*samples stream, chain k advanced by k/K of a sample
+into slot k. Despreading its output gives the chains back to rounding, so
+the switched front end builds its noiseless K*B stream from the K slot
+sums of the antennas it gates.
 """
 
 from __future__ import annotations
@@ -53,6 +59,19 @@ def time_despread(y: np.ndarray, K: int) -> np.ndarray:
     if K > 1:
         chains[1:] = np.fft.ifft(np.fft.fft(slots[1:]) * _delay_ramps(n, K))
     return chains
+
+
+def time_spread(chains: np.ndarray) -> np.ndarray:
+    """The K*samples stream [K*samples] whose time_despread is chains
+    [K, samples]: slot k of each period is chain k advanced by k/K of a
+    B-sample, chains 1..K-1 in one batched FFT pair by the conjugate of
+    time_despread's ramps."""
+    K, n = chains.shape
+    slots = np.empty((K, n), dtype=np.complex128)
+    slots[0] = chains[0]
+    if K > 1:
+        slots[1:] = np.fft.ifft(np.fft.fft(chains[1:]) * _delay_ramps(n, K).conj())
+    return slots.T.reshape(-1)
 
 
 def spectrum_zones(y: np.ndarray, K: int) -> np.ndarray:

@@ -8,24 +8,19 @@ chains) are the comparison front ends. Every front end takes the received
 B-rate signals [antennas, samples] and returns (output, noise): the switched
 K*B capture [K*samples] or the chains [chains, samples], and the noise law.
 
-Without a quantizer the switched chain is linear, and upsample and the
-despreader's fractional delay are exact inverses, so despreading the K*B
-capture gives back each slot's gated sum of B-rate antenna signals plus
-the despread K*B noise. switched_chains computes those K virtual chains
-[K, samples] in that closed form, as the product S.T @ rx plus the same
-noise capture_switched draws; the runner uses it whenever the quantizer is
-off and runs the K*B capture only for a quantized chain, whose rounding
-needs the K*B stream. capture_hybrid is likewise one product, weights.T @
-rx, and capture_physical draws every chain's noise in one call. The
-products run on numpy's BLAS, which a sweep holds to one thread
+The switched chain is linear, and upsample and the despreader's
+fractional delay are exact inverses, so despreading the noiseless K*B
+capture gives back each slot's gated sum of B-rate antenna signals. Both
+switched paths start from those K slot sums, the product S.T @ rx
+(_slot_sums). switched_chains adds the despread K*B noise to them, in
+closed form; the runner uses it whenever the quantizer is off.
+capture_switched interleaves them into the noiseless K*B stream
+(despread.time_spread, time_despread's inverse) and adds the slot noise,
+and the runner runs it only for a quantized chain, whose rounding needs
+the K*B stream. capture_hybrid is likewise one product, weights.T @ rx,
+and capture_physical draws every chain's noise in one call. The products
+run on numpy's BLAS, which a sweep holds to one thread
 (runner.one_blas_thread).
-
-A quantized link's noiseless K*B stream, switched_signal, reads only rx,
-S and the switch loss, not snr_db, the combiner or the noise stream, so
-the runner computes it once per drawn link and switch matrix and passes it
-to every quantized combo that shares them (runner.TrialBlock); a direct
-capture_switched call computes it itself. Either way the sums run in one
-order, so the capture's bytes do not depend on who computed it.
 
 Noise draw: each front end draws its noise in one rng.normals(n) call, the
 leading n standard normals of the stream it is given, and lays them out
@@ -65,8 +60,9 @@ import math
 
 import numpy as np
 
-from .despread import time_despread
-from .dsp import Rng, unit_complex, upsample
+from .despread import time_despread, time_spread
+from .dsp import Rng, unit_complex
+from .dsp import upsample  # noqa: F401  (bench/tracing.py wraps frontend.upsample)
 
 
 def control_word(S: np.ndarray) -> str:
@@ -132,21 +128,16 @@ def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
     return q(samples.real) + 1j * q(samples.imag)
 
 
-def switched_signal(rx: np.ndarray, S: np.ndarray, loss_amp: float = 1.0) -> np.ndarray:
-    """The noiseless K*B stream [K*samples] capture_switched samples: each
-    antenna's signal, band-limited interpolated to K*B, gated sample by
-    sample with its slot sequence, summed antenna by antenna and scaled by
-    the switch loss amplitude loss_amp.  It reads only rx, S and loss_amp,
-    so every snr_db and combiner of one draw and switch matrix shares it.
-    S and rx are checked as capture_switched checks them.
-    """
-    S = _checked_switch(rx, S)
-    K, reps = S.shape[1], rx.shape[1]  # one period of K slot samples per input sample
-    signal = np.zeros(reps * K, dtype=np.complex128)
-    for m, antenna in enumerate(rx):
-        signal += upsample(antenna, K) * np.tile(S[m], reps)
-    signal *= loss_amp
-    return signal
+def _slot_sums(rx: np.ndarray, S: np.ndarray, loss_amp: float) -> np.ndarray:
+    """loss_amp times the sum of the B-rate signals of the antennas each
+    slot gates, [K, samples]: the noiseless switched chains."""
+    # S is real, so S.T @ rx runs as a real product on rx's interleaved real
+    # and imaginary parts; adding the gated rows in antenna order, it gives
+    # the bytes of a per-slot sum of rows
+    parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
+    sums = (S.T.astype(np.float64) @ parts).view(np.complex128)
+    sums *= loss_amp
+    return sums
 
 
 def capture_switched(
@@ -157,29 +148,24 @@ def capture_switched(
     *,
     loss_amp: float = 1.0,
     quantizer_bits: int = 0,
-    signal: np.ndarray | None = None,
 ) -> tuple:
     """Gate, combine and sample M B-rate antenna signals on one K*B chain.
 
     Each antenna's signal is band-limited interpolated to K*B, multiplied
     sample-by-sample with its slot sequence, scaled by the switch loss
-    amplitude loss_amp, and summed antenna by antenna (switched_signal).
-    AWGN of B-rate variance sigma2 per gated antenna and, for
-    quantizer_bits > 0, a uniform quantizer are applied to the combined
-    capture [K*samples].
+    amplitude loss_amp, and summed. By linearity that stream is the K slot
+    sums of the gated antennas, slot k's advanced by k/K of a B-sample and
+    interleaved (time_spread), which is how it is computed. AWGN of B-rate
+    variance sigma2 per gated antenna and, for quantizer_bits > 0, a
+    uniform quantizer are applied to the combined capture [K*samples].
     S is the M x K 0/1 switch matrix, rows antennas, columns slots; every
     slot must gate at least one antenna. Returns the capture and the noise
     variances [K] of the chains time_despread recovers from it, taken before
     quantization: the SINR does not model quantization noise.
-
-    signal, when given, is switched_signal(rx, S, loss_amp), computed once
-    for every call that shares it; it is not written to.
     """
     S = _checked_switch(rx, S)
-    if signal is None:
-        signal = switched_signal(rx, S, loss_amp)
     noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
-    total = signal + noise
+    total = time_spread(_slot_sums(rx, S, loss_amp)) + noise
     if quantizer_bits:
         total = quantize(total, quantizer_bits)
     return total, law
@@ -197,12 +183,7 @@ def switched_chains(
     from rng.  S and rx are checked as capture_switched checks them.
     """
     S = _checked_switch(rx, S)
-    # S is real, so S.T @ rx runs as a real product on rx's interleaved real
-    # and imaginary parts; adding the gated rows in antenna order, it gives
-    # the bytes of a per-slot sum of rows
-    parts = np.ascontiguousarray(rx, dtype=np.complex128).view(np.float64)
-    chains = (S.T.astype(np.float64) @ parts).view(np.complex128)
-    chains *= loss_amp
+    chains = _slot_sums(rx, S, loss_amp)
     noise, law = _slot_noise(S, rx.shape[1], sigma2, rng)
     chains += time_despread(noise, S.shape[1])
     return chains, law

@@ -16,12 +16,10 @@ each config field is tagged with the first stage that reads it (the
   fix (``ExperimentConfig.chains``).  A switched link captures the K*B
   stream and despreads it only when frontend.quantizer_bits is set; with
   the quantizer off it takes the same chains in closed form
-  (``frontend.switched_chains``).  A quantized link's noiseless K*B
-  stream (``frontend.switched_signal``) reads only the draw and the switch
-  matrix, so the block computes it once per draw and matrix and shares it
-  across the quantized combos that select that matrix (``TrialBlock``).
-  A link's received power and noise stream read no link field at all, so
-  the draw carries them: the noise stream is kept as drawn so far
+  (``frontend.switched_chains``).  Both paths start from the K slot sums
+  of the gated antennas, so neither upsamples an antenna.  A link's
+  received power and noise stream read no link field at all, so the draw
+  carries them: the noise stream is kept as drawn so far
   (``dsp.KeptNormals``), each front end reads the leading part of it that
   it needs, and every capture gets the bytes a fresh stream would give it;
 * score: the decode of every link's grids and the metrics of the row,
@@ -78,7 +76,6 @@ from .frontend import (
     noise_power,
     received_power,
     switched_chains,
-    switched_signal,
 )
 from .grouping import GroupingError, inphase_select, random_switch_matrix
 from .waveform import (
@@ -270,7 +267,6 @@ def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: R
                 noise_rng,
                 loss_amp=loss_amp,
                 quantizer_bits=cfg.quantizer_bits,
-                signal=block.signal_for(index, mixing, loss_amp),
             )
             chains = time_despread(capture, cfg.chains)
         else:
@@ -302,18 +298,9 @@ def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: R
 # 1.3 MB, about 85 codewords of 384 steps.
 _DECODE_STEPS = 2**15
 
-# A block keeps the noiseless K*B streams of its current draw while they
-# hold at most this many bytes, and computes any past it afresh for each
-# call.  A grid_parallel stream (K = 4, 800 samples) is 51 KB, and a
-# 100-symbol K*B stream of M = 64, K = 8 users is 1.2 MB, so three select
-# policies of it fit.
-_SIGNAL_BYTES = 2**22
-
-
 class TrialBlock:
     """What the run_trial calls of one task block share: the draw of the
-    current (draw key, trial), a memo of its links' noiseless K*B streams
-    for quantized switched combos, and the pending scores, each a row that
+    current (draw key, trial) and the pending scores, each a row that
     waits for the block's next decode.
 
     ``pairs`` lists the block's (combo, trial_id) pairs, one run_trial call
@@ -323,20 +310,14 @@ class TrialBlock:
     draws, one of the block's costliest, never on a cheaper call that
     reuses the draw (on a grid of several combos, the block's last call
     would otherwise carry every pair's decode).  A call also decodes early
-    once the pending codeword steps reach _DECODE_STEPS.
-
-    The memo (``signal_for``) lets the quantized combos of one draw that
-    share a switch matrix gate and sum its antennas once; an unquantized
-    switched link takes its chains in closed form and keeps nothing.  The
-    memo is dropped with its draw, and so are the draw's kept noise
-    streams.
+    once the pending codeword steps reach _DECODE_STEPS.  The draw's kept
+    noise streams are dropped with it.
     """
 
     def __init__(self, pairs: list) -> None:
         last_cfg, last_trial = pairs[-1]
         self.last_key = (draw_key(last_cfg), last_trial)
         self.key = self.draw = None
-        self.signals: dict = {}  # signal_for's memo of the current draw
         self.pending: list = []
         self.steps = 0  # the pending codeword steps
 
@@ -347,24 +328,8 @@ class TrialBlock:
         if key != self.key:
             # so two draws are never held at once
             self.key = self.draw = None
-            self.signals = {}
             self.draw, self.key = draw_trial(cfg, trial_id), key
         return self.draw
-
-    def signal_for(self, index: int, S: np.ndarray, loss_amp: float) -> np.ndarray:
-        """frontend.switched_signal of the current draw's link index,
-        read-only.  It is kept for the later calls of the draw, keyed by
-        (index, S, loss_amp), unless keeping it would take the memo past
-        _SIGNAL_BYTES."""
-        key = (index, S.shape, S.tobytes(), loss_amp)
-        signal = self.signals.get(key)
-        if signal is None:
-            rx = self.draw[1][index][3]
-            signal = _frozen(switched_signal(rx, S, loss_amp))
-            kept = sum(s.nbytes for s in self.signals.values())
-            if kept + signal.nbytes <= _SIGNAL_BYTES:
-                self.signals[key] = signal
-        return signal
 
     def decode(self) -> None:
         """The score stage: decode every pending pair's grids in one

@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchmux import despread
-from switchmux.despread import freq_despread, spectrum_zones, time_despread
+from switchmux.despread import freq_despread, spectrum_zones, time_despread, time_spread
 from switchmux.dsp import fractional_delay
+from test_frontend import gating_matrix, noiseless_outputs, random_streams
 
 
 def random_stream(n, seed):
     g = np.random.Generator(np.random.Philox(key=seed))
     return g.standard_normal(n) + 1j * g.standard_normal(n)
+
+
+# chain counts and chain lengths, odd and even, of the batched delay tests
+CHAIN_COUNTS = pytest.mark.parametrize("K", [1, 2, 3, 4, 8])
+CHAIN_LENGTHS = pytest.mark.parametrize("n", [2, 5, 800, 960, 1440])
 
 
 class TestTimeDespread:
@@ -43,8 +49,8 @@ class TestTimeDespread:
         with pytest.raises(ValueError):
             time_despread(random_stream(65, 4), 4)
 
-    @pytest.mark.parametrize("K", [2, 3, 4, 8])
-    @pytest.mark.parametrize("n", [2, 5, 800, 960, 1440])
+    @CHAIN_COUNTS
+    @CHAIN_LENGTHS
     def test_bytes_of_the_per_chain_fractional_delay(self, K, n):
         # chain k delayed by k/K on its own, the loop the batched FFT pair
         # replaces
@@ -54,6 +60,30 @@ class TestTimeDespread:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert not despread._delay_ramps(n, K).flags.writeable
+
+
+class TestTimeSpread:
+    @CHAIN_COUNTS
+    @CHAIN_LENGTHS
+    def test_time_despread_inverts_it(self, K, n):
+        chains = random_stream(K * n, (K, n)).reshape(K, n)
+        stream = time_spread(chains)
+        assert stream.shape == (K * n,)
+        got = time_despread(stream, K)
+        np.testing.assert_allclose(got, chains, rtol=0, atol=1e-12 * np.abs(chains).max())
+
+    @CHAIN_COUNTS
+    @CHAIN_LENGTHS
+    def test_spread_slot_sums_are_the_gated_antenna_sum(self, K, n):
+        # the K*B stream of each antenna upsampled, gated by its slot and
+        # summed, built antenna by antenna
+        M = K + 2
+        rx = random_streams(M, n, (K, n))
+        S = gating_matrix(M, K, (n, K))
+        oracle = noiseless_outputs(rx, S, np.ones((M, 1)), 0.8)
+        want = oracle["capture_switched"]
+        got = time_spread(oracle["switched_chains"])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestSpectrumZones:

@@ -342,7 +342,12 @@ def test_zero_variance_gives_the_noiseless_output(front_end):
     }
     want = noiseless_outputs(rx, S, weights, 0.8)[front_end]
     got, _ = captures[front_end]()
-    assert np.array_equal(got, want)
+    if front_end == "capture_switched":
+        # the capture sums the antennas before it interpolates, so it rounds
+        # apart from the per-antenna oracle
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    else:
+        assert np.array_equal(got, want)
 
 
 def law_captures(M, K):

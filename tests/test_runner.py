@@ -632,7 +632,6 @@ UNTRACED = {
     "channel.ula_positions": "cheap per-link helper",
     "runner.switched_chains": "hot, unwrapped until the benchmark harness next changes",
     "runner.symbol_spectra": "hot, unwrapped until the benchmark harness next changes",
-    "runner.switched_signal": "hot, unwrapped until the benchmark harness next changes",
 }
 
 

@@ -10,9 +10,8 @@ table (``config_strategies.grid_texts``):
 * nor on how a block batches its decodes: a pair whose selection fails
   mid-block, and a block that decodes several times, give the rows of
   fresh trials;
-* nor on how a block shares its noiseless switched signals: a grid whose
-  combos share switch matrices gives fresh rows with the memo, past its
-  byte cap, and on any block split;
+* nor on the switch matrices its combos share: a grid whose combos share
+  them gives fresh rows on any block split, with the quantizer on or off;
 * nor on how a block shares its noise streams: every front end of a draw
   reads one kept stream per link, drawn once, in either order of the
   short switched read and the long dbf read.
@@ -168,34 +167,23 @@ def test_a_block_that_decodes_several_times_gives_fresh_rows(monkeypatch):
 
 # three select policies at two SNRs: each trial's three switch matrices are
 # each shared by two combos
-MEMO = (
+SHARED = (
     "users = 2\nantennas = 4\npayload_symbols = 1\ntrials = 2\nseed = 3\n"
     "sweep.select = grouped, random, identity\nsweep.snr_db = 5, 25\n"
 )
 
 
-def _memo_config(quantizer_bits: int) -> ExperimentConfig:
-    return build_config(parse_config_text(MEMO + f"frontend.quantizer_bits = {quantizer_bits}\n"))
-
-
-def _counted_signals(monkeypatch) -> list:
-    computed = []
-    signal = runner.switched_signal
-    monkeypatch.setattr(
-        runner, "switched_signal", lambda *a, **k: computed.append(1) or signal(*a, **k)
+def _shared_config(quantizer_bits: int) -> ExperimentConfig:
+    return build_config(
+        parse_config_text(SHARED + f"frontend.quantizer_bits = {quantizer_bits}\n")
     )
-    return computed
 
 
 @pytest.mark.parametrize("quantizer_bits", [0, 8])
 def test_shared_switched_signals_give_fresh_rows_on_any_block_split(monkeypatch, quantizer_bits):
-    cfg = _memo_config(quantizer_bits)
+    cfg = _shared_config(quantizer_bits)
     expected = _fresh_rows(cfg)
-    computed = _counted_signals(monkeypatch)
     assert _grid_rows(cfg) == expected
-    # one K*B stream per trial and select policy, not per combo; an
-    # unquantized grid takes its chains in closed form and computes none
-    assert len(computed) == (2 * 3 if quantizer_bits else 0)
     _, rows = runner.run_grid(cfg, 2)  # worker processes
     assert [runner.format_row(row, row["users"]) for row in rows] == expected
     # threads keep the blocks in this process, so 3 blocks fit 2 cores
@@ -209,52 +197,17 @@ def test_shared_switched_signals_give_fresh_rows_on_any_block_split(monkeypatch,
     assert [runner.format_row(row, row["users"]) for row in rows] == expected
 
 
-def test_a_signal_memo_entry_is_read_only_and_dropped_with_its_draw():
-    cfg = _memo_config(8)
-    grouped = [c for c in runner.sweep_combos(cfg) if c.select == "grouped"]
-    block = runner.TrialBlock([(c, t) for t in range(2) for c in grouped])
-    runner.run_trial(grouped[0], 0, block)
-    (signal,) = block.signals.values()
-    runner.run_trial(grouped[1], 0, block)  # the other SNR, trial 0's one matrix
-    (again,) = block.signals.values()
-    assert again is signal
-    with pytest.raises(ValueError, match="read-only"):
-        signal[0] = 0
-    runner.run_trial(grouped[0], 1, block)
-    (fresh,) = block.signals.values()
-    assert fresh is not signal
-
-
 def test_a_block_releases_its_previous_draw():
-    cfg = _memo_config(8)
+    cfg = _shared_config(8)
     grouped = [c for c in runner.sweep_combos(cfg) if c.select == "grouped"]
     block = runner.TrialBlock([(c, t) for t in range(2) for c in grouped])
     runner.run_trial(grouped[0], 0, block)
     _, _, _, rx, _, noise = block.draw[1][0]
-    (signal,) = block.signals.values()
-    old = [weakref.ref(rx), weakref.ref(noise), weakref.ref(signal)]
-    del rx, noise, signal
+    old = [weakref.ref(rx), weakref.ref(noise)]
+    del rx, noise
     runner.run_trial(grouped[0], 1, block)
     gc.collect()
     assert all(ref() is None for ref in old)
-    # so the memo's one entry is the new draw's signal
-    assert len(block.signals) == 1
-
-
-def test_a_grid_past_the_signal_byte_cap_gives_fresh_rows(monkeypatch):
-    cfg = _memo_config(8)
-    expected = _fresh_rows(cfg)
-    computed = _counted_signals(monkeypatch)
-    # one K*B stream of 2 chains x 400 samples fits, the second does not
-    monkeypatch.setattr(runner, "_SIGNAL_BYTES", 2 * 400 * 16)
-    assert _grid_rows(cfg) == expected
-    # per trial the first matrix is kept and shared, the other two are
-    # computed for each of their two combos
-    assert len(computed) == 2 * (1 + 2 * 2)
-    monkeypatch.setattr(runner, "_SIGNAL_BYTES", 0)
-    computed.clear()
-    assert _grid_rows(cfg) == expected
-    assert len(computed) == 2 * 3 * 2
 
 
 # users = 2 at antennas = 4, so of each trial's noise stream a switched link
