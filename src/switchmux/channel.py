@@ -3,10 +3,11 @@
 A channel is a complex gain array [users, antennas, subcarriers] in fft bin
 order (upper half = negative frequencies), matching the OFDM grid it
 multiplies. Two sources: i.i.d. Rayleigh draws and image-source ray
-tracing in a rectangular room. Channels are frozen per packet (every
-experiment uses static scenes) and applied per OFDM symbol in the
-frequency domain, so the per-subcarrier product the combining math assumes
-holds exactly, with no inter-symbol interference.
+tracing in a rectangular room, whose mirror images of up to two
+reflections are the rows of one table (_IMAGES). Channels are frozen per
+packet (every experiment uses static scenes) and applied per OFDM symbol
+in the frequency domain, so the per-subcarrier product the combining math
+assumes holds exactly, with no inter-symbol interference.
 """
 
 from __future__ import annotations
@@ -50,35 +51,17 @@ def ula_positions(M: int, ap_xy) -> np.ndarray:
     return out + np.asarray(ap_xy, float)
 
 
-def _image_sources(room_m, user_xy, max_reflections: int):
-    """Image positions and bounce counts up to two bounces in the room
-    [0, room_x] x [0, room_y].
-
-    For a rectangle the image lattice is exact: 1 direct image, 4 single
-    bounce, 8 double bounce (2 per parallel wall pair + 4 corners).
-    """
-    sx, sy = float(user_xy[0]), float(user_xy[1])
-    lx, ly = float(room_m[0]), float(room_m[1])
-    images = [((sx, sy), 0)]
-    if max_reflections >= 1:
-        images += [
-            ((-sx, sy), 1),
-            ((2 * lx - sx, sy), 1),
-            ((sx, -sy), 1),
-            ((sx, 2 * ly - sy), 1),
-        ]
-    if max_reflections >= 2:
-        images += [
-            ((sx - 2 * lx, sy), 2),
-            ((sx + 2 * lx, sy), 2),
-            ((sx, sy - 2 * ly), 2),
-            ((sx, sy + 2 * ly), 2),
-            ((-sx, -sy), 2),
-            ((-sx, 2 * ly - sy), 2),
-            ((2 * lx - sx, -sy), 2),
-            ((2 * lx - sx, 2 * ly - sy), 2),
-        ]
-    return images
+# The image-source lattice of the room [0, lx] x [0, ly], which is exact for a
+# rectangle: row (sx, ox, sy, oy, bounces) places the image of a user at
+# (x, y) at (sx*x + ox*lx, sy*y + oy*ly).  The first 1, 5 or 13 rows hold the
+# images of up to 0, 1 or 2 reflections: the direct path, one per wall, then
+# two per pair of parallel walls and one per corner.
+_IMAGES = (
+    (1, 0, 1, 0, 0),
+    (-1, 0, 1, 0, 1), (-1, 2, 1, 0, 1), (1, 0, -1, 0, 1), (1, 0, -1, 2, 1),
+    (1, -2, 1, 0, 2), (1, 2, 1, 0, 2), (1, 0, 1, -2, 2), (1, 0, 1, 2, 2),
+    (-1, 0, -1, 0, 2), (-1, 0, -1, 2, 2), (-1, 2, -1, 0, 2), (-1, 2, -1, 2, 2),
+)
 
 
 def ray_trace(
@@ -93,15 +76,19 @@ def ray_trace(
 ) -> np.ndarray:
     """Image-source channel [users, antennas, F] for antennas_m [M, 2] and
     users_m [K, 2] inside the room [0, room_m[0]] x [0, room_m[1]], whose
-    walls all reflect with gamma (the config checks the geometry).  Per
-    path, amplitude gamma^bounces / distance and phase
-    e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier, f_c = CARRIER_HZ."""
+    walls all reflect with gamma (the config checks the geometry).  Each
+    user's paths are the first 1, 5 or 13 rows of the _IMAGES table for
+    max_reflections 0, 1 or 2.  Per path, amplitude gamma^bounces / distance
+    and phase e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier, f_c =
+    CARRIER_HZ; a path of zero amplitude (gamma = 0) is skipped."""
     if max_reflections not in (0, 1, 2):
         raise ValueError("max_reflections must be 0, 1 or 2")
     if F < 1:
         raise ValueError("F must be >= 1")
     ants = np.asarray(antennas_m, float)
     users = np.asarray(users_m, float)
+    lx, ly = float(room_m[0]), float(room_m[1])
+    images = _IMAGES[: (1, 5, 13)[max_reflections]]
     amps = (1.0, gamma, gamma * gamma)
     freqs = CARRIER_HZ + signed_bins(F) * subcarrier_spacing_hz
     gains = np.zeros((len(users), len(ants), F), dtype=np.complex128)
@@ -109,11 +96,13 @@ def ray_trace(
         direct = np.linalg.norm(ants - user[None, :], axis=1)
         if np.min(direct) < MIN_CLEARANCE_M:
             raise ValueError("user coincides with an antenna position")
-        for (ix, iy), bounces in _image_sources(room_m, user, max_reflections):
+        x, y = float(user[0]), float(user[1])
+        for sx, ox, sy, oy, bounces in images:
             amp = amps[bounces]
             if amp == 0.0:
                 continue
-            d = np.linalg.norm(ants - np.array([ix, iy])[None, :], axis=1)
+            image = np.array([sx * x + ox * lx, sy * y + oy * ly])
+            d = np.linalg.norm(ants - image[None, :], axis=1)
             phase = np.exp(-2j * np.pi * np.outer(d, freqs) / SPEED_OF_LIGHT)
             gains[u] += (amp / d)[:, None] * phase
     return gains
@@ -156,8 +145,5 @@ def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
         np.ascontiguousarray(spectra.transpose(2, 0, 1)),
     )
     out_bodies = np.fft.ifft(out_spectra.transpose(1, 2, 0), axis=2)
-    if cp_len:
-        symbols = np.concatenate([out_bodies[:, :, -cp_len:], out_bodies], axis=2)
-    else:
-        symbols = out_bodies
+    symbols = np.concatenate([out_bodies[:, :, F - cp_len :], out_bodies], axis=2)
     return symbols.reshape(gains.shape[1], -1)

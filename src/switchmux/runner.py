@@ -242,16 +242,16 @@ def draw_trial(cfg: ExperimentConfig, trial_id: int) -> tuple:
     return bits, links
 
 
-def _run_link(cfg: ExperimentConfig, block: TrialBlock, index: int, trial_rng: Rng) -> tuple:
-    """Capture the block's drawn link index with the configured front end,
-    then estimate and combine it.  The front end reads the leading values
-    of the link's kept noise stream.
+def _run_link(cfg: ExperimentConfig, link: tuple, trial_rng: Rng) -> tuple:
+    """Capture one drawn link (an entry of draw_trial's links) with the
+    configured front end, then estimate and combine it.  The front end
+    reads the leading values of the link's kept noise stream.
 
     Returns the equalized grids [users, payload symbols, data bins], the
     per-user SINR (dB) and the EVM (%).
     Raises GroupingError when the switched selector finds no usable matrix.
     """
-    bits, gains, tx_grids, rx, p_rx, noise_rng = block.draw[1][index]
+    bits, gains, tx_grids, rx, p_rx, noise_rng = link
     h_ref = gains[:, :, REFERENCE_BIN]
     sigma2 = noise_power(p_rx, cfg.snr_db, len(bits))
 
@@ -366,13 +366,8 @@ def run_trial(cfg: ExperimentConfig, trial_id: int, block: TrialBlock | None = N
     bits, links = block.draw_for(cfg, trial_id)
     trial_rng = Rng(cfg.seed, trial_id)
 
-    grids, sinrs, evms = [], [], []
     try:
-        for index in range(len(links)):
-            got, sinr_db, evm_pct = _run_link(cfg, block, index, trial_rng)
-            grids.append(got)
-            sinrs.append(sinr_db)
-            evms.append(evm_pct)
+        grids, sinrs, evms = zip(*[_run_link(cfg, link, trial_rng) for link in links])
     except GroupingError:
         row = _failed_row(cfg, trial_id)
     else:

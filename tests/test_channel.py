@@ -17,7 +17,7 @@ from switchmux.dsp import Rng
 def ofdm_like_stream(num_sym, fft, cp, seed):
     g = np.random.Generator(np.random.Philox(key=seed))
     body = g.standard_normal((num_sym, fft)) + 1j * g.standard_normal((num_sym, fft))
-    sym = np.concatenate([body[:, -cp:], body], axis=1)
+    sym = np.concatenate([body[:, fft - cp :], body], axis=1)
     return sym.reshape(-1)
 
 
@@ -87,30 +87,42 @@ class TestRayTrace:
         assert np.allclose(chan[:, 0, :], chan[:, 1, :])
         assert np.allclose(chan[:, 0, :], chan[:, 2, :])
 
-    def test_one_gamma_five_paths(self):
+    @pytest.mark.parametrize("max_reflections", [0, 1, 2])
+    @pytest.mark.parametrize("gamma", [0.6, 0.0])
+    def test_one_gamma_five_paths(self, gamma, max_reflections):
         # every wall reflects with one gamma; the oracle is the explicit sum
-        # of the direct path and the four single-bounce mirror images
-        gam = 0.6
-        ap, user = np.array([2.0, 2.0]), np.array([7.0, 1.0])
-        chan = trace(ROOM, [ap], [user], 8, 1, gamma=gam)
+        # over the direct path, the four single-bounce and the eight
+        # double-bounce mirror images (gamma = 0 leaves the direct path)
+        lx, ly = ROOM
+        ants = np.array([(2.0, 2.0), (6.0, 0.5), (11.5, 4.5)])
+        users = np.array([(7.0, 1.0), (3.5, 4.2), (10.9, 0.3)])
+        chan = trace(ROOM, ants, users, 8, max_reflections, gamma=gamma)
         freqs = 2.4e9 + np.fft.fftfreq(8, 1 / 8) * 10e6 / 64
-        images = [
-            (user, 1.0),
-            ((-user[0], user[1]), gam),
-            ((2 * 12.0 - user[0], user[1]), gam),
-            ((user[0], -user[1]), gam),
-            ((user[0], 2 * 5.0 - user[1]), gam),
-        ]
-        want = np.zeros(8, dtype=complex)
-        for pos, amp in images:
-            d = np.linalg.norm(np.asarray(pos) - ap)
-            want += amp * np.exp(-2j * np.pi * freqs * d / SPEED_OF_LIGHT) / d
-        assert np.max(np.abs(chan[0, 0] - want)) < 1e-9
-        # gamma = 0 leaves the direct path alone
-        los = trace(ROOM, [ap], [user], 8, 1, gamma=0.0)
-        d_los = np.linalg.norm(user - ap)
-        direct = np.exp(-2j * np.pi * freqs * d_los / SPEED_OF_LIGHT) / d_los
-        assert np.max(np.abs(los[0, 0] - direct)) < 1e-12
+        want = np.zeros((3, 3, 8), dtype=complex)
+        for u, (x, y) in enumerate(users):
+            images = [
+                ((x, y), 0),
+                ((-x, y), 1),  # wall x = 0
+                ((2 * lx - x, y), 1),  # wall x = lx
+                ((x, -y), 1),  # wall y = 0
+                ((x, 2 * ly - y), 1),  # wall y = ly
+                ((x - 2 * lx, y), 2),  # x = lx, then x = 0
+                ((x + 2 * lx, y), 2),  # x = 0, then x = lx
+                ((x, y - 2 * ly), 2),  # y = ly, then y = 0
+                ((x, y + 2 * ly), 2),  # y = 0, then y = ly
+                ((-x, -y), 2),  # corner (0, 0)
+                ((-x, 2 * ly - y), 2),  # corner (0, ly)
+                ((2 * lx - x, -y), 2),  # corner (lx, 0)
+                ((2 * lx - x, 2 * ly - y), 2),  # corner (lx, ly)
+            ]
+            for pos, bounces in images:
+                if bounces > max_reflections:
+                    continue
+                for m, ant in enumerate(ants):
+                    d = np.linalg.norm(np.asarray(pos) - ant)
+                    phase = np.exp(-2j * np.pi * freqs * d / SPEED_OF_LIGHT)
+                    want[u, m] += gamma**bounces * phase / d
+        assert np.max(np.abs(chan - want)) < 1e-12
 
     def test_far_broadside_user_in_phase(self):
         # half-wavelength pair, user far away broadside: < 1 degree apart
@@ -129,11 +141,15 @@ class TestRayTrace:
         mags = np.abs(chan[:, 0, 0])
         assert mags[0] > mags[1] > mags[2]
 
-    def test_user_at_antenna_errors(self):
-        with pytest.raises(ValueError, match="coincides"):
-            trace(ROOM, [(2.0, 2.0)], [(2.0, 2.0)], 1, 0)
-        with pytest.raises(ValueError, match="coincides"):
-            trace(ROOM, [(2.0, 2.0)], [(2.0 + MIN_CLEARANCE_M / 2, 2.0)], 1, 0)
+    @pytest.mark.parametrize("gamma", [0.6, 0.0])
+    @pytest.mark.parametrize("others", [[], [(6.0, 3.0)]], ids=["sole", "second"])
+    def test_user_at_antenna_errors(self, others, gamma):
+        # the sole or the second user stands on an antenna or within the
+        # clearance; gamma = 0 skips the reflections but not this check
+        ants = [(2.0, 2.0), (4.0, 1.0)]
+        for user in [(2.0, 2.0), (2.0 + MIN_CLEARANCE_M / 2, 2.0)]:
+            with pytest.raises(ValueError, match="coincides"):
+                trace(ROOM, ants, others + [user], 1, 1, gamma=gamma)
 
     def test_rejects_deep_reflections(self):
         with pytest.raises(ValueError):
@@ -185,13 +201,13 @@ class TestApply:
         sym = out.reshape(2, 20)
         assert np.allclose(sym[:, :4], sym[:, -4:])
 
-    @pytest.mark.parametrize("users, antennas, cp", [(8, 64, 16), (3, 5, 4), (1, 1, 16)])
+    @pytest.mark.parametrize("users, antennas, cp", [(8, 64, 16), (3, 5, 4), (1, 1, 16), (2, 3, 0)])
     def test_matches_the_einsum_per_subcarrier(self, users, antennas, cp):
         chan = rayleigh(users, antennas, 64, Rng(15), num_taps=4)
         tx = np.stack([ofdm_like_stream(6, 64, cp, 20 + u) for u in range(users)])
         bodies = tx.reshape(users, 6, 64 + cp)[:, :, cp:]
         out = np.fft.ifft(np.einsum("umf,usf->msf", chan, np.fft.fft(bodies, axis=2)), axis=2)
-        want = np.concatenate([out[:, :, -cp:], out], axis=2).reshape(antennas, -1)
+        want = np.concatenate([out[:, :, 64 - cp :], out], axis=2).reshape(antennas, -1)
         got = apply(chan, tx, cp_len=cp)
         assert got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
