@@ -4,10 +4,13 @@ A channel is a complex gain array [users, antennas, subcarriers] in fft bin
 order (upper half = negative frequencies), matching the OFDM grid it
 multiplies. Two sources: i.i.d. Rayleigh draws and image-source ray
 tracing in a rectangular room, whose mirror images of up to two
-reflections are the rows of one table (_IMAGES). Channels are frozen per
-packet (every experiment uses static scenes) and applied per OFDM symbol
-in the frequency domain, so the per-subcarrier product the combining math
-assumes holds exactly, with no inter-symbol interference.
+reflections are the rows of one table (_IMAGES). Each path's phase across
+the subcarriers is its carrier phase times a power ladder of one
+per-subcarrier step, so a path costs two complex exps per antenna, not one
+per subcarrier. Channels are frozen per packet (every experiment uses
+static scenes) and applied per OFDM symbol in the frequency domain, so the
+per-subcarrier product the combining math assumes holds exactly, with no
+inter-symbol interference.
 """
 
 from __future__ import annotations
@@ -78,9 +81,14 @@ def ray_trace(
     users_m [K, 2] inside the room [0, room_m[0]] x [0, room_m[1]], whose
     walls all reflect with gamma (the config checks the geometry).  Each
     user's paths are the first 1, 5 or 13 rows of the _IMAGES table for
-    max_reflections 0, 1 or 2.  Per path, amplitude gamma^bounces / distance
-    and phase e^{-j 2 pi (f_c + f_sc) d / c} per subcarrier, f_c =
-    CARRIER_HZ; a path of zero amplitude (gamma = 0) is skipped."""
+    max_reflections 0, 1 or 2.  Per path of length d, amplitude
+    gamma^bounces / d and phase e^{-j 2 pi (f_c + k df) d / c} at signed bin
+    k, f_c = CARRIER_HZ and df = subcarrier_spacing_hz; a path of zero
+    amplitude (gamma = 0) is skipped.  The phase factors into a carrier
+    term e^{-j 2 pi f_c d / c} and a step s = e^{-j 2 pi df d / c} raised
+    to k, so each path takes two exps per antenna: the powers s^1 .. s^(F//2)
+    come from one cumprod, and the negative bins take their conjugates
+    (|s| = 1)."""
     if max_reflections not in (0, 1, 2):
         raise ValueError("max_reflections must be 0, 1 or 2")
     if F < 1:
@@ -90,7 +98,8 @@ def ray_trace(
     lx, ly = float(room_m[0]), float(room_m[1])
     images = _IMAGES[: (1, 5, 13)[max_reflections]]
     amps = (1.0, gamma, gamma * gamma)
-    freqs = CARRIER_HZ + signed_bins(F) * subcarrier_spacing_hz
+    half = F // 2  # bins 1 .. F-1-half, then -half .. -1
+    powers = np.ones((len(ants), F), dtype=np.complex128)
     gains = np.zeros((len(users), len(ants), F), dtype=np.complex128)
     for u, user in enumerate(users):
         direct = np.linalg.norm(ants - user[None, :], axis=1)
@@ -103,8 +112,12 @@ def ray_trace(
                 continue
             image = np.array([sx * x + ox * lx, sy * y + oy * ly])
             d = np.linalg.norm(ants - image[None, :], axis=1)
-            phase = np.exp(-2j * np.pi * np.outer(d, freqs) / SPEED_OF_LIGHT)
-            gains[u] += (amp / d)[:, None] * phase
+            carrier = np.exp(-2j * np.pi * (d * CARRIER_HZ) / SPEED_OF_LIGHT)
+            step = np.exp(-2j * np.pi * (d * subcarrier_spacing_hz) / SPEED_OF_LIGHT)
+            ladder = np.cumprod(np.broadcast_to(step[:, None], (len(d), half)), axis=1)
+            powers[:, 1 : F - half] = ladder[:, : F - 1 - half]
+            powers[:, F - half :] = ladder[:, ::-1].conj()
+            gains[u] += ((amp / d) * carrier)[:, None] * powers
     return gains
 
 
@@ -123,7 +136,8 @@ def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
     """Pass transmit signals [users, samples] through the channel; returns
     the received signals [antennas, samples].
 
-    Signals must be whole OFDM symbols of (F + cp_len) samples. Each symbol
+    Signals must be whole OFDM symbols of (F + cp_len) samples, with
+    0 <= cp_len <= F (the prefix is a copy of the body's tail). Each symbol
     is filtered per subcarrier and its cyclic prefix is rebuilt from the
     filtered tail, which realizes exact circular convolution per symbol.
     """
@@ -135,8 +149,8 @@ def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
     num_users, total = tx.shape
     F = gains.shape[2]
     sym_len = F + cp_len
-    if cp_len < 0 or total % sym_len != 0:
-        raise ValueError("stream length must be a whole number of symbols")
+    if cp_len < 0 or cp_len > F or total % sym_len != 0:
+        raise ValueError("need 0 <= cp_len <= F and a whole number of symbols")
     bodies = tx.reshape(num_users, total // sym_len, sym_len)[:, :, cp_len:]
     spectra = np.fft.fft(bodies, axis=2)
     # per subcarrier, gains [antennas, users] @ spectra [users, symbols]

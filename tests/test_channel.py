@@ -73,6 +73,18 @@ def trace(room, ants, users, F, max_reflections, gamma=0.6):
     return ray_trace(room, ants, users, F, gamma=gamma, max_reflections=max_reflections)
 
 
+def image_sum_cases():
+    # odd and even F split the signed bins differently; spacing None is the
+    # default 10e6 / 64, and the F = 8 cases at it keep their short ids
+    for gamma in (0.0, 0.6):
+        for max_reflections in (0, 1, 2):
+            for F in (1, 2, 7, 8, 64):
+                for spacing, name in ((None, ""), (20e6 / 64, "-20MHz")):
+                    tag = "" if (F, name) == (8, "") else f"-F{F}{name}"
+                    case = (gamma, max_reflections, F, spacing)
+                    yield pytest.param(*case, id=f"{gamma}-{max_reflections}{tag}")
+
+
 class TestRayTrace:
     def test_los_only_magnitude_and_phase(self):
         d = 4.0
@@ -87,18 +99,22 @@ class TestRayTrace:
         assert np.allclose(chan[:, 0, :], chan[:, 1, :])
         assert np.allclose(chan[:, 0, :], chan[:, 2, :])
 
-    @pytest.mark.parametrize("max_reflections", [0, 1, 2])
-    @pytest.mark.parametrize("gamma", [0.6, 0.0])
-    def test_one_gamma_five_paths(self, gamma, max_reflections):
+    @pytest.mark.parametrize("gamma, max_reflections, F, spacing", list(image_sum_cases()))
+    def test_one_gamma_five_paths(self, gamma, max_reflections, F, spacing):
         # every wall reflects with one gamma; the oracle is the explicit sum
         # over the direct path, the four single-bounce and the eight
-        # double-bounce mirror images (gamma = 0 leaves the direct path)
+        # double-bounce mirror images (gamma = 0 leaves the direct path),
+        # with one exp per subcarrier
         lx, ly = ROOM
         ants = np.array([(2.0, 2.0), (6.0, 0.5), (11.5, 4.5)])
         users = np.array([(7.0, 1.0), (3.5, 4.2), (10.9, 0.3)])
-        chan = trace(ROOM, ants, users, 8, max_reflections, gamma=gamma)
-        freqs = 2.4e9 + np.fft.fftfreq(8, 1 / 8) * 10e6 / 64
-        want = np.zeros((3, 3, 8), dtype=complex)
+        kwargs = {} if spacing is None else {"subcarrier_spacing_hz": spacing}
+        chan = ray_trace(
+            ROOM, ants, users, F, gamma=gamma, max_reflections=max_reflections, **kwargs
+        )
+        spacing = 10e6 / 64 if spacing is None else spacing
+        freqs = 2.4e9 + np.fft.fftfreq(F, 1 / F) * spacing
+        want = np.zeros((3, 3, F), dtype=complex)
         for u, (x, y) in enumerate(users):
             images = [
                 ((x, y), 0),
@@ -216,6 +232,15 @@ class TestApply:
         chan = rayleigh(2, 2, 16, Rng(13))
         with pytest.raises(ValueError):
             apply(chan, ofdm_like_stream(1, 16, 4, 10)[None, :], cp_len=4)
+
+    @pytest.mark.parametrize("cp_len, total", [(6, 20), (5, 18)])
+    def test_rejects_prefix_longer_than_body(self, cp_len, total):
+        # whole symbols of F + cp_len samples, but the prefix outruns the
+        # F = 4 body it copies; cp_len = F is the longest accepted
+        chan = rayleigh(1, 1, 4, Rng(17))
+        with pytest.raises(ValueError, match="cp_len <= F"):
+            apply(chan, np.ones((1, total)), cp_len=cp_len)
+        assert apply(chan, np.ones((1, 16)), cp_len=4).shape == (1, 16)
 
     def test_rejects_ragged_lengths(self):
         chan = rayleigh(2, 2, 16, Rng(14))

@@ -5,8 +5,12 @@ swept at seed 1 and its CSV must equal ``bench/reference/<workload>.csv``
 byte for byte, at 1 and at 2 workers.  The workloads all keep the modem
 keys at their defaults, so one more config sets both
 ``ofdm.lts_repeats`` and ``ofdm.bandwidth_hz`` off them and must equal
-``tests/reference/modem_keys.csv``.  Any change that moves a single digit
-of a row is a behaviour change and fails here.
+``tests/reference/modem_keys.csv``.  The bench ray-traces only at one
+reflection, gamma 0.6 and 10 MHz, so one more config traces two
+reflections at gamma 0.3 and 20 MHz and must equal
+``tests/reference/raytrace_keys.csv``.  Any change that moves a single
+digit of a row is a behaviour change and fails here, and the failure
+message is ``csvdiff.report``: the cells that moved, per column and combo.
 """
 
 import sys
@@ -21,6 +25,7 @@ BENCH_DIR = TESTS_DIR.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
 import run as bench_run  # noqa: E402
+from csvdiff import report  # noqa: E402
 
 CASES = [
     ("decode_heavy", 1),
@@ -39,7 +44,16 @@ def test_sweep_matches_reference_bytes(tmp_path, workload, workers):
     out = tmp_path / f"{workload}.csv"
     runner.run_sweep(config.load_config(str(cfg_path)), str(out), workers=workers)
     reference = BENCH_DIR / "reference" / f"{workload}.csv"
-    assert out.read_bytes() == reference.read_bytes()
+    assert out.read_bytes() == reference.read_bytes(), report(reference, out)
+
+
+def sweep_matches_reference(tmp_path, name, text):
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / f"{name}.csv"
+    runner.run_sweep(config.load_config(str(cfg_path)), str(out))
+    reference = TESTS_DIR / "reference" / f"{name}.csv"
+    assert out.read_bytes() == reference.read_bytes(), report(reference, out)
 
 
 # its rows differ from the same config at ofdm.lts_repeats = 2 and at the
@@ -51,8 +65,17 @@ MODEM_KEYS = (
 
 
 def test_modem_keys_match_reference_bytes(tmp_path):
-    cfg_path = tmp_path / "modem_keys.cfg"
-    cfg_path.write_text(MODEM_KEYS, encoding="utf-8")
-    out = tmp_path / "modem_keys.csv"
-    runner.run_sweep(config.load_config(str(cfg_path)), str(out))
-    assert out.read_bytes() == (TESTS_DIR / "reference" / "modem_keys.csv").read_bytes()
+    sweep_matches_reference(tmp_path, "modem_keys", MODEM_KEYS)
+
+
+# the images past one bounce, a gamma whose square is not the bench's and
+# a 20 MHz subcarrier spacing, through all four ray-traced front ends
+RAYTRACE_KEYS = (
+    "users = 3\nantennas = 12\nscenario = raytrace\nscene.max_reflections = 2\n"
+    "scene.gamma = 0.3\nofdm.bandwidth_hz = 20e6\npayload_symbols = 2\n"
+    "sweep.arch = switched, dbf, hbf_full, hbf_partial\ntrials = 2\nseed = 5\n"
+)
+
+
+def test_raytrace_keys_match_reference_bytes(tmp_path):
+    sweep_matches_reference(tmp_path, "raytrace_keys", RAYTRACE_KEYS)
