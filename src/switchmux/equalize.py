@@ -10,11 +10,12 @@ weights are [data bins, users, chains].  The pilot bins carry nothing this
 receiver reads, so they are neither estimated nor combined.  The digital
 combiner inverts heff bin by bin: zero-forcing uses the pseudo-inverse,
 built from one stacked SVD whose singular values also give each bin's
-rank.  Null-space combining projects each user onto the directions the
-others cannot reach; it is defined only on square channels (chains ==
-users, or one user), where that projection is the user's row of the
-inverse, so it is computed as zero-forcing.  Both null interference
-exactly on full-rank bins.
+rank, and it nulls interference exactly on full-rank bins.  Null-space
+combining (config's ``combiner = nullspace``) projects each user onto the
+directions the others cannot reach; config admits it only on square
+channels (chains == users, or one user), where that projection is the
+user's row of the inverse, so it is zero-forcing and has no function of
+its own.
 
 Estimation and combining read a capture's symbol spectra [chains, symbols,
 fft bins] (``waveform.symbol_spectra`` of a [chains, samples] capture of a
@@ -96,20 +97,6 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
     inv[~large] = 0
     pinv = np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
     return CombinerMatrix(weights=pinv, erased=large.sum(axis=1) < users)
-
-
-def nullspace_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix:
-    """Per-bin interference-nulling projections, computed as zf_weights.
-
-    User u's row is the vector orthogonal to every other user's column that
-    maps u's own column to one.  It is unique only when chains == users or
-    users == 1, and there it is row u of the (pseudo-)inverse, so other
-    shapes raise ValueError.
-    """
-    _, chains, users = heff.shape
-    if chains != users and users != 1:
-        raise ValueError(f"null-space combining needs chains == users, got {chains} x {users}")
-    return zf_weights(heff, rank_tolerance)
 
 
 def apply_combiner(spectra: np.ndarray, comb: CombinerMatrix, lts_repeats: int) -> np.ndarray:

@@ -117,6 +117,8 @@ def noise_power(p_rx: float, snr_db: float, num_users: int) -> float:
 
 def quantize(samples: np.ndarray, bits: int) -> np.ndarray:
     """Uniform midrise quantizer on I and Q, full scale at the peak."""
+    if bits < 1:
+        raise ValueError(f"quantizer needs at least 1 bit, got {bits}")
     scale = max(np.max(np.abs(samples.real)), np.max(np.abs(samples.imag)), 1e-30)
     levels = 2**bits
     step = 2 * scale / levels

@@ -89,7 +89,7 @@ def test_antenna_hardening_gates_medians_and_shares(monkeypatch, medians, shares
     of rooms with every user above 10 dB must rise with M."""
     by_m = dict(zip((4, 6, 8), zip(medians, shares)))
 
-    def fake_trial(cfg, trial_id, draws=None):
+    def fake_trial(cfg, trial_id, block=None):
         median, share = by_m[cfg.antennas]
         if trial_id < share:
             return {"sinr_db": [median + 5.0] * cfg.users, "mean_sinr_db": median}

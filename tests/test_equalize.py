@@ -10,13 +10,7 @@ import pytest
 
 from switchmux import channel
 from switchmux.dsp import Rng
-from switchmux.equalize import (
-    apply_combiner,
-    estimate_channel,
-    nullspace_weights,
-    true_effective_channel,
-    zf_weights,
-)
+from switchmux.equalize import apply_combiner, estimate_channel, true_effective_channel, zf_weights
 from switchmux.frontend import capture_physical, switched_chains
 from switchmux.grouping import random_switch_matrix
 from switchmux.metrics import sinr
@@ -282,6 +276,7 @@ class TestZeroForcing:
         [
             (4, 4, None),
             (8, 4, "rank"),
+            (3, 3, "zero"),
             (3, 2, "zero"),
             (2, 3, None),
             (64, 8, "rank"),  # dbf's shape
@@ -314,54 +309,6 @@ class TestZeroForcing:
         w = zf_weights(heff).weights
         w_p = zf_weights(heff[perm]).weights
         assert np.allclose(w[perm], w_p)
-
-
-class TestNullspace:
-    def test_orthogonal_columns_match_zero_forcing(self):
-        _, tx, _ = make_frame(2, seed=21)
-        a = np.array([[1, -1], [1, 1]], dtype=complex)
-        scale = 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(FFT_SIZE) / 64)
-        heff = scale[:, None, None] * a[None, :, :]
-        spectra = inject(tx, heff)
-        est = estimate_channel(spectra, 2, REPS)
-        zf = apply_combiner(spectra, zf_weights(est), REPS)
-        ns = apply_combiner(spectra, nullspace_weights(est), REPS)
-        assert np.max(np.abs(zf - ns)) < 1e-9
-
-    def test_single_user_matches_zero_forcing(self):
-        _, tx, _ = make_frame(1, seed=22)
-        heff = random_heff(3, 1, seed=23)
-        spectra = inject(tx, heff)
-        est = estimate_channel(spectra, 1, REPS)
-        zf = apply_combiner(spectra, zf_weights(est), REPS)
-        ns = apply_combiner(spectra, nullspace_weights(est), REPS)
-        assert np.max(np.abs(zf - ns)) < 1e-9
-
-    def test_noiseless_leakage_below_minus_60dbc(self):
-        payloads, tx, _ = make_frame(3, seed=24)
-        heff = random_heff(3, 3, seed=25)
-        spectra = inject(tx, heff)
-        est = estimate_channel(spectra, 3, REPS)
-        comb = nullspace_weights(est)
-        assert not comb.erased.any()
-        for f in range(0, DATA_BINS.size, 5):
-            p = comb.weights[f] @ heff[DATA_BINS[f]]
-            off = p - np.diag(np.diag(p))
-            assert np.max(np.abs(off)) ** 2 < 1e-6
-            assert np.allclose(np.diag(p), 1.0)
-        assert decoded_ok(apply_combiner(spectra, nullspace_weights(est), REPS), payloads)
-
-    def test_degenerate_null_space_erases_bin(self):
-        heff = random_heff(3, 3, seed=26)[DATA_BINS]
-        heff[4] = 0.0  # whole bin dead: no usable projection
-        comb = nullspace_weights(heff)
-        assert comb.erased[4]
-
-    def test_non_square_channel_is_refused(self):
-        # with more chains than users the null vector is not unique
-        heff = random_heff(4, 2, seed=27)[DATA_BINS]
-        with pytest.raises(ValueError, match="chains == users"):
-            nullspace_weights(heff)
 
 
 class TestStackLayout:

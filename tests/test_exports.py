@@ -53,7 +53,6 @@ MOVED = {
     "recover_bits": "waveform",
     "apply_combiner": "equalize",
     "estimate_channel": "equalize",
-    "nullspace_weights": "equalize",
     "true_effective_channel": "equalize",
     "zf_weights": "equalize",
     "PowerReport": "metrics",

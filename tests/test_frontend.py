@@ -408,3 +408,15 @@ class TestNoiseAndQuantizer:
         step = 2 * scale / 256
         assert np.max(np.abs(q.real - x.real)) <= step / 2 + 1e-12
         assert np.max(np.abs(q.imag - x.imag)) <= step / 2 + 1e-12
+
+    @pytest.mark.parametrize("bits", [0, -2])
+    def test_quantizer_refuses_fewer_than_one_bit(self, bits):
+        # 2**bits levels below 2 would map every sample to one constant
+        x = np.array([0.3 + 0.1j, -0.7 + 0.9j, 0.05 - 0.2j])
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            quantize(x, bits)
+
+    def test_capture_refuses_a_negative_bit_count(self):
+        rx, S = random_streams(2, 16, 3), np.eye(2, dtype=int)
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            capture_switched(rx, S, 0.1, Rng(4), quantizer_bits=-1)

@@ -127,6 +127,8 @@ class TestRunTrial:
             ("hbf_full", [(2, 2)]),
             ("hbf_partial", [(2, 2)]),
             ("fdma", [(1,), (1,)]),
+            # the K*B capture_switched path, not the closed-form chains
+            pytest.param("switched\nfrontend.quantizer_bits = 8", [(2,)], id="switched_quantized"),
         ],
     )
     def test_chain_noise_is_passed_by_shape(self, monkeypatch, arch, shapes):
@@ -721,6 +723,8 @@ class TestBenchTrace:
         # grouped selection runs only on the switched front end
         assert ("grouping.inphase_select.fallbacks" in counts) == (arch == "switched")
         assert counts["grouping.inphase_select.fallbacks"] == 0
-        bins = counts[f"equalize.{combiner}_weights.bins"]
+        # every combo, nullspace included, combines with zf_weights
+        assert "equalize.nullspace_weights.bins" not in counts
+        bins = counts["equalize.zf_weights.bins"]
         assert bins > 0
-        assert 0 <= counts[f"equalize.{combiner}_weights.erased"] <= bins
+        assert 0 <= counts["equalize.zf_weights.erased"] <= bins
