@@ -96,9 +96,6 @@ def _between(low, high):
     return (lambda v: low <= v <= high), f"must be >= {low} and <= {high}"
 
 
-_POSITIVE = ((lambda v: v > 0), "must be positive")
-
-
 # The first stage of a trial that reads a field (see the runner module):
 # "draw" fields make trial t's bits, channel and received signal, which
 # combos with equal draw keys share; "link" fields pick the front end,
@@ -148,7 +145,13 @@ class ExperimentConfig:
         float(np.pi / 3),
         ((lambda p: 0 < p <= np.pi / 2), "must lie in (0, pi/2]"),
     )
-    rank_tolerance: float = _key("grouping.rank_tolerance", "link", _float, 1e-9, _POSITIVE)
+    rank_tolerance: float = _key(
+        "grouping.rank_tolerance",
+        "link",
+        _float,
+        1e-9,
+        ((lambda t: 0 < t < 1), "must lie in (0, 1)"),
+    )
     max_fallbacks: int = _key("grouping.max_fallbacks", "link", _int, 64, _at_least(0))
     lts_repeats: int = _key("ofdm.lts_repeats", "draw", _int, 2, _at_least(1))
     bandwidth_hz: float = _key(

@@ -8,14 +8,16 @@ arrays [data bins, chains, users] on the physical scale (transmit power
 normalization undone), one matrix per entry of DATA_BINS, and combiner
 weights are [data bins, users, chains].  The pilot bins carry nothing this
 receiver reads, so they are neither estimated nor combined.  The digital
-combiner inverts heff bin by bin: zero-forcing uses the pseudo-inverse,
-built from one stacked SVD whose singular values also give each bin's
-rank, and it nulls interference exactly on full-rank bins.  Null-space
-combining (config's ``combiner = nullspace``) projects each user onto the
-directions the others cannot reach; config admits it only on square
-channels (chains == users, or one user), where that projection is the
-user's row of the inverse, so it is zero-forcing and has no function of
-its own.
+combiner inverts heff bin by bin and nulls interference exactly on
+full-rank bins.  A square stack (chains == users) is inverted in one call,
+and a bin keeps that inverse when its condition number certifies full
+rank; every other bin, and every stack that is not square (dbf's), takes
+the pseudo-inverse from one stacked SVD, whose singular values also give
+each bin's rank.  Null-space combining (config's ``combiner =
+nullspace``) projects each user onto the directions the others cannot
+reach; config admits it only on square channels (chains == users, or one
+user), where that projection is the user's row of the inverse, so it is
+zero-forcing and has no function of its own.
 
 Estimation and combining read a capture's symbol spectra [chains, symbols,
 fft bins] (``waveform.symbol_spectra`` of a [chains, samples] capture of a
@@ -87,7 +89,35 @@ def zf_weights(heff: np.ndarray, rank_tolerance: float = 1e-9) -> CombinerMatrix
     A bin is erased when the effective matrix has rank below the user count
     at the given singular-value cutoff; its weights are still the truncated
     pseudo-inverse, but downstream symbols are not trusted.
+
+    A square stack (chains == users) is inverted in one call.  A bin keeps
+    its inverse when its Frobenius condition number certifies full rank,
+    kappa_F * rank_tolerance < 1/2: since kappa_2 <= kappa_F, its
+    sigma_min / sigma_max then exceeds 2 * rank_tolerance, a factor 2 above
+    the cutoff that covers the SVD's rounding, so the SVD rule would not
+    erase it either.  Every other bin, a whole stack holding an exactly
+    singular bin, and every stack that is not square take the SVD
+    pseudo-inverse.
     """
+    chains, users = heff.shape[1:]
+    if chains != users:
+        return _svd_weights(heff, rank_tolerance)
+    try:
+        weights = np.linalg.inv(heff)
+    except np.linalg.LinAlgError:  # a bin with an exact zero pivot
+        return _svd_weights(heff, rank_tolerance)
+    kappa = np.linalg.norm(heff, axis=(1, 2)) * np.linalg.norm(weights, axis=(1, 2))
+    # written so that a nan or inf condition number counts as doubtful
+    doubtful = ~(kappa * rank_tolerance < 0.5)
+    erased = np.zeros(len(heff), dtype=bool)
+    if doubtful.any():
+        weights[doubtful], erased[doubtful] = _svd_weights(heff[doubtful], rank_tolerance)
+    return CombinerMatrix(weights=weights, erased=erased)
+
+
+def _svd_weights(heff: np.ndarray, rank_tolerance: float) -> CombinerMatrix:
+    """The truncated pseudo-inverse of each bin, from one stacked SVD, and
+    the bins whose rank at the cutoff is below the user count."""
     users = heff.shape[2]
     # np.linalg.pinv step for step, keeping the singular values it cuts
     u, sing, vt = np.linalg.svd(heff.conj(), full_matrices=False)  # sing descending

@@ -332,7 +332,8 @@ class TestSweepComboValidation:
             ({"insertion_loss_db": -1.0}, "frontend.insertion_loss_db must be >= 0"),
             ({"phi_rad": 3.2}, "phi_rad"),
             ({"phi_rad": 0.0}, r"grouping.phi_rad must lie in \(0, pi/2\]"),
-            ({"rank_tolerance": 0.0}, "grouping.rank_tolerance must be positive"),
+            ({"rank_tolerance": 0.0}, r"grouping.rank_tolerance must lie in \(0, 1\)"),
+            ({"rank_tolerance": 1.0}, r"grouping.rank_tolerance must lie in \(0, 1\)"),
             ({"max_fallbacks": -1}, "grouping.max_fallbacks must be >= 0"),
             ({"quantizer_bits": -1}, "frontend.quantizer_bits must be >= 0"),
             ({"quantizer_bits": 54}, "frontend.quantizer_bits must be >= 0 and <= 53"),
@@ -347,7 +348,8 @@ class TestSweepComboValidation:
         ],
         ids=[
             "negative_seed", "seed_2_64", "zero_trials", "zero_users", "negative_loss", "wide_phi",
-            "zero_phi", "zero_rank_tolerance", "negative_fallbacks", "negative_quantizer_bits",
+            "zero_phi", "zero_rank_tolerance", "unit_rank_tolerance",
+            "negative_fallbacks", "negative_quantizer_bits",
             "quantizer_bits_past_float64", "zero_taps", "taps_past_cyclic_prefix",
             "zero_bandwidth", "huge_bandwidth", "snr_301", "snr_minus_301", "negative_offset",
             "offset_past_cyclic_prefix",

@@ -63,6 +63,49 @@ def loop_zf(heff, rank_tolerance=1e-9):
     return weights, erased
 
 
+def certified(heff, rank_tolerance=1e-9):
+    """Bins of a square stack whose Frobenius condition number certifies
+    full rank, kappa_F * rank_tolerance < 1/2: zf_weights keeps their
+    inverse.  No bin is when the stack is not square or holds a bin that
+    np.linalg.inv finds singular."""
+    if heff.shape[1] != heff.shape[2]:
+        return np.zeros(len(heff), dtype=bool)
+    try:
+        inv = np.linalg.inv(heff)
+    except np.linalg.LinAlgError:
+        return np.zeros(len(heff), dtype=bool)
+    kappa = np.linalg.norm(heff, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+    return kappa * rank_tolerance < 0.5
+
+
+def assert_matches_oracle(comb, heff, rank_tolerance=1e-9, rtol=1e-12):
+    """Bins that keep their inverse equal np.linalg.inv of the stack bit
+    for bit and the pseudo-inverse within rtol of its norm; every other bin
+    equals loop_zf bit for bit; the erasures are loop_zf's."""
+    weights, erased = loop_zf(heff, rank_tolerance)
+    kept = certified(heff, rank_tolerance)
+    assert np.array_equal(comb.erased, erased)
+    assert np.array_equal(comb.weights[~kept], weights[~kept])
+    if kept.any():
+        assert np.array_equal(comb.weights[kept], np.linalg.inv(heff)[kept])
+        err = np.linalg.norm(comb.weights[kept] - weights[kept], axis=(1, 2))
+        assert np.all(err <= rtol * np.linalg.norm(weights[kept], axis=(1, 2)))
+    return kept
+
+
+def planted(size, kappas, seed):
+    """Square bins U diag(s) V^H whose singular values fall geometrically
+    from 1 to 1 / kappa, one bin per condition number."""
+    rng = Rng(seed, 78)
+    bins = []
+    for kappa in kappas:
+        u, _ = np.linalg.qr(rng.normal_complex((size, size)))
+        v, _ = np.linalg.qr(rng.normal_complex((size, size)))
+        sing = np.geomspace(1.0, 1.0 / kappa, size) if size > 1 else np.ones(1)
+        bins.append((u * sing) @ v.conj().T)
+    return np.stack(bins)
+
+
 def random_heff(chains, users, seed, per_bin=True):
     rng = Rng(seed, 77)
     if per_bin:
@@ -290,17 +333,23 @@ class TestZeroForcing:
         elif dead == "zero":
             heff[9] = 0.0  # sing[0] == 0
         comb = zf_weights(heff)
-        weights, erased = loop_zf(heff)
-        assert np.array_equal(comb.weights, weights)
-        assert np.array_equal(comb.erased, erased)
-        assert erased[9] == (dead is not None or chains < users)
+        assert_matches_oracle(comb, heff)
+        assert comb.erased[9] == (dead is not None or chains < users)
 
     @pytest.mark.parametrize("chains, users", [(64, 8), (8, 8), (4, 4)])
     def test_weights_equal_numpy_pinv(self, chains, users):
+        # a square stack keeps its inverse on certified bins, within 1e-12
+        # of the pseudo-inverse; a tall one is the pseudo-inverse exactly
         stack = Rng(chains, users).normal_complex((DATA_BINS.size, chains, users))
         comb = zf_weights(stack)
         want = np.linalg.pinv(stack, rcond=1e-9)
-        assert np.array_equal(comb.weights, want)
+        if chains == users:
+            assert certified(stack).all()
+            assert np.array_equal(comb.weights, np.linalg.inv(stack))
+            err = np.linalg.norm(comb.weights - want, axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
+        else:
+            assert np.array_equal(comb.weights, want)
         assert not comb.erased.any()
 
     def test_bin_permutation_permutes_weights(self):
@@ -309,6 +358,66 @@ class TestZeroForcing:
         w = zf_weights(heff).weights
         w_p = zf_weights(heff[perm]).weights
         assert np.allclose(w[perm], w_p)
+
+
+def count_svd(monkeypatch):
+    """Record the stack of every np.linalg.svd call from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestCertificate:
+    """A square bin keeps its inverse only when kappa_F * rank_tolerance <
+    1/2; every other bin takes the SVD pseudo-inverse, so no bin's erasure
+    differs from the singular-value rule."""
+
+    @pytest.mark.parametrize("rank_tolerance", [1e-12, 1e-9, 1e-6, 1e-3, 0.3])
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("dead", [None, "rank", "zero"])
+    def test_certificate_never_changes_an_erasure(self, dead, size, rank_tolerance):
+        # 41 bins at condition numbers 1e3 .. 1e13, a quarter decade apart,
+        # so every tolerance has bins on both sides of its cutoff
+        kappas = np.logspace(3, 13, 41)
+        heff = np.concatenate([planted(size, kappas, seed=size), random_heff(size, size, 5)[:7]])
+        if dead == "rank" and size > 1:
+            heff[3, :, 1] = 2.0 * heff[3, :, 0]
+        elif dead is not None:
+            heff[3] = 0.0  # np.linalg.inv raises on the whole stack
+        comb = zf_weights(heff, rank_tolerance)
+        # kept inverses differ from the pseudo-inverse by their kappa's rounding
+        kept = assert_matches_oracle(comb, heff, rank_tolerance, rtol=np.inf)
+        if not heff[3].any():
+            assert not kept.any()
+        # the planted bins away from the cutoff, bin 3 aside
+        live = np.arange(len(kappas)) != 3
+        if size > 1:
+            assert not comb.erased[:41][live & (kappas * rank_tolerance < 0.1)].any()
+            assert comb.erased[:41][live & (kappas * rank_tolerance > 10)].all()
+
+    def test_well_conditioned_square_stacks_make_no_svd(self, monkeypatch):
+        calls = count_svd(monkeypatch)
+        for size in (4, 1):
+            comb = zf_weights(random_heff(size, size, seed=21)[DATA_BINS])
+            assert not comb.erased.any()
+        assert calls == []
+
+    def test_doubtful_bins_alone_take_the_svd(self, monkeypatch):
+        heff = random_heff(4, 4, seed=22)[DATA_BINS]
+        doubtful = [3, 17, 40]
+        # kappa_F * 1e-9 > 1/2 on all three; sigma_min / sigma_max > 1e-9 on bin 17
+        heff[doubtful] = planted(4, [1e12, 7e8, 1e10], seed=23)
+        calls = count_svd(monkeypatch)
+        comb = zf_weights(heff)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], heff[doubtful].conj())
+        assert np.array_equal(np.flatnonzero(comb.erased), [3, 40])
 
 
 class TestStackLayout:
@@ -334,8 +443,7 @@ class TestStackLayout:
         comb = zf_weights(est)
         assert comb.weights.shape == (DATA_BINS.size, users, len(chains))
         assert comb.weights.flags.c_contiguous
-        for f in range(DATA_BINS.size):
-            assert np.array_equal(comb.weights[f], np.linalg.pinv(est[f], rcond=1e-9))
+        assert_matches_oracle(comb, est)
         assert decoded_ok(apply_combiner(spectra, comb, REPS), payloads)
         got = sinr(comb.weights, truth, noise)
         assert got.shape == (users,)
