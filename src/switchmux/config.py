@@ -303,11 +303,22 @@ def _check_combo(cfg: ExperimentConfig) -> None:
     _check_links(cfg)
 
 
+def _check_message(cfg: ExperimentConfig):
+    """The message of cfg's first failing check (_check_combo), or None."""
+    try:
+        _check_combo(cfg)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def sweep_combos(cfg: ExperimentConfig) -> list:
     """The grid's combos in deterministic grid order, the first sweep key
     outermost, each a checked config without a grid; cfg alone when it has
     no grid.  A grid over MAX_GRID_TRIALS trials is refused before any
-    combo is built, and a combo's error names its swept values."""
+    combo is built.  A combo's error names its swept values unless the
+    fault lies in a base key: the base config alone, without its grid,
+    and every combo fail with the same message."""
     count = math.prod(len(values) for _, values in cfg.sweep)
     if count * cfg.trials > MAX_GRID_TRIALS:
         raise ConfigError(
@@ -321,7 +332,8 @@ def sweep_combos(cfg: ExperimentConfig) -> list:
         try:
             _check_combo(combo)
         except ConfigError as exc:
-            if not names:
+            base = replace(cfg, sweep=())
+            if all(_check_message(c) == str(exc) for c in [base, *combos]):
                 raise
             swept = ", ".join(f"{_FIELD_KEY[name]} = {getattr(combo, name)}" for name in names)
             raise ConfigError(f"sweep combo {swept}: {exc}") from exc

@@ -36,8 +36,9 @@ def _split(y: np.ndarray, K: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _delay_ramps(n: int, K: int) -> np.ndarray:
-    """fractional_delay's bin ramps for the delays k/K, k = 1..K-1, as
-    [K-1, n], read-only; the same expression, so the same bytes."""
+    """The bin ramps e^{-j2*pi*f*d/n} (signed bins f) of the circular
+    delays d = k/K, k = 1..K-1, as [K-1, n], read-only; each chain gets
+    the bytes of a one-chain circular delay by this expression."""
     f = signed_bins(n)
     delays = (np.arange(1, K) / K)[:, None]
     ramps = np.exp(-2j * np.pi * f * delays / n)
@@ -50,7 +51,7 @@ def time_despread(y: np.ndarray, K: int) -> np.ndarray:
 
     Slot k samples the underlying band-limited signal k/K of a B-sample
     early relative to slot 0, so co-phasing delays chain k by +k/K: chains
-    1..K-1 take fractional_delay's exact delay in one batched FFT pair.
+    1..K-1 take that exact circular delay in one batched FFT pair.
     """
     n = _split(y, K)
     slots = y.reshape(n, K).T

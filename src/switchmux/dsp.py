@@ -1,9 +1,9 @@
 """Deterministic signal utilities shared by every other module.
 
 Signals are plain complex ndarrays of baseband samples. This module holds
-the signed-bin DFT convention, exact fractional delay, band-limited
-resampling and a counter-based seeded RNG, with a kept prefix of one of its
-streams (KeptNormals) for consumers that share a stream's leading values.
+the signed-bin DFT convention, band-limited resampling and a counter-based
+seeded RNG, with a kept prefix of one of its streams (KeptNormals) for
+consumers that share a stream's leading values.
 Everything here is pure: same inputs, same outputs, on any platform.
 """
 
@@ -114,28 +114,11 @@ def unit_complex(source, shape) -> np.ndarray:
 def signed_bins(n: int) -> np.ndarray:
     """Signed bin indices in fft order: [0, 1, .., n/2-1, -n/2, .., -1].
 
-    For even n the single bin n/2 is read as -n/2 (no Nyquist split); the
-    fractional-delay and resampling operators below share this convention,
-    which is what keeps them exact inverses of one another.
+    For even n the single bin n/2 is read as -n/2 (no Nyquist split);
+    upsample below and despread's fractional-delay ramps share this
+    convention.
     """
     return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-
-
-def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Delay a 1-D signal by a (possibly fractional) number of samples.
-
-    Circular: multiplies DFT bin f by e^{-j2*pi*f*delay/N} with signed f, so
-    the output content is x[n - delay] under periodic extension.
-    """
-    if not np.isfinite(delay_samples):
-        raise ValueError("delay must be finite")
-    n = len(x)
-    if not abs(delay_samples) < n / 2:
-        raise ValueError("|delay_samples| must be < length/2")
-    if delay_samples == 0:
-        return x
-    f = signed_bins(n)
-    return np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * f * delay_samples / n))
 
 
 def upsample(x: np.ndarray, factor: int) -> np.ndarray:

@@ -38,10 +38,10 @@ lists every (combo, trial_id) pair, each draw key's pairs trial by trial.
 A task block is a contiguous run of that list, one per worker, run as one
 run_trial call per pair that all share one TrialBlock.  The block keeps
 one draw at a time, so a trial is drawn once per block that holds it.
-The sweep's own process runs the first block and forked pool workers the
-others.  The rows are written in (combo, trial_id) order, so identical
-configs reproduce identical bytes whatever the worker count or the split
-of blocks.
+The sweep's own process runs the first block and one forked worker per
+block the others, each sending its rows back on its own pipe.  The rows
+are written in (combo, trial_id) order, so identical configs reproduce
+identical bytes whatever the worker count or the split of blocks.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ import ctypes
 import errno
 import itertools
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import fields
 
 import numpy as np
@@ -460,7 +461,7 @@ def one_blas_thread() -> bool:
     A trial's products are too small for a second thread to speed them up,
     and in a 2-worker sweep each worker's spinning helper thread takes the
     core the other worker needs.  The count is set in the process that
-    forks, before the pool starts: set again in each forked worker, it
+    forks, before the first fork: set again in each forked worker, it
     dropped a 2-worker sweep below the speed of one worker.  Nor is it
     restored afterwards: restoring it wakes the helper threads, which then
     spin into the next sweep.  Another BLAS is left as it is; set
@@ -475,6 +476,89 @@ def one_blas_thread() -> bool:
     return True
 
 
+def _pickled_error(exc: BaseException, index: int) -> bytes:
+    """What a worker sends for the exception its block raised: (False, exc,
+    its traceback text), or a RuntimeError carrying exc's repr in its place
+    when exc does not survive a pickle round trip."""
+    text = traceback.format_exc()
+    try:
+        data = pickle.dumps((False, exc, text), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)  # as the parent will
+    except Exception:
+        error = RuntimeError(f"worker of block {index} raised {exc!r}")
+        data = pickle.dumps((False, error, text), pickle.HIGHEST_PROTOCOL)
+    return data
+
+
+def _child(task, block, index: int, pipe: int) -> None:
+    """The life of the forked worker of block index: task(block), then
+    (True, its result, None) or its _pickled_error written to the pipe.  It
+    leaves by os._exit on every path, so it runs no atexit hook and flushes
+    no stdio buffer it inherited."""
+    try:
+        try:
+            data = pickle.dumps((True, task(block), None), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            data = _pickled_error(exc, index)
+        with open(pipe, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
+
+
+def _received(data: bytes, index: int, status: int):
+    """The result the worker of block index sent, reaped with status; its
+    exception is raised here, and a worker that sent nothing whole raises
+    a RuntimeError naming its block."""
+    try:
+        ok, value, text = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(
+            f"worker of block {index} died without its rows (exit status {code})"
+        ) from None
+    if ok:
+        return value
+    raise value from RuntimeError(f"in the worker of block {index}:\n{text}")
+
+
+def _forked(task, blocks: list) -> list:
+    """task(block) of every block, in block order.  This process forks one
+    child per block after the first, then runs blocks[0] itself.  The
+    children inherit their blocks, so only results are pickled, each on
+    its child's own pipe.  A child's exception is raised here with its type
+    and message, and a child that dies without its result raises, naming
+    its block.  No child outlives the call: on any exception, this
+    process's own block or an interrupt included, the children left are
+    killed and reaped.  No thread is started, so each fork copies a
+    single-threaded process."""
+    pids, pipes = {}, {}
+    try:
+        for index in range(1, len(blocks)):
+            pipes[index], write_end = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(task, blocks[index], index, write_end)
+                pids[index] = pid
+            finally:
+                os.close(write_end)
+        done = [task(blocks[0])]
+        for index in range(1, len(blocks)):
+            with open(pipes.pop(index), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pids[index], 0)
+            del pids[index]
+            done.append(_received(data, index, status))
+        return done
+    finally:
+        for pipe in pipes.values():
+            os.close(pipe)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     """Run every trial of the grid; returns its combos and their rows in
     (combo, trial_id) order on any worker count.  workers must be >= 1 and
@@ -487,12 +571,11 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     of every pair up to the first of the block's last draw are decoded in
     one recover_bits call (see TrialBlock).  Each block is one run_trial
     call per pair, and the grid keeps the row each call returns, filled in
-    place by the block's decode.  This process runs the first block
-    itself, after it has handed the others to a pool of one worker each,
-    so the workers fork before its own block starts.  A single block runs
-    without a pool.  OpenBLAS is held to one thread first
-    (one_blas_thread), and the pool forks its workers, whatever the default
-    start method, so they inherit that pin.
+    place by the block's decode.  This process forks one worker for each
+    block after the first, then runs the first block itself (_forked); each
+    worker sends its rows back on its own pipe.  A single block forks
+    nothing.  OpenBLAS is held to one thread before the first fork
+    (one_blas_thread), so the workers inherit that pin.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -506,13 +589,7 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> tuple:
     n = min(len(pairs), workers)
     cuts = [len(pairs) * b // n for b in range(n + 1)]
     blocks = [[(combos[i], t) for i, t in pairs[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
-    if len(blocks) > 1:
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(blocks) - 1, mp_context=fork) as pool:
-            rest = pool.map(_grid_task, blocks[1:])  # submits, so forks, at once
-            done = [_grid_task(blocks[0]), *rest]
-    else:
-        done = [_grid_task(block) for block in blocks]
+    done = _forked(_grid_task, blocks)
     rows = [None] * (len(combos) * cfg.trials)
     for (i, t), row in zip(pairs, itertools.chain.from_iterable(done)):
         rows[i * cfg.trials + t] = row

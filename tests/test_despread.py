@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fractional_delay
 from switchmux import despread
 from switchmux.despread import freq_despread, spectrum_zones, time_despread, time_spread
-from switchmux.dsp import fractional_delay
 from test_frontend import gating_matrix, noiseless_outputs, random_streams
 
 

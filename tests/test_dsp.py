@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchmux.dsp import KeptNormals, Rng, fractional_delay, signed_bins, upsample
+from oracles import fractional_delay
+from switchmux.dsp import KeptNormals, Rng, signed_bins, upsample
 
 
 def random_stream(n, seed):

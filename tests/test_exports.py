@@ -28,7 +28,6 @@ MODULES = (
 # submodules, each with the submodule that defines it
 MOVED = {
     "Rng": "dsp",
-    "fractional_delay": "dsp",
     "code_spectrum": "codes",
     "generate_codes": "codes",
     "phase_matrix": "codes",

@@ -9,7 +9,10 @@ import inspect
 import json
 import math
 import os
+import re
+import signal
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -323,6 +326,11 @@ def _blas_threads_here(block):
     return [(os.getpid(), runner._openblas_threads_entry("get")())] * len(block)
 
 
+def _where_it_ran(block):
+    """Stand-in grid task: this process's pid and its parent's."""
+    return [(os.getpid(), os.getppid())] * len(block)
+
+
 def test_a_grid_holds_openblas_to_one_thread_here_and_in_its_workers(monkeypatch):
     if not runner.one_blas_thread():
         pytest.skip("no OpenBLAS thread-count entry in this numpy")
@@ -398,56 +406,56 @@ class TestRunSweep:
         assert not out.exists()
 
     @staticmethod
-    def recorded_pools(monkeypatch, cpus) -> tuple:
-        """Make the runner see cpus CPUs and run its pools in-process; the
-        returned lists gather each pool's max_workers and mp_context."""
-        seen, contexts = [], []
+    def recorded_pools(monkeypatch, cpus) -> list:
+        """Make the runner see cpus CPUs; the returned list gathers, for
+        each grid that forks workers, the pids of the workers it forks."""
+        pools = []
+        fork, forked = os.fork, runner._forked
 
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context=None):
-                seen.append(max_workers)
-                contexts.append(mp_context)
+        def recording_forked(task, blocks):
+            pools.append([])
+            return forked(task, blocks)
 
-            def __enter__(self):
-                return self
+        def recording_fork():
+            pid = fork()
+            if pid:  # in the parent
+                pools[-1].append(pid)
+            return pid
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner, "_forked", recording_forked)
+        monkeypatch.setattr(runner.os, "fork", recording_fork)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-        return seen, contexts
+        return pools
 
     @pytest.mark.parametrize("cpus, pool_sizes", [(3, [2]), (None, [])])
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, pool_sizes):
-        seen, _ = self.recorded_pools(monkeypatch, cpus)
+        pools = self.recorded_pools(monkeypatch, cpus)
         cfg = cfg_from(SMALL + "sweep.snr_db = 10, 20\n")  # 4 pairs
         capped = tmp_path / "capped.csv"
         serial = tmp_path / "serial.csv"
         runner.run_sweep(cfg, str(capped), workers=1000)
         runner.run_sweep(cfg, str(serial), workers=1)
-        assert seen == pool_sizes
+        assert [len(pids) for pids in pools if pids] == pool_sizes
         assert capped.read_bytes() == serial.read_bytes()
 
     def test_one_pair_runs_without_a_pool(self, tmp_path, monkeypatch):
-        seen, _ = self.recorded_pools(monkeypatch, 2)
+        pools = self.recorded_pools(monkeypatch, 2)
         cfg = replace(cfg_from(SMALL), trials=1)
         pooled = tmp_path / "pooled.csv"
         serial = tmp_path / "serial.csv"
         runner.run_sweep(cfg, str(pooled), workers=2)
         runner.run_sweep(cfg, str(serial), workers=1)
-        assert seen == []
+        assert pools == [[], []]  # two grids, neither forking
         assert pooled.read_bytes() == serial.read_bytes()
 
-    def test_pool_forks_its_workers(self, tmp_path, monkeypatch):
-        # forked workers inherit the one-thread OpenBLAS pin, whatever the
-        # interpreter's default start method
-        _, contexts = self.recorded_pools(monkeypatch, 2)
-        runner.run_sweep(cfg_from(SMALL), str(tmp_path / "rows.csv"), workers=2)
-        assert [context.get_start_method() for context in contexts] == ["fork"]
+    def test_pool_forks_its_workers(self, monkeypatch):
+        # the blocks after the first run in children forked from this
+        # process, so they inherit the one-thread OpenBLAS pin, whatever
+        # the interpreter's default start method
+        pools = self.recorded_pools(monkeypatch, 2)
+        monkeypatch.setattr(runner, "_grid_task", _where_it_ran)
+        _, rows = runner.run_grid(cfg_from(SMALL), workers=2)  # 2 pairs
+        assert rows == [(os.getpid(), os.getppid()), (pools[0][0], os.getpid())]
 
     def test_failed_manifest_write_keeps_previous_output(self, tmp_path, monkeypatch):
         out = tmp_path / "rows.csv"
@@ -476,6 +484,87 @@ class TestRunSweep:
         assert "sinr_db_u1" in lines[0]
         one_user = lines[1].split(",")
         assert one_user[8] == ""
+
+
+class Unpicklable(Exception):
+    """An exception whose pickle does not load: its class takes two
+    arguments, and its args hold one."""
+
+    def __init__(self, block, why):
+        super().__init__(f"block of {len(block)} pairs: {why}")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerFailures:
+    """run_grid's forked workers failing, with real forks and a stand-in
+    grid task over SMALL's 2 pairs at 2 workers: block 0 runs in this
+    process and block 1 in a forked worker.  The failure reaches the
+    caller, and no child is left behind."""
+
+    @staticmethod
+    def run_blocks(monkeypatch, here, worker):
+        """run_grid with here(block) as this process's grid task and
+        worker(block) as the worker's."""
+        parent = os.getpid()
+
+        def task(block):
+            return (here if os.getpid() == parent else worker)(block)
+
+        monkeypatch.setattr(runner, "_grid_task", task)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        return runner.run_grid(cfg_from(SMALL), workers=2)
+
+    @staticmethod
+    def rows(block):
+        return [None] * len(block)
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        def worker(block):
+            raise ValueError(f"bad pair in a block of {len(block)}")
+
+        with pytest.raises(ValueError, match="^bad pair in a block of 1$") as info:
+            self.run_blocks(monkeypatch, self.rows, worker)
+        # with the worker's traceback as its cause
+        assert "in the worker of block 1:" in str(info.value.__cause__)
+        assert "bad pair" in str(info.value.__cause__)
+        assert_no_child_left()
+
+    def test_an_unpicklable_worker_exception_arrives_as_its_repr(self, monkeypatch):
+        def worker(block):
+            raise Unpicklable(block, "why")
+
+        want = "worker of block 1 raised Unpicklable('block of 1 pairs: why')"
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            self.run_blocks(monkeypatch, self.rows, worker)
+        assert_no_child_left()
+
+    def test_a_killed_worker_raises_naming_its_block(self, monkeypatch):
+        def worker(block):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        want = "worker of block 1 died without its rows (exit status -9)"
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            self.run_blocks(monkeypatch, self.rows, worker)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_this_process_raising_kills_and_reaps_the_worker(self, monkeypatch, error):
+        def here(block):
+            raise error("this process's block")
+
+        def worker(block):
+            time.sleep(60)
+            return self.rows(block)
+
+        start = time.monotonic()
+        with pytest.raises(error, match="this process's block"):
+            self.run_blocks(monkeypatch, here, worker)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert_no_child_left()
 
 
 class TestSharedDraw:

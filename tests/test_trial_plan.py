@@ -19,7 +19,6 @@ table (``config_strategies.grid_texts``):
 
 import gc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -40,6 +39,11 @@ _LINK_DEFAULTS = {
 def _link_fields_reset(combo: ExperimentConfig) -> ExperimentConfig:
     reset = dict(_LINK_DEFAULTS, arch="fdma") if combo.arch == "fdma" else _LINK_DEFAULTS
     return replace(combo, **reset)
+
+
+def _in_process(task, blocks) -> list:
+    """Stand-in for runner._forked: every block's task in this process."""
+    return [task(block) for block in blocks]
 
 
 def _derandomized(examples: int):
@@ -94,13 +98,9 @@ def test_grid_rows_equal_fresh_trials_on_any_block_split(text):
         runner.format_row(runner.run_trial(c, t), c.users) for c in combos for t in range(cfg.trials)
     ]
     with pytest.MonkeyPatch.context() as mp:
-        # threads keep the blocks in this process, so the test is of the
-        # split, and TestSharedDraw covers the worker processes
-        mp.setattr(
-            runner,
-            "ProcessPoolExecutor",
-            lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
-        )
+        # the blocks run one after another in this process, so the test is
+        # of the split, and TestSharedDraw covers the worker processes
+        mp.setattr(runner, "_forked", _in_process)
         mp.setattr(runner.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):
             _, rows = runner.run_grid(cfg, workers)
@@ -186,12 +186,8 @@ def test_shared_switched_signals_give_fresh_rows_on_any_block_split(monkeypatch,
     assert _grid_rows(cfg) == expected
     _, rows = runner.run_grid(cfg, 2)  # worker processes
     assert [runner.format_row(row, row["users"]) for row in rows] == expected
-    # threads keep the blocks in this process, so 3 blocks fit 2 cores
-    monkeypatch.setattr(
-        runner,
-        "ProcessPoolExecutor",
-        lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
-    )
+    # the blocks run one after another in this process, so 3 blocks fit 2 cores
+    monkeypatch.setattr(runner, "_forked", _in_process)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
     _, rows = runner.run_grid(cfg, 3)
     assert [runner.format_row(row, row["users"]) for row in rows] == expected
@@ -264,12 +260,8 @@ def test_each_link_noise_stream_is_drawn_once_per_draw(monkeypatch, order):
 
     _, rows = runner.run_grid(cfg, 2)  # worker processes
     assert [runner.format_row(row, row["users"]) for row in rows] == expected
-    # threads keep the blocks in this process, so 3 blocks fit 2 cores
-    monkeypatch.setattr(
-        runner,
-        "ProcessPoolExecutor",
-        lambda max_workers, mp_context: ThreadPoolExecutor(max_workers),
-    )
+    # the blocks run one after another in this process, so 3 blocks fit 2 cores
+    monkeypatch.setattr(runner, "_forked", _in_process)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
     _, rows = runner.run_grid(cfg, 3)
     assert [runner.format_row(row, row["users"]) for row in rows] == expected
