@@ -24,7 +24,7 @@ import numpy as np
 from . import codes, metrics, runner
 from .config import ExperimentConfig, build_config, parse_config_text
 from .despread import freq_despread, time_despread
-from .dsp import Rng
+from .dsp import Rng, unit_complex
 from .equalize import apply_combiner, estimate_channel, true_effective_channel, zf_weights
 from .frontend import capture_switched
 from .grouping import GroupingError, random_switch_matrix
@@ -105,7 +105,7 @@ def check_despread_equivalence() -> CheckResult:
     worst = 0.0
     for K in (1, 2, 4, 8):
         for _ in range(100):
-            y = rng.normal_complex(K * 96)
+            y = unit_complex(rng, K * 96)
             diff = time_despread(y, K) - freq_despread(y, K)
             worst = max(worst, float(np.max(np.abs(diff))))
     return CheckResult(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import Rng, signed_bins
+from .dsp import Rng, signed_bins, unit_complex
 
 SPEED_OF_LIGHT = 299_792_458.0
 CARRIER_HZ = 2.4e9
@@ -30,19 +30,17 @@ MIN_CLEARANCE_M = 1e-6
 def rayleigh(K: int, M: int, F: int, rng: Rng, num_taps: int = 1) -> np.ndarray:
     """i.i.d. unit-variance complex Gaussian per (user, antenna).
 
-    num_taps = 1 gives a flat channel across subcarriers; num_taps > 1
-    draws that many unit-total-power taps (uniform profile) and takes
-    their transfer function across the F bins, so num_taps may not
-    exceed F (an F-point transform would drop the taps past F).
+    Draws num_taps unit-total-power taps (uniform profile) per (user,
+    antenna), unit_complex of rng, and takes their transfer function
+    across the F bins, so num_taps may not exceed F (an F-point transform
+    would drop the taps past F). num_taps = 1 gives a flat channel: the
+    transform of one tap is that tap, bit for bit, in every bin.
     """
     if min(K, M, F) < 1 or num_taps < 1:
         raise ValueError("K, M, F, num_taps must be >= 1")
     if num_taps > F:
         raise ValueError(f"num_taps must be <= F = {F}, got {num_taps}")
-    if num_taps == 1:
-        flat = rng.normal_complex((K, M))
-        return np.repeat(flat[:, :, None], F, axis=2)
-    taps = rng.normal_complex((K, M, num_taps)) / np.sqrt(num_taps)
+    taps = unit_complex(rng, (K, M, num_taps)) / np.sqrt(num_taps)
     return np.fft.fft(taps, n=F, axis=2)
 
 

@@ -32,6 +32,8 @@ class Rng:
     sequences. Derived child streams (``derive``) are statistically
     independent of the parent and of each other; trials and purposes get
     their own stream_id, so concurrent use never shares mutable state.
+    normals feeds unit_complex and KeptNormals, bits draws payloads, and
+    any other draw reads generator.
     """
 
     master_seed: int
@@ -59,14 +61,6 @@ class Rng:
     def normals(self, n: int) -> np.ndarray:
         """The stream's next n standard normals."""
         return self.generator.standard_normal(n)
-
-    def normal_complex(self, shape) -> np.ndarray:
-        """Circularly-symmetric complex normal, unit variance per element
-        (unit_complex of the stream's next values)."""
-        return unit_complex(self, shape)
-
-    def uniform(self, low, high, shape=None) -> np.ndarray:
-        return self.generator.uniform(low, high, shape)
 
     def bits(self, shape) -> np.ndarray:
         """Random payload bits of the given shape as an int array of 0/1."""

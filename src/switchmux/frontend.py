@@ -8,9 +8,8 @@ chains) are the comparison front ends. Every front end takes the received
 B-rate signals [antennas, samples] and returns (output, noise): the switched
 K*B capture [K*samples] or the chains [chains, samples], and the noise law.
 
-The switched chain is linear, and upsample and the despreader's
-fractional delay are exact inverses, so despreading the noiseless K*B
-capture gives back each slot's gated sum of B-rate antenna signals. Both
+The switched chain is linear, and despreading the noiseless K*B capture
+gives back each slot's gated sum of B-rate antenna signals exactly. Both
 switched paths start from those K slot sums, the product S.T @ rx
 (_slot_sums). switched_chains adds the despread K*B noise to them, in
 closed form; the runner uses it whenever the quantizer is off.

@@ -112,7 +112,7 @@ def _draw_positions(cfg: ExperimentConfig, rng: Rng) -> np.ndarray:
     placed = np.empty((cfg.users, 2))
     for u in range(cfg.users):
         for _attempt in range(101):
-            pos = rng.uniform(low, high)
+            pos = rng.generator.uniform(low, high)
             if np.linalg.norm(pos - ap) >= 1.0 and all(
                 np.linalg.norm(pos - p) >= 0.5 for p in placed[:u]
             ):
@@ -146,7 +146,7 @@ def _draw_channel(cfg: ExperimentConfig, trial_rng: Rng) -> np.ndarray:
         level = np.sqrt(np.mean(np.abs(gains) ** 2, axis=(1, 2)))
         gains /= level[:, None, None]
     if cfg.sync_mode == "offset" and cfg.sync_max_offset_samples > 0:
-        offs = trial_rng.derive(_P_SYNC).uniform(
+        offs = trial_rng.derive(_P_SYNC).generator.uniform(
             -cfg.sync_max_offset_samples, cfg.sync_max_offset_samples, cfg.users
         )
         gains = channel.with_user_delays(gains, offs)

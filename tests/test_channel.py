@@ -11,7 +11,7 @@ from switchmux.channel import (
     ula_positions,
     with_user_delays,
 )
-from switchmux.dsp import Rng
+from switchmux.dsp import Rng, unit_complex
 
 
 def ofdm_like_stream(num_sym, fft, cp, seed):
@@ -36,9 +36,20 @@ class TestRayleigh:
         chan = rayleigh(1, 1, 1, Rng(1))
         assert chan.shape == (1, 1, 1)
 
-    def test_flat_across_subcarriers(self):
-        chan = rayleigh(2, 3, 16, Rng(2))
-        assert np.allclose(chan, chan[:, :, :1])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1, 1), (1, 1, 64), (2, 3, 16), (2, 4, 64), (3, 6, 64), (4, 8, 64), (8, 64, 64)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_flat_across_subcarriers(self, shape):
+        # one tap: every bin is bin 0 and the stream's unit_complex draw,
+        # bit for bit
+        K, M, F = shape
+        for seed in range(10):
+            chan = rayleigh(K, M, F, Rng(seed))
+            want = unit_complex(Rng(seed), (K, M)).tobytes()
+            assert chan.shape == shape
+            assert all(chan[:, :, f].tobytes() == want for f in range(F))
 
     def test_multitap_power_and_selectivity(self):
         chan = rayleigh(40, 40, 64, Rng(7), num_taps=4)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fractional_delay
-from switchmux.dsp import KeptNormals, Rng, signed_bins, upsample
+from switchmux.dsp import KeptNormals, Rng, signed_bins, unit_complex, upsample
 
 
 def random_stream(n, seed):
@@ -103,16 +103,6 @@ class TestRng:
         assert root.derive(3).stream_id == Rng(42, 7).derive(3).stream_id
         assert root.derive(3).stream_id != root.derive(4).stream_id
 
-    def test_normal_complex_unit_variance(self):
-        z = Rng(21).normal_complex(10**5)
-        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
-
-    def test_normal_complex_is_real_parts_then_imaginary_parts(self):
-        g = Rng(21, 3).generator
-        re, im = g.standard_normal((3, 5)), g.standard_normal((3, 5))
-        want = (re + 1j * im) / np.sqrt(2.0)
-        assert Rng(21, 3).normal_complex((3, 5)).tobytes() == want.tobytes()
-
     def test_normals_are_sequential(self):
         rng = Rng(9, 4)
         pieces = [rng.normals(n) for n in (5, 100, 3)]
@@ -122,6 +112,28 @@ class TestRng:
     def test_rejects_oversized_seed(self):
         with pytest.raises(ValueError):
             Rng(2**64)
+
+
+class TestUnitComplex:
+    def test_unit_variance(self):
+        z = unit_complex(Rng(21), 10**5)
+        assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
+
+    def test_real_parts_then_imaginary_parts(self):
+        g = Rng(21, 3).generator
+        re, im = g.standard_normal((3, 5)), g.standard_normal((3, 5))
+        want = (re + 1j * im) / np.sqrt(2.0)
+        assert unit_complex(Rng(21, 3), (3, 5)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), 7, (3, 5), (2, 4, 8)])
+    def test_reads_the_same_bytes_from_an_rng_and_its_kept_normals(self, shape):
+        # the runner's front ends read a link's noise through KeptNormals;
+        # a fresh Rng of the same stream must give them the same values
+        want = unit_complex(Rng(21, 3), shape)
+        kept = KeptNormals(Rng(21, 3))
+        assert unit_complex(kept, shape).tobytes() == want.tobytes()
+        # a kept stream gives its leading values again on a second read
+        assert unit_complex(kept, shape).tobytes() == want.tobytes()
 
 
 class TestKeptNormals:

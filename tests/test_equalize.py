@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from switchmux import channel
-from switchmux.dsp import Rng
+from switchmux.dsp import Rng, unit_complex
 from switchmux.equalize import apply_combiner, estimate_channel, true_effective_channel, zf_weights
 from switchmux.frontend import capture_physical, switched_chains
 from switchmux.grouping import random_switch_matrix
@@ -99,8 +99,8 @@ def planted(size, kappas, seed):
     rng = Rng(seed, 78)
     bins = []
     for kappa in kappas:
-        u, _ = np.linalg.qr(rng.normal_complex((size, size)))
-        v, _ = np.linalg.qr(rng.normal_complex((size, size)))
+        u, _ = np.linalg.qr(unit_complex(rng, (size, size)))
+        v, _ = np.linalg.qr(unit_complex(rng, (size, size)))
         sing = np.geomspace(1.0, 1.0 / kappa, size) if size > 1 else np.ones(1)
         bins.append((u * sing) @ v.conj().T)
     return np.stack(bins)
@@ -109,8 +109,8 @@ def planted(size, kappas, seed):
 def random_heff(chains, users, seed, per_bin=True):
     rng = Rng(seed, 77)
     if per_bin:
-        return np.moveaxis(rng.normal_complex((chains, users, FFT_SIZE)), 2, 0)
-    flat = rng.normal_complex((chains, users))
+        return np.moveaxis(unit_complex(rng, (chains, users, FFT_SIZE)), 2, 0)
+    flat = unit_complex(rng, (chains, users))
     return np.repeat(flat[None], FFT_SIZE, axis=0)
 
 
@@ -134,7 +134,7 @@ class TestEstimateChannel:
         for reps in (1, 2):
             clean, _ = build_frame(Rng(40).bits((1, payload_bits_for_symbols(1))), reps)
             for trial in range(200):
-                noise = Rng(41, trial + 1000 * reps).normal_complex(clean.shape)
+                noise = unit_complex(Rng(41, trial + 1000 * reps), clean.shape)
                 spectra = symbol_spectra(clean + noise * np.sqrt(noise_power))
                 est = estimate_channel(spectra, 1, reps)
                 errors[reps].append(est[:, 0, 0] - 1.0)
@@ -146,7 +146,7 @@ class TestEstimateChannel:
         clean, _ = build_frame(Rng(42).bits((3, payload_bits_for_symbols(2))), reps)
         heff = np.transpose(random_heff(4, 3, seed=43), (2, 1, 0))
         chains = channel.apply(heff, clean, CP_LEN)
-        chains = chains + 0.1 * Rng(44).normal_complex(chains.shape)
+        chains = chains + 0.1 * unit_complex(Rng(44), chains.shape)
         spectra = np.fft.fft(chains.reshape(4, -1, SYMBOL_LEN)[:, :, CP_LEN:], axis=-1)
         ref = TX_SCALE * LTS_FREQ[DATA_BINS]
         want = np.stack(
@@ -176,7 +176,7 @@ class TestEstimateChannel:
         _, tx, _ = make_frame(3, seed=45)
         heff = np.transpose(random_heff(4, 3, seed=46), (2, 1, 0))
         chains = channel.apply(heff, tx, CP_LEN)
-        chains = chains + 0.1 * Rng(47).normal_complex(chains.shape)
+        chains = chains + 0.1 * unit_complex(Rng(47), chains.shape)
         spectra = symbol_spectra(chains)
         est = estimate_channel(spectra, 3, REPS)
         grids = apply_combiner(spectra, zf_weights(est), REPS)
@@ -210,7 +210,7 @@ class TestTrueEffectiveChannel:
     @pytest.mark.parametrize("users, antennas, chains", [(8, 64, 8), (3, 5, 2), (1, 1, 1)])
     def test_mixing_matches_the_einsum(self, users, antennas, chains):
         chan = channel.rayleigh(users, antennas, FFT_SIZE, Rng(11), num_taps=4)
-        mixing = Rng(12).normal_complex((antennas, chains))
+        mixing = unit_complex(Rng(12), (antennas, chains))
         want = 0.9 * np.einsum("mc,umf->fcu", mixing, chan[:, :, DATA_BINS])
         got = true_effective_channel(chan, mixing, loss_amp=0.9)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -264,7 +264,7 @@ class TestZeroForcing:
         comb = zf_weights(est)
         sigma2 = 0.3
         n = SYMBOL_LEN * 400
-        noise = np.stack([np.sqrt(sigma2) * Rng(13, c).normal_complex(n) for c in range(2)])
+        noise = np.stack([np.sqrt(sigma2) * unit_complex(Rng(13, c), n) for c in range(2)])
         out = apply_combiner(symbol_spectra(noise), comb, REPS)
         # per data bin: var = ||V_u||^2 * fft_size * sigma2 / tx_scale^2
         measured = np.var(out) * TX_SCALE**2 / FFT_SIZE
@@ -285,7 +285,7 @@ class TestZeroForcing:
 
     @pytest.mark.parametrize("chains, users", [(64, 8), (8, 8), (1, 1)])
     def test_combining_matches_the_einsum(self, chains, users):
-        spectra = Rng(13).normal_complex((chains, users * REPS + 3, FFT_SIZE))
+        spectra = unit_complex(Rng(13), (chains, users * REPS + 3, FFT_SIZE))
         comb = zf_weights(random_heff(chains, users, 14)[DATA_BINS])
         payload = spectra[:, users * REPS :, DATA_BINS] / TX_SCALE
         want = np.einsum("fuc,csf->usf", comb.weights, payload)
@@ -340,7 +340,7 @@ class TestZeroForcing:
     def test_weights_equal_numpy_pinv(self, chains, users):
         # a square stack keeps its inverse on certified bins, within 1e-12
         # of the pseudo-inverse; a tall one is the pseudo-inverse exactly
-        stack = Rng(chains, users).normal_complex((DATA_BINS.size, chains, users))
+        stack = unit_complex(Rng(chains, users), (DATA_BINS.size, chains, users))
         comb = zf_weights(stack)
         want = np.linalg.pinv(stack, rcond=1e-9)
         if chains == users:

@@ -1,7 +1,10 @@
 """The package's surface: ``switchmux.__all__`` lists its submodules and
-``__version__``, and every function and class is imported from the
-submodule that defines it."""
+``__version__``, every function and class is imported from the
+submodule that defines it, and every ``module.name`` README.md names
+exists."""
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import switchmux
+from switchmux.config import CONFIG_KEYS
 
 MODULES = (
     "channel",
@@ -96,3 +100,37 @@ def test_import_loads_exactly_the_submodules():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout.split()
     assert loaded == sorted(["switchmux"] + [f"switchmux.{m}" for m in MODULES])
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_names() -> list:
+    """Each backticked ``module.name`` in README.md, or ``module.name(...)``
+    with its arguments dropped, whose module is ``switchmux`` or one of its
+    submodules, in order of first mention. Config keys such as
+    ``frontend.quantizer_bits`` and file names such as ``grouping.py`` are
+    not names of the package."""
+    spans = re.findall(r"`((\w+)\.(\w+))(?:\([^`]*\))?`", README.read_text())
+    modules = {"switchmux", "acceptance", *MODULES}
+    named = [
+        dotted
+        for dotted, module, name in spans
+        if module in modules and dotted not in CONFIG_KEYS and name not in ("py", "json", "csv")
+    ]
+    return list(dict.fromkeys(named))
+
+
+def test_readme_names_some_of_the_package():
+    assert {"dsp.KeptNormals", "runner.run_grid", "switchmux.acceptance"} <= set(readme_names())
+
+
+@pytest.mark.parametrize("dotted", readme_names())
+def test_readme_name_resolves(dotted):
+    module, name = dotted.split(".")
+    if module == "switchmux":
+        # a package attribute, or a submodule loaded or not (acceptance)
+        assert hasattr(switchmux, name) or importlib.util.find_spec(dotted)
+    else:
+        owner = importlib.import_module(f"switchmux.{module}")
+        assert hasattr(owner, name), f"README.md names {dotted}, which {owner.__name__} lacks"

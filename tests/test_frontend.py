@@ -5,7 +5,7 @@ import pytest
 
 from switchmux.codes import generate_codes
 from switchmux.despread import time_despread
-from switchmux.dsp import Rng, upsample
+from switchmux.dsp import Rng, unit_complex, upsample
 from switchmux.frontend import (
     capture_hybrid,
     capture_physical,
@@ -240,7 +240,7 @@ class TestCapturePhysical:
         rng = Rng(6, M)
         want = streams[:chains].copy()
         for chain in want:
-            chain += rng.normal_complex(chain.size) * np.sqrt(0.2)
+            chain += unit_complex(rng, chain.size) * np.sqrt(0.2)
         got, _ = capture_physical(streams[:chains], 0.2, Rng(6, M))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -285,7 +285,7 @@ class TestCaptureHybrid:
         streams = random_streams(64, 1120, 22)
         g = np.random.Generator(np.random.Philox(key=23))
         w = hybrid_weights(g.standard_normal((8, 64)) + 1j * g.standard_normal((8, 64)), arch)
-        noisy = streams + Rng(5).normal_complex(streams.shape) * np.sqrt(0.1)
+        noisy = streams + unit_complex(Rng(5), streams.shape) * np.sqrt(0.1)
         want = np.einsum("mk,ms->ks", w, noisy)
         got, _ = capture_hybrid(streams, w, 0.1, Rng(5))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from switchmux.dsp import Rng
+from switchmux.dsp import Rng, unit_complex
 from switchmux.grouping import GroupingError, inphase_select, random_switch_matrix
 
 # the config defaults: a 60 degree cone
@@ -59,7 +59,7 @@ class TestInphaseSelect:
 
     def test_unit_phase_rotation_keeps_selection(self):
         rng = Rng(101)
-        h = rng.normal_complex((3, 8))
+        h = unit_complex(rng, (3, 8))
         base = select(h).matrix
         rotated = h.copy()
         rotated[1] *= np.exp(1j * 2.1)
@@ -67,7 +67,7 @@ class TestInphaseSelect:
 
     def test_positive_scaling_keeps_selection(self):
         rng = Rng(102)
-        h = rng.normal_complex((4, 8))
+        h = unit_complex(rng, (4, 8))
         base = select(h).matrix
         scaled = h * np.array([0.1, 3.0, 7.5, 0.4])[:, None]
         assert np.array_equal(select(scaled).matrix, base)
@@ -87,7 +87,7 @@ class TestInphaseSelect:
         # |diagonal|^2 of H*S should dominate the mean |off-diagonal|^2
         diag_power, cross_power = [], []
         for trial in range(1000):
-            h = Rng(7, trial).normal_complex((4, 8))
+            h = unit_complex(Rng(7, trial), (4, 8))
             effective = h @ select(h).matrix
             power = np.abs(effective) ** 2
             eye = np.eye(4, dtype=bool)
@@ -102,7 +102,7 @@ class TestInphaseSelect:
             select(np.zeros((2, 4), dtype=complex))
 
     def test_wider_cone_never_shrinks_groups(self):
-        h = Rng(103).normal_complex((2, 6))
+        h = unit_complex(Rng(103), (2, 6))
         narrow = select(h, phi_rad=np.pi / 6)
         wide = select(h, phi_rad=np.pi / 2)
         assert np.all(wide.scores >= narrow.scores)

@@ -49,8 +49,8 @@ def loop_positions(cfg, rng):
     placed, fallbacks = [], 0
     for _ in range(cfg.users):
         for attempt in range(101):
-            x = rng.uniform(margin, cfg.room_x_m - margin)
-            y = rng.uniform(margin, cfg.room_y_m - margin)
+            x = rng.generator.uniform(margin, cfg.room_x_m - margin)
+            y = rng.generator.uniform(margin, cfg.room_y_m - margin)
             clear = math.hypot(x - cfg.ap_x_m, y - cfg.ap_y_m) >= 1.0 and all(
                 math.hypot(x - px, y - py) >= 0.5 for px, py in placed
             )
@@ -336,7 +336,7 @@ def test_a_grid_holds_openblas_to_one_thread_here_and_in_its_workers(monkeypatch
         pytest.skip("no OpenBLAS thread-count entry in this numpy")
     runner._openblas_threads_entry("set")(2)
     monkeypatch.setattr(runner, "_grid_task", _blas_threads_here)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)  # a pool even on one core
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)  # forks even on one core
     _, rows = runner.run_grid(cfg_from(SMALL), workers=2)
     assert runner._openblas_threads_entry("get")() == 1
     # this process runs the first block and a forked worker the other
@@ -406,56 +406,56 @@ class TestRunSweep:
         assert not out.exists()
 
     @staticmethod
-    def recorded_pools(monkeypatch, cpus) -> list:
+    def recorded_forks(monkeypatch, cpus) -> list:
         """Make the runner see cpus CPUs; the returned list gathers, for
         each grid that forks workers, the pids of the workers it forks."""
-        pools = []
+        forks = []
         fork, forked = os.fork, runner._forked
 
         def recording_forked(task, blocks):
-            pools.append([])
+            forks.append([])
             return forked(task, blocks)
 
         def recording_fork():
             pid = fork()
             if pid:  # in the parent
-                pools[-1].append(pid)
+                forks[-1].append(pid)
             return pid
 
         monkeypatch.setattr(runner, "_forked", recording_forked)
         monkeypatch.setattr(runner.os, "fork", recording_fork)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-        return pools
+        return forks
 
     @pytest.mark.parametrize("cpus, pool_sizes", [(3, [2]), (None, [])])
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, pool_sizes):
-        pools = self.recorded_pools(monkeypatch, cpus)
+        forks = self.recorded_forks(monkeypatch, cpus)
         cfg = cfg_from(SMALL + "sweep.snr_db = 10, 20\n")  # 4 pairs
         capped = tmp_path / "capped.csv"
         serial = tmp_path / "serial.csv"
         runner.run_sweep(cfg, str(capped), workers=1000)
         runner.run_sweep(cfg, str(serial), workers=1)
-        assert [len(pids) for pids in pools if pids] == pool_sizes
+        assert [len(pids) for pids in forks if pids] == pool_sizes
         assert capped.read_bytes() == serial.read_bytes()
 
-    def test_one_pair_runs_without_a_pool(self, tmp_path, monkeypatch):
-        pools = self.recorded_pools(monkeypatch, 2)
+    def test_one_pair_runs_without_forking(self, tmp_path, monkeypatch):
+        forks = self.recorded_forks(monkeypatch, 2)
         cfg = replace(cfg_from(SMALL), trials=1)
-        pooled = tmp_path / "pooled.csv"
+        two_workers = tmp_path / "two_workers.csv"
         serial = tmp_path / "serial.csv"
-        runner.run_sweep(cfg, str(pooled), workers=2)
+        runner.run_sweep(cfg, str(two_workers), workers=2)
         runner.run_sweep(cfg, str(serial), workers=1)
-        assert pools == [[], []]  # two grids, neither forking
-        assert pooled.read_bytes() == serial.read_bytes()
+        assert forks == [[], []]  # two grids, neither forking
+        assert two_workers.read_bytes() == serial.read_bytes()
 
-    def test_pool_forks_its_workers(self, monkeypatch):
+    def test_blocks_after_the_first_run_in_forked_children(self, monkeypatch):
         # the blocks after the first run in children forked from this
         # process, so they inherit the one-thread OpenBLAS pin, whatever
         # the interpreter's default start method
-        pools = self.recorded_pools(monkeypatch, 2)
+        forks = self.recorded_forks(monkeypatch, 2)
         monkeypatch.setattr(runner, "_grid_task", _where_it_ran)
         _, rows = runner.run_grid(cfg_from(SMALL), workers=2)  # 2 pairs
-        assert rows == [(os.getpid(), os.getppid()), (pools[0][0], os.getpid())]
+        assert rows == [(os.getpid(), os.getppid()), (forks[0][0], os.getpid())]
 
     def test_failed_manifest_write_keeps_previous_output(self, tmp_path, monkeypatch):
         out = tmp_path / "rows.csv"

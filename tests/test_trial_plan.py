@@ -180,7 +180,7 @@ def _shared_config(quantizer_bits: int) -> ExperimentConfig:
 
 
 @pytest.mark.parametrize("quantizer_bits", [0, 8])
-def test_shared_switched_signals_give_fresh_rows_on_any_block_split(monkeypatch, quantizer_bits):
+def test_shared_switch_matrices_give_fresh_rows_on_any_block_split(monkeypatch, quantizer_bits):
     cfg = _shared_config(quantizer_bits)
     expected = _fresh_rows(cfg)
     assert _grid_rows(cfg) == expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchmux import waveform
-from switchmux.dsp import Rng
+from switchmux.dsp import Rng, unit_complex
 from switchmux.waveform import (
     CODED_BITS_PER_SYMBOL,
     CONV_G0,
@@ -371,7 +371,7 @@ class TestQam16:
     def test_demap_is_nearest_neighbor_under_noise(self):
         bits = Rng(4, 0).bits(4000)
         syms = qam16_map(bits)
-        noisy = syms + 0.05 * Rng(4, 1).normal_complex(syms.size)
+        noisy = syms + 0.05 * unit_complex(Rng(4, 1), syms.size)
         assert np.array_equal(qam16_demap(noisy), bits)
 
     def test_gray_neighbors_differ_by_one_bit(self):
