@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import Rng, signed_bins, unit_complex
+from .dsp import Rng, bins_first, bins_last, signed_bins, unit_complex
 
 SPEED_OF_LIGHT = 299_792_458.0
 CARRIER_HZ = 2.4e9
@@ -131,8 +131,9 @@ def with_user_delays(gains: np.ndarray, offsets_samples) -> np.ndarray:
 
 
 def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
-    """Pass transmit signals [users, samples] through the channel; returns
-    the received signals [antennas, samples].
+    """Pass transmit signals [users, samples] through the channel gains
+    [users, antennas, subcarriers]; returns the received signals [antennas,
+    samples].  Leading axes, equal on both, stack independent links.
 
     Signals must be whole OFDM symbols of (F + cp_len) samples, with
     0 <= cp_len <= F (the prefix is a copy of the body's tail). Each symbol
@@ -140,22 +141,22 @@ def apply(gains: np.ndarray, tx: np.ndarray, cp_len: int) -> np.ndarray:
     filtered tail, which realizes exact circular convolution per symbol.
     """
     tx = np.asarray(tx)
-    if gains.ndim != 3:
+    if gains.ndim < 3:
         raise ValueError("gains must be [users][antennas][subcarriers]")
-    if tx.ndim != 2 or tx.shape[0] != gains.shape[0]:
+    if tx.ndim != gains.ndim - 1 or tx.shape[:-1] != gains.shape[:-2]:
         raise ValueError("one stream per user required")
-    num_users, total = tx.shape
-    F = gains.shape[2]
+    *lead, num_users, total = tx.shape
+    F = gains.shape[-1]
     sym_len = F + cp_len
     if cp_len < 0 or cp_len > F or total % sym_len != 0:
         raise ValueError("need 0 <= cp_len <= F and a whole number of symbols")
-    bodies = tx.reshape(num_users, total // sym_len, sym_len)[:, :, cp_len:]
-    spectra = np.fft.fft(bodies, axis=2)
-    # per subcarrier, gains [antennas, users] @ spectra [users, symbols]
+    bodies = tx.reshape(*lead, num_users, total // sym_len, sym_len)[..., cp_len:]
+    spectra = np.fft.fft(bodies, axis=-1)
+    # per link and subcarrier, gains [antennas, users] @ spectra [users, symbols]
     out_spectra = np.matmul(
-        np.ascontiguousarray(gains.transpose(2, 1, 0)),
-        np.ascontiguousarray(spectra.transpose(2, 0, 1)),
+        np.ascontiguousarray(gains.swapaxes(-1, -3)),
+        np.ascontiguousarray(bins_first(spectra)),
     )
-    out_bodies = np.fft.ifft(out_spectra.transpose(1, 2, 0), axis=2)
-    symbols = np.concatenate([out_bodies[:, :, F - cp_len :], out_bodies], axis=2)
-    return symbols.reshape(gains.shape[1], -1)
+    out_bodies = np.fft.ifft(bins_last(out_spectra), axis=-1)
+    symbols = np.concatenate([out_bodies[..., F - cp_len :], out_bodies], axis=-1)
+    return symbols.reshape(*lead, gains.shape[-2], -1)

@@ -275,14 +275,20 @@ def _check_room(cfg: ExperimentConfig) -> None:
 
 def _check_trial_size(cfg: ExperimentConfig) -> None:
     """Refuse a combo whose channel gains [users, antennas, 64], received
-    signal [antennas, (users * lts_repeats + payload_symbols) * 80] or coded
-    payload [users, payload_symbols * 192] exceeds MAX_TRIAL_ELEMENTS."""
+    signal [antennas, (users * lts_repeats + payload_symbols) * 80], coded
+    payload [users, payload_symbols * 192] or, for fdma, stacked one-user
+    received links [users, (lts_repeats + payload_symbols) * 80] exceeds
+    MAX_TRIAL_ELEMENTS."""
     frame = (cfg.users * cfg.lts_repeats + cfg.payload_symbols) * SYMBOL_LEN
-    for keys, elements in (
+    sizes = [
         ("users x antennas", cfg.users * cfg.antennas * FFT_SIZE),
         ("antennas x (users x ofdm.lts_repeats + payload_symbols)", cfg.antennas * frame),
         ("users x payload_symbols", cfg.users * cfg.payload_symbols * CODED_BITS_PER_SYMBOL),
-    ):
+    ]
+    if cfg.arch == "fdma":
+        links = cfg.users * (cfg.lts_repeats + cfg.payload_symbols) * SYMBOL_LEN
+        sizes.append(("users x (ofdm.lts_repeats + payload_symbols)", links))
+    for keys, elements in sizes:
         if elements > MAX_TRIAL_ELEMENTS:
             raise ConfigError(
                 f"{keys} is too large: a trial would hold an array of {elements:.3g} "

@@ -1,9 +1,10 @@
 """Deterministic signal utilities shared by every other module.
 
 Signals are plain complex ndarrays of baseband samples. This module holds
-the signed-bin DFT convention, band-limited resampling and a counter-based
-seeded RNG, with a kept prefix of one of its streams (KeptNormals) for
-consumers that share a stream's leading values.
+the signed-bin DFT convention, the bins-first layout of per-bin stacks
+(bins_first, bins_last), band-limited resampling and a counter-based
+seeded RNG, with a kept prefix of one or more of its streams (KeptNormals)
+for consumers that share the streams' leading values.
 Everything here is pure: same inputs, same outputs, on any platform.
 """
 
@@ -68,28 +69,41 @@ class Rng:
 
 
 class KeptNormals:
-    """The leading standard normals of one Rng stream, drawn once and kept.
+    """The leading standard normals of one or more Rng streams, drawn once
+    and kept.
 
-    normals(n) returns the stream's first n values on every call, read-only:
-    the first call draws them straight into the kept buffer, and a longer
-    call later draws only the values past it.  A consumer that makes one
-    normals call on a fresh Rng gets the same values from a KeptNormals of
-    that stream, so consumers that read one stream share its draw.
+    normals(n) returns, on every call and read-only, the first n / L values
+    of each of its L streams, stream after stream; with one stream, the
+    stream's first n values.  The first call draws them straight into the
+    kept buffer, and a longer call later draws only the values past it.  A
+    consumer that makes one normals call on a fresh Rng gets the same
+    values from a KeptNormals of that stream, so consumers that read one
+    stream share its draw, and a consumer of L stacked links reads each
+    link's stream as a lone consumer of that link would.
     """
 
-    def __init__(self, rng: Rng) -> None:
-        self.rng = rng
-        self.values = np.empty(0)
+    def __init__(self, *rngs: Rng) -> None:
+        if not rngs:
+            raise ValueError("KeptNormals needs at least one stream")
+        self.rngs = rngs
+        self.values = np.empty((len(rngs), 0))  # [streams, kept]
         self.values.flags.writeable = False
 
     def normals(self, n: int) -> np.ndarray:
-        """The stream's first n standard normals, read-only."""
-        kept = self.values.size
-        if n > kept:
-            rest = self.rng.normals(n - kept)
-            self.values = np.concatenate((self.values, rest)) if kept else rest
+        """The first n / L normals of each of the L streams, read-only."""
+        streams, kept = self.values.shape
+        each, rest = divmod(n, streams)
+        if rest:
+            raise ValueError(f"{n} normals do not split evenly over {streams} streams")
+        if each > kept:
+            drawn = [rng.normals(each - kept) for rng in self.rngs]
+            # a lone stream's draw is kept as it is, without a copy
+            more = drawn[0][None] if streams == 1 else np.stack(drawn)
+            self.values = np.concatenate((self.values, more), axis=1) if kept else more
             self.values.flags.writeable = False
-        return self.values[:n]
+        out = self.values[:, :each].reshape(-1)
+        out.flags.writeable = False
+        return out
 
 
 def unit_complex(source, shape) -> np.ndarray:
@@ -103,6 +117,20 @@ def unit_complex(source, shape) -> np.ndarray:
     out.imag = z[out.size :].reshape(out.shape)
     out /= np.sqrt(2.0)
     return out
+
+
+def bins_first(a: np.ndarray) -> np.ndarray:
+    """a [..., x, y, bins] viewed as [..., bins, x, y], the layout of the
+    per-bin stacks a batched matmul reads: np.moveaxis(a, -1, -3) as two
+    swaps, since moveaxis checks its arguments in Python at several times
+    the cost of the swaps."""
+    return a.swapaxes(-1, -2).swapaxes(-2, -3)
+
+
+def bins_last(a: np.ndarray) -> np.ndarray:
+    """a [..., bins, x, y] viewed as [..., x, y, bins], bins_first undone:
+    np.moveaxis(a, -3, -1) as two swaps."""
+    return a.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 def signed_bins(n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ a row of rx) and capture_hybrid (per-antenna phase shifters into fewer
 chains) are the comparison front ends. Every front end takes the received
 B-rate signals [antennas, samples] and returns (output, noise): the switched
 K*B capture [K*samples] or the chains [chains, samples], and the noise law.
+capture_physical also takes leading link axes, [..., antennas, samples].
 
 The switched chain is linear, and despreading the noiseless K*B capture
 gives back each slot's gated sum of B-rate antenna signals exactly. Both
@@ -27,26 +28,32 @@ itself: the switched slot noise and the hybrid's antenna noise as
 dsp.unit_complex does (every real part, then every imaginary part), the
 physical chains chain by chain (each chain's real parts, then its
 imaginary parts). rng is an Rng or the kept noise stream of a drawn link
-(dsp.KeptNormals, one per link of runner.draw_trial), whose normals(n) is
+(dsp.KeptNormals, one per runner.draw_trial link), whose normals(n) is
 the first n values of that stream on every call. So every combo of one
-draw reads one draw of each link's stream, and a capture reads only the
+draw reads one draw of the link's stream, and a capture reads only the
 leading part it needs: a switched capture of K chains reads the first
 2*K*samples of the values that dbf and the hybrids read for M antennas.
+FDMA's chains read each user's own stream: its link stacks the users'
+one-chain links, capture_physical lays the noise out link by link, and
+the link's KeptNormals holds one stream per user, so user u's chain gets
+the first 2*samples values of stream u.
 
 Noise convention: noise_power turns snr_db into sigma2, the per-sample
 noise variance of a B-rate chain, against the received power per user
 averaged over the whole frame (received_power). The runner measures that
-power once per drawn link and derives sigma2 from it for each link's
-snr_db, passing the same sigma2 to whichever front end captures, so every
-architecture shares one noise reference. Training slots carry one user
-each, so in a multi-user frame the payload SNR sits above snr_db. Each
+power once per drawn link (one per user of a stacked FDMA link) and
+derives sigma2 from it for each combo's snr_db, passing the same sigma2 to
+whichever front end captures, so every architecture shares one noise
+reference. Training slots carry one user each, so in a multi-user frame
+the payload SNR sits above snr_db. Each
 front end draws its noise for any sigma2 (zero scales it to exact zeros)
 and returns the law of that noise in the shape metrics.sinr reads:
 - switched: variances [K], sigma2 * S.sum(axis=0). Noise enters at K*B
   after combining, and each of the n antennas a slot gates brings its own
   front-end noise through the n-way passive split, so an identity-switched
   virtual chain and a physical chain are noise-equivalent by construction;
-- physical: variances [chains], np.full(chains, sigma2);
+- physical: variances [chains], sigma2 on every chain, or [..., chains]
+  for stacked links, each link's own sigma2 on its chains;
 - hybrid: covariance [K, K], sigma2 * weights.T @ weights.conj(): noise
   enters per antenna (each has its own LNA ahead of the phase shifters),
   which gives coherent combining its 10*log10(M) SNR gain, and the weights
@@ -102,14 +109,16 @@ def _slot_noise(S: np.ndarray, reps: int, sigma2: float, rng: Rng) -> tuple:
     return noise, law
 
 
-def received_power(rx: np.ndarray) -> float:
-    """The mean per-antenna received power of rx [antennas, samples]."""
-    return float(np.mean(np.mean(np.abs(rx) ** 2, axis=1)))
+def received_power(rx: np.ndarray):
+    """The mean per-antenna received power of rx [antennas, samples], one
+    per leading index of rx [..., antennas, samples]."""
+    return np.mean(np.mean(np.abs(rx) ** 2, axis=-1), axis=-1)
 
 
-def noise_power(p_rx: float, snr_db: float, num_users: int) -> float:
+def noise_power(p_rx, snr_db: float, num_users: int):
     """Per-sample noise variance for a B-rate chain at snr_db, referred to
-    the received power p_rx (received_power) per user."""
+    the received power p_rx (received_power) per user; one per entry of an
+    array p_rx."""
     p_ref = p_rx / num_users
     return p_ref / 10 ** (snr_db / 10)
 
@@ -190,21 +199,26 @@ def switched_chains(
     return chains, law
 
 
-def capture_physical(rx: np.ndarray, sigma2: float, rng: Rng) -> tuple:
-    """One dedicated B-rate chain per antenna (row of rx), independent AWGN
-    of variance sigma2 per chain, no switches and no insertion loss; returns
-    the chains and their noise variances [chains]."""
-    _check_received(rx)
-    # laid out chain by chain: each chain's real parts, then its imaginary
-    # parts (the golden rows pin this order)
+def capture_physical(rx: np.ndarray, sigma2, rng: Rng) -> tuple:
+    """One dedicated B-rate chain per antenna (row of rx [antennas,
+    samples]), independent AWGN of variance sigma2 per chain, no switches
+    and no insertion loss; returns the chains and their noise variances
+    [chains].  Leading axes of rx [..., antennas, samples] stack
+    independent links, sigma2 is then one value or one per link [...], and
+    the variances are [..., chains]."""
+    if rx.ndim < 2 or rx.shape[-2] < 1:
+        raise ValueError("received signals must be [antennas, samples]")
+    # per link, laid out chain by chain: each chain's real parts, then its
+    # imaginary parts (the golden rows pin this order)
     noisy = np.empty(rx.shape, dtype=np.complex128)
-    z = rng.normals(2 * noisy.size).reshape(rx.shape[0], 2, rx.shape[1])
-    noisy.real = z[:, 0]
-    noisy.imag = z[:, 1]
+    z = rng.normals(2 * noisy.size).reshape(*rx.shape[:-1], 2, rx.shape[-1])
+    noisy.real = z[..., 0, :]
+    noisy.imag = z[..., 1, :]
     noisy /= np.sqrt(2.0)
-    noisy *= np.sqrt(sigma2)
+    sigma2 = np.asarray(sigma2, dtype=float)[..., None]  # [..., 1], over the chains
+    noisy *= np.sqrt(sigma2)[..., None]
     noisy += rx
-    return noisy, np.full(len(rx), sigma2)
+    return noisy, np.broadcast_to(sigma2, rx.shape[:-1]).copy()
 
 
 def hybrid_weights(H_ref: np.ndarray, arch: str) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ARCH_CHOICES, ExperimentConfig
+from .dsp import bins_last
 
 SINR_CAP_DB = 80.0
 
@@ -43,23 +44,27 @@ def _cap_linear(lin: np.ndarray) -> np.ndarray:
 
 
 def _noise_form(v: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Real part of V_u C V_u^H for combiner weights v [bins, users, chains];
-    returns [users, bins].
+    """Real part of V_u C V_u^H for combiner weights v [..., bins, users,
+    chains]; returns [..., users, bins].
 
-    noise is either the variances [chains] of independent chains, the
-    diagonal of C, or the covariance C [chains, chains] of correlated ones.
-    Each user's rows [bins, chains] are scaled by the variances or
+    noise is either the variances [..., chains] of independent chains, the
+    diagonal of C, or the covariance C [..., chains, chains] of correlated
+    ones.  Each user's rows [bins, chains] are scaled by the variances or
     multiplied by C, then multiplied by their own conjugates row by row.
     """
-    rows = v.transpose(1, 0, 2)
-    weighted = rows * noise if noise.ndim == 1 else rows @ noise
-    return np.real(np.einsum("ufd,ufd->uf", weighted, rows.conj()))
+    rows = v.swapaxes(-3, -2)
+    if noise.ndim == v.ndim - 2:
+        weighted = rows * noise[..., None, None, :]
+    else:
+        weighted = rows @ noise[..., None, :, :]
+    return np.real(np.einsum("...ufd,...ufd->...uf", weighted, rows.conj()))
 
 
 def sinr(weights: np.ndarray, heff: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Per-user post-combining SINR in dB of combiner weights V [data bins,
     users, chains] against the true channel heff [data bins, chains, users]
-    and the chain noise.
+    and the chain noise.  Leading axes, equal on all three, stack
+    independent links and give SINRs [..., users].
 
     P[f, u, j] = sum_c V[f, u, c] * Heff[f, c, j]; per bin the wanted power
     is |P_uu|^2, interference is the other columns, and the noise term is
@@ -70,38 +75,42 @@ def sinr(weights: np.ndarray, heff: np.ndarray, noise: np.ndarray) -> np.ndarray
     """
     # per bin, V [users, chains] @ Heff [chains, users]
     p = np.matmul(weights, np.ascontiguousarray(heff))
-    # C order [users, users, bins], so the sums over users below add in the
-    # same order whatever the product's layout
-    p = np.ascontiguousarray(p.transpose(1, 2, 0))
+    # C order [..., users, users, bins], so the sums over users below add in
+    # the same order whatever the product's layout
+    p = np.ascontiguousarray(bins_last(p))
     power = np.abs(p) ** 2
-    num_users = power.shape[0]
+    num_users = power.shape[-2]
     idx = np.arange(num_users)
-    wanted = power[idx, idx]
-    interference = power.sum(axis=1) - wanted
+    wanted = power[..., idx, idx, :]
+    interference = power.sum(axis=-2) - wanted
     noise = np.asarray(noise)
-    chains = weights.shape[2]
-    if noise.shape not in ((chains,), (chains, chains)):
+    lead, chains = weights.shape[:-3], weights.shape[-1]
+    if noise.shape not in (lead + (chains,), lead + (chains, chains)):
         raise ValueError("noise must be [chains] or [chains, chains]")
     denom = interference + np.maximum(_noise_form(weights, noise), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lin = np.where(denom > 0, wanted / np.maximum(denom, 1e-300), np.inf)
     lin = _cap_linear(np.where(wanted == 0, 0.0, lin))
-    per_user = _cap_linear(lin.mean(axis=1))
+    per_user = _cap_linear(lin.mean(axis=-1))
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(per_user)
 
 
-def evm(equalized: np.ndarray, reference: np.ndarray) -> float:
-    """RMS error vector magnitude as a percentage of the reference RMS."""
+def evm(equalized: np.ndarray, reference: np.ndarray):
+    """RMS error vector magnitude as a percentage of the reference RMS, over
+    grids [users, symbols, bins]; leading axes stack independent grids and
+    give one EVM each."""
     equalized = np.asarray(equalized)
     reference = np.asarray(reference)
     if equalized.shape != reference.shape:
         raise ValueError("grids must share a shape")
-    ref_power = np.mean(np.abs(reference) ** 2)
-    if ref_power == 0:
+    # one row per grid: its last three axes (all of a smaller array) flattened
+    grid = reference.shape[:-3] + (-1,)
+    ref_power = np.mean((np.abs(reference) ** 2).reshape(grid), axis=-1)
+    if (ref_power == 0).any():
         raise ValueError("reference grid is silent")
-    err_power = np.mean(np.abs(equalized - reference) ** 2)
-    return float(100.0 * np.sqrt(err_power / ref_power))
+    err_power = np.mean((np.abs(equalized - reference) ** 2).reshape(grid), axis=-1)
+    return 100.0 * np.sqrt(err_power / ref_power)
 
 
 def capacity(sinr_db: np.ndarray, bandwidth_hz: float) -> float:

@@ -7,9 +7,11 @@ each config field is tagged with the first stage that reads it (the
 ``stage`` metadata of the config table):
 
 * draw (``draw_trial``): payload bits, user drop, channel, frame and the
-  received signal, from the draw fields (users, antennas, seed,
-  payload_symbols, scenario, sync_*, rayleigh.taps, ofdm.*, scene.*) and
-  from whether arch is fdma, whose users are one single-antenna link each;
+  received signal of the trial's one link, from the draw fields (users,
+  antennas, seed, payload_symbols, scenario, sync_*, rayleigh.taps, ofdm.*,
+  scene.*) and from whether arch is fdma.  An fdma link stacks its users'
+  single-antenna, one-user links along a leading axis, and the link stage
+  runs once over the stack;
 * link (``_run_link``): selection, front end, noise, estimation and
   combining, adding the link fields (arch, snr_db, select, combiner,
   grouping.*, frontend.*) and the chain count arch, users and antennas
@@ -22,7 +24,7 @@ each config field is tagged with the first stage that reads it (the
   carries them: the noise stream is kept as drawn so far
   (``dsp.KeptNormals``), each front end reads the leading part of it that
   it needs, and every capture gets the bytes a fresh stream would give it;
-* score: the decode of every link's grids and the metrics of the row,
+* score: the decode of the link's grids and the metrics of the row,
   batched per task block (``TrialBlock``): a block's pairs wait with their
   equalized grids until the first pair of the block's last draw, which
   decodes all their codewords and its own in one recover_bits call; the
@@ -213,46 +215,49 @@ def draw_key(cfg: ExperimentConfig) -> tuple:
 
 
 def draw_trial(cfg: ExperimentConfig, trial_id: int) -> tuple:
-    """The draw stage: the trial's payload bits [users, bits] and its links,
-    each (bits, gains, tx_grids, rx, p_rx, noise): read-only arrays, the
+    """The draw stage: the trial's payload bits [users, bits] and its link
+    (bits, gains, tx_grids, rx, p_rx, noise): read-only arrays, p_rx the
     received power every snr_db refers its noise to (received_power), and
     the link's kept noise stream (KeptNormals), so every combo of the draw
     reads one draw of it, whatever its arch and snr_db.
 
     FDMA users sit in disjoint bands on one antenna, so there is no spatial
-    interference: each user u is its own single-antenna, single-chain link,
-    with stream u derived from the trial's noise stream.  Every other
-    architecture carries all users on one link, with the trial's noise stream.
+    interference, and the link stacks the users' one-user links along a
+    leading axis: bits [users, 1, bits], gains [users, 1, 1, bins], each
+    user's own one-user frame with its training at slot 0, rx [users, 1,
+    samples], p_rx [users], and noise the users' streams, stream u derived
+    from the trial's noise stream.  Every other architecture carries all
+    users on one link, with the trial's noise stream.
     """
     trial_rng = Rng(cfg.seed, trial_id)
     bits = _frozen(_payload_bits(cfg, trial_rng))
     gains = _frozen(_draw_channel(cfg, trial_rng))
     noise = trial_rng.derive(_P_NOISE)
     if cfg.arch == "fdma":
-        split = [(bits[u : u + 1], gains[u : u + 1, :1], noise.derive(u)) for u in range(cfg.users)]
+        link_bits, link_gains = bits[:, None], gains[:, None, :1]
+        noise = KeptNormals(*(noise.derive(u) for u in range(cfg.users)))
     else:
-        split = [(bits, gains, noise)]
-    links = []
-    for link_bits, link_gains, link_noise in split:
-        tx_streams, tx_grids = build_frame(link_bits, cfg.lts_repeats)
-        rx = _frozen(channel.apply(link_gains, tx_streams, CP_LEN))
-        p_rx = received_power(rx)
-        links.append((link_bits, link_gains, _frozen(tx_grids), rx, p_rx, KeptNormals(link_noise)))
-    return bits, links
+        link_bits, link_gains, noise = bits, gains, KeptNormals(noise)
+    tx_streams, tx_grids = build_frame(link_bits, cfg.lts_repeats)
+    rx = _frozen(channel.apply(link_gains, tx_streams, CP_LEN))
+    p_rx = _frozen(np.asarray(received_power(rx)))
+    return bits, (link_bits, link_gains, _frozen(tx_grids), rx, p_rx, noise)
 
 
 def _run_link(cfg: ExperimentConfig, link: tuple, trial_rng: Rng) -> tuple:
-    """Capture one drawn link (an entry of draw_trial's links) with the
-    configured front end, then estimate and combine it.  The front end
-    reads the leading values of the link's kept noise stream.
+    """Capture the drawn link (draw_trial's) with the configured front end,
+    then estimate and combine it.  The front end reads the leading values
+    of the link's kept noise stream.  An FDMA link's leading axis stacks
+    one-user links, and each stage runs once over the whole stack.
 
     Returns the equalized grids [users, payload symbols, data bins], the
-    per-user SINR (dB) and the EVM (%).
+    per-user SINR (dB) and the EVM (%), the mean over an FDMA link's users.
     Raises GroupingError when the switched selector finds no usable matrix.
     """
     bits, gains, tx_grids, rx, p_rx, noise_rng = link
-    h_ref = gains[:, :, REFERENCE_BIN]
-    sigma2 = noise_power(p_rx, cfg.snr_db, len(bits))
+    users = bits.shape[-2]  # per link
+    h_ref = gains[..., REFERENCE_BIN]
+    sigma2 = noise_power(p_rx, cfg.snr_db, users)
 
     if cfg.arch == "switched":
         mixing = _select_matrix(cfg, h_ref, trial_rng)
@@ -273,7 +278,7 @@ def _run_link(cfg: ExperimentConfig, link: tuple, trial_rng: Rng) -> tuple:
     elif cfg.arch in ("hbf_full", "hbf_partial"):
         mixing, loss_amp = hybrid_weights(h_ref, cfg.arch), 1.0
         chains, noise = capture_hybrid(rx, mixing, sigma2, noise_rng)
-    else:  # dbf, and each fdma user's single-antenna link
+    else:  # dbf, and the fdma users' single-antenna links
         mixing, loss_amp = None, 1.0
         chains, noise = capture_physical(rx, sigma2, noise_rng)
     truth = true_effective_channel(gains, mixing, loss_amp)
@@ -282,12 +287,13 @@ def _run_link(cfg: ExperimentConfig, link: tuple, trial_rng: Rng) -> tuple:
     # freed before the estimate, which holds a link's peak memory: at M = 64
     # the chains are as large as the kept noise stream of the draw
     del chains
-    est = estimate_channel(spectra, len(bits), cfg.lts_repeats)
+    est = estimate_channel(spectra, users, cfg.lts_repeats)
     # config admits combiner = nullspace only where it is zero-forcing
     comb = zf_weights(est, cfg.rank_tolerance)
     grids = apply_combiner(spectra, comb, cfg.lts_repeats)
     sinr_db = metrics.sinr(comb.weights, truth, noise)
-    return grids, sinr_db, metrics.evm(grids, tx_grids)
+    evm_pct = np.mean(metrics.evm(grids, tx_grids))
+    return grids.reshape(-1, *grids.shape[-2:]), sinr_db.reshape(-1), evm_pct
 
 
 # A block decodes its pending codewords once they reach this many trellis
@@ -349,7 +355,7 @@ class TrialBlock:
 
 
 def run_trial(cfg: ExperimentConfig, trial_id: int, block: TrialBlock | None = None) -> dict:
-    """One deterministic end-to-end trial, its draw, each link, then its
+    """One deterministic end-to-end trial, its draw, its link, then its
     score; returns the CSV row mapping.
 
     block, when given, is the TrialBlock the calls of one task block share:
@@ -362,16 +368,15 @@ def run_trial(cfg: ExperimentConfig, trial_id: int, block: TrialBlock | None = N
     """
     if block is None:
         block = TrialBlock([(cfg, trial_id)])
-    bits, links = block.draw_for(cfg, trial_id)
-    trial_rng = Rng(cfg.seed, trial_id)
+    bits, link = block.draw_for(cfg, trial_id)
 
     try:
-        grids, sinrs, evms = zip(*[_run_link(cfg, link, trial_rng) for link in links])
+        grids, sinr_db, evm_pct = _run_link(cfg, link, Rng(cfg.seed, trial_id))
     except GroupingError:
         row = _failed_row(cfg, trial_id)
     else:
-        row, grids = {}, np.concatenate(grids)
-        score = (row, cfg, trial_id, bits, grids, np.concatenate(sinrs), np.mean(evms))
+        row = {}
+        score = (row, cfg, trial_id, bits, grids, sinr_db, evm_pct)
         block.pending.append(score)
         block.steps += grids.shape[0] * grids.shape[1] * INFO_BITS_PER_SYMBOL
     if block.key == block.last_key or block.steps >= _DECODE_STEPS:

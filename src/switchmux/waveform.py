@@ -9,9 +9,10 @@ TX_SCALE); only the bandwidth and the training repeats vary, and both come
 from the experiment config.  The payload is one 0/1 int array [users, bits]
 of whole symbols, bits = payload_bits_for_symbols(P) for P payload symbols.
 A frame is two plain arrays: the transmitted samples [users, samples] and
-the payload QAM grids [users, P, data bins].  Frames start with per-user
-long training symbols in non-overlapping time slots so each user's channel
-can be estimated cleanly.  The receiver demaps and deinterleaves a whole
+the payload QAM grids [users, P, data bins]; leading axes stack independent
+frames (an FDMA trial's one-user frames).  Frames start with per-user long
+training symbols in non-overlapping time slots so each user's channel can
+be estimated cleanly.  The receiver demaps and deinterleaves a whole
 [users, P, data bins] grid at once, as uint8 bits, and decodes all its
 codewords in one batched radix-4 Viterbi pass back to [users, bits]: two
 trellis steps per add-compare-select, with each decision kept in the path
@@ -281,34 +282,36 @@ def _symbol_time(spectra: np.ndarray) -> np.ndarray:
 def build_frame(payload_bits, lts_repeats: int) -> tuple:
     """Encode, interleave, map and frame one packet per user.
 
-    payload_bits is [users, payload_bits_for_symbols(P)] for some P >= 1.
-    Returns (tx_streams [users, samples], tx_grids [users, P, data bins]).
-    The frame opens with lts_repeats training symbols per user, user u's in
-    symbols u*lts_repeats .. (u+1)*lts_repeats - 1 with every other user
-    silent, then all users send their payloads at once.
+    payload_bits is [..., users, payload_bits_for_symbols(P)] for some
+    P >= 1; leading axes stack independent frames.  Returns (tx_streams
+    [..., users, samples], tx_grids [..., users, P, data bins]).  A frame
+    opens with lts_repeats training symbols per user, user u's in symbols
+    u*lts_repeats .. (u+1)*lts_repeats - 1 with every other user of the
+    frame silent, then all its users send their payloads at once.
     """
     payload_bits = np.asarray(payload_bits)
-    if payload_bits.ndim != 2 or not len(payload_bits):
+    if payload_bits.ndim < 2 or 0 in payload_bits.shape[:-1]:
         raise ValueError("payload bits must be [users, bits] with at least one user")
-    K, n = payload_bits.shape
+    *lead, K, n = payload_bits.shape
     symbols = (n + _TAIL) // INFO_BITS_PER_SYMBOL
     if symbols < 1 or n != payload_bits_for_symbols(symbols):
         raise ValueError(
             f"{n} payload bits do not fill whole symbols; send payload_bits_for_symbols(P)"
         )
-    coded = conv_encode(payload_bits).reshape(K, symbols, CODED_BITS_PER_SYMBOL)
+    coded = conv_encode(payload_bits.reshape(-1, n))
+    coded = coded.reshape(*lead, K, symbols, CODED_BITS_PER_SYMBOL)
     chunks = interleave(coded, CODED_BITS_PER_SYMBOL)
-    grids = qam16_map(chunks).reshape(K, symbols, len(DATA_BINS))
-    spectra = np.zeros((K, symbols, FFT_SIZE), dtype=np.complex128)
-    spectra[:, :, DATA_BINS] = grids
-    spectra[:, :, PILOT_BINS] = PILOT_VALUES
+    grids = qam16_map(chunks).reshape(*lead, K, symbols, len(DATA_BINS))
+    spectra = np.zeros((*lead, K, symbols, FFT_SIZE), dtype=np.complex128)
+    spectra[..., DATA_BINS] = grids
+    spectra[..., PILOT_BINS] = PILOT_VALUES
     preamble = K * lts_repeats
-    streams = np.zeros((K, preamble + symbols, SYMBOL_LEN), dtype=np.complex128)
+    streams = np.zeros((*lead, K, preamble + symbols, SYMBOL_LEN), dtype=np.complex128)
     lts = _symbol_time(LTS_FREQ)
     for u in range(K):
-        streams[u, u * lts_repeats : (u + 1) * lts_repeats] = lts
-    streams[:, preamble:] = _symbol_time(spectra)
-    return streams.reshape(K, -1), grids
+        streams[..., u, u * lts_repeats : (u + 1) * lts_repeats, :] = lts
+    streams[..., preamble:, :] = _symbol_time(spectra)
+    return streams.reshape(*lead, K, -1), grids
 
 
 def recover_bits(grids: np.ndarray) -> np.ndarray:

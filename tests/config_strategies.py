@@ -6,7 +6,8 @@ straddle the checks (small explicit ranges for the size keys, so a trial
 stays cheap) and every choice.  A ``config_texts`` text may pin users and
 may carry one fault: junk text as a value, a repeated or unknown key, a
 line without ``=`` or a user missing a coordinate.  A ``grid_texts`` text
-has no fault and only in-range values, and sweeps two archs.
+has no fault and only in-range values, and sweeps two archs.  An
+``fdma_texts`` text sets every key that shapes an FDMA trial.
 """
 
 from hypothesis import strategies as st
@@ -134,3 +135,22 @@ def accepted_combos(text: str):
     except config.ConfigError:
         return None
     return cfg, config.sweep_combos(cfg)
+
+
+@st.composite
+def fdma_texts(draw) -> str:
+    """An fdma text at 1-6 users, 1-8 antennas, ofdm.lts_repeats and
+    payload_symbols 1-3, either scenario and combiner, offset sync, and
+    in-range values of the seed, snr_db and sync.max_offset_samples."""
+    sizes = {
+        "users": (1, 6),
+        "antennas": (1, 8),
+        "ofdm.lts_repeats": (1, 3),
+        "payload_symbols": (1, 3),
+    }
+    lines = ["arch = fdma", "sync_mode = offset"]
+    lines += [f"{key} = {draw(st.integers(*bounds))}" for key, bounds in sizes.items()]
+    lines += [f"{key} = {draw(st.sampled_from(CHOICES[key]))}" for key in ("scenario", "combiner")]
+    for key in ("seed", "snr_db", "sync.max_offset_samples"):
+        lines.append(draw(_line(key, _in_range(key))))
+    return "\n".join(lines) + "\n"

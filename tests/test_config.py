@@ -180,8 +180,15 @@ class TestCrossValidation:
                 "arch = fdma\nusers = 1000\nantennas = 1\npayload_symbols = 1000\n",
                 "users x payload_symbols",
             ),
+            # 2000 x 140 x 80 = 22.4M stacked one-user links; every other
+            # array fits (a single antenna's frame holds 16.0M samples)
+            (
+                "arch = fdma\nusers = 2000\nantennas = 1\nofdm.lts_repeats = 100\n"
+                "payload_symbols = 40\n",
+                "users x (ofdm.lts_repeats + payload_symbols)",
+            ),
         ],
-        ids=["gains", "received_signal", "fdma_coded_payload"],
+        ids=["gains", "received_signal", "fdma_coded_payload", "fdma_stacked_links"],
     )
     def test_trial_arrays_bounded(self, text, keys):
         with pytest.raises(ConfigError, match=re.escape(f"{keys} is too large")):

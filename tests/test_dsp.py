@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fractional_delay
-from switchmux.dsp import KeptNormals, Rng, signed_bins, unit_complex, upsample
+from switchmux.dsp import (
+    KeptNormals,
+    Rng,
+    bins_first,
+    bins_last,
+    signed_bins,
+    unit_complex,
+    upsample,
+)
 
 
 def random_stream(n, seed):
@@ -155,8 +163,45 @@ class TestKeptNormals:
         assert drawn == [5, 100]
 
     def test_values_are_read_only(self):
-        kept = KeptNormals(Rng(9, 4))
-        for n in (5, 105, 3):
-            values = kept.normals(n)
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 0.0
+        for kept in (KeptNormals(Rng(9, 4)), KeptNormals(Rng(9, 4), Rng(9, 5))):
+            for n in (6, 106, 4):  # drawn, extended, then a copy of the front
+                values = kept.normals(n)
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.0
+
+    def test_several_streams_give_each_stream_s_first_values_in_turn(self):
+        # a stacked link reads each link's stream as a lone link would
+        rngs = [Rng(9, 4), Rng(9, 7), Rng(3, 4)]
+        want = [Rng(r.master_seed, r.stream_id).generator.standard_normal(40) for r in rngs]
+        kept = KeptNormals(*rngs)
+        for each in (5, 40, 3):  # drawn, extended, then read from the front
+            got = kept.normals(3 * each)
+            assert got.tobytes() == np.concatenate([w[:each] for w in want]).tobytes()
+
+    def test_several_streams_draw_only_the_rest_of_each(self):
+        drawn = []
+        rngs = [Rng(9, 4), Rng(9, 5)]
+        for rng in rngs:
+            normals = rng.normals
+            rng.normals = lambda n, normals=normals, rng=rng: (
+                drawn.append((rng.stream_id, n)) or normals(n)
+            )
+        kept = KeptNormals(*rngs)
+        for n in (10, 6, 30, 0):
+            kept.normals(n)
+        assert drawn == [(4, 5), (5, 5), (4, 10), (5, 10)]
+
+    def test_a_read_must_split_evenly_over_the_streams(self):
+        with pytest.raises(ValueError, match="split evenly over 2 streams"):
+            KeptNormals(Rng(9, 4), Rng(9, 5)).normals(7)
+        with pytest.raises(ValueError, match="at least one stream"):
+            KeptNormals()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5), (4, 2, 3, 5), (1, 2, 1, 3, 5)])
+def test_bins_first_and_last_move_the_bin_axis_as_moveaxis_does(shape):
+    a = np.arange(np.prod(shape)).reshape(shape)
+    assert np.array_equal(bins_first(a), np.moveaxis(a, -1, -3))
+    assert np.array_equal(bins_last(a), np.moveaxis(a, -3, -1))
+    assert np.array_equal(bins_last(bins_first(a)), a)
+    assert np.shares_memory(bins_first(a), a)  # a view, not a copy

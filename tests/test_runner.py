@@ -129,7 +129,8 @@ class TestRunTrial:
             ("dbf", [(4,)]),
             ("hbf_full", [(2, 2)]),
             ("hbf_partial", [(2, 2)]),
-            ("fdma", [(1,), (1,)]),
+            # one link that stacks the two users' one-chain links
+            ("fdma", [(2, 1)]),
             # the K*B capture_switched path, not the closed-form chains
             pytest.param("switched\nfrontend.quantizer_bits = 8", [(2,)], id="switched_quantized"),
         ],
@@ -667,11 +668,14 @@ class TestSharedDraw:
     def test_draw_arrays_are_read_only(self):
         for arch in ("switched", "fdma"):
             cfg = cfg_from(SMALL + f"arch = {arch}\n")
-            bits, links = runner.draw_trial(cfg, 0)
-            arrays = [bits] + [a for link in links for a in link[:4]]
+            bits, link = runner.draw_trial(cfg, 0)
+            *arrays, noise = link
             # the kept noise values, as far as a dbf capture reads them
-            arrays += [noise.normals(2 * rx.size) for *_, rx, _, noise in links]
-            assert len(arrays) == 1 + 5 * (cfg.users if arch == "fdma" else 1)
+            arrays = [bits, *arrays, noise.normals(2 * link[3].size)]
+            assert len(arrays) == 1 + 6
+            if arch == "fdma":  # bits, gains, tx_grids and rx stack one-user links
+                assert [a.shape[:2] for a in arrays[1:5]] == [(cfg.users, 1)] * 4
+                assert arrays[5].shape == (cfg.users,)  # a received power per user
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a.flat[0] = 1

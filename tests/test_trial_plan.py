@@ -68,20 +68,20 @@ def test_draw_reads_no_link_field(text):
         reset = _link_fields_reset(combo)
         if reset not in draws:
             draws[reset] = runner.draw_trial(reset, 0)
-        want_bits, want_links = draws[reset]
-        bits, links = runner.draw_trial(combo, 0)
+        want_bits, want = draws[reset]
+        bits, link = runner.draw_trial(combo, 0)
         np.testing.assert_array_equal(bits, want_bits)
-        assert len(links) == len(want_links)
-        for link, want in zip(links, want_links):
-            *arrays, p_rx, noise = link
-            *want_arrays, want_p_rx, want_noise = want
-            for got, expected in zip(arrays, want_arrays, strict=True):
-                assert got.dtype == expected.dtype
-                np.testing.assert_array_equal(got, expected)
-            assert p_rx == want_p_rx
-            # as many normals as the longest read, dbf's, takes of the stream
-            n = 2 * link[3].size
-            np.testing.assert_array_equal(noise.normals(n), want_noise.normals(n))
+        *arrays, p_rx, noise = link
+        *want_arrays, want_p_rx, want_noise = want
+        for got, expected in zip(arrays, want_arrays, strict=True):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        # one received power per stacked fdma user's link, else one
+        assert np.shape(p_rx) == np.shape(want_p_rx)
+        np.testing.assert_array_equal(p_rx, want_p_rx)
+        # as many normals as the longest read, dbf's, takes of the streams
+        n = 2 * link[3].size
+        np.testing.assert_array_equal(noise.normals(n), want_noise.normals(n))
 
 
 @_derandomized(30)
@@ -130,8 +130,8 @@ def _grid_rows(cfg) -> list:
 
 def test_a_pair_that_fails_mid_block_leaves_the_others_rows(monkeypatch):
     cfg = build_config(parse_config_text(BLOCK))
-    _, links = runner.draw_trial(cfg, 1)
-    failing = links[0][1][:, :, runner.REFERENCE_BIN]
+    _, link = runner.draw_trial(cfg, 1)
+    failing = link[1][:, :, runner.REFERENCE_BIN]
     select = runner.inphase_select
 
     def fail_on_trial_1(h_ref, **kwargs):
@@ -198,7 +198,7 @@ def test_a_block_releases_its_previous_draw():
     grouped = [c for c in runner.sweep_combos(cfg) if c.select == "grouped"]
     block = runner.TrialBlock([(c, t) for t in range(2) for c in grouped])
     runner.run_trial(grouped[0], 0, block)
-    _, _, _, rx, _, noise = block.draw[1][0]
+    _, _, _, rx, _, noise = block.draw[1]
     old = [weakref.ref(rx), weakref.ref(noise)]
     del rx, noise
     runner.run_trial(grouped[0], 1, block)
@@ -252,8 +252,8 @@ def test_each_link_noise_stream_is_drawn_once_per_draw(monkeypatch, order):
     assert set(drawn) >= {rng.stream_id for rng in noise} | fdma
     # each drawn once: the dbf read in one call, or the switched read and
     # then only the rest of dbf's
-    samples = runner.draw_trial(cfg, 0)[1][0][3].shape[1]
-    fdma_samples = runner.draw_trial(combos[-1], 0)[1][0][3].shape[1]
+    samples = runner.draw_trial(cfg, 0)[1][3].shape[-1]
+    fdma_samples = runner.draw_trial(combos[-1], 0)[1][3].shape[-1]
     linked = [[8 * samples]] if order == "dbf first" else [[4 * samples, 4 * samples]]
     assert sorted(drawn[rng.stream_id] for rng in noise) == linked * cfg.trials
     assert all(drawn[stream] == [2 * fdma_samples] for stream in fdma)
